@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .datastore import GENDERS, ForecastSet, ScenarioSpec
+from .datastore import ForecastSet, ScenarioSpec
 from .errors import NumericalError, ValidationError
 
 BRACKET = 10.0
@@ -172,7 +172,8 @@ def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=DEFAULT_MAX_A
     ``max_age`` where q is forced to one.
 
     ``kind`` 'period' reads the column at t0; 'cohort' reads the diagonal
-    q[x0 + k, t0 + k].
+    q[x0 + k, t0 + k].  `life_expectancy_by_year` is the array form used by
+    the forecasts; this scalar form is its reference.
     """
     ages = np.asarray(ages)
     years = np.asarray(years)
@@ -204,6 +205,48 @@ def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=DEFAULT_MAX_A
     return float((surv * (1.0 - qs / 2.0)).sum())
 
 
+def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period",
+                            max_age=DEFAULT_MAX_AGE):
+    """`life_expectancy` at age ``x0`` for every start year in ``t0s`` at once.
+
+    Gathers one C-ordered (len(t0s), max_age - x0 + 1) block of death
+    probabilities, columns of ``q`` for 'period' and diagonals for 'cohort',
+    and runs the cumulative product and the sum along its last axis, so each
+    row is summed in the same order as the scalar form and the results agree
+    bit for bit.
+    """
+    ages = np.asarray(ages)
+    years = np.asarray(years)
+    if kind not in ("period", "cohort"):
+        raise ValidationError(f"unknown life expectancy kind {kind!r}")
+    i0 = int(np.searchsorted(ages, x0))
+    if i0 >= len(ages) or ages[i0] != x0:
+        raise ValidationError(f"age {x0} not in table")
+    t0s = np.asarray(t0s)
+    j0 = np.searchsorted(years, t0s)
+    missing = (j0 >= len(years)) | (years[np.minimum(j0, len(years) - 1)] != t0s)
+    if missing.any():
+        raise ValidationError(f"year {t0s[np.argmax(missing)]} not in table")
+    n = max_age - x0 + 1
+    if i0 + n > len(ages) + 1:
+        raise ValidationError(f"table does not reach max age {max_age}")
+    k = np.arange(n)
+    rows = i0 + k
+    cols = j0[:, None] + (k if kind == "cohort" else np.zeros_like(k))
+    short = (rows < len(ages)) & (cols >= len(years))
+    if short.any():
+        r, kk = np.unravel_index(np.argmax(short), short.shape)
+        raise ValidationError(
+            f"table shorter than needed horizon (year {t0s[r] + kk} missing)"
+        )
+    # Only the last column can fall outside the table, and it is forced to one.
+    qs = q[np.minimum(rows, len(ages) - 1), np.minimum(cols, len(years) - 1)]
+    qs[:, -1] = 1.0
+    surv = np.ones_like(qs)
+    np.cumprod(1.0 - qs[:, :-1], axis=1, out=surv[:, 1:])
+    return (surv * (1.0 - qs / 2.0)).sum(axis=1)
+
+
 def forecast_scenarios(model, country, gender, V, calib_ages, x_2021, scenarios,
                        first_year=2022, report_years=30, max_age=DEFAULT_MAX_AGE,
                        le_ages=(0, 65, 85)):
@@ -226,14 +269,11 @@ def forecast_scenarios(model, country, gender, V, calib_ages, x_2021, scenarios,
         mu, q = scenario_mu(mu_pre, V_ext, x_path)
         mu_out[spec.name] = mu[:, :report_years]
         q_out[spec.name] = q[:, :report_years]
-        ep = np.empty((len(le_ages), report_years))
-        ec = np.empty((len(le_ages), report_years))
-        for ai, x0 in enumerate(le_ages):
-            for j, t in enumerate(report):
-                ep[ai, j] = life_expectancy(q, ages_full, years_full, x0, t, "period", max_age)
-                ec[ai, j] = life_expectancy(q, ages_full, years_full, x0, t, "cohort", max_age)
-        ep_out[spec.name] = ep
-        ec_out[spec.name] = ec
+        for kind, e_out in (("period", ep_out), ("cohort", ec_out)):
+            e_out[spec.name] = np.stack([
+                life_expectancy_by_year(q, ages_full, years_full, x0, report, kind, max_age)
+                for x0 in le_ages
+            ])
     return ForecastSet(
         ages=ages_full, years=report, le_ages=tuple(le_ages), max_age=max_age,
         mu=mu_out, q=q_out, e_period=ep_out, e_cohort=ec_out,

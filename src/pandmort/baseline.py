@@ -13,6 +13,7 @@ after every sweep, which leaves the likelihood unchanged.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
@@ -278,8 +279,6 @@ def fit_time_series(model):
             delta[(c, g)] = drift[idx]
             delta_tstat[(c, g)] = float(tstat[idx])
             idx += 1
-    from dataclasses import replace
-
     return replace(
         model, theta=theta, delta=delta, delta_tstat=delta_tstat,
         sigma=sigma, series=series_labels(model.countries),

@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,9 +37,16 @@ log = logging.getLogger("pandmort")
 PANDEMIC_YEARS = (2020, 2021)
 
 
-def _r(x):
-    """Full-precision decimal text for a float-valued cell."""
-    return repr(float(x))
+def _write_table(path, header, *columns):
+    """Write a CSV file with one row per position of the equal-length columns.
+
+    Each cell is the ``str`` of its Python value, which for floats is the
+    shortest text that reads back to the same double.
+    """
+    cells = [map(str, np.asarray(col).tolist()) for col in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _parse_range(text):
@@ -135,12 +143,14 @@ def stage_ingest(cfg, out):
     for c in cfg.countries:
         snaps = ig.parse_population(os.path.join(cfg.data_dir, f"{c}_population.csv"),
                                     "eurostat_annual")
-        with open(os.path.join(out, f"population_{c}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("date,age,sex,count\n")
-            for s in snaps:
-                y, m, d = s.date
-                for a, n in zip(s.ages, s.counts):
-                    fh.write(f"{y:04d}-{m:02d}-{d:02d},{a},{s.gender},{_r(n)}\n")
+        sizes = [len(s.ages) for s in snaps]
+        _write_table(
+            os.path.join(out, f"population_{c}.csv"), "date,age,sex,count",
+            np.repeat(["%04d-%02d-%02d" % s.date for s in snaps], sizes),
+            np.concatenate([s.ages for s in snaps]),
+            np.repeat([s.gender for s in snaps], sizes),
+            np.concatenate([s.counts for s in snaps]),
+        )
         _stamp(os.path.join(out, f"population_{c}.csv"), cfg)
     log.info("ingest: wrote panels for %s", ", ".join(cfg.countries))
 
@@ -161,12 +171,9 @@ def stage_calibrate_baseline(cfg, out):
     ds.save_model(model, path)
     _stamp(path, cfg)
     log_path = os.path.join(out, "baseline_iterations.csv")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("stage,gender,iteration,lnl,max_change\n")
-        for key, trace in traces.items():
-            label = key[0] if key[0] == "common" else key[0]
-            for it, lnl, change in trace:
-                fh.write(f"{label},{key[1]},{it},{_r(lnl)},{_r(change)}\n")
+    rows = [(stage, g, it, lnl, change)
+            for (stage, g), trace in traces.items() for it, lnl, change in trace]
+    _write_table(log_path, "stage,gender,iteration,lnl,max_change", *zip(*rows))
     _stamp(log_path, cfg)
 
 
@@ -203,8 +210,6 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
         proj = ex.project_population(pop, c_xw, wt)
         expos[:, j, :wt] = ex.weekly_exposures_from_projection(proj, wt)
         pop = proj[:, -1]
-    from dataclasses import replace
-
     return replace(indiv, exposures=expos)
 
 
@@ -225,16 +230,17 @@ def stage_calibrate_covid(cfg, out):
             layer = cl.calibrate_covid(work, pred, cfg.method)
             ds.save_model(layer, _covid_path(out, c, g))
             _stamp(_covid_path(out, c, g), cfg)
+            # (year, week) rows in file order, ages along the last axis
+            used = np.arange(ds.MAX_WEEKS) < np.array([work.weeks_in_year[t]
+                                                       for t in work.years])[:, None]
+            obs = np.moveaxis(work.deaths, 0, -1)[used]
+            base = np.moveaxis(pred, 0, -1)[used]
+            fitted = base * np.exp(layer.B * layer.K[used][:, None])
+            year_idx, week_idx = np.nonzero(used)
             fit_path = os.path.join(out, f"covid_fit_{c}_{g}.csv")
-            with open(fit_path, "w", encoding="utf-8") as fh:
-                fh.write("year,week,observed,predicted,fitted\n")
-                for j, t in enumerate(work.years):
-                    for w in range(1, work.weeks_in_year[t] + 1):
-                        obs = work.deaths[:, j, w - 1].sum()
-                        base = pred[:, j, w - 1].sum()
-                        fitted = (pred[:, j, w - 1]
-                                  * np.exp(layer.B * layer.K[j, w - 1])).sum()
-                        fh.write(f"{t},{w},{_r(obs)},{_r(base)},{_r(fitted)}\n")
+            _write_table(fit_path, "year,week,observed,predicted,fitted",
+                         np.asarray(work.years)[year_idx], week_idx + 1,
+                         obs.sum(axis=1), base.sum(axis=1), fitted.sum(axis=1))
             _stamp(fit_path, cfg)
 
 
@@ -289,21 +295,18 @@ def stage_forecast(cfg, out):
                 model, c, g, layer.V, calib_ages, x_2021, scenarios,
                 report_years=cfg.horizon,
             )
+            nx, nt, nle = len(fs.ages), len(fs.years), len(fs.le_ages)
             for name in fs.mu:
                 path = os.path.join(out, f"forecast_{name}_{c}_{g}.csv")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write("age,year,mu,q\n")
-                    for i, x in enumerate(fs.ages):
-                        for j, t in enumerate(fs.years):
-                            fh.write(f"{x},{t},{_r(fs.mu[name][i, j])},{_r(fs.q[name][i, j])}\n")
+                _write_table(path, "age,year,mu,q", np.repeat(fs.ages, nt),
+                             np.tile(fs.years, nx), fs.mu[name].ravel(), fs.q[name].ravel())
                 _stamp(path, cfg)
+                # per (age, year): the period row, then the cohort row
                 path = os.path.join(out, f"life_expectancy_{name}_{c}_{g}.csv")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write("kind,age,year,value\n")
-                    for ai, x0 in enumerate(fs.le_ages):
-                        for j, t in enumerate(fs.years):
-                            fh.write(f"period,{x0},{t},{_r(fs.e_period[name][ai, j])}\n")
-                            fh.write(f"cohort,{x0},{t},{_r(fs.e_cohort[name][ai, j])}\n")
+                _write_table(path, "kind,age,year,value",
+                             np.tile(["period", "cohort"], nle * nt),
+                             np.repeat(fs.le_ages, 2 * nt), np.tile(np.repeat(fs.years, 2), nle),
+                             np.stack([fs.e_period[name], fs.e_cohort[name]], axis=-1).ravel())
                 _stamp(path, cfg)
 
 
@@ -320,33 +323,30 @@ def stage_report(cfg, out):
     names = [s.name for s in af.standard_scenarios(0.0)]
     path = os.path.join(out, "report.csv")
     final_year = 2021 + cfg.horizon
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("country,gender,X_2020,X_2021,"
-                 + ",".join(f"dLE_{n}" for n in names) + "\n")
-        for c in cfg.countries:
-            for g in ds.GENDERS:
-                layer = ds.load_model(_require(_covid_path(out, c, g), "calibrate-covid"))
-                if layer.X is None:
-                    raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
-                                      "run annualize first")
-                base_path = _require(
-                    os.path.join(out, f"life_expectancy_completely_incidental_{c}_{g}.csv"),
-                    "forecast",
+    rows = []
+    for c in cfg.countries:
+        for g in ds.GENDERS:
+            layer = ds.load_model(_require(_covid_path(out, c, g), "calibrate-covid"))
+            if layer.X is None:
+                raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
+                                  "run annualize first")
+            base_path = _require(
+                os.path.join(out, f"life_expectancy_completely_incidental_{c}_{g}.csv"),
+                "forecast",
+            )
+            base_le = _read_le_at_birth(base_path, final_year)
+            deltas = []
+            for n in names:
+                le = _read_le_at_birth(
+                    _require(os.path.join(out, f"life_expectancy_{n}_{c}_{g}.csv"),
+                             "forecast"),
+                    final_year,
                 )
-                base_le = _read_le_at_birth(base_path, final_year)
-                deltas = []
-                for n in names:
-                    le = _read_le_at_birth(
-                        _require(os.path.join(out, f"life_expectancy_{n}_{c}_{g}.csv"),
-                                 "forecast"),
-                        final_year,
-                    )
-                    deltas.append(le - base_le)
-                x = {t: layer.X[layer.years.index(t)] for t in layer.years}
-                fh.write(
-                    f"{c},{g},{_r(x.get(2020, float('nan')))},{_r(x.get(2021, float('nan')))},"
-                    + ",".join(_r(d) for d in deltas) + "\n"
-                )
+                deltas.append(le - base_le)
+            x = {t: layer.X[layer.years.index(t)] for t in layer.years}
+            rows.append((c, g, x.get(2020, np.nan), x.get(2021, np.nan), *deltas))
+    _write_table(path, "country,gender,X_2020,X_2021," + ",".join(f"dLE_{n}" for n in names),
+                 *zip(*rows))
     _stamp(path, cfg)
 
 

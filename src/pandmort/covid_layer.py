@@ -9,6 +9,7 @@ first, so the week effect captures only the pandemic deviation.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
@@ -142,8 +143,10 @@ def flatten_weeks(layer_or_panel, array):
     return np.array(vals)
 
 
+# The last group of each level is open-ended; aggregation clips it to the
+# panel's top age.
 GRANULARITY_LEVELS = {
-    2: [(lo, min(lo + 4, 200)) for lo in range(0, 95, 5)],
+    2: [(lo, lo + 4) for lo in range(0, 90, 5)] + [(90, 200)],
     3: [(0, 14), (15, 64), (65, 74), (75, 84), (85, 200)],
 }
 
@@ -151,17 +154,17 @@ GRANULARITY_LEVELS = {
 def aggregate_to_groups(panel, bounds):
     """Sum an individual-age WeeklyPanel into contiguous age groups.
 
-    ``bounds`` is a list of (low, high) pairs; the final group is clipped to
-    the panel's top age.
+    ``bounds`` is a list of (low, high) pairs; groups are clipped to the
+    panel's age range, and groups outside it are dropped.
     """
     if not all(a.is_individual for a in panel.ages):
         raise ValidationError("aggregation requires individual-age data")
     ages = np.array([a.low for a in panel.ages])
-    top = ages.max()
+    bottom, top = ages.min(), ages.max()
     groups = []
     rows = []
     for lo, hi in bounds:
-        hi = min(hi, top)
+        lo, hi = max(lo, bottom), min(hi, top)
         if lo > top:
             break
         sel = (ages >= lo) & (ages <= hi)
@@ -201,8 +204,6 @@ def run_granularity_study(panel, historical, model, seasonal, levels=(1, 2, 3),
         else:
             grouped = aggregate_to_groups(panel, GRANULARITY_LEVELS[level])
             work = disaggregate_deaths(grouped, historical, hist_years)
-            from dataclasses import replace
-
             work = replace(work, exposures=panel.exposures)
         years = work.years
         mu = group_baseline_mu(model, work.country, work.gender, work.ages, years)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,9 +19,6 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 GENDERS = ("m", "f")
-
-# Default country set; the data model accepts any code list.
-DEFAULT_COUNTRIES = ("NLD", "BEL", "DEU", "FRA", "GBR")
 
 NORM_TOL = 1e-10
 SUM_TOL = 1e-8
@@ -216,9 +213,6 @@ class WeeklyPanel:
             exposures=None if self.exposures is None else self.exposures[keep],
         )
 
-    def weeks(self, t):
-        return range(1, self.weeks_in_year[t] + 1)
-
     def cells(self, t):
         """Deaths (and exposures) for year t, shape (nages, w_t)."""
         j = self.year_index(t)
@@ -346,10 +340,6 @@ class CovidLayer:
             if self.V is not None and abs(np.linalg.norm(self.V) - 1.0) > NORM_TOL:
                 raise ValidationError("CovidLayer: norm constraint violated for V")
         return self
-
-    def week_effect(self, t):
-        j = self.years.index(t)
-        return self.K[j, : self.weeks_in_year[t]]
 
 
 @dataclass(frozen=True)
@@ -695,101 +685,157 @@ def load_model(path):
 # audit CSV for panels
 
 
-def write_annual_panel_csv(panel, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("country,gender,age,year,deaths,exposure\n")
-        for ci, c in enumerate(panel.countries):
-            for gi, g in enumerate(GENDERS):
-                for i, x in enumerate(panel.ages):
-                    for j, t in enumerate(panel.years):
-                        fh.write(
-                            f"{c},{g},{x},{t},{_fmt(panel.deaths[ci, gi, i, j])},"
-                            f"{_fmt(panel.exposures[ci, gi, i, j])}\n"
-                        )
+_ANNUAL_HEADER = "country,gender,age,year,deaths,exposure"
+_WEEKLY_HEADER = "age,year,week,deaths,exposure"
 
 
-def read_annual_panel_csv(path):
+def _read_columns(path, header, nfields):
+    """Split a panel CSV into ``nfields`` string columns of its data rows.
+
+    Blank lines and ``#`` lines are skipped.  Also returns a function giving
+    the 1-based file line number of a data row, for error messages.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != "country,gender,age,year,deaths,exposure":
+    if not lines or lines[0] != header:
         raise ParseError(f"{path}: line 1: unexpected header")
-    cells = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"{path}: line {lineno}: expected 6 fields")
-        cells[(parts[0], parts[1], int(parts[2]), int(parts[3]))] = (
-            float(parts[4]), float(parts[5]),
-        )
-    countries = tuple(dict.fromkeys(k[0] for k in cells))
-    ages = np.array(sorted({k[2] for k in cells}))
-    years = np.array(sorted({k[3] for k in cells}))
-    deaths = np.empty((len(countries), 2, len(ages), len(years)))
-    expos = np.empty_like(deaths)
-    for ci, c in enumerate(countries):
-        for gi, g in enumerate(GENDERS):
-            for i, x in enumerate(ages):
-                for j, t in enumerate(years):
-                    try:
-                        deaths[ci, gi, i, j], expos[ci, gi, i, j] = cells[(c, g, int(x), int(t))]
-                    except KeyError:
-                        raise ParseError(f"{path}: missing cell {(c, g, x, t)}") from None
-    return AnnualPanel(countries=countries, ages=ages, years=years, deaths=deaths,
+    rows = [line for line in lines[1:] if line.strip() and line[0] != "#"]
+
+    def lineno(k):
+        return [n for n, line in enumerate(lines, start=1)
+                if n > 1 and line.strip() and line[0] != "#"][k]
+
+    if set(map(str.count, rows, itertools.repeat(","))) - {nfields - 1}:
+        bad = next(k for k, line in enumerate(rows) if line.count(",") != nfields - 1)
+        raise ParseError(f"{path}: line {lineno(bad)}: expected {nfields} fields")
+    fields = ",".join(rows).split(",") if rows else []
+    return [fields[f::nfields] for f in range(nfields)], lineno
+
+
+def _numbers(path, col, convert, lineno):
+    """Parse a string column with Python's ``int`` or ``float``; a bad entry
+    raises ParseError naming its line."""
+    try:
+        return np.fromiter(map(convert, col), np.int64 if convert is int else float, len(col))
+    except ValueError:
+        for k, text in enumerate(col):
+            try:
+                convert(text)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno(k)}: bad number {text!r}") from None
+        raise
+
+
+def _levels(path, col, lineno, numeric=False):
+    """Distinct values of a string column and each row's index among them.
+
+    The values keep their order of first appearance, or with ``numeric`` are
+    parsed as integers and sorted.  Each distinct text is parsed only once.
+    """
+    values = list(dict.fromkeys(col))
+    code = {v: i for i, v in enumerate(values)}
+    index = np.fromiter(map(code.__getitem__, col), np.intp, len(col))
+    if not numeric:
+        return values, index
+    try:
+        parsed = np.fromiter(map(int, values), np.int64, len(values))
+    except ValueError:
+        _numbers(path, col, int, lineno)  # raises, naming the first bad row
+        raise
+    levels, remap = np.unique(parsed, return_inverse=True)
+    return levels, remap[index]
+
+
+def _check_cells(path, flat, expected, describe):
+    """Raise ParseError unless the rows' flat cell indices hit every expected
+    cell exactly once; ``describe`` names a cell from its array index."""
+    hits = np.bincount(flat, minlength=expected.size).reshape(expected.shape)
+    for what, mask in (("duplicate", hits > 1), ("missing", expected & (hits == 0))):
+        if mask.any():
+            cell = np.unravel_index(int(np.argmax(mask)), mask.shape)
+            raise ParseError(f"{path}: {what} cell {describe(*map(int, cell))}")
+
+
+def write_annual_panel_csv(panel, path):
+    keys = itertools.product(panel.countries, GENDERS, panel.ages.tolist(),
+                             panel.years.tolist())
+    rows = zip(keys, panel.deaths.ravel().tolist(), panel.exposures.ravel().tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_ANNUAL_HEADER + "\n")
+        fh.write("".join(["%s,%s,%s,%s,%.17g,%.17g\n" % (*k, d, e) for k, d, e in rows]))
+
+
+def read_annual_panel_csv(path):
+    (c_col, g_col, a_col, t_col, d_col, e_col), lineno = _read_columns(path, _ANNUAL_HEADER, 6)
+    countries, ci = _levels(path, c_col, lineno)
+    genders, gi = _levels(path, g_col, lineno)
+    unknown = [g for g in genders if g not in GENDERS]
+    if unknown:
+        raise ParseError(f"{path}: line {lineno(g_col.index(unknown[0]))}: "
+                         f"unknown gender {unknown[0]!r}")
+    gi = np.array([GENDERS.index(g) for g in genders], dtype=np.intp)[gi]
+    ages, ai = _levels(path, a_col, lineno, numeric=True)
+    years, ti = _levels(path, t_col, lineno, numeric=True)
+    shape = (len(countries), len(GENDERS), len(ages), len(years))
+    flat = np.ravel_multi_index((ci, gi, ai, ti), shape)
+    _check_cells(path, flat, np.ones(shape, dtype=bool),
+                 lambda c, g, x, t: (countries[c], GENDERS[g], int(ages[x]), int(years[t])))
+    deaths = np.empty(shape)
+    expos = np.empty(shape)
+    deaths.flat[flat] = _numbers(path, d_col, float, lineno)
+    expos.flat[flat] = _numbers(path, e_col, float, lineno)
+    return AnnualPanel(countries=tuple(countries), ages=ages, years=years, deaths=deaths,
                        exposures=expos).validate()
 
 
 def write_weekly_panel_csv(panel, path):
-    has_e = panel.exposures is not None
+    weeks = np.array([panel.weeks_in_year[t] for t in panel.years])
+    used = np.broadcast_to(np.arange(MAX_WEEKS) < weeks[:, None], panel.deaths.shape)
+    year_weeks = [(t, w) for t in panel.years for w in range(1, panel.weeks_in_year[t] + 1)]
+    keys = itertools.product([a.label for a in panel.ages], year_weeks)
+    deaths = panel.deaths[used].tolist()
+    if panel.exposures is None:
+        lines = ["%s,%s,%s,%.17g,\n" % (a, t, w, d) for (a, (t, w)), d in zip(keys, deaths)]
+    else:
+        lines = ["%s,%s,%s,%.17g,%.17g\n" % (a, t, w, d, e)
+                 for (a, (t, w)), d, e in zip(keys, deaths, panel.exposures[used].tolist())]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("age,year,week,deaths,exposure\n")
-        for i, a in enumerate(panel.ages):
-            for j, t in enumerate(panel.years):
-                for w in range(1, panel.weeks_in_year[t] + 1):
-                    e = _fmt(panel.exposures[i, j, w - 1]) if has_e else ""
-                    fh.write(f"{a.label},{t},{w},{_fmt(panel.deaths[i, j, w - 1])},{e}\n")
+        fh.write(_WEEKLY_HEADER + "\n")
+        fh.write("".join(lines))
 
 
 def read_weekly_panel_csv(path, country, gender):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != "age,year,week,deaths,exposure":
-        raise ParseError(f"{path}: line 1: unexpected header")
-    cells = {}
-    has_e = False
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"{path}: line {lineno}: expected 5 fields")
-        e = None
-        if parts[4] != "":
-            e = float(parts[4])
-            has_e = True
-        cells[(parts[0], int(parts[1]), int(parts[2]))] = (float(parts[3]), e)
-    labels = list(dict.fromkeys(k[0] for k in cells))
-    ages = tuple(AgeIndex.from_label(lab) for lab in labels)
-    years = tuple(sorted({k[1] for k in cells}))
-    weeks_in_year = {t: max(k[2] for k in cells if k[1] == t) for t in years}
-    deaths = np.full((len(ages), len(years), MAX_WEEKS), np.nan)
-    expos = np.full((len(ages), len(years), MAX_WEEKS), np.nan) if has_e else None
-    for i, lab in enumerate(labels):
-        for j, t in enumerate(years):
-            for w in range(1, weeks_in_year[t] + 1):
-                try:
-                    d, e = cells[(lab, t, w)]
-                except KeyError:
-                    raise ParseError(f"{path}: missing cell age {lab}, year {t}, week {w}") from None
-                deaths[i, j, w - 1] = d
-                if has_e:
-                    expos[i, j, w - 1] = e
-    return WeeklyPanel(country=country, gender=gender, ages=ages, years=years,
-                       weeks_in_year=weeks_in_year, deaths=deaths, exposures=expos).validate()
+    (a_col, t_col, w_col, d_col, e_col), lineno = _read_columns(path, _WEEKLY_HEADER, 5)
+    labels, ai = _levels(path, a_col, lineno)
+    years, ti = _levels(path, t_col, lineno, numeric=True)
+    week_levels, wi = _levels(path, w_col, lineno, numeric=True)
+    week = week_levels[wi]
+    bad = (week < 1) | (week > MAX_WEEKS)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(f"{path}: line {lineno(k)}: week {week[k]} outside 1..{MAX_WEEKS}")
+    blank = e_col.count("")
+    if 0 < blank < len(e_col):
+        k = next(k for k, e in enumerate(e_col) if (e == "") != (e_col[0] == ""))
+        raise ParseError(f"{path}: line {lineno(k)}: exposure given on some rows only")
+    last_week = np.zeros(len(years), dtype=np.int64)
+    np.maximum.at(last_week, ti, week)
+    shape = (len(labels), len(years), MAX_WEEKS)
+    flat = np.ravel_multi_index((ai, ti, week - 1), shape)
+    expected = np.broadcast_to(np.arange(MAX_WEEKS) < last_week[:, None], shape)
+    _check_cells(path, flat, expected,
+                 lambda i, j, w: f"age {labels[i]}, year {years[j]}, week {w + 1}")
+    deaths = np.full(shape, np.nan)
+    deaths.flat[flat] = _numbers(path, d_col, float, lineno)
+    expos = None
+    if blank == 0 and e_col:
+        expos = np.full(shape, np.nan)
+        expos.flat[flat] = _numbers(path, e_col, float, lineno)
+    years = years.tolist()
+    return WeeklyPanel(country=country, gender=gender,
+                       ages=tuple(AgeIndex.from_label(lab) for lab in labels),
+                       years=tuple(years), weeks_in_year=dict(zip(years, last_week.tolist())),
+                       deaths=deaths, exposures=expos).validate()

@@ -9,7 +9,7 @@ days, December 30 days); a 53rd week reuses the 52nd week's exposure.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

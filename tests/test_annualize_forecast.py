@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pandmort.annualize_forecast as af
 import pandmort.synthetic as sy
@@ -147,6 +149,41 @@ def test_life_expectancy_cohort_needs_horizon():
     table = np.full((121, 5), 0.1)
     with pytest.raises(ValidationError):
         af.life_expectancy(table, ages, years, 0, 2003, "cohort")
+
+
+@st.composite
+def life_tables(draw):
+    """A random death-probability table on ages 0..top, where ``top`` is
+    ``max_age`` or one below it, with years enough for the cohort diagonals
+    of ``nrep`` start years from age ``x0`` or up to three years too few."""
+    max_age = draw(st.integers(85, 125))
+    top = max_age - draw(st.integers(0, 1))
+    le_ages = [x for x in (0, 65, 85) if x <= top]
+    x0 = draw(st.one_of(st.sampled_from(le_ages), st.integers(0, top)))
+    nrep = draw(st.integers(1, 6))
+    nyears = nrep + max_age - x0 + draw(st.integers(-3, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qmax = draw(st.sampled_from((1e-6, 0.05, 0.5, 1.0)))
+    q = rng.uniform(0.0, qmax, (top + 1, max(nyears, nrep)))
+    years = 1990 + np.arange(q.shape[1])
+    return q, np.arange(top + 1), years, x0, years[:nrep], max_age
+
+
+@settings(max_examples=80, deadline=None)
+@given(life_tables())
+def test_life_expectancy_kernel_matches_scalar(table):
+    q, ages, years, x0, t0s, max_age = table
+    for kind in ("period", "cohort"):
+        try:
+            expected = [af.life_expectancy(q, ages, years, x0, t, kind, max_age) for t in t0s]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                af.life_expectancy_by_year(q, ages, years, x0, t0s, kind, max_age)
+            assert str(err.value) == str(exc)
+            assert kind == "cohort"
+            continue
+        got = af.life_expectancy_by_year(q, ages, years, x0, t0s, kind, max_age)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_forecast_scenarios_end_to_end(baseline_model):

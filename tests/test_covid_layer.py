@@ -128,3 +128,21 @@ def test_granularity_levels_two_and_one_agree(weekly_setup, annual_panel,
     assert np.abs(k2 - k1).max() < 0.1
     for layer in res.values():
         assert_covid_constraints(layer)
+
+
+def test_granularity_study_on_ages_40_to_110():
+    import pandmort.baseline as bl
+
+    ages = np.arange(40, 111)
+    truth = sy.make_baseline_truth(("AAA",), ages, np.arange(2000, 2020), seed=5)
+    annual = sy.sample_annual_panel(truth, exposure=1e6, seed=6)
+    model = bl.calibrate_baseline(annual)
+    mu_last = np.exp(sy.true_ln_mu(truth, "AAA", "m")[:, -1])
+    phi = sy.seasonal_phi(0.18)
+    panel = sy.sample_weekly_panel("AAA", "m", sy.make_pandemic_truth(ages, seed=3),
+                                   np.stack([mu_last, mu_last], axis=1), phi=phi, seed=21)
+    eff = SeasonalEffect(country="AAA", gender="m", knots=12, coeffs=None, phi=phi)
+    res = cv.run_granularity_study(panel, annual, model, eff, levels=(1, 2, 3))
+    for level in (1, 2, 3):
+        assert res[level].ages == panel.ages
+        assert_covid_constraints(res[level])

@@ -205,3 +205,184 @@ def test_weekly_panel_csv_roundtrip(pandemic_truth, phi_truth, tmp_path):
     used = ~np.isnan(wp.deaths)
     np.testing.assert_array_equal(back.deaths[used], wp.deaths[used])
     np.testing.assert_array_equal(back.exposures[used], wp.exposures[used])
+
+
+# ---------------------------------------------------------------------------
+# panel CSV reader contract
+
+
+def _small_annual():
+    rng = np.random.default_rng(4)
+    shape = (2, 2, 3, 4)
+    return AnnualPanel(
+        countries=("BBB", "AAA"), ages=np.arange(60, 63), years=np.arange(2000, 2004),
+        deaths=rng.integers(0, 50, shape).astype(float),
+        exposures=rng.uniform(1e3, 1e4, shape),
+    )
+
+
+def _small_weekly(with_exposures=True):
+    rng = np.random.default_rng(5)
+    ages = (AgeIndex(90, 110), AgeIndex(5, 9), AgeIndex(10, 10))
+    years = (2020, 2021)
+    deaths = np.full((3, 2, 53), np.nan)
+    deaths[:, 0, :53] = rng.integers(0, 30, (3, 53))
+    deaths[:, 1, :52] = rng.integers(0, 30, (3, 52))
+    expos = None
+    if with_exposures:
+        expos = np.where(np.isnan(deaths), np.nan, rng.uniform(100.0, 200.0, deaths.shape))
+    return WeeklyPanel(country="AAA", gender="f", ages=ages, years=years,
+                       weeks_in_year={2020: 53, 2021: 52}, deaths=deaths, exposures=expos)
+
+
+def _rewrite(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+
+def _assert_weekly_equal(a, b):
+    assert (a.country, a.gender, a.ages, a.years) == (b.country, b.gender, b.ages, b.years)
+    assert a.weeks_in_year == b.weeks_in_year
+    np.testing.assert_array_equal(a.deaths, b.deaths)
+    if a.exposures is None:
+        assert b.exposures is None
+    else:
+        np.testing.assert_array_equal(a.exposures, b.exposures)
+
+
+def _shuffle_keeping_first_seen(lines, key):
+    """Shuffle data rows, keeping the first row of each key value in front and
+    in file order, so that first-appearance orders survive the shuffle."""
+    header, body = lines[0], lines[1:]
+    firsts, seen, rest = [], set(), []
+    for line in body:
+        k = key(line)
+        (rest if k in seen else firsts).append(line)
+        seen.add(k)
+    np.random.default_rng(9).shuffle(rest)
+    return [header] + firsts + rest
+
+
+def test_annual_panel_csv_contract_header(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_annual_panel_csv(_small_annual(), str(path))
+    _rewrite(path, lambda ls: ["country,gender,age,year,deaths,exposures"] + ls[1:])
+    with pytest.raises(ParseError, match="line 1"):
+        read_annual_panel_csv(str(path))
+
+
+def test_annual_panel_csv_contract_field_count(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_annual_panel_csv(_small_annual(), str(path))
+    # line 5 of the file loses its exposure field; a comment and a blank
+    # line before it must still count towards the line number
+    _rewrite(path, lambda ls: ls[:2] + ["# note", ""] + [ls[2].rsplit(",", 1)[0]] + ls[3:])
+    with pytest.raises(ParseError, match="line 5: expected 6 fields"):
+        read_annual_panel_csv(str(path))
+
+
+def test_annual_panel_csv_contract_missing_cell(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_annual_panel_csv(_small_annual(), str(path))
+    _rewrite(path, lambda ls: ls[:7] + ls[8:])
+    with pytest.raises(ParseError, match="missing cell"):
+        read_annual_panel_csv(str(path))
+
+
+def test_annual_panel_csv_contract_blank_and_comment_lines(tmp_path):
+    panel = _small_annual()
+    path = tmp_path / "panel.csv"
+    write_annual_panel_csv(panel, str(path))
+    _rewrite(path, lambda ls: ls[:1] + ["", "#x,y", "   "] + ls[1:9] + ["# mid"] + ls[9:]
+             + ["#confighash:0123"])
+    back = read_annual_panel_csv(str(path))
+    assert back.countries == panel.countries
+    np.testing.assert_array_equal(back.ages, panel.ages)
+    np.testing.assert_array_equal(back.years, panel.years)
+    np.testing.assert_array_equal(back.deaths, panel.deaths)
+    np.testing.assert_array_equal(back.exposures, panel.exposures)
+
+
+def test_annual_panel_csv_contract_shuffled_rows(tmp_path):
+    panel = _small_annual()
+    path = tmp_path / "panel.csv"
+    write_annual_panel_csv(panel, str(path))
+    _rewrite(path, lambda ls: _shuffle_keeping_first_seen(ls, lambda line: line.split(",")[0]))
+    back = read_annual_panel_csv(str(path))
+    assert back.countries == ("BBB", "AAA")  # first appearance, not sorted
+    np.testing.assert_array_equal(back.ages, panel.ages)
+    np.testing.assert_array_equal(back.years, panel.years)
+    np.testing.assert_array_equal(back.deaths, panel.deaths)
+    np.testing.assert_array_equal(back.exposures, panel.exposures)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls[:3] + [ls[3].replace(",60,", ",sixty,")] + ls[4:], "line 4: bad number"),
+    (lambda ls: ls[:3] + [ls[3].replace(",m,", ",x,")] + ls[4:], "line 4: unknown gender"),
+    (lambda ls: ls + [ls[3]], "duplicate cell"),
+])
+def test_annual_panel_csv_contract_malformed_rows(tmp_path, edit, message):
+    path = tmp_path / "panel.csv"
+    write_annual_panel_csv(_small_annual(), str(path))
+    _rewrite(path, edit)
+    with pytest.raises(ParseError, match=message):
+        read_annual_panel_csv(str(path))
+
+
+@pytest.mark.parametrize("with_exposures", [True, False])
+def test_weekly_panel_csv_contract_roundtrip(tmp_path, with_exposures):
+    panel = _small_weekly(with_exposures)
+    path = tmp_path / "weekly.csv"
+    write_weekly_panel_csv(panel, str(path))
+    if not with_exposures:
+        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",")
+    _assert_weekly_equal(read_weekly_panel_csv(str(path), "AAA", "f"), panel)
+
+
+def test_weekly_panel_csv_contract_header_and_field_count(tmp_path):
+    path = tmp_path / "weekly.csv"
+    write_weekly_panel_csv(_small_weekly(), str(path))
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("age,year,week", "age,year,wk", 1), encoding="utf-8")
+    with pytest.raises(ParseError, match="line 1"):
+        read_weekly_panel_csv(str(path), "AAA", "f")
+    path.write_text(text, encoding="utf-8")
+    _rewrite(path, lambda ls: ls[:1] + ["#", ""] + ls[1:4] + [ls[4] + ",1"] + ls[5:])
+    with pytest.raises(ParseError, match="line 7: expected 5 fields"):
+        read_weekly_panel_csv(str(path), "AAA", "f")
+
+
+def test_weekly_panel_csv_contract_missing_cell(tmp_path):
+    path = tmp_path / "weekly.csv"
+    write_weekly_panel_csv(_small_weekly(), str(path))
+    _rewrite(path, lambda ls: [line for line in ls if not line.startswith("5_9,2021,17,")])
+    with pytest.raises(ParseError, match="missing cell age 5_9, year 2021, week 17"):
+        read_weekly_panel_csv(str(path), "AAA", "f")
+
+
+def test_weekly_panel_csv_contract_blank_comment_and_shuffled_rows(tmp_path):
+    panel = _small_weekly()
+    path = tmp_path / "weekly.csv"
+    write_weekly_panel_csv(panel, str(path))
+    _rewrite(path, lambda ls: _shuffle_keeping_first_seen(ls, lambda line: line.split(",")[0])
+             + ["", "#confighash:0123"])
+    back = read_weekly_panel_csv(str(path), "AAA", "f")
+    assert back.ages == panel.ages  # first appearance, not sorted
+    _assert_weekly_equal(back, panel)
+
+
+@pytest.mark.parametrize("week", ["0", "54", "x"])
+def test_weekly_panel_csv_contract_malformed_week(tmp_path, week):
+    path = tmp_path / "weekly.csv"
+    write_weekly_panel_csv(_small_weekly(), str(path))
+    _rewrite(path, lambda ls: ls + [f"10,2021,{week},1,150"])
+    with pytest.raises(ParseError):
+        read_weekly_panel_csv(str(path), "AAA", "f")
+
+
+def test_weekly_panel_csv_contract_exposure_on_some_rows_only(tmp_path):
+    path = tmp_path / "weekly.csv"
+    write_weekly_panel_csv(_small_weekly(), str(path))
+    _rewrite(path, lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0] + ","] + ls[6:])
+    with pytest.raises(ParseError, match="line 6: exposure given on some rows only"):
+        read_weekly_panel_csv(str(path), "AAA", "f")

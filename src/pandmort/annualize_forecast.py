@@ -11,10 +11,10 @@ which leaves every product V_x * X_t unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .datastore import ForecastSet, ScenarioSpec
 from .errors import NumericalError, ValidationError
@@ -33,6 +33,68 @@ def weekly_mean_factor(layer, phi):
         k = layer.K[j, :wt]
         m[:, j] = (phi[None, :wt] * np.exp(np.outer(layer.B, k))).mean(axis=1)
     return m
+
+
+def _brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """Root of ``f`` in [xa, xb] by Brent's (1973) method.
+
+    An operation-for-operation port of SciPy's C ``brentq``: the same
+    contrapoint bookkeeping, sign tests and step choice between inverse
+    quadratic interpolation, secant and bisection, and the same stopping
+    rule, so it returns the same double as ``scipy.optimize.brentq`` for the
+    same arguments.  f(xa) and f(xb) must differ in sign.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"brentq: function value at {x!r} is NaN")
+        return fx
+
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericalError("brentq: f(xa) and f(xb) must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # inverse quadratic
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericalError(f"brentq: no convergence in {maxiter} iterations (last x={xcur!r})")
 
 
 def annualize(layer, phi, mu):
@@ -73,7 +135,7 @@ def annualize(layer, phi, mu):
                 f"(gap({-BRACKET})={lo:.3g}, gap({BRACKET})={hi:.3g})"
             )
         else:
-            V[i] = brentq(gap, -BRACKET, BRACKET, xtol=ROOT_TOL)
+            V[i] = _brentq(gap, -BRACKET, BRACKET, xtol=ROOT_TOL)
 
     norm = np.linalg.norm(V)
     if norm == 0:

@@ -135,8 +135,8 @@ def stage_ingest(cfg, out):
     _stamp(_annual_panel_path(out), cfg)
 
     stmf = os.path.join(cfg.data_dir, "weekly_deaths.csv")
-    for c in cfg.countries:
-        per_gender = ig.parse_stmf(stmf, c, open_group_high=110)
+    weekly = ig.parse_stmf_countries(stmf, cfg.countries, open_group_high=110)
+    for c, per_gender in weekly.items():
         for g, wp in per_gender.items():
             ds.write_weekly_panel_csv(wp, _weekly_path(out, c, g))
             _stamp(_weekly_path(out, c, g), cfg)

@@ -39,24 +39,6 @@ def group_baseline_mu(model, country, gender, ages, years):
     return mu
 
 
-def group_baseline_mu_weighted(model, country, gender, ages, years, exposures):
-    """As `group_baseline_mu` but weighting member ages by given per-age
-    exposures (vector aligned with individual ages covered by ``ages``)."""
-    mu = np.empty((len(ages), len(years)))
-    pos = 0
-    for i, a in enumerate(ages):
-        member = np.fromiter(a.ages, dtype=int)
-        w = np.asarray(exposures[pos : pos + len(member)], dtype=float)
-        pos += len(member)
-        member_mask = (member >= model.ages[0]) & (member <= model.ages[-1])
-        member, w = member[member_mask], w[member_mask]
-        if len(member) == 0 or w.sum() <= 0:
-            raise ValidationError(f"age index {a.label}: no usable member ages")
-        sub = baseline_mu(model, country, gender, member, years)
-        mu[i] = (w[:, None] * sub).sum(axis=0) / w.sum()
-    return mu
-
-
 def predicted_deaths(panel, mu, seasonal=None, method=2):
     """Expected weekly deaths from the pre-pandemic model: E * mu * phi.
 

@@ -105,11 +105,18 @@ def _parse_group_columns(names):
 
 
 def parse_stmf(path, country, open_group_high=110):
-    """Parse a weekly grouped-deaths file into one WeeklyPanel per gender.
+    """Parse a weekly grouped-deaths file into one WeeklyPanel per gender;
+    `parse_stmf_countries` for a single country."""
+    return parse_stmf_countries(path, (country,), open_group_high)[country]
 
-    Week-0 rows of year t are merged into week w_{t-1} of year t-1 (the two
-    partial calendar weeks around New Year are one ISO week); sex 'b' rows
-    are dropped.
+
+def parse_stmf_countries(path, countries, open_group_high=110):
+    """Parse a multi-country weekly grouped-deaths file once into
+    {country: {gender: WeeklyPanel}} for each of ``countries``.
+
+    Rows of other countries are skipped unchecked.  Week-0 rows of year t are
+    merged into week w_{t-1} of year t-1 (the two partial calendar weeks
+    around New Year are one ISO week); sex 'b' rows are dropped.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -136,13 +143,12 @@ def parse_stmf(path, country, open_group_high=110):
     ages = tuple(ages)
     ncols = len(group_names)
 
-    data = {}  # (year, week, sex) -> counts vector
+    by_country = {c: {} for c in countries}  # country -> (year, week, sex) -> counts
     flagged = 0
     for lineno, row in enumerate(rows, start=2):
-        if not row:
+        if not row or row[0] not in by_country:
             continue
-        if row[0] != country:
-            continue
+        data = by_country[row[0]]
         year, week, sex = int(row[1]), int(row[2]), row[3]
         if sex == "b":
             continue
@@ -163,7 +169,11 @@ def parse_stmf(path, country, open_group_high=110):
         data[(year, week, sex)] = counts
     if flagged:
         log.warning("%s: %d rows carry Split/Forecast flags; counts used as-is", path, flagged)
+    return {c: _weekly_panels(path, c, ages, data) for c, data in by_country.items()}
 
+
+def _weekly_panels(path, country, ages, data):
+    """One country's parsed rows {(year, week, sex): counts} -> {gender: WeeklyPanel}."""
     # Merge week 0 of year t into the final week of year t-1.
     for (year, week, sex) in sorted(k for k in data if k[1] == 0):
         counts = data.pop((year, week, sex))

@@ -9,7 +9,6 @@ result is normalized to mean one over weeks 1..52; week 53 repeats week 52.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .datastore import MAX_WEEKS, SeasonalEffect
 from .errors import NumericalError, ValidationError
@@ -43,6 +42,39 @@ def _basis_knots(k):
     return np.arange(-3, k + 4) * h
 
 
+def _bspline_basis(x, t, k, nu=0):
+    """Dense (len(x), len(t) - k - 1) matrix of the degree-k B-spline basis on
+    knots ``t``, or of its ``nu``-th derivative, at the points ``x``.
+
+    Vectorised form of de Boor's recurrence as SciPy's ``_deBoor_D`` runs it:
+    k - nu value sweeps, then nu derivative sweeps, in the same order of
+    operations, so the entries equal SciPy's ``BSpline`` ones bit for bit.
+    Points outside [t[k], t[-k-1]] use the end polynomial pieces.  The knots
+    must be strictly increasing, as `_basis_knots` makes them.
+    """
+    n_basis = len(t) - k - 1
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n_basis - 1)
+    h = np.zeros((len(x), k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for n in range(1, j + 1):
+            xb = t[ell + n]
+            xa = t[ell + n - j]
+            if j <= k - nu:
+                w = hh[:, n - 1] / (xb - xa)
+                h[:, n - 1] += w * (xb - x)
+                h[:, n] = w * (x - xa)
+            else:
+                w = j * hh[:, n - 1] / (xb - xa)
+                h[:, n - 1] -= w
+                h[:, n] = w
+    out = np.zeros((len(x), n_basis))
+    out[np.arange(len(x))[:, None], ell[:, None] + np.arange(-k, 1)] = h
+    return out
+
+
 def cyclic_design_matrix(x, k, derivative=0):
     """Design matrix of the k-coefficient periodic cubic spline basis at x.
 
@@ -51,15 +83,7 @@ def cyclic_design_matrix(x, k, derivative=0):
     derivative.
     """
     x = np.mod(np.asarray(x, dtype=float), PERIOD)
-    t = _basis_knots(k)
-    spl = BSpline.design_matrix(x, t, 3).toarray() if derivative == 0 else None
-    if spl is None:
-        n_basis = len(t) - 4
-        spl = np.empty((len(x), n_basis))
-        for j in range(n_basis):
-            c = np.zeros(n_basis)
-            c[j] = 1.0
-            spl[:, j] = BSpline(t, c, 3)(x, nu=derivative)
+    spl = _bspline_basis(x, _basis_knots(k), 3, derivative)
     folded = np.zeros((len(x), k))
     for j in range(spl.shape[1]):
         folded[:, j % k] += spl[:, j]

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pandmort.annualize_forecast as af
 import pandmort.synthetic as sy
 from pandmort.datastore import CovidLayer, ScenarioSpec
-from pandmort.errors import ValidationError
+from pandmort.errors import NumericalError, ValidationError
 from util import assert_covid_constraints
 
 
@@ -55,6 +55,60 @@ def test_annualize_renormalization_preserves_products(annualized):
     np.testing.assert_allclose(
         np.outer(V_raw, X_raw), np.outer(layer.V, layer.X), atol=1e-12
     )
+
+
+def random_gap(rng):
+    """A gap function of the form `annualize` solves, v -> sum_t mu_t
+    (exp(v X_t) - m_t), with all X_t of one sign so that it is monotone."""
+    n = rng.integers(1, 4)
+    X = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0, n) * rng.choice((1e-3, 0.1, 1.0, 3.0))
+    mu = rng.uniform(1e-4, 0.2, n)
+    m = np.exp(rng.uniform(-9.5, 9.5) * X + rng.normal(0.0, 1e-3, n))
+
+    def gap(v):
+        return float((mu * (np.exp(v * X) - m)).sum())
+
+    return gap
+
+
+def assert_brentq_matches_scipy(gap, xtol):
+    """Compare on the bracket `annualize` uses; False if ``gap`` has no sign
+    change there and nothing was compared."""
+    from scipy.optimize import brentq
+
+    if np.sign(gap(-af.BRACKET)) == np.sign(gap(af.BRACKET)):
+        return False
+    expected = brentq(gap, -af.BRACKET, af.BRACKET, xtol=xtol)
+    assert af._brentq(gap, -af.BRACKET, af.BRACKET, xtol=xtol) == expected
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_brentq_matches_scipy_exactly(seed):
+    assume(assert_brentq_matches_scipy(random_gap(np.random.default_rng(seed)), af.ROOT_TOL))
+
+
+def test_brentq_matches_scipy_at_loose_tolerances():
+    # A wide stopping band exercises the step-acceptance test near convergence,
+    # which tight tolerances rarely reach.
+    rng = np.random.default_rng(2024)
+    for xtol in (0.1, 0.5, 1.0):
+        for _ in range(500):
+            assert_brentq_matches_scipy(random_gap(rng), xtol)
+
+
+def test_brentq_raises_when_iterations_run_out():
+    with pytest.raises(NumericalError, match="no convergence in 3 iterations"):
+        af._brentq(lambda v: v**3 - 2.0, 0.0, 5.0, xtol=1e-12, maxiter=3)
+    assert af._brentq(lambda v: v**3 - 2.0, 0.0, 5.0, xtol=1e-12) == pytest.approx(2 ** (1 / 3))
+
+
+def test_brentq_rejects_bad_bracket_and_nan():
+    with pytest.raises(NumericalError, match="differ in sign"):
+        af._brentq(lambda v: v * v + 1.0, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(NumericalError, match="NaN"):
+        af._brentq(lambda v: np.nan if v > 0 else -1.0, -1.0, 1.0, xtol=1e-12)
 
 
 def test_annualize_degenerate_zero_effect():

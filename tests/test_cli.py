@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,3 +146,13 @@ def test_forecast_files_well_formed(pipeline):
     first = lines[1].split(",")
     mu, q = float(first[2]), float(first[3])
     assert q == pytest.approx(1.0 - np.exp(-mu), rel=1e-12)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, pandmort.cli; "
+            "print(','.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == ""

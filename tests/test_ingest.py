@@ -83,6 +83,46 @@ def test_parse_stmf_unknown_country(synthetic_dataset):
         ig.parse_stmf(str(d / "weekly_deaths.csv"), "ZZZ")
 
 
+def test_parse_stmf_countries_matches_single_country_parses(synthetic_dataset):
+    path = str(synthetic_dataset["dir"] / "weekly_deaths.csv")
+    both = ig.parse_stmf_countries(path, ("BBB", "AAA"))
+    assert list(both) == ["BBB", "AAA"]
+    for c in ("AAA", "BBB"):
+        single = ig.parse_stmf(path, c)
+        for g in ("m", "f"):
+            assert both[c][g].country == c
+            assert both[c][g].years == single[g].years
+            assert both[c][g].weeks_in_year == single[g].weeks_in_year
+            np.testing.assert_array_equal(both[c][g].deaths, single[g].deaths)
+
+
+def test_parse_stmf_skips_other_countries_unchecked(tmp_path):
+    lines = ["CountryCode,Year,Week,Sex,D0_4\n", "YYY,bad,row\n"]
+    for w in range(1, 53):
+        lines += [f"XXX,2018,{w},m,10\n", f"XXX,2018,{w},f,10\n"]
+    path = tmp_path / "stmf.csv"
+    path.write_text("".join(lines))
+    panels = ig.parse_stmf_countries(str(path), ("XXX",), open_group_high=4)
+    assert panels["XXX"]["m"].deaths[0, 0, 51] == 10.0
+    with pytest.raises(IngestError, match="no usable rows for country ZZZ"):
+        ig.parse_stmf_countries(str(path), ("XXX", "ZZZ"), open_group_high=4)
+
+
+def test_parse_stmf_flag_columns_warn_once(tmp_path, caplog):
+    lines = ["CountryCode,Year,Week,Sex,D0_4,Forecast\n"]
+    for c in ("XXX", "YYY"):
+        for w in range(1, 53):
+            flag = "1" if w > 50 else "0"
+            lines += [f"{c},2018,{w},m,10,{flag}\n", f"{c},2018,{w},f,10,{flag}\n"]
+    path = tmp_path / "stmf.csv"
+    path.write_text("".join(lines))
+    with caplog.at_level("WARNING"):
+        panels = ig.parse_stmf_countries(str(path), ("XXX", "YYY"), open_group_high=4)
+    assert panels["YYY"]["f"].deaths[0, 0, 51] == 10.0
+    warnings = [r.getMessage() for r in caplog.records if "Split/Forecast" in r.getMessage()]
+    assert len(warnings) == 1 and ": 8 rows carry" in warnings[0]
+
+
 def test_parse_stmf_week_zero_merged(tmp_path):
     cols = "CountryCode,Year,Week,Sex,D0_4\n"
     lines = [cols]

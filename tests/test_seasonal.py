@@ -49,6 +49,24 @@ def test_cyclic_design_matrix_partition_of_unity():
     assert X.shape == (200, 12)
 
 
+@pytest.mark.parametrize("knots", [4, 12, 20])
+def test_bspline_basis_matches_scipy_exactly(knots):
+    from scipy.interpolate import BSpline
+
+    t = se._basis_knots(knots)
+    n_basis = len(t) - 4
+    rng = np.random.default_rng(11)
+    grids = (np.arange(1.0, 53.0), np.linspace(0.0, 52.0, 1041),
+             rng.uniform(0.0, 52.0, 2000), rng.uniform(-5.0, 57.0, 200))
+    for x in grids:
+        expected = BSpline.design_matrix(x, t, 3, extrapolate=True).toarray()
+        assert np.array_equal(se._bspline_basis(x, t, 3), expected)
+        for nu in (1, 2):
+            expected = np.column_stack([BSpline(t, np.eye(n_basis)[j], 3)(x, nu=nu)
+                                        for j in range(n_basis)])
+            assert np.array_equal(se._bspline_basis(x, t, 3, nu), expected)
+
+
 def test_cyclic_spline_periodic_to_second_derivative():
     rng = np.random.default_rng(7)
     coeffs = rng.normal(1.0, 0.2, 12)

@@ -37,7 +37,10 @@ def _loglik(D, E, base, a, b, k, mask):
 
 
 def _damped_update(D, E, base, a, b, k, mask, which, delta, lnl_before):
-    """Apply a Newton step to one block, halving until lnL does not drop."""
+    """Apply a Newton step to one block, halving until lnL does not drop.
+
+    Raises NumericalError when 40 halvings do not restore lnL.
+    """
     step = 1.0
     for _ in range(40):
         if which == "b":
@@ -49,7 +52,7 @@ def _damped_update(D, E, base, a, b, k, mask, which, delta, lnl_before):
             if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
                 return k + step * delta, cand
         step *= 0.5
-    return (b, lnl_before) if which == "b" else (k, lnl_before)
+    raise NumericalError(f"step halving failed to restore lnL in the {which} update")
 
 
 def fit_bilinear_poisson(D, E, base=None, fit_level=True, a0=None, b0=None, k0=None,

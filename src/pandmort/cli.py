@@ -6,6 +6,12 @@ annualize, forecast, report.  ``synth`` generates the bundled synthetic raw
 dataset.  Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical
 failure.  Every stage appends the configuration hash to its outputs, and a
 machine-readable error record is written on failure.
+
+Every output file is written to the run directory.  Within one ``main``
+call the objects a stage wrote are also kept in memory, so ``run-all``
+hands them on to later stages without parsing the files again (they are
+re-validated and their arrays are read-only); a stage run on its own reads
+its inputs from the run directory.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -37,7 +43,7 @@ log = logging.getLogger("pandmort")
 PANDEMIC_YEARS = (2020, 2021)
 
 
-def _write_table(path, header, *columns):
+def _write_columns(path, header, *columns):
     """Write a CSV file with one row per position of the equal-length columns.
 
     Each cell is the ``str`` of its Python value, which for floats is the
@@ -47,6 +53,12 @@ def _write_table(path, header, *columns):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+
+
+def _write_table(cfg, path, header, *columns):
+    """`_write_columns`, then the config stamp."""
+    _write_columns(path, header, *columns)
+    _stamp(path, cfg)
 
 
 def _parse_range(text):
@@ -102,6 +114,47 @@ def _require(path, stage):
     return path
 
 
+# Objects written by this ``main`` call, by output path.
+_memo = {}
+
+
+def _freeze(obj):
+    """Mark every NumPy array reachable from ``obj`` read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            _freeze(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _freeze(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _freeze(v)
+
+
+def _write(obj, path, writer, cfg):
+    """Write ``obj`` with ``writer(obj, path)``, stamp the file, and keep
+    ``obj``, frozen, as what ``path`` holds."""
+    _memo.pop(path, None)
+    writer(obj, path)
+    _stamp(path, cfg)
+    _freeze(obj)
+    _memo[path] = obj
+
+
+def _read(path, stage, reader, *args):
+    """The object at ``path``: the one this process wrote there, re-validated,
+    or else ``reader(path, *args)``."""
+    _require(path, stage)
+    if path not in _memo:
+        return reader(path, *args)
+    obj = _memo[path]
+    for item in obj if isinstance(obj, list) else (obj,):
+        item.validate()
+    return obj
+
+
 def _annual_panel_path(out):
     return os.path.join(out, "annual_panel.csv")
 
@@ -110,12 +163,31 @@ def _weekly_path(out, c, g):
     return os.path.join(out, f"weekly_{c}_{g}.csv")
 
 
+def _population_path(out, c):
+    return os.path.join(out, f"population_{c}.csv")
+
+
+def _baseline_path(out):
+    return os.path.join(out, "baseline_model.csv")
+
+
 def _seasonal_path(out, c, g):
     return os.path.join(out, f"seasonal_{c}_{g}.csv")
 
 
 def _covid_path(out, c, g):
     return os.path.join(out, f"covid_{c}_{g}.csv")
+
+
+def _write_population(snaps, path):
+    sizes = [len(s.ages) for s in snaps]
+    _write_columns(
+        path, "date,age,sex,count",
+        np.repeat(["%04d-%02d-%02d" % s.date for s in snaps], sizes),
+        np.concatenate([s.ages for s in snaps]),
+        np.repeat([s.gender for s in snaps], sizes),
+        np.concatenate([s.counts for s in snaps]),
+    )
 
 
 def stage_ingest(cfg, out):
@@ -130,73 +202,59 @@ def stage_ingest(cfg, out):
                 range(0, 111),
             )
         )
-    panel = ds.AnnualPanel.merge(panels)
-    ds.write_annual_panel_csv(panel, _annual_panel_path(out))
-    _stamp(_annual_panel_path(out), cfg)
+    _write(ds.AnnualPanel.merge(panels), _annual_panel_path(out), ds.write_annual_panel_csv, cfg)
 
     stmf = os.path.join(cfg.data_dir, "weekly_deaths.csv")
     weekly = ig.parse_stmf_countries(stmf, cfg.countries, open_group_high=110)
     for c, per_gender in weekly.items():
         for g, wp in per_gender.items():
-            ds.write_weekly_panel_csv(wp, _weekly_path(out, c, g))
-            _stamp(_weekly_path(out, c, g), cfg)
+            _write(wp, _weekly_path(out, c, g), ds.write_weekly_panel_csv, cfg)
     for c in cfg.countries:
         snaps = ig.parse_population(os.path.join(cfg.data_dir, f"{c}_population.csv"),
                                     "eurostat_annual")
-        sizes = [len(s.ages) for s in snaps]
-        _write_table(
-            os.path.join(out, f"population_{c}.csv"), "date,age,sex,count",
-            np.repeat(["%04d-%02d-%02d" % s.date for s in snaps], sizes),
-            np.concatenate([s.ages for s in snaps]),
-            np.repeat([s.gender for s in snaps], sizes),
-            np.concatenate([s.counts for s in snaps]),
-        )
-        _stamp(os.path.join(out, f"population_{c}.csv"), cfg)
+        _write(snaps, _population_path(out, c), _write_population, cfg)
     log.info("ingest: wrote panels for %s", ", ".join(cfg.countries))
 
 
-def _load_annual(cfg, out):
-    return ds.read_annual_panel_csv(_require(_annual_panel_path(out), "ingest"))
+def _load_annual(out):
+    return _read(_annual_panel_path(out), "ingest", ds.read_annual_panel_csv)
+
+
+def _load_weekly(out, c, g):
+    return _read(_weekly_path(out, c, g), "ingest", ds.read_weekly_panel_csv, c, g)
 
 
 def stage_calibrate_baseline(cfg, out):
-    panel = _load_annual(cfg, out)
+    panel = _load_annual(out)
     panel = panel.select(
         ages=np.arange(cfg.ages[0], cfg.ages[1] + 1),
         years=np.arange(cfg.years[0], cfg.years[1] + 1),
     )
     traces = {}
     model = bl.calibrate_baseline(panel, traces=traces)
-    path = os.path.join(out, "baseline_model.csv")
-    ds.save_model(model, path)
-    _stamp(path, cfg)
-    log_path = os.path.join(out, "baseline_iterations.csv")
+    _write(model, _baseline_path(out), ds.save_model, cfg)
     rows = [(stage, g, it, lnl, change)
             for (stage, g), trace in traces.items() for it, lnl, change in trace]
-    _write_table(log_path, "stage,gender,iteration,lnl,max_change", *zip(*rows))
-    _stamp(log_path, cfg)
+    _write_table(cfg, os.path.join(out, "baseline_iterations.csv"),
+                 "stage,gender,iteration,lnl,max_change", *zip(*rows))
 
 
 def stage_fit_seasonal(cfg, out):
     y0, y1 = cfg.seasonal_years
     for c in cfg.countries:
         for g in ds.GENDERS:
-            wp = ds.read_weekly_panel_csv(_require(_weekly_path(out, c, g), "ingest"), c, g)
-            wp = wp.select_years(range(y0, y1 + 1))
+            wp = _load_weekly(out, c, g).select_years(range(y0, y1 + 1))
             fractions = se.weekly_fractions(wp)
             eff = se.fit_seasonal_spline(fractions, country=c, gender=g, knots=cfg.knots)
-            ds.save_model(eff, _seasonal_path(out, c, g))
-            _stamp(_seasonal_path(out, c, g), cfg)
+            _write(eff, _seasonal_path(out, c, g), ds.save_model, cfg)
 
 
 def _reconstruct_weekly(cfg, out, c, g, historical):
     """Disaggregated pandemic-year deaths plus projected weekly exposures."""
-    wp = ds.read_weekly_panel_csv(_require(_weekly_path(out, c, g), "ingest"), c, g)
-    wp = wp.select_years(PANDEMIC_YEARS)
+    wp = _load_weekly(out, c, g).select_years(PANDEMIC_YEARS)
     indiv = ex.disaggregate_deaths(wp, historical,
                                    range(cfg.hist_years[0], cfg.hist_years[1] + 1))
-    snaps = ig.parse_population(_require(os.path.join(out, f"population_{c}.csv"), "ingest"),
-                                "eurostat_annual")
+    snaps = _read(_population_path(out, c), "ingest", ig.parse_population, "eurostat_annual")
     snaps = [s for s in snaps if s.gender == g]
     start = snaps[-1]
     panel_ages = np.array([a.low for a in indiv.ages])
@@ -214,22 +272,20 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
 
 
 def stage_calibrate_covid(cfg, out):
-    model = ds.load_model(_require(os.path.join(out, "baseline_model.csv"),
-                                   "calibrate-baseline"))
-    historical = _load_annual(cfg, out)
+    model = _read(_baseline_path(out), "calibrate-baseline", ds.load_model)
+    historical = _load_annual(out)
     lo, hi = cfg.covid_ages
     for c in cfg.countries:
         for g in ds.GENDERS:
             seasonal = None
             if cfg.method == 2:
-                seasonal = ds.load_model(_require(_seasonal_path(out, c, g), "fit-seasonal"))
+                seasonal = _read(_seasonal_path(out, c, g), "fit-seasonal", ds.load_model)
             full = _reconstruct_weekly(cfg, out, c, g, historical)
             work = full.select_ages(lo, hi).validate(require_exposures=True)
             mu = cl.group_baseline_mu(model, c, g, work.ages, work.years)
             pred = cl.predicted_deaths(work, mu, seasonal=seasonal, method=cfg.method)
             layer = cl.calibrate_covid(work, pred, cfg.method)
-            ds.save_model(layer, _covid_path(out, c, g))
-            _stamp(_covid_path(out, c, g), cfg)
+            _write(layer, _covid_path(out, c, g), ds.save_model, cfg)
             # (year, week) rows in file order, ages along the last axis
             used = np.arange(ds.MAX_WEEKS) < np.array([work.weeks_in_year[t]
                                                        for t in work.years])[:, None]
@@ -237,19 +293,17 @@ def stage_calibrate_covid(cfg, out):
             base = np.moveaxis(pred, 0, -1)[used]
             fitted = base * np.exp(layer.B * layer.K[used][:, None])
             year_idx, week_idx = np.nonzero(used)
-            fit_path = os.path.join(out, f"covid_fit_{c}_{g}.csv")
-            _write_table(fit_path, "year,week,observed,predicted,fitted",
+            _write_table(cfg, os.path.join(out, f"covid_fit_{c}_{g}.csv"),
+                         "year,week,observed,predicted,fitted",
                          np.asarray(work.years)[year_idx], week_idx + 1,
                          obs.sum(axis=1), base.sum(axis=1), fitted.sum(axis=1))
-            _stamp(fit_path, cfg)
 
 
 def stage_coda(cfg, out):
-    historical = _load_annual(cfg, out)
+    historical = _load_annual(out)
     c = cfg.countries[0]
     for g in ds.GENDERS:
-        wp = ds.read_weekly_panel_csv(_require(_weekly_path(out, c, g), "ingest"), c, g)
-        wp = wp.select_years(PANDEMIC_YEARS)
+        wp = _load_weekly(out, c, g).select_years(PANDEMIC_YEARS)
         indiv = ex.disaggregate_deaths(wp, historical,
                                        range(cfg.hist_years[0], cfg.hist_years[1] + 1))
         indiv = indiv.select_ages(0, 98)
@@ -257,34 +311,28 @@ def stage_coda(cfg, out):
         for t in indiv.years:
             d, _ = indiv.cells(t)
             fit = coda_mod.coda_fit(d, ages, t, g)
-            path = os.path.join(out, f"coda_{t}_{g}.csv")
-            ds.save_model(fit, path)
-            _stamp(path, cfg)
+            _write(fit, os.path.join(out, f"coda_{t}_{g}.csv"), ds.save_model, cfg)
 
 
 def stage_annualize(cfg, out):
-    model = ds.load_model(_require(os.path.join(out, "baseline_model.csv"),
-                                   "calibrate-baseline"))
+    model = _read(_baseline_path(out), "calibrate-baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = ds.load_model(_require(_covid_path(out, c, g), "calibrate-covid"))
+            layer = _read(_covid_path(out, c, g), "calibrate-covid", ds.load_model)
             if cfg.method == 2:
-                seasonal = ds.load_model(_require(_seasonal_path(out, c, g), "fit-seasonal"))
-                phi = seasonal.phi
+                phi = _read(_seasonal_path(out, c, g), "fit-seasonal", ds.load_model).phi
             else:
                 phi = np.ones(ds.MAX_WEEKS)
             mu = cl.group_baseline_mu(model, c, g, layer.ages, layer.years)
             layer = af.annualize(layer, phi, mu)
-            ds.save_model(layer, _covid_path(out, c, g))
-            _stamp(_covid_path(out, c, g), cfg)
+            _write(layer, _covid_path(out, c, g), ds.save_model, cfg)
 
 
 def stage_forecast(cfg, out):
-    model = ds.load_model(_require(os.path.join(out, "baseline_model.csv"),
-                                   "calibrate-baseline"))
+    model = _read(_baseline_path(out), "calibrate-baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = ds.load_model(_require(_covid_path(out, c, g), "calibrate-covid"))
+            layer = _read(_covid_path(out, c, g), "calibrate-covid", ds.load_model)
             if layer.V is None or layer.X is None:
                 raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
                                   "run annualize first")
@@ -297,17 +345,15 @@ def stage_forecast(cfg, out):
             )
             nx, nt, nle = len(fs.ages), len(fs.years), len(fs.le_ages)
             for name in fs.mu:
-                path = os.path.join(out, f"forecast_{name}_{c}_{g}.csv")
-                _write_table(path, "age,year,mu,q", np.repeat(fs.ages, nt),
+                _write_table(cfg, os.path.join(out, f"forecast_{name}_{c}_{g}.csv"),
+                             "age,year,mu,q", np.repeat(fs.ages, nt),
                              np.tile(fs.years, nx), fs.mu[name].ravel(), fs.q[name].ravel())
-                _stamp(path, cfg)
                 # per (age, year): the period row, then the cohort row
-                path = os.path.join(out, f"life_expectancy_{name}_{c}_{g}.csv")
-                _write_table(path, "kind,age,year,value",
+                _write_table(cfg, os.path.join(out, f"life_expectancy_{name}_{c}_{g}.csv"),
+                             "kind,age,year,value",
                              np.tile(["period", "cohort"], nle * nt),
                              np.repeat(fs.le_ages, 2 * nt), np.tile(np.repeat(fs.years, 2), nle),
                              np.stack([fs.e_period[name], fs.e_cohort[name]], axis=-1).ravel())
-                _stamp(path, cfg)
 
 
 def _read_le_at_birth(path, year):
@@ -321,12 +367,11 @@ def _read_le_at_birth(path, year):
 
 def stage_report(cfg, out):
     names = [s.name for s in af.standard_scenarios(0.0)]
-    path = os.path.join(out, "report.csv")
     final_year = 2021 + cfg.horizon
     rows = []
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = ds.load_model(_require(_covid_path(out, c, g), "calibrate-covid"))
+            layer = _read(_covid_path(out, c, g), "calibrate-covid", ds.load_model)
             if layer.X is None:
                 raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
                                   "run annualize first")
@@ -345,9 +390,9 @@ def stage_report(cfg, out):
                 deltas.append(le - base_le)
             x = {t: layer.X[layer.years.index(t)] for t in layer.years}
             rows.append((c, g, x.get(2020, np.nan), x.get(2021, np.nan), *deltas))
-    _write_table(path, "country,gender,X_2020,X_2021," + ",".join(f"dLE_{n}" for n in names),
+    _write_table(cfg, os.path.join(out, "report.csv"),
+                 "country,gender,X_2020,X_2021," + ",".join(f"dLE_{n}" for n in names),
                  *zip(*rows))
-    _stamp(path, cfg)
 
 
 STAGES = {
@@ -417,6 +462,8 @@ def main(argv=None):
         log.error("%s", exc)
         _error_record(args.out, args.command, exc)
         return 4
+    finally:
+        _memo.clear()
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ def test_fit_bilinear_rejects_negative_deaths():
 def test_fit_bilinear_no_usable_cells():
     with pytest.raises(NumericalError):
         bl.fit_bilinear_poisson(np.ones((2, 2)), np.zeros((2, 2)))
+
+
+def test_fit_bilinear_raises_when_halving_fails(monkeypatch):
+    # an lnL that drops at every evaluation can never be restored by halving
+    calls = itertools.count(1)
+    monkeypatch.setattr(bl, "_loglik", lambda *args: -float(next(calls)))
+    D = np.ones((3, 4))
+    with pytest.raises(NumericalError, match="halving"):
+        bl.fit_bilinear_poisson(D, 10.0 * D)
+    # start, level update, then 40 halvings of the b step
+    assert next(calls) == 1 + 1 + 40 + 1
 
 
 def test_calibrate_baseline_constraints(baseline_model):

@@ -1,14 +1,19 @@
+import dataclasses
+import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pandmort.baseline as bl
 import pandmort.cli as cli
 import pandmort.datastore as ds
-from pandmort.errors import ConfigError
+import pandmort.ingest as ig
+from pandmort.errors import ConfigError, ParseError, ValidationError
 
 CONFIG = """\
 [data]
@@ -156,3 +161,153 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == ""
+
+
+def test_halving_failure_exits_4(pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "halving"
+    out.mkdir()
+    shutil.copy(pipeline["out"] / "annual_panel.csv", out)
+    calls = itertools.count(1)
+    monkeypatch.setattr(bl, "_loglik", lambda *args: -float(next(calls)))
+    rc = cli.main(["calibrate-baseline", "--config", str(pipeline["config"]),
+                   "--out", str(out)])
+    assert rc == 4
+    rec = json.loads((out / "error.json").read_text())
+    assert rec["error"] == "NumericalError"
+    assert "halving" in rec["message"]
+
+
+def test_stages_from_disk_match_run_all(pipeline, tmp_path):
+    """Each stage in its own ``main`` call reads its inputs from disk; the
+    files must equal those of ``run-all``, whose stages hand objects on in
+    memory."""
+    out = tmp_path / "staged"
+    for stage in cli.STAGES:
+        assert cli.main([stage, "--config", str(pipeline["config"]), "--out", str(out)]) == 0
+        assert not cli._memo
+    names = sorted(os.listdir(out))
+    assert names == sorted(os.listdir(pipeline["out"]))
+    for name in names:
+        assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes(), name
+
+
+def test_memo_hit_is_validated(tmp_path, monkeypatch):
+    path = str(tmp_path / "seasonal_AAA_m.csv")
+    open(path, "w").close()
+    bad = ds.SeasonalEffect(country="AAA", gender="m", phi=np.zeros(ds.MAX_WEEKS), knots=12)
+    monkeypatch.setitem(cli._memo, path, bad)
+    with pytest.raises(ValidationError, match="strictly positive"):
+        cli._read(path, "fit-seasonal", ds.load_model)
+
+
+def test_failed_write_leaves_no_memo_entry(tmp_path, monkeypatch):
+    path = str(tmp_path / "baseline_model.csv")
+    monkeypatch.setitem(cli._memo, path, "the object of an earlier write")
+
+    def failing_writer(obj, p):
+        raise ParseError(f"cannot write model file {p}")
+
+    with pytest.raises(ParseError):
+        cli._write(object(), path, failing_writer, None)
+    assert path not in cli._memo
+
+
+# Every reader of a file that some stage writes.
+READERS = [(ds, "read_annual_panel_csv"), (ds, "read_weekly_panel_csv"), (ds, "load_model"),
+           (ig, "parse_population")]
+
+
+@pytest.fixture(scope="module")
+def memo_run(pipeline):
+    """One ``run-all`` with the readers counted and the memo as it stands
+    after the last stage."""
+    out = pipeline["root"] / "memo_out"
+    parsed = []
+    memo = {}
+
+    def counted(reader):
+        def wrapper(path, *args, **kwargs):
+            parsed.append(os.path.abspath(path))
+            return reader(path, *args, **kwargs)
+        return wrapper
+
+    def report_then_keep(cfg, out_dir):
+        report(cfg, out_dir)
+        memo.update(cli._memo)
+
+    report = cli.STAGES["report"]
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in READERS:
+            mp.setattr(module, name, counted(getattr(module, name)))
+        mp.setitem(cli.STAGES, "report", report_then_keep)
+        assert cli.main(["run-all", "--config", str(pipeline["config"]),
+                         "--out", str(out)]) == 0
+    assert not cli._memo
+    return {"out": out, "parsed": parsed, "memo": memo}
+
+
+def test_run_all_parses_no_file_it_wrote(memo_run, pipeline):
+    out = str(memo_run["out"]) + os.sep
+    assert [p for p in memo_run["parsed"] if p.startswith(out)] == []
+    # the counters see the raw population files, so they are in place
+    assert sorted(memo_run["parsed"]) == [
+        os.path.abspath(pipeline["data"] / f"{c}_population.csv") for c in ("AAA", "BBB")]
+
+
+def _reread(path):
+    name = os.path.basename(path)
+    if name == "annual_panel.csv":
+        return ds.read_annual_panel_csv(path)
+    if name.startswith("weekly_"):
+        return ds.read_weekly_panel_csv(path, *name[len("weekly_"):-len(".csv")].split("_"))
+    if name.startswith("population_"):
+        return ig.parse_population(path, "eurostat_annual")
+    return ds.load_model(path)
+
+
+def _assert_identical(a, b, where):
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray), where
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), where
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            _assert_identical(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys(), where
+        for k in a:
+            _assert_identical(a[k], b[k], f"{where}[{k!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_identical(x, y, f"{where}[{i}]")
+    else:
+        assert a == b or (a != a and b != b), where
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (dict, list, tuple)):
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays(v)
+
+
+def test_memo_matches_disk(memo_run):
+    memo = memo_run["memo"]
+    kinds = {os.path.basename(p).split("_")[0] for p in memo}
+    assert kinds == {"annual", "weekly", "population", "baseline", "seasonal", "covid", "coda"}
+    for path, obj in memo.items():
+        _assert_identical(obj, _reread(path), os.path.basename(path))
+
+
+def test_memo_arrays_are_read_only(memo_run):
+    arrays = [a for obj in memo_run["memo"].values() for a in _arrays(obj)]
+    assert len(arrays) > 50
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0

@@ -43,14 +43,11 @@ def _damped_update(D, E, base, a, b, k, mask, which, delta, lnl_before):
     """
     step = 1.0
     for _ in range(40):
-        if which == "b":
-            cand = _loglik(D, E, base, a, b + step * delta, k, mask)
-            if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
-                return b + step * delta, cand
-        else:
-            cand = _loglik(D, E, base, a, b, k + step * delta, mask)
-            if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
-                return k + step * delta, cand
+        new = (b if which == "b" else k) + step * delta
+        b_k = (new, k) if which == "b" else (b, new)
+        cand = _loglik(D, E, base, a, *b_k, mask)
+        if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
+            return new, cand
         step *= 0.5
     raise NumericalError(f"step halving failed to restore lnL in the {which} update")
 
@@ -138,14 +135,10 @@ def fit_bilinear_poisson(D, E, base=None, fit_level=True, a0=None, b0=None, k0=N
             np.abs(a - prev[0]).max(), np.abs(b - prev[1]).max(), np.abs(k - prev[2]).max()
         )
         trace.append((it, lnl_new, change))
-        if abs(lnl_new - lnl_before_sweep(trace)) <= rel_tol * (abs(lnl_new) + 1.0):
+        if abs(lnl_new - trace[-2][1]) <= rel_tol * (abs(lnl_new) + 1.0):
             return a, b, k, trace
         lnl = lnl_new
     raise NumericalError(f"no convergence after {max_iter} iterations", trace)
-
-
-def lnl_before_sweep(trace):
-    return trace[-2][1]
 
 
 def calibrate_common(panel, rel_tol=REL_TOL, max_iter=MAX_ITER):

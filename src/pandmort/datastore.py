@@ -25,10 +25,6 @@ SUM_TOL = 1e-8
 CODA_SUM_TOL = 1e-9
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
 @dataclass(frozen=True, order=True)
 class AgeIndex:
     """An individual age (low == high) or a contiguous age group."""
@@ -418,70 +414,113 @@ class ForecastSet:
 # serialization
 
 
-def _writer_rows_baseline(m):
-    yield "ages", "", "", f"{m.ages[0]};{m.ages[-1]}"
-    yield "years", "", "", f"{m.years[0]};{m.years[-1]}"
-    for i, c in enumerate(m.countries):
-        yield "country", str(i), "", c
-    for g in GENDERS:
-        for i, x in enumerate(m.ages):
-            yield "A", g, str(x), _fmt(m.A[g][i])
-            yield "B", g, str(x), _fmt(m.B[g][i])
-        for j, t in enumerate(m.years):
-            yield "K", g, str(t), _fmt(m.K[g][j])
-        if g in m.theta:
-            yield "theta", g, "", _fmt(m.theta[g])
-    for c in m.countries:
-        for g in GENDERS:
-            key = f"{c}|{g}"
-            for i, x in enumerate(m.ages):
-                yield "alpha", key, str(x), _fmt(m.alpha[(c, g)][i])
-                yield "beta", key, str(x), _fmt(m.beta[(c, g)][i])
-            for j, t in enumerate(m.years):
-                yield "kappa", key, str(t), _fmt(m.kappa[(c, g)][j])
-            if (c, g) in m.delta:
-                yield "delta", key, "", _fmt(m.delta[(c, g)])
-                yield "delta_tstat", key, "", _fmt(m.delta_tstat[(c, g)])
-    if m.sigma is not None:
-        for i, label in enumerate(m.series):
-            yield "series", str(i), "", label
-        for i in range(m.sigma.shape[0]):
-            for j in range(m.sigma.shape[1]):
-                yield "sigma", str(i), str(j), _fmt(m.sigma[i, j])
+def _span(text):
+    lo, hi = (int(v) for v in text.split(";"))
+    return np.arange(lo, hi + 1)
 
 
-def _reader_baseline(rows):
-    meta = _collect(rows)
-    lo, hi = (int(v) for v in meta.scalar("ages").split(";"))
-    ages = np.arange(lo, hi + 1)
-    ylo, yhi = (int(v) for v in meta.scalar("years").split(";"))
-    years = np.arange(ylo, yhi + 1)
-    countries = tuple(v for _, v in sorted(meta.indexed1("country").items(), key=lambda kv: int(kv[0])))
+def _week_count(text):
+    n = int(text)
+    if not 0 <= n <= MAX_WEEKS:
+        raise ValueError(f"week count outside 0..{MAX_WEEKS}")
+    return n
+
+
+# How a row's value is parsed from, and formatted to, its text.
+_REAL = (float, lambda v: "%.17g" % float(v))
+_TEXT = (str, str)
+_INT = (int, str)
+_WEEKS = (_week_count, str)
+_FLAG = (lambda text: bool(int(text)), lambda v: str(int(v)))
+_SPAN = (_span, lambda v: f"{v[0]};{v[-1]}")
+_AGE = (AgeIndex.from_label, lambda a: a.label)
+
+
+def _parsed(parse, text, where):
+    try:
+        return parse(text)
+    except (ValueError, ValidationError):
+        raise ParseError(f"{where}: bad value {text!r}") from None
+
+
+class _Rows:
+    """The ``key,index1,index2,value`` rows of one model file, in either
+    direction.
+
+    A layout ``layout(r, m)`` describes one model format: it calls ``r.row``
+    for each row in file order and builds the model from what the calls
+    return.  ``m`` is the model when writing and None when reading, so each
+    call passes ``m and <the row's value>``.  Writing, a call writes the
+    formatted row and returns the value; reading, it returns the parsed row.
+    """
+
+    def __init__(self, rows=None, out=None):
+        self.rows = rows  # when reading: {(key, index1, index2): text}, emptied as read
+        self.out = out  # when writing: a csv writer
+
+    def row(self, value, key, index1="", index2="", codec=_REAL):
+        """The row ``key,index1,index2``."""
+        parse, fmt = codec
+        row = (key, str(index1), str(index2))
+        if self.rows is None:
+            self.out.writerow((*row, fmt(value)))
+            return value
+        if row not in self.rows:
+            raise ParseError(f"missing row {','.join(row)}")
+        return _parsed(parse, self.rows.pop(row), f"row {','.join(row)}")
+
+    def count(self, value, *keys):
+        """How many unread rows have one of ``keys``; ``value`` when writing."""
+        return value if self.rows is None else sum(k in keys for k, _, _ in self.rows)
+
+    def indices(self, value, key):
+        """The sorted integer index1 values of the unread ``key`` rows;
+        ``value`` when writing."""
+        if self.rows is None:
+            return value
+        return tuple(sorted(_parsed(int, i1, f"row {key},{i1}")
+                            for k, i1, _ in self.rows if k == key))
+
+
+# Each layout below is the one description of its model's file format.  An
+# optional group of rows (theta; delta and delta_tstat; series and sigma;
+# coef; V; X) is present when any of its rows is, and then needs all of them.
+
+
+def _baseline_layout(r, m):
+    ages = r.row(m and m.ages, "ages", codec=_SPAN)
+    years = r.row(m and m.years, "years", codec=_SPAN)
+    countries = tuple(r.row(m and m.countries[i], "country", i, codec=_TEXT)
+                      for i in range(r.count(m and len(m.countries), "country")))
+    has_theta = r.count(m and len(m.theta), "theta")
     A, B, K, theta = {}, {}, {}, {}
     for g in GENDERS:
-        A[g] = meta.vector("A", g, [str(x) for x in ages])
-        B[g] = meta.vector("B", g, [str(x) for x in ages])
-        K[g] = meta.vector("K", g, [str(t) for t in years])
-        if ("theta", g, "") in meta.rows:
-            theta[g] = float(meta.rows[("theta", g, "")])
+        A[g], B[g] = np.empty(len(ages)), np.empty(len(ages))
+        for i, x in enumerate(ages):
+            A[g][i] = r.row(m and m.A[g][i], "A", g, x)
+            B[g][i] = r.row(m and m.B[g][i], "B", g, x)
+        K[g] = np.array([r.row(m and m.K[g][j], "K", g, t) for j, t in enumerate(years)])
+        if has_theta:
+            theta[g] = r.row(m and m.theta[g], "theta", g)
+    has_delta = r.count(m and len(m.delta), "delta", "delta_tstat")
     alpha, beta, kappa, delta, tstat = {}, {}, {}, {}, {}
-    for c in countries:
-        for g in GENDERS:
-            key = f"{c}|{g}"
-            alpha[(c, g)] = meta.vector("alpha", key, [str(x) for x in ages])
-            beta[(c, g)] = meta.vector("beta", key, [str(x) for x in ages])
-            kappa[(c, g)] = meta.vector("kappa", key, [str(t) for t in years])
-            if ("delta", key, "") in meta.rows:
-                delta[(c, g)] = float(meta.rows[("delta", key, "")])
-                tstat[(c, g)] = float(meta.rows[("delta_tstat", key, "")])
-    series = tuple(v for _, v in sorted(meta.indexed1("series").items(), key=lambda kv: int(kv[0])))
-    sigma = None
-    if series:
-        n = len(series)
-        sigma = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                sigma[i, j] = float(meta.rows[("sigma", str(i), str(j))])
+    for cg in itertools.product(countries, GENDERS):
+        key = "|".join(cg)
+        alpha[cg], beta[cg] = np.empty(len(ages)), np.empty(len(ages))
+        for i, x in enumerate(ages):
+            alpha[cg][i] = r.row(m and m.alpha[cg][i], "alpha", key, x)
+            beta[cg][i] = r.row(m and m.beta[cg][i], "beta", key, x)
+        kappa[cg] = np.array([r.row(m and m.kappa[cg][j], "kappa", key, t)
+                              for j, t in enumerate(years)])
+        if has_delta:
+            delta[cg] = r.row(m and m.delta[cg], "delta", key)
+            tstat[cg] = r.row(m and m.delta_tstat[cg], "delta_tstat", key)
+    series, sigma = (), None
+    if r.count(m and m.sigma is not None, "series", "sigma"):
+        n = r.count(m and len(m.series), "series")
+        series = tuple(r.row(m and m.series[i], "series", i, codec=_TEXT) for i in range(n))
+        sigma = np.array([[r.row(m and m.sigma[i, j], "sigma", i, j) for j in range(n)]
+                          for i in range(n)]).reshape(n, n)
     return BaselineModel(
         countries=countries, ages=ages, years=years, A=A, B=B, K=K,
         alpha=alpha, beta=beta, kappa=kappa, theta=theta, delta=delta,
@@ -489,156 +528,76 @@ def _reader_baseline(rows):
     )
 
 
-def _writer_rows_seasonal(m):
-    yield "country", "", "", m.country
-    yield "gender", "", "", m.gender
-    yield "knots", "", "", str(m.knots)
-    for w in range(1, MAX_WEEKS + 1):
-        yield "phi", str(w), "", _fmt(m.phi[w - 1])
-    if m.coeffs is not None:
-        for i, c in enumerate(m.coeffs):
-            yield "coef", str(i), "", _fmt(c)
-
-
-def _reader_seasonal(rows):
-    meta = _collect(rows)
-    phi = meta.vector("phi", None, [str(w) for w in range(1, MAX_WEEKS + 1)])
-    coef_rows = meta.indexed1("coef")
+def _seasonal_layout(r, m):
+    country = r.row(m and m.country, "country", codec=_TEXT)
+    gender = r.row(m and m.gender, "gender", codec=_TEXT)
+    knots = r.row(m and m.knots, "knots", codec=_INT)
+    phi = np.array([r.row(m and m.phi[w - 1], "phi", w) for w in range(1, MAX_WEEKS + 1)])
     coeffs = None
-    if coef_rows:
-        coeffs = np.array([float(coef_rows[str(i)]) for i in range(len(coef_rows))])
-    return SeasonalEffect(
-        country=meta.scalar("country"), gender=meta.scalar("gender"),
-        phi=phi, knots=int(meta.scalar("knots")), coeffs=coeffs,
-    )
+    if n := r.count(m and m.coeffs is not None and len(m.coeffs), "coef"):
+        coeffs = np.array([r.row(m and m.coeffs[i], "coef", i) for i in range(n)])
+    return SeasonalEffect(country=country, gender=gender, phi=phi, knots=knots, coeffs=coeffs)
 
 
-def _writer_rows_covid(m):
-    yield "country", "", "", m.country
-    yield "gender", "", "", m.gender
-    yield "method", "", "", str(m.method)
-    yield "degenerate", "", "", str(int(m.degenerate))
-    for j, t in enumerate(m.years):
-        yield "weeks", str(t), "", str(m.weeks_in_year[t])
-    for i, a in enumerate(m.ages):
-        yield "age", str(i), "", a.label
-        yield "B", str(i), "", _fmt(m.B[i])
-    for j, t in enumerate(m.years):
-        for w in range(1, m.weeks_in_year[t] + 1):
-            yield "K", str(t), str(w), _fmt(m.K[j, w - 1])
-    if m.V is not None:
-        for i in range(len(m.V)):
-            yield "V", str(i), "", _fmt(m.V[i])
-    if m.X is not None:
-        for j, t in enumerate(m.years):
-            yield "X", str(t), "", _fmt(m.X[j])
-
-
-def _reader_covid(rows):
-    meta = _collect(rows)
-    weeks = {int(k): int(v) for k, v in meta.indexed1("weeks").items()}
-    years = tuple(sorted(weeks))
-    age_rows = meta.indexed1("age")
-    ages = tuple(AgeIndex.from_label(age_rows[str(i)]) for i in range(len(age_rows)))
-    B = meta.vector("B", None, [str(i) for i in range(len(ages))])
+def _covid_layout(r, m):
+    country = r.row(m and m.country, "country", codec=_TEXT)
+    gender = r.row(m and m.gender, "gender", codec=_TEXT)
+    method = r.row(m and m.method, "method", codec=_INT)
+    degenerate = r.row(m and m.degenerate, "degenerate", codec=_FLAG)
+    years = r.indices(m and m.years, "weeks")
+    weeks = {t: r.row(m and m.weeks_in_year[t], "weeks", t, codec=_WEEKS) for t in years}
+    ages, B = [], []
+    for i in range(r.count(m and len(m.ages), "age")):
+        ages.append(r.row(m and m.ages[i], "age", i, codec=_AGE))
+        B.append(r.row(m and m.B[i], "B", i))
     K = np.full((len(years), MAX_WEEKS), np.nan)
     for j, t in enumerate(years):
         for w in range(1, weeks[t] + 1):
-            K[j, w - 1] = float(meta.rows[("K", str(t), str(w))])
-    v_rows = meta.indexed1("V")
-    V = None
-    if v_rows:
-        V = np.array([float(v_rows[str(i)]) for i in range(len(v_rows))])
-    X = None
-    if meta.indexed1("X"):
-        X = np.array([float(meta.rows[("X", str(t), "")]) for t in years])
+            K[j, w - 1] = r.row(m and m.K[j, w - 1], "K", t, w)
+    V = X = None
+    if n := r.count(m and m.V is not None and len(m.V), "V"):
+        V = np.array([r.row(m and m.V[i], "V", i) for i in range(n)])
+    if r.count(m and m.X is not None, "X"):
+        X = np.array([r.row(m and m.X[j], "X", t) for j, t in enumerate(years)])
     return CovidLayer(
-        country=meta.scalar("country"), gender=meta.scalar("gender"),
-        ages=ages, years=years, weeks_in_year=weeks,
-        method=int(meta.scalar("method")), B=B, K=K, V=V, X=X,
-        degenerate=bool(int(meta.scalar("degenerate"))),
+        country=country, gender=gender, ages=tuple(ages), years=years, weeks_in_year=weeks,
+        method=method, B=np.array(B), K=K, V=V, X=X, degenerate=degenerate,
     )
 
 
-def _writer_rows_coda(m):
-    yield "year", "", "", str(m.year)
-    yield "gender", "", "", m.gender
-    yield "degenerate", "", "", str(int(m.degenerate))
-    yield "explained_variance", "", "", _fmt(m.explained_variance)
-    yield "ages", "", "", f"{m.ages[0]};{m.ages[-1]}"
-    for i, x in enumerate(m.ages):
-        yield "alpha", str(x), "", _fmt(m.alpha[i])
-        yield "beta", str(x), "", _fmt(m.beta[i])
-    for w in range(len(m.kappa)):
-        yield "kappa", str(w + 1), "", _fmt(m.kappa[w])
+def _coda_layout(r, m):
+    year = r.row(m and m.year, "year", codec=_INT)
+    gender = r.row(m and m.gender, "gender", codec=_TEXT)
+    degenerate = r.row(m and m.degenerate, "degenerate", codec=_FLAG)
+    explained = r.row(m and m.explained_variance, "explained_variance")
+    ages = r.row(m and m.ages, "ages", codec=_SPAN)
+    alpha, beta = np.empty(len(ages)), np.empty(len(ages))
+    for i, x in enumerate(ages):
+        alpha[i] = r.row(m and m.alpha[i], "alpha", x)
+        beta[i] = r.row(m and m.beta[i], "beta", x)
+    n = r.count(m and len(m.kappa), "kappa")
+    kappa = np.array([r.row(m and m.kappa[w - 1], "kappa", w) for w in range(1, n + 1)])
+    return CodaFit(year=year, gender=gender, ages=ages, alpha=alpha, beta=beta, kappa=kappa,
+                   explained_variance=explained, degenerate=degenerate)
 
 
-def _reader_coda(rows):
-    meta = _collect(rows)
-    lo, hi = (int(v) for v in meta.scalar("ages").split(";"))
-    ages = np.arange(lo, hi + 1)
-    kappa_rows = meta.indexed1("kappa")
-    kappa = np.array([float(kappa_rows[str(w + 1)]) for w in range(len(kappa_rows))])
-    return CodaFit(
-        year=int(meta.scalar("year")), gender=meta.scalar("gender"), ages=ages,
-        alpha=meta.vector("alpha", None, [str(x) for x in ages]),
-        beta=meta.vector("beta", None, [str(x) for x in ages]),
-        kappa=kappa,
-        explained_variance=float(meta.scalar("explained_variance")),
-        degenerate=bool(int(meta.scalar("degenerate"))),
-    )
-
-
-class _Rows:
-    """Indexed view over parsed (key, index1, index2) -> value rows."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def scalar(self, key):
-        try:
-            return self.rows[(key, "", "")]
-        except KeyError:
-            raise ParseError(f"missing required row {key!r}") from None
-
-    def indexed1(self, key):
-        return {i1: v for (k, i1, _), v in self.rows.items() if k == key}
-
-    def vector(self, key, index1, index2_labels):
-        out = np.empty(len(index2_labels))
-        for i, lab in enumerate(index2_labels):
-            k = (key, index1, lab) if index1 is not None else (key, lab, "")
-            try:
-                out[i] = float(self.rows[k])
-            except KeyError:
-                raise ParseError(f"missing row for {key} at index {lab}") from None
-        return out
-
-
-def _collect(rows):
-    return _Rows(rows)
-
-
-_SCHEMAS = {
-    "BaselineModel": (_writer_rows_baseline, _reader_baseline, BaselineModel),
-    "SeasonalEffect": (_writer_rows_seasonal, _reader_seasonal, SeasonalEffect),
-    "CovidLayer": (_writer_rows_covid, _reader_covid, CovidLayer),
-    "CodaFit": (_writer_rows_coda, _reader_coda, CodaFit),
+_LAYOUTS = {
+    "BaselineModel": _baseline_layout,
+    "SeasonalEffect": _seasonal_layout,
+    "CovidLayer": _covid_layout,
+    "CodaFit": _coda_layout,
 }
 
 
 def save_model(model, path):
     """Write a model object to ``path`` in the self-describing CSV format."""
     name = type(model).__name__
-    if name not in _SCHEMAS:
+    if name not in _LAYOUTS:
         raise ParseError(f"no serialization schema for {name}")
-    writer_rows = _SCHEMAS[name][0]
     buf = io.StringIO()
     buf.write(f"#schema:{name} v1\n")
     buf.write("key,index1,index2,value\n")
-    w = csv.writer(buf, lineterminator="\n")
-    for row in writer_rows(model):
-        w.writerow(row)
+    _LAYOUTS[name](_Rows(out=csv.writer(buf, lineterminator="\n")), model)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
@@ -647,17 +606,20 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a model file, dispatch on its schema line and re-validate."""
+    """Read a model file, dispatch on its schema line and re-validate.
+
+    A missing, unparsable or unexpected row is a ParseError naming ``path``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     if not lines or not lines[0].startswith("#schema:"):
         raise ParseError(f"{path}: line 1: missing '#schema:' header")
     schema = lines[0][len("#schema:"):].strip()
     name, _, version = schema.partition(" ")
-    if name not in _SCHEMAS or version != "v1":
+    if name not in _LAYOUTS or version != "v1":
         raise ParseError(f"{path}: line 1: unknown schema {schema!r}")
     if len(lines) < 2 or lines[1] != "key,index1,index2,value":
         raise ParseError(f"{path}: line 2: expected header 'key,index1,index2,value'")
@@ -672,9 +634,10 @@ def load_model(path):
         if key in rows:
             raise ParseError(f"{path}: line {lineno}: duplicate row {key}")
         rows[key] = parts[3]
-    reader = _SCHEMAS[name][1]
     try:
-        model = reader(rows)
+        model = _LAYOUTS[name](_Rows(rows), None)
+        if rows:
+            raise ParseError(f"unexpected row {','.join(next(iter(rows)))}")
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     model.validate()

@@ -177,6 +177,20 @@ def test_halving_failure_exits_4(pipeline, tmp_path, monkeypatch):
     assert "halving" in rec["message"]
 
 
+def test_malformed_model_file_exits_3(pipeline, tmp_path):
+    out = tmp_path / "malformed"
+    shutil.copytree(pipeline["out"], out)
+    path = out / "baseline_model.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("delta_tstat,BBB|f,")),
+                    encoding="utf-8")
+    rc = cli.main(["annualize", "--config", str(pipeline["config"]), "--out", str(out)])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == ("annualize", "ParseError")
+    assert rec["message"] == f"{path}: missing row delta_tstat,BBB|f,"
+
+
 def test_stages_from_disk_match_run_all(pipeline, tmp_path):
     """Each stage in its own ``main`` call reads its inputs from disk; the
     files must equal those of ``run-all``, whose stages hand objects on in

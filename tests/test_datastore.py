@@ -1,12 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pandmort.coda as coda_mod
 import pandmort.seasonal as se
 import pandmort.synthetic as sy
 from pandmort.datastore import (
+    GENDERS,
+    MAX_WEEKS,
     AgeIndex,
     AnnualPanel,
+    BaselineModel,
+    CodaFit,
+    CovidLayer,
+    SeasonalEffect,
     WeeklyPanel,
     check_age_partition,
     load_model,
@@ -386,3 +396,419 @@ def test_weekly_panel_csv_contract_exposure_on_some_rows_only(tmp_path):
     _rewrite(path, lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0] + ","] + ls[6:])
     with pytest.raises(ParseError, match="line 6: exposure given on some rows only"):
         read_weekly_panel_csv(str(path), "AAA", "f")
+
+
+# ---------------------------------------------------------------------------
+# model file format
+
+
+def _tiny_models():
+    """One small model per type and variant: every optional group absent
+    (``coda`` has none: that variant is the degenerate fit) or present."""
+    ages, years = np.arange(60, 62), np.arange(2017, 2020)
+    layers = dict(
+        countries=("AAA",), ages=ages, years=years,
+        A={"m": np.array([-4.5, -4.25]), "f": np.array([-5.0, -4.75])},
+        B={"m": np.array([0.6, 0.8]), "f": np.array([0.8, 0.6])},
+        K={"m": np.array([1.0, 0.0, -1.0]), "f": np.array([0.5, 0.0, -0.5])},
+        alpha={("AAA", "m"): np.array([0.25, -0.25]), ("AAA", "f"): np.array([0.125, 0.0])},
+        beta={("AAA", "m"): np.array([0.6, -0.8]), ("AAA", "f"): np.array([1.0, 0.0])},
+        kappa={("AAA", "m"): np.array([0.1, 0.2, -0.3]),
+               ("AAA", "f"): np.array([-0.0, 0.0, 0.0])},
+    )
+    sigma = np.diag([0.25, 0.5, 1e-300, 2.0])
+    sigma[0, 1] = sigma[1, 0] = 0.125
+    phi = np.ones(MAX_WEEKS)
+    phi[0], phi[51], phi[52] = 1.25, 0.75, 0.75
+    K = np.full((2, MAX_WEEKS), np.nan)
+    K[0, :2] = [0.5, -0.5]
+    K[1, :3] = [1.0, 2.0, 5e-324]
+    covid = dict(country="BBB", gender="m", ages=(AgeIndex(40, 64), AgeIndex(65, 65)),
+                 years=(2020, 2021), weeks_in_year={2020: 2, 2021: 3}, method=2,
+                 B=np.array([0.6, 0.8]), K=K)
+    coda = dict(year=2021, gender="f", ages=np.arange(40, 42), alpha=np.array([0.5, 0.25]),
+                beta=np.array([2 ** -0.5, -(2 ** -0.5)]), kappa=np.array([1.0, -1.0, 0.0]),
+                explained_variance=0.875)
+    return {
+        ("baseline", "absent"): BaselineModel(**layers),
+        ("baseline", "present"): BaselineModel(
+            **layers, theta={"m": -1.0, "f": -0.5},
+            delta={("AAA", "m"): -0.2, ("AAA", "f"): 0.0},
+            delta_tstat={("AAA", "m"): -1.5, ("AAA", "f"): np.inf},
+            sigma=sigma, series=("K|m", "K|f", "kappa|AAA|m", "kappa|AAA|f")),
+        ("seasonal", "absent"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4),
+        ("seasonal", "present"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4,
+                                                coeffs=np.array([1.5, 0.5, 1.0, 1.0 / 3])),
+        ("covid", "absent"): CovidLayer(**covid),
+        ("covid", "present"): CovidLayer(**covid, V=np.array([0.8, 0.6]),
+                                         X=np.array([0.3, -0.1])),
+        ("coda", "absent"): CodaFit(**coda, degenerate=True),
+        ("coda", "present"): CodaFit(**coda),
+    }
+
+
+# The text save_model writes for each of _tiny_models(), pinned: these are
+# the bytes the model file format has always had.
+BASELINE_ABSENT = """\
+#schema:BaselineModel v1
+key,index1,index2,value
+ages,,,60;61
+years,,,2017;2019
+country,0,,AAA
+A,m,60,-4.5
+B,m,60,0.59999999999999998
+A,m,61,-4.25
+B,m,61,0.80000000000000004
+K,m,2017,1
+K,m,2018,0
+K,m,2019,-1
+A,f,60,-5
+B,f,60,0.80000000000000004
+A,f,61,-4.75
+B,f,61,0.59999999999999998
+K,f,2017,0.5
+K,f,2018,0
+K,f,2019,-0.5
+alpha,AAA|m,60,0.25
+beta,AAA|m,60,0.59999999999999998
+alpha,AAA|m,61,-0.25
+beta,AAA|m,61,-0.80000000000000004
+kappa,AAA|m,2017,0.10000000000000001
+kappa,AAA|m,2018,0.20000000000000001
+kappa,AAA|m,2019,-0.29999999999999999
+alpha,AAA|f,60,0.125
+beta,AAA|f,60,1
+alpha,AAA|f,61,0
+beta,AAA|f,61,0
+kappa,AAA|f,2017,-0
+kappa,AAA|f,2018,0
+kappa,AAA|f,2019,0
+"""
+
+BASELINE_PRESENT = """\
+#schema:BaselineModel v1
+key,index1,index2,value
+ages,,,60;61
+years,,,2017;2019
+country,0,,AAA
+A,m,60,-4.5
+B,m,60,0.59999999999999998
+A,m,61,-4.25
+B,m,61,0.80000000000000004
+K,m,2017,1
+K,m,2018,0
+K,m,2019,-1
+theta,m,,-1
+A,f,60,-5
+B,f,60,0.80000000000000004
+A,f,61,-4.75
+B,f,61,0.59999999999999998
+K,f,2017,0.5
+K,f,2018,0
+K,f,2019,-0.5
+theta,f,,-0.5
+alpha,AAA|m,60,0.25
+beta,AAA|m,60,0.59999999999999998
+alpha,AAA|m,61,-0.25
+beta,AAA|m,61,-0.80000000000000004
+kappa,AAA|m,2017,0.10000000000000001
+kappa,AAA|m,2018,0.20000000000000001
+kappa,AAA|m,2019,-0.29999999999999999
+delta,AAA|m,,-0.20000000000000001
+delta_tstat,AAA|m,,-1.5
+alpha,AAA|f,60,0.125
+beta,AAA|f,60,1
+alpha,AAA|f,61,0
+beta,AAA|f,61,0
+kappa,AAA|f,2017,-0
+kappa,AAA|f,2018,0
+kappa,AAA|f,2019,0
+delta,AAA|f,,0
+delta_tstat,AAA|f,,inf
+series,0,,K|m
+series,1,,K|f
+series,2,,kappa|AAA|m
+series,3,,kappa|AAA|f
+sigma,0,0,0.25
+sigma,0,1,0.125
+sigma,0,2,0
+sigma,0,3,0
+sigma,1,0,0.125
+sigma,1,1,0.5
+sigma,1,2,0
+sigma,1,3,0
+sigma,2,0,0
+sigma,2,1,0
+sigma,2,2,1e-300
+sigma,2,3,0
+sigma,3,0,0
+sigma,3,1,0
+sigma,3,2,0
+sigma,3,3,2
+"""
+
+SEASONAL_ABSENT = """\
+#schema:SeasonalEffect v1
+key,index1,index2,value
+country,,,AAA
+gender,,,f
+knots,,,4
+phi,1,,1.25
+""" + "".join(f"phi,{w},,1\n" for w in range(2, 52)) + """\
+phi,52,,0.75
+phi,53,,0.75
+"""
+
+SEASONAL_PRESENT = SEASONAL_ABSENT + """\
+coef,0,,1.5
+coef,1,,0.5
+coef,2,,1
+coef,3,,0.33333333333333331
+"""
+
+COVID_ABSENT = """\
+#schema:CovidLayer v1
+key,index1,index2,value
+country,,,BBB
+gender,,,m
+method,,,2
+degenerate,,,0
+weeks,2020,,2
+weeks,2021,,3
+age,0,,40_64
+B,0,,0.59999999999999998
+age,1,,65
+B,1,,0.80000000000000004
+K,2020,1,0.5
+K,2020,2,-0.5
+K,2021,1,1
+K,2021,2,2
+K,2021,3,4.9406564584124654e-324
+"""
+
+COVID_PRESENT = COVID_ABSENT + """\
+V,0,,0.80000000000000004
+V,1,,0.59999999999999998
+X,2020,,0.29999999999999999
+X,2021,,-0.10000000000000001
+"""
+
+CODA_ABSENT = """\
+#schema:CodaFit v1
+key,index1,index2,value
+year,,,2021
+gender,,,f
+degenerate,,,1
+explained_variance,,,0.875
+ages,,,40;41
+alpha,40,,0.5
+beta,40,,0.70710678118654757
+alpha,41,,0.25
+beta,41,,-0.70710678118654757
+kappa,1,,1
+kappa,2,,-1
+kappa,3,,0
+"""
+
+CODA_PRESENT = CODA_ABSENT.replace("degenerate,,,1", "degenerate,,,0")
+
+MODEL_TEXT = {
+    ("baseline", "absent"): BASELINE_ABSENT, ("baseline", "present"): BASELINE_PRESENT,
+    ("seasonal", "absent"): SEASONAL_ABSENT, ("seasonal", "present"): SEASONAL_PRESENT,
+    ("covid", "absent"): COVID_ABSENT, ("covid", "present"): COVID_PRESENT,
+    ("coda", "absent"): CODA_ABSENT, ("coda", "present"): CODA_PRESENT,
+}
+
+
+def _assert_same_model(a, b):
+    """Field-by-field equality; arrays must match in dtype, shape, value and
+    NaN positions."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x is None or y is None:
+            assert x is None and y is None, f.name
+        elif isinstance(x, dict):
+            assert x.keys() == y.keys(), f.name
+            for k in x:
+                np.testing.assert_array_equal(x[k], y[k], err_msg=f"{f.name}[{k!r}]", strict=True)
+        elif isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=f.name, strict=True)
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+@pytest.mark.parametrize("kind, variant", sorted(MODEL_TEXT))
+def test_model_format_is_pinned(tmp_path, kind, variant):
+    model = _tiny_models()[(kind, variant)]
+    path = tmp_path / "model.csv"
+    save_model(model, str(path))
+    assert path.read_text(encoding="utf-8") == MODEL_TEXT[(kind, variant)]
+    _assert_same_model(load_model(str(path)), model)
+
+
+def _edited(text, old, new):
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+# (model, edit of its pinned text, text the ParseError must name)
+CORRUPTIONS = {
+    "baseline missing delta_tstat": (
+        BASELINE_PRESENT, ("delta_tstat,AAA|f,,inf\n", ""), "missing row delta_tstat,AAA|f,"),
+    "baseline missing sigma": (BASELINE_PRESENT, ("sigma,2,3,0\n", ""), "missing row sigma,2,3"),
+    "baseline missing theta": (BASELINE_PRESENT, ("theta,f,,-0.5\n", ""), "missing row theta,f,"),
+    "baseline missing A": (BASELINE_ABSENT, ("A,f,61,-4.75\n", ""), "missing row A,f,61"),
+    "baseline bad float": (BASELINE_ABSENT, ("A,m,61,-4.25", "A,m,61,-4.2.5"), "row A,m,61"),
+    "baseline bad age span": (BASELINE_ABSENT, ("ages,,,60;61", "ages,,,60"), "row ages,,"),
+    "baseline bad country index": (BASELINE_ABSENT, ("country,0,", "country,x,"),
+                                   "missing row country,0,"),
+    "covid missing K": (COVID_PRESENT, ("K,2021,2,2\n", ""), "missing row K,2021,2"),
+    "covid missing first X": (COVID_PRESENT, ("X,2020,,0.29999999999999999\n", ""),
+                              "missing row X,2020,"),
+    "covid missing V": (COVID_PRESENT, ("V,0,,0.80000000000000004\n", ""), "missing row V,0,"),
+    "covid bad method": (COVID_ABSENT, ("method,,,2", "method,,,two"), "row method,,"),
+    "covid bad age label": (COVID_ABSENT, ("age,1,,65", "age,1,,6x5"), "row age,1,"),
+    "covid inverted age group": (COVID_ABSENT, ("age,0,,40_64", "age,0,,64_40"), "row age,0,"),
+    "covid bad degenerate flag": (COVID_ABSENT, ("degenerate,,,0", "degenerate,,,no"),
+                                  "row degenerate,,"),
+    "covid too many weeks": (COVID_ABSENT, ("weeks,2021,,3", "weeks,2021,,54"), "row weeks,2021,"),
+    "covid bad year": (COVID_ABSENT, ("weeks,2020,,2", "weeks,20x0,,2"), "row weeks,20x0"),
+    "seasonal missing coef": (SEASONAL_PRESENT, ("coef,2,,1\n", ""), "missing row coef,2,"),
+    "seasonal missing phi": (SEASONAL_ABSENT, ("phi,17,,1\n", ""), "missing row phi,17,"),
+    "seasonal bad knots": (SEASONAL_ABSENT, ("knots,,,4", "knots,,,4.5"), "row knots,,"),
+    "seasonal missing country": (SEASONAL_ABSENT, ("country,,,AAA\n", ""),
+                                 "missing row country,,"),
+    "coda missing kappa": (CODA_ABSENT, ("kappa,1,,1\n", ""), "missing row kappa,1,"),
+    "coda bad year": (CODA_ABSENT, ("year,,,2021", "year,,,"), "row year,,"),
+    "coda unexpected row": (CODA_ABSENT, ("kappa,3,,0\n", "kappa,3,,0\nkappa_x,1,,0\n"),
+                            "unexpected row kappa_x,1,"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_malformed_model_file_is_a_parse_error(tmp_path, case):
+    text, (old, new), names = CORRUPTIONS[case]
+    path = tmp_path / "model.csv"
+    path.write_text(_edited(text, old, new), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    assert names in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# save -> load -> save round trip of random models
+
+AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1)
+# Free fields take any double; sums of constrained ones must not overflow.
+ANY_FLOAT = st.one_of(st.sampled_from(AWKWARD), st.floats())
+FINITE = st.one_of(st.sampled_from(AWKWARD), st.floats(-1e300, 1e300))
+LABEL = st.text(alphabet='AB|, "x', max_size=4)
+
+
+def _floats(draw, n, elements=ANY_FLOAT):
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+
+def _unit(draw, n, nonnegative_sum=False):
+    """A unit vector, some of its entries -0.0 or subnormal."""
+    v = _floats(draw, n, st.one_of(st.floats(-1, 1), st.sampled_from((-0.0, 5e-324, -5e-324))))
+    if np.linalg.norm(v) < 0.1:
+        v[0] += 1.0
+    v = v / np.linalg.norm(v)
+    return -v if nonnegative_sum and v.sum() < 0 else v
+
+
+def _zero_sum(draw, n, elements=FINITE):
+    """Adjacent pairs (x, -x), which NumPy's pairwise sum adds up to exactly
+    zero; an odd length ends in a signed zero."""
+    v = [y for x in draw(st.lists(elements, min_size=n // 2, max_size=n // 2)) for y in (x, -x)]
+    return np.array(v + [draw(st.sampled_from((0.0, -0.0)))] * (n % 2))
+
+
+@st.composite
+def baseline_models(draw):
+    nx, nt = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ages = np.arange(nx) + draw(st.integers(0, 100))
+    years = np.arange(nt) + draw(st.integers(1900, 2100))
+    countries = tuple(draw(st.lists(LABEL, min_size=1, max_size=2, unique=True)))
+    cgs = [(c, g) for c in countries for g in GENDERS]
+    fields = dict(
+        countries=countries, ages=ages, years=years,
+        A={g: _floats(draw, nx) for g in GENDERS}, B={g: _unit(draw, nx) for g in GENDERS},
+        K={g: _zero_sum(draw, nt) for g in GENDERS},
+        alpha={cg: _floats(draw, nx) for cg in cgs}, beta={cg: _unit(draw, nx) for cg in cgs},
+        kappa={cg: _zero_sum(draw, nt) for cg in cgs},
+    )
+    if draw(st.booleans()):
+        fields["theta"] = {g: draw(ANY_FLOAT) for g in GENDERS}
+    if draw(st.booleans()):
+        fields["delta"] = {cg: draw(ANY_FLOAT) for cg in cgs}
+        fields["delta_tstat"] = {cg: draw(ANY_FLOAT) for cg in cgs}
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        u = _floats(draw, n, st.floats(-1, 1))
+        d = _floats(draw, n, st.one_of(st.sampled_from((0.0, 5e-324, 1e300)), st.floats(0, 10)))
+        fields["sigma"] = np.outer(u, u) + np.diag(d)
+        fields["series"] = tuple(draw(st.lists(LABEL, min_size=n, max_size=n)))
+    return BaselineModel(**fields)
+
+
+@st.composite
+def seasonal_models(draw):
+    phi = _floats(draw, MAX_WEEKS, st.floats(0.5, 2.0))
+    phi[:52] /= phi[:52].mean()
+    phi[52] = draw(st.sampled_from((5e-324, 1e300, phi[51])))
+    coeffs = None
+    if draw(st.booleans()):
+        coeffs = _floats(draw, draw(st.integers(1, 6)))
+    return SeasonalEffect(country=draw(LABEL), gender=draw(LABEL), phi=phi,
+                          knots=draw(st.integers(-3, 60)), coeffs=coeffs)
+
+
+@st.composite
+def covid_layers(draw):
+    lows = np.cumsum([draw(st.integers(0, 90))] + draw(st.lists(st.integers(1, 5), max_size=3)))
+    ages = tuple(AgeIndex(int(lo), int(hi) - 1) for lo, hi in zip(lows, lows[1:]))
+    ages += (AgeIndex(int(lows[-1]), int(lows[-1]) + draw(st.integers(0, 30))),)
+    years = tuple(sorted(draw(st.sets(st.integers(2015, 2025), min_size=1, max_size=3))))
+    weeks = {t: draw(st.integers(0, MAX_WEEKS)) for t in years}
+    K = np.full((len(years), MAX_WEEKS), np.nan)
+    for j, t in enumerate(years):
+        K[j, :weeks[t]] = _floats(draw, weeks[t])
+    degenerate = draw(st.booleans())
+    unit = (lambda n: _floats(draw, n)) if degenerate else (lambda n: _unit(draw, n, True))
+    return CovidLayer(
+        country=draw(LABEL), gender=draw(LABEL), ages=ages, years=years, weeks_in_year=weeks,
+        method=draw(st.sampled_from((1, 2))), B=unit(len(ages)), K=K,
+        V=unit(len(ages)) if draw(st.booleans()) else None,
+        X=_floats(draw, len(years)) if draw(st.booleans()) else None, degenerate=degenerate,
+    )
+
+
+@st.composite
+def coda_fits(draw):
+    nx = draw(st.integers(2, 5))
+    beta = _zero_sum(draw, nx, st.floats(-1, 1))
+    if np.linalg.norm(beta) < 0.1:
+        beta[:2] = 1.0, -1.0
+    return CodaFit(
+        year=draw(st.integers(1900, 2100)), gender=draw(LABEL),
+        ages=np.arange(nx) + draw(st.integers(0, 100)), alpha=_floats(draw, nx),
+        beta=beta / np.linalg.norm(beta), kappa=_zero_sum(draw, draw(st.integers(0, 53))),
+        explained_variance=draw(st.sampled_from((0.0, -0.0, 5e-324, 1.0)) | st.floats(0, 1)),
+        degenerate=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(baseline_models(), seasonal_models(), covid_layers(), coda_fits()))
+def test_model_save_load_save_round_trip(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("roundtrip") / "model.csv"
+    save_model(model, str(path))
+    text = path.read_text(encoding="utf-8")
+    back = load_model(str(path))
+    _assert_same_model(back, model)
+    save_model(back, str(path))
+    assert path.read_text(encoding="utf-8") == text

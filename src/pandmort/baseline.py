@@ -2,12 +2,14 @@
 multi-population baseline, plus the joint random-walk fit of the period
 effects.
 
-Both stages maximize a Poisson log-likelihood of the bilinear form
-``sum(D * (base + a + b*k) - E * exp(base + a + b*k))`` with alternating
-per-block Newton updates (the a-update is exact; the b- and k-updates are
-damped Newton steps so the likelihood log is monotone).  Identification
-constraints (mean-zero period effect, unit-norm age effect) are reapplied
-after every sweep, which leaves the likelihood unchanged.
+Both stages, and the pandemic layer in `covid_layer`, maximize one Poisson
+log-likelihood of the bilinear form
+``sum(D * (base + a + b*k) - E * exp(base + a + b*k))`` (`loglik`, with its
+analytic gradient `score`) by alternating per-block Newton updates.  The
+a-update is exact; the b- and k-steps are halved until lnL does not fall, so
+lnL never decreases from sweep to sweep.  Identification constraints
+(mean-zero period effect, unit-norm age effect) are reapplied after every
+sweep, which leaves the likelihood unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +28,21 @@ REL_TOL = 1e-10
 MAX_ITER = 10_000
 
 
-def _loglik(D, E, base, a, b, k, mask):
+def _usable(D, E):
+    """Cells that enter the likelihood: finite D and E, and E > 0."""
+    return np.isfinite(D) & np.isfinite(E) & (E > 0)
+
+
+def _fitted(E, base, a, b, k, mask):
+    """Fitted deaths ``E * exp(base + a + b k)`` on the used cells, 0 elsewhere."""
+    return np.where(mask, E * np.exp(base + a[:, None] + np.outer(b, k)), 0.0)
+
+
+def loglik(D, E, a, b, k, base=0.0, mask=None):
+    """Poisson log-likelihood ``sum(D * eta - E * exp(eta))`` with
+    ``eta = base + a + b k``, up to a constant, over the used cells (all
+    usable cells when ``mask`` is None); -inf when ``exp`` overflows."""
+    mask = _usable(D, E) if mask is None else mask
     eta = base + a[:, None] + np.outer(b, k)
     with np.errstate(over="raise"):
         try:
@@ -34,6 +50,22 @@ def _loglik(D, E, base, a, b, k, mask):
         except FloatingPointError:
             return -np.inf
     return val
+
+
+def score(D, E, a, b, k, base=0.0):
+    """Analytic gradient of `loglik` over the usable cells -> (da, db, dk)."""
+    mask = _usable(D, E)
+    resid = np.where(mask, D, 0.0) - _fitted(E, base, a, b, k, mask)
+    return resid.sum(axis=1), resid @ k, b @ resid
+
+
+# `score` of the common and country stages, in their parameter-first order.
+def score_common(A, B, K, D, E):
+    return score(D, E, A, B, K)
+
+
+def score_country(alpha, beta, kappa, base, D, E):
+    return score(D, E, alpha, beta, kappa, base)
 
 
 def _damped_update(D, E, base, a, b, k, mask, which, delta, lnl_before):
@@ -45,38 +77,36 @@ def _damped_update(D, E, base, a, b, k, mask, which, delta, lnl_before):
     for _ in range(40):
         new = (b if which == "b" else k) + step * delta
         b_k = (new, k) if which == "b" else (b, new)
-        cand = _loglik(D, E, base, a, *b_k, mask)
+        cand = loglik(D, E, a, *b_k, base, mask)
         if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
             return new, cand
         step *= 0.5
     raise NumericalError(f"step halving failed to restore lnL in the {which} update")
 
 
-def fit_bilinear_poisson(D, E, base=None, fit_level=True, a0=None, b0=None, k0=None,
-                         rel_tol=REL_TOL, max_iter=MAX_ITER):
+def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     """Core alternating-Newton fit of ``D ~ Poisson(E * exp(base + a + b k))``.
 
     Cells with ``E == 0`` (or NaN in either array) are excluded from the
     likelihood.  When ``fit_level`` is False the per-age level ``a`` stays
-    fixed at ``a0`` (zero by default) and the period effect is not centered.
-    Returns ``(a, b, k, trace)`` where ``trace`` is the iteration log of
-    (iteration, lnL, max parameter change) tuples.
+    at zero and the period effect is not centered.  Stops when lnL changes
+    by at most ``REL_TOL`` relative, and raises NumericalError after
+    ``MAX_ITER`` sweeps.  Returns ``(a, b, k, trace)`` where ``trace`` is the
+    iteration log of (iteration, lnL, max parameter change) tuples.
     """
     D = np.asarray(D, dtype=float)
     E = np.asarray(E, dtype=float)
     nx, nt = D.shape
-    mask = np.isfinite(D) & np.isfinite(E) & (E > 0)
+    mask = _usable(D, E)
     if not mask.any():
         raise NumericalError("no usable cells in likelihood")
     if (D[mask] < 0).any():
         raise ValidationError("negative death counts in likelihood")
-    base = np.zeros((nx, nt)) if base is None else np.asarray(base, dtype=float)
+    base = np.asarray(base, dtype=float)
 
     Dm = np.where(mask, D, 0.0)
     Em = np.where(mask, E, 0.0)
-    if a0 is not None:
-        a = np.asarray(a0, dtype=float).copy()
-    elif fit_level:
+    if fit_level:
         with np.errstate(divide="ignore"):
             rows_d = Dm.sum(axis=1)
             rows_e = (Em * np.exp(np.where(mask, base, 0.0))).sum(axis=1)
@@ -86,34 +116,30 @@ def fit_bilinear_poisson(D, E, base=None, fit_level=True, a0=None, b0=None, k0=N
     b = (np.full(nx, 1.0 / np.sqrt(nx)) if b0 is None else np.asarray(b0, dtype=float).copy())
     k = (np.zeros(nt) if k0 is None else np.asarray(k0, dtype=float).copy())
 
-    lnl = _loglik(D, E, base, a, b, k, mask)
+    lnl = loglik(D, E, a, b, k, base, mask)
     if not np.isfinite(lnl):
         raise NumericalError("non-finite log-likelihood at starting values")
     trace = [(0, lnl, np.inf)]
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         prev = (a.copy(), b.copy(), k.copy())
-        eta = base + a[:, None] + np.outer(b, k)
-        dhat = np.where(mask, Em * np.exp(eta), 0.0)
+        dhat = _fitted(Em, base, a, b, k, mask)
 
         if fit_level:
             rows_d = Dm.sum(axis=1)
             rows_h = dhat.sum(axis=1)
             ok = (rows_d > 0) & (rows_h > 0)
             a = a + np.where(ok, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_h, 1e-300)), 0.0)
-            eta = base + a[:, None] + np.outer(b, k)
-            dhat = np.where(mask, Em * np.exp(eta), 0.0)
-            lnl = _loglik(D, E, base, a, b, k, mask)
+            dhat = _fitted(Em, base, a, b, k, mask)
+            lnl = loglik(D, E, a, b, k, base, mask)
 
-        resid = Dm - dhat
-        num = resid @ k
+        # Newton steps on b, then k: the score component over its curvature.
+        num = (Dm - dhat) @ k
         den = dhat @ (k * k)
         delta_b = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
         b, lnl = _damped_update(D, E, base, a, b, k, mask, "b", delta_b, lnl)
 
-        eta = base + a[:, None] + np.outer(b, k)
-        dhat = np.where(mask, Em * np.exp(eta), 0.0)
-        resid = Dm - dhat
-        num = b @ resid
+        dhat = _fitted(Em, base, a, b, k, mask)
+        num = b @ (Dm - dhat)
         den = (b * b) @ dhat
         delta_k = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
         k, lnl = _damped_update(D, E, base, a, b, k, mask, "k", delta_k, lnl)
@@ -128,20 +154,20 @@ def fit_bilinear_poisson(D, E, base=None, fit_level=True, a0=None, b0=None, k0=N
             b = b / norm
             k = k * norm
 
-        lnl_new = _loglik(D, E, base, a, b, k, mask)
+        lnl_new = loglik(D, E, a, b, k, base, mask)
         if not np.isfinite(lnl_new):
             raise NumericalError("non-finite log-likelihood during iteration", trace)
         change = max(
             np.abs(a - prev[0]).max(), np.abs(b - prev[1]).max(), np.abs(k - prev[2]).max()
         )
         trace.append((it, lnl_new, change))
-        if abs(lnl_new - trace[-2][1]) <= rel_tol * (abs(lnl_new) + 1.0):
+        if abs(lnl_new - trace[-2][1]) <= REL_TOL * (abs(lnl_new) + 1.0):
             return a, b, k, trace
         lnl = lnl_new
-    raise NumericalError(f"no convergence after {max_iter} iterations", trace)
+    raise NumericalError(f"no convergence after {MAX_ITER} iterations", trace)
 
 
-def calibrate_common(panel, rel_tol=REL_TOL, max_iter=MAX_ITER):
+def calibrate_common(panel):
     """Stage one: fit the common (A, B, K) per gender on aggregated data.
 
     The sign convention makes K decreasing overall (mortality improves);
@@ -150,7 +176,7 @@ def calibrate_common(panel, rel_tol=REL_TOL, max_iter=MAX_ITER):
     D, E = panel.aggregate()
     out = {}
     for gi, g in enumerate(GENDERS):
-        a, b, k, trace = fit_bilinear_poisson(D[gi], E[gi], rel_tol=rel_tol, max_iter=max_iter)
+        a, b, k, trace = fit_bilinear_poisson(D[gi], E[gi])
         if np.sum(np.diff(k)) > 0:
             b, k = -b, -k
         out[g] = (a, b, k, trace)
@@ -158,17 +184,14 @@ def calibrate_common(panel, rel_tol=REL_TOL, max_iter=MAX_ITER):
     return out
 
 
-def calibrate_country(panel, country, common, rel_tol=REL_TOL, max_iter=MAX_ITER):
+def calibrate_country(panel, country, common):
     """Stage two: fit (alpha, beta, kappa) for one country given the common
     layer as a fixed offset.  Sign convention: sum(beta) >= 0."""
     D, E = panel.country(country)
     out = {}
     for gi, g in enumerate(GENDERS):
         _, B, K, _ = common[g]
-        base = np.outer(B, K)
-        a, b, k, trace = fit_bilinear_poisson(
-            D[gi], E[gi], base=base, rel_tol=rel_tol, max_iter=max_iter
-        )
+        a, b, k, trace = fit_bilinear_poisson(D[gi], E[gi], base=np.outer(B, K))
         if b.sum() < 0:
             b, k = -b, -k
         out[g] = (a, b, k, trace)
@@ -176,14 +199,14 @@ def calibrate_country(panel, country, common, rel_tol=REL_TOL, max_iter=MAX_ITER
     return out
 
 
-def calibrate_baseline(panel, rel_tol=REL_TOL, max_iter=MAX_ITER, with_time_series=True,
-                       traces=None):
-    """Run both stages over all countries and genders; returns a BaselineModel.
+def calibrate_baseline(panel, traces=None):
+    """Run both stages over all countries and genders, then the joint
+    random-walk fit; returns a BaselineModel.
 
     When ``traces`` is a dict it is populated with the iteration logs, keyed
     ("common", g) and (country, g).
     """
-    common = calibrate_common(panel, rel_tol=rel_tol, max_iter=max_iter)
+    common = calibrate_common(panel)
     A = {g: common[g][0] for g in GENDERS}
     B = {g: common[g][1] for g in GENDERS}
     K = {g: common[g][2] for g in GENDERS}
@@ -192,7 +215,7 @@ def calibrate_baseline(panel, rel_tol=REL_TOL, max_iter=MAX_ITER, with_time_seri
             traces[("common", g)] = common[g][3]
     alpha, beta, kappa = {}, {}, {}
     for c in panel.countries:
-        stage2 = calibrate_country(panel, c, common, rel_tol=rel_tol, max_iter=max_iter)
+        stage2 = calibrate_country(panel, c, common)
         for g in GENDERS:
             alpha[(c, g)], beta[(c, g)], kappa[(c, g)], _ = stage2[g]
             if traces is not None:
@@ -201,40 +224,7 @@ def calibrate_baseline(panel, rel_tol=REL_TOL, max_iter=MAX_ITER, with_time_seri
         countries=panel.countries, ages=panel.ages, years=panel.years,
         A=A, B=B, K=K, alpha=alpha, beta=beta, kappa=kappa,
     )
-    if with_time_series:
-        model = fit_time_series(model)
-    return model.validate()
-
-
-# ---------------------------------------------------------------------------
-# likelihoods and analytic scores, exposed for gradient checking
-
-
-def loglik_common(A, B, K, D, E):
-    eta = A[:, None] + np.outer(B, K)
-    mask = E > 0
-    return np.where(mask, D * eta - E * np.exp(eta), 0.0).sum()
-
-
-def score_common(A, B, K, D, E):
-    """Analytic gradient of `loglik_common` -> (dA, dB, dK)."""
-    eta = A[:, None] + np.outer(B, K)
-    mask = E > 0
-    resid = np.where(mask, D - E * np.exp(eta), 0.0)
-    return resid.sum(axis=1), resid @ K, B @ resid
-
-
-def loglik_country(alpha, beta, kappa, base, D, E):
-    eta = base + alpha[:, None] + np.outer(beta, kappa)
-    mask = E > 0
-    return np.where(mask, D * (alpha[:, None] + np.outer(beta, kappa)) - E * np.exp(eta), 0.0).sum()
-
-
-def score_country(alpha, beta, kappa, base, D, E):
-    eta = base + alpha[:, None] + np.outer(beta, kappa)
-    mask = E > 0
-    resid = np.where(mask, D - E * np.exp(eta), 0.0)
-    return resid.sum(axis=1), resid @ kappa, beta @ resid
+    return fit_time_series(model).validate()
 
 
 # ---------------------------------------------------------------------------

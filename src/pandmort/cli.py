@@ -287,8 +287,7 @@ def stage_calibrate_covid(cfg, out):
             layer = cl.calibrate_covid(work, pred, cfg.method)
             _write(layer, _covid_path(out, c, g), ds.save_model, cfg)
             # (year, week) rows in file order, ages along the last axis
-            used = np.arange(ds.MAX_WEEKS) < np.array([work.weeks_in_year[t]
-                                                       for t in work.years])[:, None]
+            used = ds.week_mask(work.years, work.weeks_in_year)
             obs = np.moveaxis(work.deaths, 0, -1)[used]
             base = np.moveaxis(pred, 0, -1)[used]
             fitted = base * np.exp(layer.B * layer.K[used][:, None])

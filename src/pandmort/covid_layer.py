@@ -13,8 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baseline import baseline_mu, fit_bilinear_poisson
-from .datastore import MAX_WEEKS, AgeIndex, CovidLayer, WeeklyPanel
+from .baseline import baseline_mu, fit_bilinear_poisson, score
+from .datastore import MAX_WEEKS, AgeIndex, CovidLayer, WeeklyPanel, week_mask
 from .errors import NumericalError, ValidationError
 from .exposures import disaggregate_deaths
 
@@ -59,21 +59,16 @@ def predicted_deaths(panel, mu, seasonal=None, method=2):
     return pred
 
 
-def calibrate_covid(panel, pred, method, rel_tol=1e-10, max_iter=10_000):
+def calibrate_covid(panel, pred, method):
     """Fit the pandemic age effect B and week effect K.
 
     Maximizes sum(D * B K - Dpred * exp(B K)) over used cells, with ||B|| = 1
     and sum(B) >= 0; K is free per (year, week).  Returns a CovidLayer.
     """
     nages = len(panel.ages)
-    cols = []
-    col_keys = []
-    for j, t in enumerate(panel.years):
-        for w in range(1, panel.weeks_in_year[t] + 1):
-            cols.append((panel.deaths[:, j, w - 1], pred[:, j, w - 1]))
-            col_keys.append((t, w))
-    D = np.stack([c[0] for c in cols], axis=1)
-    P = np.stack([c[1] for c in cols], axis=1)
+    used = week_mask(panel.years, panel.weeks_in_year)
+    D = np.ascontiguousarray(panel.deaths[:, used])
+    P = np.ascontiguousarray(pred[:, used])
     if not np.isfinite(D).all() or not np.isfinite(P).all():
         raise ValidationError("non-finite cells in pandemic calibration")
     if (P <= 0).any():
@@ -87,9 +82,7 @@ def calibrate_covid(panel, pred, method, rel_tol=1e-10, max_iter=10_000):
     tot_p = P.sum(axis=0)
     with np.errstate(divide="ignore"):
         k0 = np.where(tot_d > 0, np.sqrt(nages) * np.log(np.maximum(tot_d, 1e-300) / tot_p), 0.0)
-    _, b, k, trace = fit_bilinear_poisson(
-        D, P, fit_level=False, b0=b0, k0=k0, rel_tol=rel_tol, max_iter=max_iter
-    )
+    _, b, k, trace = fit_bilinear_poisson(D, P, fit_level=False, b0=b0, k0=k0)
     if b.sum() < 0:
         b, k = -b, -k
     log.info(
@@ -97,8 +90,7 @@ def calibrate_covid(panel, pred, method, rel_tol=1e-10, max_iter=10_000):
         panel.country, panel.gender, method, trace[-1][0], trace[-1][1],
     )
     K = np.full((len(panel.years), MAX_WEEKS), np.nan)
-    for (t, w), kv in zip(col_keys, k):
-        K[panel.years.index(t), w - 1] = kv
+    K[used] = k
     return CovidLayer(
         country=panel.country, gender=panel.gender, ages=panel.ages,
         years=panel.years, weeks_in_year=dict(panel.weeks_in_year),
@@ -106,23 +98,14 @@ def calibrate_covid(panel, pred, method, rel_tol=1e-10, max_iter=10_000):
     ).validate()
 
 
-def loglik_covid(b, k, D, P):
-    eta = np.outer(b, k)
-    return (D * eta - P * np.exp(eta)).sum()
-
-
+# `score` of the pandemic fit (no level term) -> (db, dk).
 def score_covid(b, k, D, P):
-    """Analytic gradient of `loglik_covid` -> (db, dk)."""
-    resid = D - P * np.exp(np.outer(b, k))
-    return resid @ k, b @ resid
+    return score(D, P, np.zeros(len(b)), b, k)[1:]
 
 
 def flatten_weeks(layer_or_panel, array):
     """Flatten a (nyears, 53) NaN-padded week array to the used columns."""
-    vals = []
-    for j, t in enumerate(layer_or_panel.years):
-        vals.extend(array[j, : layer_or_panel.weeks_in_year[t]])
-    return np.array(vals)
+    return array[week_mask(layer_or_panel.years, layer_or_panel.weeks_in_year)]
 
 
 # The last group of each level is open-ended; aggregation clips it to the

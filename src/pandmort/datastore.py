@@ -53,10 +53,9 @@ class AgeIndex:
     @staticmethod
     def from_label(label):
         parts = label.split("_")
-        if len(parts) == 1:
-            a = int(parts[0])
-            return AgeIndex(a, a)
-        return AgeIndex(int(parts[0]), int(parts[1]))
+        if len(parts) > 2:
+            raise ValueError(f"age label {label!r} has more than two parts")
+        return AgeIndex(int(parts[0]), int(parts[-1]))
 
 
 def check_age_partition(ages):
@@ -141,6 +140,11 @@ class AnnualPanel:
 
 
 MAX_WEEKS = 53
+
+
+def week_mask(years, weeks_in_year):
+    """The (nyears, 53) mask of the weeks that exist, in (year, week) order."""
+    return np.arange(MAX_WEEKS) < np.array([weeks_in_year[t] for t in years])[:, None]
 
 
 @dataclass(frozen=True)
@@ -755,8 +759,7 @@ def read_annual_panel_csv(path):
 
 
 def write_weekly_panel_csv(panel, path):
-    weeks = np.array([panel.weeks_in_year[t] for t in panel.years])
-    used = np.broadcast_to(np.arange(MAX_WEEKS) < weeks[:, None], panel.deaths.shape)
+    used = np.broadcast_to(week_mask(panel.years, panel.weeks_in_year), panel.deaths.shape)
     year_weeks = [(t, w) for t in panel.years for w in range(1, panel.weeks_in_year[t] + 1)]
     keys = itertools.product([a.label for a in panel.ages], year_weeks)
     deaths = panel.deaths[used].tolist()
@@ -773,6 +776,13 @@ def write_weekly_panel_csv(panel, path):
 def read_weekly_panel_csv(path, country, gender):
     (a_col, t_col, w_col, d_col, e_col), lineno = _read_columns(path, _WEEKLY_HEADER, 5)
     labels, ai = _levels(path, a_col, lineno)
+    ages = []
+    for i, label in enumerate(labels):
+        try:
+            ages.append(AgeIndex.from_label(label))
+        except (ValueError, ValidationError):
+            k = int(np.argmax(ai == i))
+            raise ParseError(f"{path}: line {lineno(k)}: bad age label {label!r}") from None
     years, ti = _levels(path, t_col, lineno, numeric=True)
     week_levels, wi = _levels(path, w_col, lineno, numeric=True)
     week = week_levels[wi]
@@ -799,6 +809,6 @@ def read_weekly_panel_csv(path, country, gender):
         expos.flat[flat] = _numbers(path, e_col, float, lineno)
     years = years.tolist()
     return WeeklyPanel(country=country, gender=gender,
-                       ages=tuple(AgeIndex.from_label(lab) for lab in labels),
+                       ages=tuple(ages),
                        years=tuple(years), weeks_in_year=dict(zip(years, last_week.tolist())),
                        deaths=deaths, exposures=expos).validate()

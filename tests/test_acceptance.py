@@ -60,21 +60,26 @@ def test_criterion_02_score_finite_differences():
     true_a = rng.normal(-3.0, 0.2, nx)
     D = rng.poisson(E * np.exp(true_a)[:, None]).astype(float)
 
+    def fd_error(D, E, a, b, k, base=0.0, blocks=slice(0, 3)):
+        """`score`'s blocks against central differences of `loglik`."""
+        grads = bl.score(D, E, a, b, k, base)[blocks]
+        return fd_gradient_error(lambda: bl.loglik(D, E, a, b, k, base), grads,
+                                 [a, b, k][blocks])
+
+    def assert_exactly(wrapped, full):
+        assert len(wrapped) == len(full)
+        for w, f in zip(wrapped, full):
+            np.testing.assert_array_equal(w, f)
+
     # common stage: 10 random points plus the fitted optimum
     for _ in range(10):
         a = rng.normal(-3.0, 0.2, nx)
         b = rng.normal(0.3, 0.05, nx)
         k = rng.normal(0.0, 0.5, nt)
-        err = fd_gradient_error(
-            lambda: bl.loglik_common(a, b, k, D, E),
-            bl.score_common(a, b, k, D, E), [a, b, k],
-        )
-        assert err < 1e-6
+        assert fd_error(D, E, a, b, k) < 1e-6
+        assert_exactly(bl.score_common(a, b, k, D, E), bl.score(D, E, a, b, k))
     a, b, k, _ = bl.fit_bilinear_poisson(D, E)
-    assert fd_gradient_error(
-        lambda: bl.loglik_common(a, b, k, D, E),
-        bl.score_common(a, b, k, D, E), [a, b, k],
-    ) < 1e-6
+    assert fd_error(D, E, a, b, k) < 1e-6
 
     # country stage, with a fixed common-layer offset
     base = np.outer(rng.normal(0.3, 0.05, nx), rng.normal(0.0, 0.5, nt)) * 0.1
@@ -82,33 +87,23 @@ def test_criterion_02_score_finite_differences():
         al = rng.normal(-3.0, 0.2, nx)
         be = rng.normal(0.3, 0.05, nx)
         ka = rng.normal(0.0, 0.5, nt)
-        err = fd_gradient_error(
-            lambda: bl.loglik_country(al, be, ka, base, D, E),
-            bl.score_country(al, be, ka, base, D, E), [al, be, ka],
-        )
-        assert err < 1e-6
+        assert fd_error(D, E, al, be, ka, base) < 1e-6
+        assert_exactly(bl.score_country(al, be, ka, base, D, E),
+                       bl.score(D, E, al, be, ka, base))
     al, be, ka, _ = bl.fit_bilinear_poisson(D, E, base=base)
-    assert fd_gradient_error(
-        lambda: bl.loglik_country(al, be, ka, base, D, E),
-        bl.score_country(al, be, ka, base, D, E), [al, be, ka],
-    ) < 1e-6
+    assert fd_error(D, E, al, be, ka, base) < 1e-6
 
-    # pandemic stage (deaths vs predicted deaths, no level term)
+    # pandemic stage (deaths vs predicted deaths, no level term: a = 0)
     P = rng.uniform(30.0, 100.0, (nx, nt))
     Dc = rng.poisson(P * 1.3).astype(float)
+    zero = np.zeros(nx)
     for _ in range(10):
         bb = rng.normal(0.3, 0.05, nx)
         kk = rng.normal(0.0, 0.5, nt)
-        err = fd_gradient_error(
-            lambda: cv.loglik_covid(bb, kk, Dc, P),
-            cv.score_covid(bb, kk, Dc, P), [bb, kk],
-        )
-        assert err < 1e-6
+        assert fd_error(Dc, P, zero, bb, kk, blocks=slice(1, 3)) < 1e-6
+        assert_exactly(cv.score_covid(bb, kk, Dc, P), bl.score(Dc, P, zero, bb, kk)[1:])
     _, bb, kk, _ = bl.fit_bilinear_poisson(Dc, P, fit_level=False)
-    assert fd_gradient_error(
-        lambda: cv.loglik_covid(bb, kk, Dc, P),
-        cv.score_covid(bb, kk, Dc, P), [bb, kk],
-    ) < 1e-6
+    assert fd_error(Dc, P, zero, bb, kk, blocks=slice(1, 3)) < 1e-6
 
 
 def test_criterion_03_constraint_suite(baseline_model, pandemic_truth, phi_truth):

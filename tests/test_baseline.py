@@ -60,12 +60,25 @@ def test_fit_bilinear_no_usable_cells():
 def test_fit_bilinear_raises_when_halving_fails(monkeypatch):
     # an lnL that drops at every evaluation can never be restored by halving
     calls = itertools.count(1)
-    monkeypatch.setattr(bl, "_loglik", lambda *args: -float(next(calls)))
+    monkeypatch.setattr(bl, "loglik", lambda *args: -float(next(calls)))
     D = np.ones((3, 4))
     with pytest.raises(NumericalError, match="halving"):
         bl.fit_bilinear_poisson(D, 10.0 * D)
     # start, level update, then 40 halvings of the b step
     assert next(calls) == 1 + 1 + 40 + 1
+
+
+def test_fit_bilinear_raises_after_max_iter(monkeypatch):
+    rng = np.random.default_rng(1)
+    E = np.full((15, 20), 1e5)
+    D = rng.poisson(E * np.exp(-3.0 + np.outer(rng.uniform(0.1, 0.4, 15),
+                                                np.linspace(2.0, -2.0, 20)))).astype(float)
+    monkeypatch.setattr(bl, "MAX_ITER", 3)
+    with pytest.raises(NumericalError, match="no convergence after 3 iterations") as err:
+        bl.fit_bilinear_poisson(D, E)
+    # the starting point and one entry per sweep
+    assert len(err.value.trace) == 1 + 3
+    assert [t[0] for t in err.value.trace] == [0, 1, 2, 3]
 
 
 def test_calibrate_baseline_constraints(baseline_model):

@@ -168,7 +168,7 @@ def test_halving_failure_exits_4(pipeline, tmp_path, monkeypatch):
     out.mkdir()
     shutil.copy(pipeline["out"] / "annual_panel.csv", out)
     calls = itertools.count(1)
-    monkeypatch.setattr(bl, "_loglik", lambda *args: -float(next(calls)))
+    monkeypatch.setattr(bl, "loglik", lambda *args: -float(next(calls)))
     rc = cli.main(["calibrate-baseline", "--config", str(pipeline["config"]),
                    "--out", str(out)])
     assert rc == 4

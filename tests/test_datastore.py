@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ def test_age_index_labels():
     assert AgeIndex(0, 4).label == "0_4"
     assert AgeIndex.from_label("90_110") == AgeIndex(90, 110)
     assert AgeIndex.from_label("7") == AgeIndex(7, 7)
+    with pytest.raises(ValueError):
+        AgeIndex.from_label("1_2_3")
     assert AgeIndex(5, 5).is_individual
     assert not AgeIndex(5, 9).is_individual
     assert list(AgeIndex(3, 5).ages) == [3, 4, 5]
@@ -390,6 +393,15 @@ def test_weekly_panel_csv_contract_malformed_week(tmp_path, week):
         read_weekly_panel_csv(str(path), "AAA", "f")
 
 
+@pytest.mark.parametrize("label", ["5x", "1_2_3"])
+def test_weekly_panel_csv_contract_malformed_age_label(tmp_path, label):
+    path = tmp_path / "weekly.csv"
+    write_weekly_panel_csv(_small_weekly(), str(path))
+    _rewrite(path, lambda ls: ls[:4] + [f"{label},2021,1,1,150"] + ls[4:])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 5: bad age label '{label}'")):
+        read_weekly_panel_csv(str(path), "AAA", "f")
+
+
 def test_weekly_panel_csv_contract_exposure_on_some_rows_only(tmp_path):
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(_small_weekly(), str(path))
@@ -670,6 +682,8 @@ CORRUPTIONS = {
     "covid bad method": (COVID_ABSENT, ("method,,,2", "method,,,two"), "row method,,"),
     "covid bad age label": (COVID_ABSENT, ("age,1,,65", "age,1,,6x5"), "row age,1,"),
     "covid inverted age group": (COVID_ABSENT, ("age,0,,40_64", "age,0,,64_40"), "row age,0,"),
+    "covid three-part age label": (COVID_ABSENT, ("age,0,,40_64", "age,0,,40_64_70"),
+                                   "row age,0,"),
     "covid bad degenerate flag": (COVID_ABSENT, ("degenerate,,,0", "degenerate,,,no"),
                                   "row degenerate,,"),
     "covid too many weeks": (COVID_ABSENT, ("weeks,2021,,3", "weeks,2021,,54"), "row weeks,2021,"),

@@ -7,9 +7,12 @@ log-likelihood of the bilinear form
 ``sum(D * (base + a + b*k) - E * exp(base + a + b*k))`` (`loglik`, with its
 analytic gradient `score`) by alternating per-block Newton updates.  The
 a-update is exact; the b- and k-steps are halved until lnL does not fall, so
-lnL never decreases from sweep to sweep.  Identification constraints
-(mean-zero period effect, unit-norm age effect) are reapplied after every
-sweep, which leaves the likelihood unchanged.
+lnL never decreases from sweep to sweep.  Each accepted evaluation of lnL
+also gives the fitted deaths ``E * exp(base + a + b*k)`` that the next
+Newton step needs, so a sweep forms the full-grid ``exp`` only once per
+parameter change.  Identification constraints (mean-zero period effect,
+unit-norm age effect) are reapplied after every sweep, which leaves the
+likelihood unchanged.
 """
 
 from __future__ import annotations
@@ -33,9 +36,21 @@ def _usable(D, E):
     return np.isfinite(D) & np.isfinite(E) & (E > 0)
 
 
-def _fitted(E, base, a, b, k, mask):
-    """Fitted deaths ``E * exp(base + a + b k)`` on the used cells, 0 elsewhere."""
-    return np.where(mask, E * np.exp(base + a[:, None] + np.outer(b, k)), 0.0)
+def _evaluate(D, E, off, b, k, mask):
+    """Poisson lnL and fitted deaths at ``eta = off + b k`` from one ``exp``.
+
+    Returns ``(sum(D * eta - E * exp(eta)), E * exp(eta))`` over the used
+    cells, with fitted deaths 0 elsewhere; ``(-inf, None)`` when ``exp``
+    overflows.
+    """
+    eta = off + np.outer(b, k)
+    with np.errstate(over="raise"):
+        try:
+            fitted = E * np.exp(eta)
+            val = np.where(mask, D * eta - fitted, 0.0).sum()
+        except FloatingPointError:
+            return -np.inf, None
+    return val, np.where(mask, fitted, 0.0)
 
 
 def loglik(D, E, a, b, k, base=0.0, mask=None):
@@ -43,19 +58,19 @@ def loglik(D, E, a, b, k, base=0.0, mask=None):
     ``eta = base + a + b k``, up to a constant, over the used cells (all
     usable cells when ``mask`` is None); -inf when ``exp`` overflows."""
     mask = _usable(D, E) if mask is None else mask
-    eta = base + a[:, None] + np.outer(b, k)
-    with np.errstate(over="raise"):
-        try:
-            val = np.where(mask, D * eta - E * np.exp(eta), 0.0).sum()
-        except FloatingPointError:
-            return -np.inf
-    return val
+    return _evaluate(D, E, base + a[:, None], b, k, mask)[0]
 
 
 def score(D, E, a, b, k, base=0.0):
-    """Analytic gradient of `loglik` over the usable cells -> (da, db, dk)."""
+    """Analytic gradient of `loglik` over the usable cells -> (da, db, dk).
+
+    Raises NumericalError when ``exp`` overflows.
+    """
     mask = _usable(D, E)
-    resid = np.where(mask, D, 0.0) - _fitted(E, base, a, b, k, mask)
+    _, fitted = _evaluate(D, E, base + a[:, None], b, k, mask)
+    if fitted is None:
+        raise NumericalError("exp overflow in the score")
+    resid = np.where(mask, D, 0.0) - fitted
     return resid.sum(axis=1), resid @ k, b @ resid
 
 
@@ -68,18 +83,19 @@ def score_country(alpha, beta, kappa, base, D, E):
     return score(D, E, alpha, beta, kappa, base)
 
 
-def _damped_update(D, E, base, a, b, k, mask, which, delta, lnl_before):
+def _damped_update(D, E, off, b, k, mask, which, delta, lnl_before):
     """Apply a Newton step to one block, halving until lnL does not drop.
 
-    Raises NumericalError when 40 halvings do not restore lnL.
+    Returns the new block, its lnL and its fitted deaths.  Raises
+    NumericalError when 40 halvings do not restore lnL.
     """
     step = 1.0
     for _ in range(40):
         new = (b if which == "b" else k) + step * delta
         b_k = (new, k) if which == "b" else (b, new)
-        cand = loglik(D, E, a, *b_k, base, mask)
+        cand, fitted = _evaluate(D, E, off, *b_k, mask)
         if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
-            return new, cand
+            return new, cand, fitted
         step *= 0.5
     raise NumericalError(f"step halving failed to restore lnL in the {which} update")
 
@@ -89,10 +105,13 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
 
     Cells with ``E == 0`` (or NaN in either array) are excluded from the
     likelihood.  When ``fit_level`` is False the per-age level ``a`` stays
-    at zero and the period effect is not centered.  Stops when lnL changes
-    by at most ``REL_TOL`` relative, and raises NumericalError after
-    ``MAX_ITER`` sweeps.  Returns ``(a, b, k, trace)`` where ``trace`` is the
-    iteration log of (iteration, lnL, max parameter change) tuples.
+    at zero and the period effect is not centered.  Every evaluation of lnL
+    that the fit keeps also yields the fitted deaths for the next Newton
+    step: a sweep evaluates the full grid four times (three without the
+    level), plus once per step halving.  Stops when lnL changes by at most
+    ``REL_TOL`` relative, and raises NumericalError after ``MAX_ITER``
+    sweeps.  Returns ``(a, b, k, trace)`` where ``trace`` is the iteration
+    log of (iteration, lnL, max parameter change) tuples.
     """
     D = np.asarray(D, dtype=float)
     E = np.asarray(E, dtype=float)
@@ -105,56 +124,56 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     base = np.asarray(base, dtype=float)
 
     Dm = np.where(mask, D, 0.0)
-    Em = np.where(mask, E, 0.0)
+    rows_d = Dm.sum(axis=1)
     if fit_level:
         with np.errstate(divide="ignore"):
-            rows_d = Dm.sum(axis=1)
-            rows_e = (Em * np.exp(np.where(mask, base, 0.0))).sum(axis=1)
+            rows_e = (np.where(mask, E, 0.0) * np.exp(np.where(mask, base, 0.0))).sum(axis=1)
             a = np.where(rows_d > 0, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_e, 1e-300)), -20.0)
     else:
         a = np.zeros(nx)
     b = (np.full(nx, 1.0 / np.sqrt(nx)) if b0 is None else np.asarray(b0, dtype=float).copy())
     k = (np.zeros(nt) if k0 is None else np.asarray(k0, dtype=float).copy())
 
-    lnl = loglik(D, E, a, b, k, base, mask)
+    off = base + a[:, None]
+    lnl, dhat = _evaluate(D, E, off, b, k, mask)
     if not np.isfinite(lnl):
         raise NumericalError("non-finite log-likelihood at starting values")
     trace = [(0, lnl, np.inf)]
     for it in range(1, MAX_ITER + 1):
-        prev = (a.copy(), b.copy(), k.copy())
-        dhat = _fitted(Em, base, a, b, k, mask)
+        prev = (a, b, k)
 
         if fit_level:
-            rows_d = Dm.sum(axis=1)
             rows_h = dhat.sum(axis=1)
             ok = (rows_d > 0) & (rows_h > 0)
             a = a + np.where(ok, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_h, 1e-300)), 0.0)
-            dhat = _fitted(Em, base, a, b, k, mask)
-            lnl = loglik(D, E, a, b, k, base, mask)
+            off = base + a[:, None]
+            lnl, dhat = _evaluate(D, E, off, b, k, mask)
+            if not np.isfinite(lnl):
+                raise NumericalError("non-finite log-likelihood during iteration", trace)
 
         # Newton steps on b, then k: the score component over its curvature.
         num = (Dm - dhat) @ k
         den = dhat @ (k * k)
         delta_b = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        b, lnl = _damped_update(D, E, base, a, b, k, mask, "b", delta_b, lnl)
+        b, lnl, dhat = _damped_update(D, E, off, b, k, mask, "b", delta_b, lnl)
 
-        dhat = _fitted(Em, base, a, b, k, mask)
         num = b @ (Dm - dhat)
         den = (b * b) @ dhat
         delta_k = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        k, lnl = _damped_update(D, E, base, a, b, k, mask, "k", delta_k, lnl)
+        k, lnl, _ = _damped_update(D, E, off, b, k, mask, "k", delta_k, lnl)
 
         # Reapply identification constraints; likelihood-neutral.
         if fit_level:
             shift = k.mean()
             k = k - shift
             a = a + b * shift
+            off = base + a[:, None]
         norm = np.linalg.norm(b)
         if norm > 0:
             b = b / norm
             k = k * norm
 
-        lnl_new = loglik(D, E, a, b, k, base, mask)
+        lnl_new, dhat = _evaluate(D, E, off, b, k, mask)
         if not np.isfinite(lnl_new):
             raise NumericalError("non-finite log-likelihood during iteration", trace)
         change = max(
@@ -293,18 +312,16 @@ def baseline_mu(model, country, gender, ages, years):
     if (ai >= len(model.ages)).any() or (model.ages[np.minimum(ai, len(model.ages) - 1)] != ages).any():
         raise ValidationError(f"ages outside model range {model.ages[0]}..{model.ages[-1]}")
     last = model.years[-1]
-    K = np.empty(len(years))
-    kap = np.empty(len(years))
-    for j, t in enumerate(years):
-        if t <= last:
-            yj = np.searchsorted(model.years, t)
-            if yj >= len(model.years) or model.years[yj] != t:
-                raise ValidationError(f"year {t} before calibration range")
-            K[j] = model.K[gender][yj]
-            kap[j] = model.kappa[(country, gender)][yj]
-        else:
-            K[j] = model.K[gender][-1] + model.theta[gender] * (t - last)
-            kap[j] = model.kappa[(country, gender)][-1]
+    ahead = years > last
+    yj = np.minimum(np.searchsorted(model.years, years), len(model.years) - 1)
+    missing = ~ahead & (model.years[yj] != years)
+    if missing.any():
+        raise ValidationError(f"year {years[missing][0]} before calibration range")
+    K = model.K[gender][yj]
+    kap = model.kappa[(country, gender)][yj]
+    if ahead.any():
+        K[ahead] = model.K[gender][-1] + model.theta[gender] * (years[ahead] - last)
+        kap[ahead] = model.kappa[(country, gender)][-1]
     B = model.B[gender][ai]
     alpha = model.alpha[(country, gender)][ai]
     beta = model.beta[(country, gender)][ai]

@@ -23,20 +23,19 @@ log = logging.getLogger(__name__)
 
 def group_baseline_mu(model, country, gender, ages, years):
     """Baseline mu per age index: individual ages directly, groups as the
-    exposure-weighted mean of their member ages (exposure weights come from
-    the last calibration year)."""
-    mu = np.empty((len(ages), len(years)))
-    for i, a in enumerate(ages):
-        member = np.fromiter(a.ages, dtype=int)
-        member = member[(member >= model.ages[0]) & (member <= model.ages[-1])]
-        if len(member) == 0:
+    unweighted mean of their member ages inside the model's age range.
+    One `baseline_mu` call covers the member ages of all groups."""
+    low, high = model.ages[0], model.ages[-1]
+    members = []
+    for a in ages:
+        member = range(max(a.low, low), min(a.high, high) + 1)
+        if not member:
             raise ValidationError(f"age index {a.label} outside baseline range")
-        sub = baseline_mu(model, country, gender, member, years)
-        if len(member) == 1:
-            mu[i] = sub[0]
-        else:
-            mu[i] = sub.mean(axis=0)
-    return mu
+        members.append(member)
+    sub = baseline_mu(model, country, gender, [x for m in members for x in m], years)
+    ends = np.cumsum([len(m) for m in members])
+    return np.stack([sub[end - 1] if len(m) == 1 else sub[end - len(m):end].mean(axis=0)
+                     for m, end in zip(members, ends)])
 
 
 def predicted_deaths(panel, mu, seasonal=None, method=2):

@@ -33,7 +33,7 @@ def weeks_in_iso_year(year):
 
 
 def _read_hmd_file(path):
-    """Read one 1x1 file -> {(year, age): (female, male)}."""
+    """Read one 1x1 file -> {(year, age): (female, male, line number)}."""
     cells = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -53,9 +53,14 @@ def _read_hmd_file(path):
             continue
         if len(parts) != 5:
             raise IngestError(f"{path}: line {lineno}: expected 5 columns, got {len(parts)}")
-        year = int(parts[0])
-        age = 110 if parts[1] == "110+" else int(parts[1])
-        cells[(year, age)] = (parts[2], parts[3])
+        try:
+            year = int(parts[0])
+            age = 110 if parts[1] == "110+" else int(parts[1])
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
+        if (year, age) in cells:
+            raise IngestError(f"{path}: line {lineno}: duplicate row for year {year}, age {age}")
+        cells[(year, age)] = (parts[2], parts[3], lineno)
     if not started:
         raise IngestError(f"{path}: no 'Year Age Female Male Total' header found")
     return cells
@@ -66,11 +71,14 @@ def _fill_panel(cells, path, years, ages, out, kind):
         for i, x in enumerate(ages):
             if (t, x) not in cells:
                 raise IngestError(f"{path}: missing {kind} cell for year {t}, age {x}")
-            f_raw, m_raw = cells[(t, x)]
+            f_raw, m_raw, lineno = cells[(t, x)]
             for gi, raw in ((0, m_raw), (1, f_raw)):
                 if raw == ".":
                     raise IngestError(f"{path}: missing-value marker at year {t}, age {x}")
-                val = float(raw)
+                try:
+                    val = float(raw)
+                except ValueError as exc:
+                    raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
                 if val < 0:
                     raise IngestError(f"{path}: negative {kind} at year {t}, age {x}")
                 out[gi, i, j] = val
@@ -94,13 +102,14 @@ def _parse_group_columns(names):
         if not name.startswith("D"):
             raise IngestError(f"unexpected weekly-deaths column {name!r}")
         body = name[1:]
-        if body.endswith("p"):
-            groups.append(("open", int(body[:-1])))
-        else:
-            lo, _, hi = body.partition("_")
-            if not hi:
-                raise IngestError(f"unexpected weekly-deaths column {name!r}")
-            groups.append(("closed", int(lo), int(hi)))
+        try:
+            if body.endswith("p"):
+                groups.append(("open", int(body[:-1])))
+            else:
+                lo, _, hi = body.partition("_")
+                groups.append(("closed", int(lo), int(hi)))
+        except ValueError:
+            raise IngestError(f"unexpected weekly-deaths column {name!r}") from None
     return groups
 
 
@@ -149,7 +158,11 @@ def parse_stmf_countries(path, countries, open_group_high=110):
         if not row or row[0] not in by_country:
             continue
         data = by_country[row[0]]
-        year, week, sex = int(row[1]), int(row[2]), row[3]
+        try:
+            year, week = int(row[1]), int(row[2])
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
+        sex = row[3]
         if sex == "b":
             continue
         if sex not in ("m", "f"):
@@ -163,7 +176,10 @@ def parse_stmf_countries(path, countries, open_group_high=110):
             raise IngestError(f"{path}: line {lineno}: expected {ncols} group values")
         if any(i in flag_cols and row[i] not in ("", "0") for i in range(len(row))):
             flagged += 1
-        counts = np.array([float(v) for v in vals])
+        try:
+            counts = np.array([float(v) for v in vals])
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
         if (counts < 0).any():
             raise IngestError(f"{path}: line {lineno}: negative death count")
         data[(year, week, sex)] = counts
@@ -241,8 +257,10 @@ def parse_population(path, layout):
         sex = row[2]
         if sex not in ("m", "f"):
             raise IngestError(f"{path}: line {lineno}: unknown sex code {sex!r}")
-        age = int(row[1])
-        count = float(row[3])
+        try:
+            age, count = int(row[1]), float(row[3])
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
         if count < 0:
             raise IngestError(f"{path}: line {lineno}: negative population count")
         by_key.setdefault(((y, m, d), sex), {})[age] = count

@@ -60,7 +60,9 @@ def test_fit_bilinear_no_usable_cells():
 def test_fit_bilinear_raises_when_halving_fails(monkeypatch):
     # an lnL that drops at every evaluation can never be restored by halving
     calls = itertools.count(1)
-    monkeypatch.setattr(bl, "loglik", lambda *args: -float(next(calls)))
+    evaluate = bl._evaluate
+    monkeypatch.setattr(bl, "_evaluate",
+                        lambda *args: (-float(next(calls)), evaluate(*args)[1]))
     D = np.ones((3, 4))
     with pytest.raises(NumericalError, match="halving"):
         bl.fit_bilinear_poisson(D, 10.0 * D)

@@ -168,7 +168,9 @@ def test_halving_failure_exits_4(pipeline, tmp_path, monkeypatch):
     out.mkdir()
     shutil.copy(pipeline["out"] / "annual_panel.csv", out)
     calls = itertools.count(1)
-    monkeypatch.setattr(bl, "loglik", lambda *args: -float(next(calls)))
+    evaluate = bl._evaluate
+    monkeypatch.setattr(bl, "_evaluate",
+                        lambda *args: (-float(next(calls)), evaluate(*args)[1]))
     rc = cli.main(["calibrate-baseline", "--config", str(pipeline["config"]),
                    "--out", str(out)])
     assert rc == 4
@@ -189,6 +191,32 @@ def test_malformed_model_file_exits_3(pipeline, tmp_path):
     rec = json.loads((out / "error.json").read_text())
     assert (rec["stage"], rec["error"]) == ("annualize", "ParseError")
     assert rec["message"] == f"{path}: missing row delta_tstat,BBB|f,"
+
+
+@pytest.mark.parametrize("name, lineno, field, text", [
+    ("AAA_deaths.txt", 5, 2, "12x4"),
+    ("weekly_deaths.csv", 3, 4, "8z"),
+    ("AAA_population.csv", 3, 3, "2e5x"),
+])
+def test_malformed_raw_number_exits_3(pipeline, tmp_path, name, lineno, field, text):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / name
+    sep = "," if name.endswith(".csv") else None
+    lines = path.read_text(encoding="utf-8").splitlines()
+    parts = lines[lineno - 1].split(sep)
+    parts[field] = text
+    lines[lineno - 1] = (sep or " ").join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=data))
+    out = tmp_path / "out"
+    rc = cli.main(["ingest", "--config", str(config), "--out", str(out)])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == ("ingest", "IngestError")
+    assert rec["message"].startswith(f"{path}: line {lineno}: bad number")
+    assert repr(text) in rec["message"]
 
 
 def test_stages_from_disk_match_run_all(pipeline, tmp_path):

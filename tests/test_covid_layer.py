@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pandmort.baseline as bl
 import pandmort.covid_layer as cv
 import pandmort.synthetic as sy
-from pandmort.datastore import AgeIndex, SeasonalEffect
+from pandmort.datastore import GENDERS, AgeIndex, SeasonalEffect
 from pandmort.errors import NumericalError, ValidationError
 from util import assert_covid_constraints
 
@@ -36,6 +39,40 @@ def test_group_baseline_mu_groups_average(baseline_model):
     direct = bl.baseline_mu(baseline_model, "AAA", "m", np.arange(60, 65),
                             np.array([2019]))
     np.testing.assert_allclose(mu[0], direct.mean(axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_array_mu_equals_scalar_mu(baseline_model, data):
+    """`baseline_mu` over arrays of ages and years, and `group_baseline_mu`
+    over groups, equal the mu computed one age and one year at a time."""
+    model = baseline_model
+    first, last, top = int(model.years[0]), int(model.years[-1]), int(model.ages[-1])
+    country = data.draw(st.sampled_from(model.countries))
+    gender = data.draw(st.sampled_from(GENDERS))
+    years = data.draw(st.lists(st.integers(first, last), min_size=1, max_size=4))
+    years += data.draw(st.lists(st.integers(last + 1, last + 40), min_size=1, max_size=4))
+    years = np.array(data.draw(st.permutations(years)))
+    ages = np.array(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=6)))
+
+    def scalar_rows(member):
+        return np.array([[bl.baseline_mu(model, country, gender, [x], [t])[0, 0] for t in years]
+                         for x in member])
+
+    np.testing.assert_array_equal(bl.baseline_mu(model, country, gender, ages, years),
+                                  scalar_rows(ages))
+
+    # 5-year groups, individual ages, and an open group clipped to the model's top age.
+    groups = [AgeIndex(lo, lo + 4) for lo in data.draw(
+        st.lists(st.sampled_from(range(0, top - 4, 5)), min_size=1, max_size=4))]
+    groups += [AgeIndex(x, x) for x in ages[:2]] + [AgeIndex(top - 4, top + 20)]
+    groups = data.draw(st.permutations(groups))
+    expected = []
+    for g in groups:
+        rows = scalar_rows([x for x in g.ages if x <= top])
+        expected.append(rows[0] if len(rows) == 1 else rows.mean(axis=0))
+    np.testing.assert_array_equal(cv.group_baseline_mu(model, country, gender, groups, years),
+                                  np.array(expected))
 
 
 def test_group_baseline_mu_outside_range(baseline_model):

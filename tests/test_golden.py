@@ -1,9 +1,11 @@
-"""Golden digest of the ``run-all`` output directory.
+"""Golden digests of the ``run-all`` output directory and of the fits.
 
-The digest pins every output file byte for byte, so a rewrite of the file
-I/O or of a numerical kernel must keep the outputs identical.  Changing the
-digest needs a stated reason: an intended change of an output format or of a
-model result.
+The first digest pins every output file byte for byte, so a rewrite of the
+file I/O or of a numerical kernel must keep the outputs identical.  The fit
+digest pins, bit for bit, the baseline and pandemic-layer fits on a sampled
+panel with parts that ``run-all`` never runs: Method 1, individual ages above
+90, and an open age group clipped to 90-110.  Changing a digest needs
+a stated reason: an intended change of an output format or of a model result.
 """
 
 import hashlib
@@ -13,12 +15,16 @@ import numpy as np
 import pytest
 
 import pandmort.cli as cli
+import pandmort.synthetic as sy
+from pandmort import baseline, covid_layer
+from pandmort.datastore import GENDERS, SeasonalEffect
 
 # Outputs may legitimately differ in the last bits under other NumPy builds,
 # so the digest is only binding for the version it was taken with.  The
 # pipeline imports no SciPy, so SciPy's version does not enter the outputs.
 GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 GOLDEN_SHA256 = "008826774c0f84ae8246125d43fa0ad14db48567894d7917b1d3bbefa3e6d266"
+FIT_SHA256 = "9ad7923bee2b8f506fb3755db1880b96083deef657c3084209812828f8b42b63"
 
 CONFIG = """\
 [data]
@@ -51,10 +57,47 @@ def tree_digest(root):
     return h.hexdigest()
 
 
-def test_run_all_golden_digest(tmp_path, monkeypatch):
+def skip_unless_golden_versions():
     found = {"numpy": np.__version__}
     if found != GOLDEN_VERSIONS:
         pytest.skip(f"golden digest taken with {GOLDEN_VERSIONS}, running {found}")
+
+
+def fit_digest():
+    """SHA-256 over a baseline fit of 3 countries x ages 0-110 and the
+    pandemic-layer fits, Method 1 and 2, on individual ages 40-110 and on
+    their 5-year groups with an open group clipped to 90-110."""
+    countries = ("AAA", "BBB", "CCC")
+    truth = sy.make_baseline_truth(countries, np.arange(0, 111), np.arange(1980, 2020), seed=21)
+    model = baseline.calibrate_baseline(sy.sample_annual_panel(truth, exposure=2e5, seed=22))
+    h = hashlib.sha256()
+    for name in ("A", "B", "K", "alpha", "beta", "kappa", "theta"):
+        table = getattr(model, name)
+        for key in sorted(table):
+            h.update(np.asarray(table[key], dtype=float).tobytes())
+    h.update(model.sigma.tobytes())
+    pandemic = sy.make_pandemic_truth(np.arange(40, 111), seed=23)
+    phi = sy.seasonal_phi(0.18)
+    for ci, c in enumerate(countries):
+        for gi, g in enumerate(GENDERS):
+            mu = np.exp(sy.true_ln_mu(truth, c, g)[40:, -1])
+            panel = sy.sample_weekly_panel(c, g, pandemic, np.stack([mu, mu], axis=1), phi=phi,
+                                           seed=24 + 2 * ci + gi)
+            seasonal = SeasonalEffect(country=c, gender=g, knots=12, coeffs=None, phi=phi)
+            grouped = covid_layer.aggregate_to_groups(panel, covid_layer.GRANULARITY_LEVELS[2])
+            for work in (panel, grouped):
+                mu = covid_layer.group_baseline_mu(model, c, g, work.ages, work.years)
+                h.update(mu.tobytes())
+                for method in (1, 2):
+                    pred = covid_layer.predicted_deaths(work, mu, seasonal=seasonal, method=method)
+                    layer = covid_layer.calibrate_covid(work, pred, method)
+                    h.update(layer.B.tobytes())
+                    h.update(layer.K.tobytes())
+    return h.hexdigest()
+
+
+def test_run_all_golden_digest(tmp_path, monkeypatch):
+    skip_unless_golden_versions()
     # A relative data directory keeps the config text, and so its hash
     # stamped into every output, independent of where the test runs.
     monkeypatch.chdir(tmp_path)
@@ -62,3 +105,8 @@ def test_run_all_golden_digest(tmp_path, monkeypatch):
     (tmp_path / "run.ini").write_text(CONFIG)
     assert cli.main(["run-all", "--config", "run.ini", "--out", "out"]) == 0
     assert tree_digest("out") == GOLDEN_SHA256
+
+
+def test_fit_golden_digest():
+    skip_unless_golden_versions()
+    assert fit_digest() == FIT_SHA256

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,58 @@ def test_parse_population_bad_layout(tmp_path):
     path.write_text("date,age,sex,count\n")
     with pytest.raises(IngestError, match="layout"):
         ig.parse_population(str(path), "annual")
+
+
+HMD_HEADER = "stub\n\n  Year          Age             Female            Male           Total\n"
+
+
+@pytest.mark.parametrize("bad_row, which", [
+    ("  20x0   0   5.00   5.00   10.00", "deaths"),
+    ("  2000   0x   5.00   5.00   10.00", "deaths"),
+    ("  2000   0   12x4   5.00   17.00", "deaths"),
+    ("  2000   0   100.00   1e2.5   200.00", "exposures"),
+], ids=["year", "age", "count", "exposure"])
+def test_parse_hmd_malformed_number(tmp_path, bad_row, which):
+    good = {"deaths": "  2000   0   5.00   5.00   10.00",
+            "exposures": "  2000   0   100.00   100.00   200.00"}
+    paths = {}
+    for kind, row in good.items():
+        paths[kind] = tmp_path / f"{kind}.txt"
+        paths[kind].write_text(HMD_HEADER + (bad_row if kind == which else row) + "\n")
+    with pytest.raises(IngestError, match=re.escape(f"{paths[which]}: line 4: bad number")):
+        ig.parse_hmd_annual(str(paths["deaths"]), str(paths["exposures"]), "AAA", [2000], [0])
+
+
+def test_parse_hmd_duplicate_row(tmp_path):
+    path = tmp_path / "deaths.txt"
+    path.write_text(HMD_HEADER + "  2000   0   5.00   5.00   10.00\n"
+                    + "  2000   1   4.00   4.00   8.00\n" + "  2000   0   6.00   6.00   12.00\n")
+    with pytest.raises(IngestError, match=re.escape(
+            f"{path}: line 6: duplicate row for year 2000, age 0")):
+        ig.parse_hmd_annual(str(path), str(path), "AAA", [2000], [0, 1])
+
+
+@pytest.mark.parametrize("row", ["XXX,2x18,1,m,10", "XXX,2018,1w,m,10", "XXX,2018,1,m,8z"],
+                         ids=["year", "week", "count"])
+def test_parse_stmf_malformed_number(tmp_path, row):
+    path = tmp_path / "stmf.csv"
+    path.write_text(f"CountryCode,Year,Week,Sex,D0_4\nXXX,2018,2,m,10\n{row}\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: bad number")):
+        ig.parse_stmf(str(path), "XXX", open_group_high=4)
+
+
+@pytest.mark.parametrize("column", ["D5x_9", "D9xp", "D_4"])
+def test_parse_stmf_malformed_group_column(tmp_path, column):
+    path = tmp_path / "stmf.csv"
+    path.write_text(f"CountryCode,Year,Week,Sex,{column}\nXXX,2018,1,m,10\n")
+    with pytest.raises(IngestError, match=re.escape(f"unexpected weekly-deaths column {column!r}")):
+        ig.parse_stmf(str(path), "XXX")
+
+
+@pytest.mark.parametrize("row", ["2020-01-01,1x,m,100", "2020-01-01,1,m,2e5x"],
+                         ids=["age", "count"])
+def test_parse_population_malformed_number(tmp_path, row):
+    path = tmp_path / "pop.csv"
+    path.write_text(f"date,age,sex,count\n2020-01-01,0,m,100\n{row}\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: bad number")):
+        ig.parse_population(str(path), "eurostat_annual")

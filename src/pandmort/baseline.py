@@ -36,6 +36,12 @@ def _usable(D, E):
     return np.isfinite(D) & np.isfinite(E) & (E > 0)
 
 
+def _fitted(E, off, b, k):
+    """``eta = off + b k`` and the fitted deaths ``E * exp(eta)``."""
+    eta = off + np.outer(b, k)
+    return eta, E * np.exp(eta)
+
+
 def _evaluate(D, E, off, b, k, mask):
     """Poisson lnL and fitted deaths at ``eta = off + b k`` from one ``exp``.
 
@@ -43,34 +49,26 @@ def _evaluate(D, E, off, b, k, mask):
     cells, with fitted deaths 0 elsewhere; ``(-inf, None)`` when ``exp``
     overflows.
     """
-    eta = off + np.outer(b, k)
     with np.errstate(over="raise"):
         try:
-            fitted = E * np.exp(eta)
+            eta, fitted = _fitted(E, off, b, k)
             val = np.where(mask, D * eta - fitted, 0.0).sum()
         except FloatingPointError:
             return -np.inf, None
     return val, np.where(mask, fitted, 0.0)
 
 
-def loglik(D, E, a, b, k, base=0.0, mask=None):
+def loglik(D, E, a, b, k, base=0.0):
     """Poisson log-likelihood ``sum(D * eta - E * exp(eta))`` with
-    ``eta = base + a + b k``, up to a constant, over the used cells (all
-    usable cells when ``mask`` is None); -inf when ``exp`` overflows."""
-    mask = _usable(D, E) if mask is None else mask
-    return _evaluate(D, E, base + a[:, None], b, k, mask)[0]
+    ``eta = base + a + b k``, up to a constant, over the usable cells; -inf
+    when ``exp`` overflows."""
+    return _evaluate(D, E, base + a[:, None], b, k, _usable(D, E))[0]
 
 
 def score(D, E, a, b, k, base=0.0):
-    """Analytic gradient of `loglik` over the usable cells -> (da, db, dk).
-
-    Raises NumericalError when ``exp`` overflows.
-    """
+    """Analytic gradient of `loglik` over the usable cells -> (da, db, dk)."""
     mask = _usable(D, E)
-    _, fitted = _evaluate(D, E, base + a[:, None], b, k, mask)
-    if fitted is None:
-        raise NumericalError("exp overflow in the score")
-    resid = np.where(mask, D, 0.0) - fitted
+    resid = np.where(mask, D, 0.0) - np.where(mask, _fitted(E, base + a[:, None], b, k)[1], 0.0)
     return resid.sum(axis=1), resid @ k, b @ resid
 
 

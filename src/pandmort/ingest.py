@@ -32,6 +32,14 @@ def weeks_in_iso_year(year):
     return datetime.date(year, 12, 28).isocalendar()[1]
 
 
+def _number(convert, text, path, lineno):
+    """``convert(text)``, or an IngestError naming the file and line."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
+
+
 def _read_hmd_file(path):
     """Read one 1x1 file -> {(year, age): (female, male, line number)}."""
     cells = {}
@@ -53,11 +61,8 @@ def _read_hmd_file(path):
             continue
         if len(parts) != 5:
             raise IngestError(f"{path}: line {lineno}: expected 5 columns, got {len(parts)}")
-        try:
-            year = int(parts[0])
-            age = 110 if parts[1] == "110+" else int(parts[1])
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
+        year = _number(int, parts[0], path, lineno)
+        age = 110 if parts[1] == "110+" else _number(int, parts[1], path, lineno)
         if (year, age) in cells:
             raise IngestError(f"{path}: line {lineno}: duplicate row for year {year}, age {age}")
         cells[(year, age)] = (parts[2], parts[3], lineno)
@@ -75,10 +80,7 @@ def _fill_panel(cells, path, years, ages, out, kind):
             for gi, raw in ((0, m_raw), (1, f_raw)):
                 if raw == ".":
                     raise IngestError(f"{path}: missing-value marker at year {t}, age {x}")
-                try:
-                    val = float(raw)
-                except ValueError as exc:
-                    raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
+                val = _number(float, raw, path, lineno)
                 if val < 0:
                     raise IngestError(f"{path}: negative {kind} at year {t}, age {x}")
                 out[gi, i, j] = val
@@ -158,10 +160,7 @@ def parse_stmf_countries(path, countries, open_group_high=110):
         if not row or row[0] not in by_country:
             continue
         data = by_country[row[0]]
-        try:
-            year, week = int(row[1]), int(row[2])
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
+        year, week = _number(int, row[1], path, lineno), _number(int, row[2], path, lineno)
         sex = row[3]
         if sex == "b":
             continue
@@ -176,10 +175,7 @@ def parse_stmf_countries(path, countries, open_group_high=110):
             raise IngestError(f"{path}: line {lineno}: expected {ncols} group values")
         if any(i in flag_cols and row[i] not in ("", "0") for i in range(len(row))):
             flagged += 1
-        try:
-            counts = np.array([float(v) for v in vals])
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
+        counts = np.array([_number(float, v, path, lineno) for v in vals])
         if (counts < 0).any():
             raise IngestError(f"{path}: line {lineno}: negative death count")
         data[(year, week, sex)] = counts
@@ -257,10 +253,7 @@ def parse_population(path, layout):
         sex = row[2]
         if sex not in ("m", "f"):
             raise IngestError(f"{path}: line {lineno}: unknown sex code {sex!r}")
-        try:
-            age, count = int(row[1]), float(row[3])
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
+        age, count = _number(int, row[1], path, lineno), _number(float, row[3], path, lineno)
         if count < 0:
             raise IngestError(f"{path}: line {lineno}: negative population count")
         by_key.setdefault(((y, m, d), sex), {})[age] = count

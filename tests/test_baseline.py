@@ -57,6 +57,19 @@ def test_fit_bilinear_no_usable_cells():
         bl.fit_bilinear_poisson(np.ones((2, 2)), np.zeros((2, 2)))
 
 
+def test_overflow_gives_minus_inf_lnl_and_non_finite_score():
+    D = np.ones((2, 3))
+    E = np.ones((2, 3))
+    a, b, k = np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0, 800.0])
+    assert bl.loglik(D, E, a, b, k) == -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        da, db, dk = bl.score(D, E, a, b, k)
+    # only the overflowing cell (age 0, period 2) is non-finite
+    assert da[0] == -np.inf and np.isfinite(da[1])
+    assert np.isfinite(dk[:2]).all() and dk[2] == -np.inf
+    assert np.isfinite(db[1]) and not np.isfinite(db[0])
+
+
 def test_fit_bilinear_raises_when_halving_fails(monkeypatch):
     # an lnL that drops at every evaluation can never be restored by halving
     calls = itertools.count(1)

@@ -10,9 +10,11 @@ a-update is exact; the b- and k-steps are halved until lnL does not fall, so
 lnL never decreases from sweep to sweep.  Each accepted evaluation of lnL
 also gives the fitted deaths ``E * exp(base + a + b*k)`` that the next
 Newton step needs, so a sweep forms the full-grid ``exp`` only once per
-parameter change.  Identification constraints (mean-zero period effect,
-unit-norm age effect) are reapplied after every sweep, which leaves the
-likelihood unchanged.
+parameter change.  The unusable cells (E == 0, or NaN in D or E) are zeroed
+in D and E once per fit, so an evaluation needs no mask: such a cell adds
+nothing to lnL and has no fitted deaths.  Identification constraints
+(mean-zero period effect, unit-norm age effect) are reapplied after every
+sweep, which leaves the likelihood unchanged.
 """
 
 from __future__ import annotations
@@ -32,43 +34,52 @@ MAX_ITER = 10_000
 
 
 def _usable(D, E):
-    """Cells that enter the likelihood: finite D and E, and E > 0."""
-    return np.isfinite(D) & np.isfinite(E) & (E > 0)
+    """The cells that enter the likelihood (finite D and E, and E > 0), and
+    D and E zeroed outside them."""
+    mask = np.isfinite(D) & np.isfinite(E) & (E > 0)
+    return mask, np.where(mask, D, 0.0), np.where(mask, E, 0.0)
 
 
 def _fitted(E, off, b, k):
     """``eta = off + b k`` and the fitted deaths ``E * exp(eta)``."""
-    eta = off + np.outer(b, k)
-    return eta, E * np.exp(eta)
+    eta = b[:, None] * k
+    eta += off
+    fitted = np.exp(eta)
+    fitted *= E
+    return eta, fitted
 
 
-def _evaluate(D, E, off, b, k, mask):
+def _evaluate(Dm, Em, off, b, k):
     """Poisson lnL and fitted deaths at ``eta = off + b k`` from one ``exp``.
 
-    Returns ``(sum(D * eta - E * exp(eta)), E * exp(eta))`` over the used
-    cells, with fitted deaths 0 elsewhere; ``(-inf, None)`` when ``exp``
-    overflows.
+    ``Dm`` and ``Em`` are D and E zeroed outside the usable cells, once per
+    fit, so those cells add 0 to lnL and get fitted deaths 0 without a mask.
+    Returns ``(sum(Dm * eta - Em * exp(eta)), Em * exp(eta))``, or
+    ``(-inf, None)`` on overflow; ``exp`` runs over the full grid, so an
+    overflow in any cell, usable or not, gives -inf.
     """
     with np.errstate(over="raise"):
         try:
-            eta, fitted = _fitted(E, off, b, k)
-            val = np.where(mask, D * eta - fitted, 0.0).sum()
+            eta, fitted = _fitted(Em, off, b, k)
+            val = Dm * eta
+            val -= fitted
+            return val.sum(), fitted
         except FloatingPointError:
             return -np.inf, None
-    return val, np.where(mask, fitted, 0.0)
 
 
 def loglik(D, E, a, b, k, base=0.0):
     """Poisson log-likelihood ``sum(D * eta - E * exp(eta))`` with
     ``eta = base + a + b k``, up to a constant, over the usable cells; -inf
     when ``exp`` overflows."""
-    return _evaluate(D, E, base + a[:, None], b, k, _usable(D, E))[0]
+    _, Dm, Em = _usable(D, E)
+    return _evaluate(Dm, Em, base + a[:, None], b, k)[0]
 
 
 def score(D, E, a, b, k, base=0.0):
     """Analytic gradient of `loglik` over the usable cells -> (da, db, dk)."""
-    mask = _usable(D, E)
-    resid = np.where(mask, D, 0.0) - np.where(mask, _fitted(E, base + a[:, None], b, k)[1], 0.0)
+    mask, Dm, _ = _usable(D, E)
+    resid = Dm - np.where(mask, _fitted(E, base + a[:, None], b, k)[1], 0.0)
     return resid.sum(axis=1), resid @ k, b @ resid
 
 
@@ -81,7 +92,7 @@ def score_country(alpha, beta, kappa, base, D, E):
     return score(D, E, alpha, beta, kappa, base)
 
 
-def _damped_update(D, E, off, b, k, mask, which, delta, lnl_before):
+def _damped_update(Dm, Em, off, b, k, which, delta, lnl_before):
     """Apply a Newton step to one block, halving until lnL does not drop.
 
     Returns the new block, its lnL and its fitted deaths.  Raises
@@ -91,7 +102,7 @@ def _damped_update(D, E, off, b, k, mask, which, delta, lnl_before):
     for _ in range(40):
         new = (b if which == "b" else k) + step * delta
         b_k = (new, k) if which == "b" else (b, new)
-        cand, fitted = _evaluate(D, E, off, *b_k, mask)
+        cand, fitted = _evaluate(Dm, Em, off, *b_k)
         if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
             return new, cand, fitted
         step *= 0.5
@@ -102,11 +113,12 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     """Core alternating-Newton fit of ``D ~ Poisson(E * exp(base + a + b k))``.
 
     Cells with ``E == 0`` (or NaN in either array) are excluded from the
-    likelihood.  When ``fit_level`` is False the per-age level ``a`` stays
-    at zero and the period effect is not centered.  Every evaluation of lnL
-    that the fit keeps also yields the fitted deaths for the next Newton
-    step: a sweep evaluates the full grid four times (three without the
-    level), plus once per step halving.  Stops when lnL changes by at most
+    likelihood: they are zeroed in D and E once, before the first sweep, and
+    every evaluation runs on the zeroed arrays.  When ``fit_level`` is False
+    the per-age level ``a`` stays at zero and the period effect is not
+    centered.  Every evaluation of lnL that the fit keeps also yields the
+    fitted deaths for the next Newton step: a sweep evaluates the full grid
+    four times (three without the level), plus once per step halving.  Stops when lnL changes by at most
     ``REL_TOL`` relative, and raises NumericalError after ``MAX_ITER``
     sweeps.  Returns ``(a, b, k, trace)`` where ``trace`` is the iteration
     log of (iteration, lnL, max parameter change) tuples.
@@ -114,18 +126,17 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     D = np.asarray(D, dtype=float)
     E = np.asarray(E, dtype=float)
     nx, nt = D.shape
-    mask = _usable(D, E)
+    mask, Dm, Em = _usable(D, E)
     if not mask.any():
         raise NumericalError("no usable cells in likelihood")
     if (D[mask] < 0).any():
         raise ValidationError("negative death counts in likelihood")
     base = np.asarray(base, dtype=float)
 
-    Dm = np.where(mask, D, 0.0)
     rows_d = Dm.sum(axis=1)
     if fit_level:
         with np.errstate(divide="ignore"):
-            rows_e = (np.where(mask, E, 0.0) * np.exp(np.where(mask, base, 0.0))).sum(axis=1)
+            rows_e = (Em * np.exp(np.where(mask, base, 0.0))).sum(axis=1)
             a = np.where(rows_d > 0, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_e, 1e-300)), -20.0)
     else:
         a = np.zeros(nx)
@@ -133,7 +144,7 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     k = (np.zeros(nt) if k0 is None else np.asarray(k0, dtype=float).copy())
 
     off = base + a[:, None]
-    lnl, dhat = _evaluate(D, E, off, b, k, mask)
+    lnl, dhat = _evaluate(Dm, Em, off, b, k)
     if not np.isfinite(lnl):
         raise NumericalError("non-finite log-likelihood at starting values")
     trace = [(0, lnl, np.inf)]
@@ -145,7 +156,7 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
             ok = (rows_d > 0) & (rows_h > 0)
             a = a + np.where(ok, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_h, 1e-300)), 0.0)
             off = base + a[:, None]
-            lnl, dhat = _evaluate(D, E, off, b, k, mask)
+            lnl, dhat = _evaluate(Dm, Em, off, b, k)
             if not np.isfinite(lnl):
                 raise NumericalError("non-finite log-likelihood during iteration", trace)
 
@@ -153,12 +164,12 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
         num = (Dm - dhat) @ k
         den = dhat @ (k * k)
         delta_b = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        b, lnl, dhat = _damped_update(D, E, off, b, k, mask, "b", delta_b, lnl)
+        b, lnl, dhat = _damped_update(Dm, Em, off, b, k, "b", delta_b, lnl)
 
         num = b @ (Dm - dhat)
         den = (b * b) @ dhat
         delta_k = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        k, lnl, _ = _damped_update(D, E, off, b, k, mask, "k", delta_k, lnl)
+        k, lnl, _ = _damped_update(Dm, Em, off, b, k, "k", delta_k, lnl)
 
         # Reapply identification constraints; likelihood-neutral.
         if fit_level:
@@ -171,7 +182,7 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
             b = b / norm
             k = k * norm
 
-        lnl_new, dhat = _evaluate(D, E, off, b, k, mask)
+        lnl_new, dhat = _evaluate(Dm, Em, off, b, k)
         if not np.isfinite(lnl_new):
             raise NumericalError("non-finite log-likelihood during iteration", trace)
         change = max(

@@ -40,6 +40,14 @@ def _number(convert, text, path, lineno):
         raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
 
 
+def _no_separators(fields, path, lineno):
+    """IngestError when a field holds a ``_``, which `int` and `float` read as
+    a digit separator (``1_0`` is 10); one scan per line, not per number."""
+    if "_" in "".join(fields):
+        bad = next(v for v in fields if "_" in v)
+        raise IngestError(f"{path}: line {lineno}: bad number: digit separator in {bad!r}")
+
+
 def _read_hmd_file(path):
     """Read one 1x1 file -> {(year, age): (female, male, line number)}."""
     cells = {}
@@ -61,6 +69,7 @@ def _read_hmd_file(path):
             continue
         if len(parts) != 5:
             raise IngestError(f"{path}: line {lineno}: expected 5 columns, got {len(parts)}")
+        _no_separators(parts, path, lineno)
         year = _number(int, parts[0], path, lineno)
         age = 110 if parts[1] == "110+" else _number(int, parts[1], path, lineno)
         if (year, age) in cells:
@@ -104,6 +113,9 @@ def _parse_group_columns(names):
         if not name.startswith("D"):
             raise IngestError(f"unexpected weekly-deaths column {name!r}")
         body = name[1:]
+        # the one "_" allowed separates a closed group's bounds: int("4_5") is 45
+        if body.count("_") != (0 if body.endswith("p") else 1):
+            raise IngestError(f"unexpected weekly-deaths column {name!r}")
         try:
             if body.endswith("p"):
                 groups.append(("open", int(body[:-1])))
@@ -159,6 +171,9 @@ def parse_stmf_countries(path, countries, open_group_high=110):
     for lineno, row in enumerate(rows, start=2):
         if not row or row[0] not in by_country:
             continue
+        if len(row) < 4:
+            raise IngestError(f"{path}: line {lineno}: expected at least 4 fields, got {len(row)}")
+        _no_separators(row[1:3] + row[4:], path, lineno)  # codes such as GBR_SCO hold a "_"
         data = by_country[row[0]]
         year, week = _number(int, row[1], path, lineno), _number(int, row[2], path, lineno)
         sex = row[3]
@@ -244,6 +259,7 @@ def parse_population(path, layout):
             continue
         if len(row) != 4:
             raise IngestError(f"{path}: line {lineno}: expected 4 fields")
+        _no_separators(row[:2] + row[3:], path, lineno)
         try:
             y, m, d = (int(v) for v in row[0].split("-"))
         except ValueError:

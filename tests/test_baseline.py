@@ -68,6 +68,15 @@ def test_overflow_gives_minus_inf_lnl_and_non_finite_score():
     assert da[0] == -np.inf and np.isfinite(da[1])
     assert np.isfinite(dk[:2]).all() and dk[2] == -np.inf
     assert np.isfinite(db[1]) and not np.isfinite(db[0])
+    # an overflow in an unusable cell still makes lnL -inf, but adds nothing
+    # to the score: it is the score with that cell's exponent at 0
+    E[0, 2] = 0.0
+    assert bl.loglik(D, E, a, b, k) == -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        masked = bl.score(D, E, a, b, k)
+    assert all(np.isfinite(part).all() for part in masked)
+    for part, at_zero in zip(masked, bl.score(D, E, a, b, np.array([0.0, 1.0, 0.0]))):
+        assert np.array_equal(part, at_zero)
 
 
 def test_fit_bilinear_raises_when_halving_fails(monkeypatch):

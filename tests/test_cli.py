@@ -197,6 +197,9 @@ def test_malformed_model_file_exits_3(pipeline, tmp_path):
     ("AAA_deaths.txt", 5, 2, "12x4"),
     ("weekly_deaths.csv", 3, 4, "8z"),
     ("AAA_population.csv", 3, 3, "2e5x"),
+    ("AAA_deaths.txt", 5, 2, "1_0"),
+    ("weekly_deaths.csv", 3, 4, "1_0"),
+    ("AAA_population.csv", 3, 3, "1_0"),
 ])
 def test_malformed_raw_number_exits_3(pipeline, tmp_path, name, lineno, field, text):
     data = tmp_path / "data"
@@ -217,6 +220,23 @@ def test_malformed_raw_number_exits_3(pipeline, tmp_path, name, lineno, field, t
     assert (rec["stage"], rec["error"]) == ("ingest", "IngestError")
     assert rec["message"].startswith(f"{path}: line {lineno}: bad number")
     assert repr(text) in rec["message"]
+
+
+def test_short_weekly_row_exits_3(pipeline, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "weekly_deaths.csv"
+    lineno = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("AAA,2018\n")
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=data))
+    out = tmp_path / "out"
+    rc = cli.main(["run-all", "--config", str(config), "--out", str(out)])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert rec["error"] == "IngestError"
+    assert rec["message"] == f"{path}: line {lineno}: expected at least 4 fields, got 2"
 
 
 def test_stages_from_disk_match_run_all(pipeline, tmp_path):

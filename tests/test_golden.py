@@ -4,8 +4,10 @@ The first digest pins every output file byte for byte, so a rewrite of the
 file I/O or of a numerical kernel must keep the outputs identical.  The fit
 digest pins, bit for bit, the baseline and pandemic-layer fits on a sampled
 panel with parts that ``run-all`` never runs: Method 1, individual ages above
-90, and an open age group clipped to 90-110.  Changing a digest needs
-a stated reason: an intended change of an output format or of a model result.
+90, and an open age group clipped to 90-110.  The masked-fit digest pins the
+fit kernel, `loglik` and `score` on panels with unusable cells, which no
+other digest has.  Changing a digest needs a stated reason: an intended
+change of an output format or of a model result.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from pandmort.datastore import GENDERS, SeasonalEffect
 GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 GOLDEN_SHA256 = "008826774c0f84ae8246125d43fa0ad14db48567894d7917b1d3bbefa3e6d266"
 FIT_SHA256 = "9ad7923bee2b8f506fb3755db1880b96083deef657c3084209812828f8b42b63"
+MASKED_FIT_SHA256 = "4520d39beea7a3491880ad2cab607c93dddd1b23d5ee27efeed3adf625a12b20"
 
 CONFIG = """\
 [data]
@@ -96,6 +99,35 @@ def fit_digest():
     return h.hexdigest()
 
 
+def masked_fit_digest():
+    """SHA-256 over `fit_bilinear_poisson`, `loglik` and `score` on seeded
+    panels where some cells have ``E == 0``, some a NaN ``D`` and some a NaN
+    ``E``: a level fit with an array offset, and a fit without the level."""
+    h = hashlib.sha256()
+    for seed in range(3):
+        rng = np.random.default_rng(40 + seed)
+        nx, nt = 20, 15
+        a = rng.uniform(-6.0, -2.0, nx)
+        b = rng.uniform(0.1, 0.4, nx)
+        k = np.linspace(2.0, -2.0, nt) + rng.normal(0.0, 0.2, nt)
+        base = 0.1 * np.outer(rng.normal(size=nx), rng.normal(size=nt))
+        E = rng.uniform(1e4, 1e5, (nx, nt))
+        D = rng.poisson(E * np.exp(base + a[:, None] + np.outer(b, k))).astype(float)
+        cells = rng.choice(nx * nt, size=24, replace=False)
+        E.flat[cells[:8]] = 0.0
+        D.flat[cells[8:16]] = np.nan
+        E.flat[cells[16:]] = np.nan
+        for fit_base, fit_level, E_fit in ((base, True, E), (0.0, False, E * np.exp(base + a[:, None]))):
+            fa, fb, fk, trace = baseline.fit_bilinear_poisson(D, E_fit, base=fit_base, fit_level=fit_level)
+            for part in (fa, fb, fk, np.array(trace, dtype=float)):
+                h.update(part.tobytes())
+            for params in ((fa, fb, fk), (fa + 0.01, fb, 1.1 * fk)):
+                h.update(np.float64(baseline.loglik(D, E_fit, *params, base=fit_base)).tobytes())
+                for part in baseline.score(D, E_fit, *params, base=fit_base):
+                    h.update(part.tobytes())
+    return h.hexdigest()
+
+
 def test_run_all_golden_digest(tmp_path, monkeypatch):
     skip_unless_golden_versions()
     # A relative data directory keeps the config text, and so its hash
@@ -110,3 +142,8 @@ def test_run_all_golden_digest(tmp_path, monkeypatch):
 def test_fit_golden_digest():
     skip_unless_golden_versions()
     assert fit_digest() == FIT_SHA256
+
+
+def test_masked_fit_golden_digest():
+    skip_unless_golden_versions()
+    assert masked_fit_digest() == MASKED_FIT_SHA256

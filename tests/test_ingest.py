@@ -192,7 +192,8 @@ HMD_HEADER = "stub\n\n  Year          Age             Female            Male    
     ("  2000   0x   5.00   5.00   10.00", "deaths"),
     ("  2000   0   12x4   5.00   17.00", "deaths"),
     ("  2000   0   100.00   1e2.5   200.00", "exposures"),
-], ids=["year", "age", "count", "exposure"])
+    ("  2000   0   1_0   5.00   15.00", "deaths"),
+], ids=["year", "age", "count", "exposure", "separator"])
 def test_parse_hmd_malformed_number(tmp_path, bad_row, which):
     good = {"deaths": "  2000   0   5.00   5.00   10.00",
             "exposures": "  2000   0   100.00   100.00   200.00"}
@@ -213,8 +214,9 @@ def test_parse_hmd_duplicate_row(tmp_path):
         ig.parse_hmd_annual(str(path), str(path), "AAA", [2000], [0, 1])
 
 
-@pytest.mark.parametrize("row", ["XXX,2x18,1,m,10", "XXX,2018,1w,m,10", "XXX,2018,1,m,8z"],
-                         ids=["year", "week", "count"])
+@pytest.mark.parametrize("row", ["XXX,2x18,1,m,10", "XXX,2018,1w,m,10", "XXX,2018,1,m,8z",
+                                 "XXX,2018,1,m,1_0"],
+                         ids=["year", "week", "count", "separator"])
 def test_parse_stmf_malformed_number(tmp_path, row):
     path = tmp_path / "stmf.csv"
     path.write_text(f"CountryCode,Year,Week,Sex,D0_4\nXXX,2018,2,m,10\n{row}\n")
@@ -222,7 +224,15 @@ def test_parse_stmf_malformed_number(tmp_path, row):
         ig.parse_stmf(str(path), "XXX", open_group_high=4)
 
 
-@pytest.mark.parametrize("column", ["D5x_9", "D9xp", "D_4"])
+def test_parse_stmf_short_row(tmp_path):
+    path = tmp_path / "stmf.csv"
+    path.write_text("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018\n")
+    with pytest.raises(IngestError, match=re.escape(
+            f"{path}: line 3: expected at least 4 fields, got 2")):
+        ig.parse_stmf(str(path), "XXX", open_group_high=4)
+
+
+@pytest.mark.parametrize("column", ["D5x_9", "D9xp", "D_4", "D0_4_5", "D9_0p"])
 def test_parse_stmf_malformed_group_column(tmp_path, column):
     path = tmp_path / "stmf.csv"
     path.write_text(f"CountryCode,Year,Week,Sex,{column}\nXXX,2018,1,m,10\n")
@@ -230,8 +240,9 @@ def test_parse_stmf_malformed_group_column(tmp_path, column):
         ig.parse_stmf(str(path), "XXX")
 
 
-@pytest.mark.parametrize("row", ["2020-01-01,1x,m,100", "2020-01-01,1,m,2e5x"],
-                         ids=["age", "count"])
+@pytest.mark.parametrize("row", ["2020-01-01,1x,m,100", "2020-01-01,1,m,2e5x",
+                                 "2020-01-01,1,m,1_0"],
+                         ids=["age", "count", "separator"])
 def test_parse_population_malformed_number(tmp_path, row):
     path = tmp_path / "pop.csv"
     path.write_text(f"date,age,sex,count\n2020-01-01,0,m,100\n{row}\n")

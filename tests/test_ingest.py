@@ -248,3 +248,114 @@ def test_parse_population_malformed_number(tmp_path, row):
     path.write_text(f"date,age,sex,count\n2020-01-01,0,m,100\n{row}\n")
     with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: bad number")):
         ig.parse_population(str(path), "eurostat_annual")
+
+
+def _raises_exactly(message, parse, *args):
+    with pytest.raises(IngestError) as info:
+        parse(*args)
+    assert str(info.value) == message
+
+
+def _hmd_pair(tmp_path, deaths_rows, expo_rows=None, header=HMD_HEADER):
+    """Deaths and exposure files for 2000 x ages 0-1; rows default to good ones."""
+    good = {"deaths": ["  2000   0   5.00   5.00   10.00", "  2000   1   4.00   4.00   8.00"],
+            "exposures": ["  2000   0   100.00   100.00   200.00",
+                          "  2000   1   90.00   90.00   180.00"]}
+    paths = {}
+    for kind, rows in (("deaths", deaths_rows), ("exposures", expo_rows)):
+        paths[kind] = tmp_path / f"{kind}.txt"
+        text = header if kind == "deaths" else HMD_HEADER
+        paths[kind].write_text(text + "".join(r + "\n" for r in (rows or good[kind])))
+    return str(paths["deaths"]), str(paths["exposures"])
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    ("stub\n\n", None, "no 'Year Age Female Male Total' header found"),
+    ("stub\n\n  Year   Age   Male   Female   Total\n", None, "line 3: unexpected column header"),
+    (HMD_HEADER, ["  2000   0   5.00   5.00   10.00", "  2000   1   4.00   4.00"],
+     "line 5: expected 5 columns, got 4"),
+    (HMD_HEADER, ["  2000   0   5.00   5.00   10.00"], "missing death cell for year 2000, age 1"),
+    (HMD_HEADER, ["  2000   0   5.00   5.00   10.00", "  2000   1   4.00   -4.00   0.00"],
+     "negative death at year 2000, age 1"),
+    (HMD_HEADER, ["  2000   0   5.00   .   10.00", "  2000   1   4.00   4.00   8.00"],
+     "missing-value marker at year 2000, age 0"),
+], ids=["no-header", "wrong-header", "four-fields", "missing-cell", "negative", "marker"])
+def test_parse_hmd_errors_name_file_and_line(tmp_path, header, rows, message):
+    deaths, expo = _hmd_pair(tmp_path, rows, header=header)
+    _raises_exactly(f"{deaths}: {message}", ig.parse_hmd_annual, deaths, expo, "AAA", [2000],
+                    [0, 1])
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["  2000   0   100.00   100.00   200.00"], "missing exposure cell for year 2000, age 1"),
+    (["  2000   0   -1.00   100.00   99.00", "  2000   1   90.00   90.00   180.00"],
+     "negative exposure at year 2000, age 0"),
+], ids=["missing-cell", "negative"])
+def test_parse_hmd_exposure_errors(tmp_path, rows, message):
+    deaths, expo = _hmd_pair(tmp_path, None, rows)
+    _raises_exactly(f"{expo}: {message}", ig.parse_hmd_annual, deaths, expo, "AAA", [2000], [0, 1])
+
+
+def test_parse_hmd_values_outside_request_are_not_read(tmp_path):
+    deaths, expo = _hmd_pair(tmp_path, [
+        "  2000   0   5.00   5.00   10.00", "  2000   1   .   -3   8.00",
+        "  2001   0   12x4   .   .", "  2001   1   4.00   4.00   8.00"])
+    panel = ig.parse_hmd_annual(deaths, expo, "AAA", [2000], [0])
+    assert panel.deaths[0, :, 0, 0].tolist() == [5.0, 5.0]
+    # years and ages are still checked on every row
+    deaths, expo = _hmd_pair(tmp_path, [
+        "  2000   0   5.00   5.00   10.00", "  2000   1   4.00   4.00   8.00",
+        "  2001   1x   4.00   4.00   8.00"])
+    with pytest.raises(IngestError, match=re.escape(f"{deaths}: line 6: bad number")):
+        ig.parse_hmd_annual(deaths, expo, "AAA", [2000], [0])
+
+
+def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
+    return [f"{country},{year},{w},{s},10\n" for w in range(1, weeks + 1) for s in sexes
+            if (w, s) not in skip]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("Country,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\n", "expected columns CountryCode,Year,Week,Sex,..."),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018,1,x,10\n",
+     "line 3: unknown sex code 'x'"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018,54,m,10\n",
+     "line 3: week 54 out of range"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018,2,m,10,11\n",
+     "line 3: expected 1 group values"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018,2,m,-1\n",
+     "line 3: negative death count"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018,1,m,11\n",
+     "duplicate row for year 2018, week 1, sex m"),
+    ("CountryCode,Year,Week,Sex,D0_4\n" + "".join(_stmf_year(skip={(7, "f")})),
+     "missing row for year 2018, week 7, sex f"),
+], ids=["empty", "wrong-header", "sex", "week-54", "value-count", "negative", "duplicate",
+        "missing-week"])
+def test_parse_stmf_errors_name_file_and_line(tmp_path, text, message):
+    path = tmp_path / "stmf.csv"
+    path.write_text(text)
+    _raises_exactly(f"{path}: {message}", ig.parse_stmf, str(path), "XXX", 4)
+
+
+def test_parse_stmf_drops_both_sexes_rows_unread(tmp_path):
+    path = tmp_path / "stmf.csv"
+    path.write_text("CountryCode,Year,Week,Sex,D0_4\n" + "".join(_stmf_year())
+                    + "XXX,2018,1,b,oops\nXXX,2018,2,b,-5,extra\n")
+    panels = ig.parse_stmf(str(path), "XXX", open_group_high=4)
+    assert np.nansum(panels["m"].deaths) == 520.0
+    assert np.nansum(panels["f"].deaths) == 520.0
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2020-01-01,1,m", "line 3: expected 4 fields"),
+    ("2020-1x-01,1,m,100", "line 3: bad date '2020-1x-01'"),
+    ("2020-01-02,1,m,100", "line 3: snapshot date must be a first-of-period"),
+    ("2020-02-01,1,m,100", "line 3: snapshot date must be a first-of-period"),
+    ("2020-01-01,1,x,100", "line 3: unknown sex code 'x'"),
+    ("2020-01-01,1,m,-100", "line 3: negative population count"),
+], ids=["three-fields", "bad-date", "not-first-of-month", "not-january", "sex", "negative"])
+def test_parse_population_errors_name_file_and_line(tmp_path, row, message):
+    path = tmp_path / "pop.csv"
+    path.write_text(f"date,age,sex,count\n2020-01-01,0,m,100\n{row}\n")
+    _raises_exactly(f"{path}: {message}", ig.parse_population, str(path), "eurostat_annual")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -656,6 +657,19 @@ _ANNUAL_HEADER = "country,gender,age,year,deaths,exposure"
 _WEEKLY_HEADER = "age,year,week,deaths,exposure"
 
 
+def _data_lines(lines, start):
+    """The lines after the first ``start`` that are neither blank nor ``#``
+    comments, and a function giving the 1-based file line number of the
+    k-th of them, for error messages."""
+    rows = [line for line in lines[start:] if line.strip() and line[0] != "#"]
+
+    def lineno(k):
+        return [n for n, line in enumerate(lines, start=1)
+                if n > start and line.strip() and line[0] != "#"][k]
+
+    return rows, lineno
+
+
 def _read_columns(path, header, nfields):
     """Split a panel CSV into ``nfields`` string columns of its data rows.
 
@@ -669,12 +683,7 @@ def _read_columns(path, header, nfields):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != header:
         raise ParseError(f"{path}: line 1: unexpected header")
-    rows = [line for line in lines[1:] if line.strip() and line[0] != "#"]
-
-    def lineno(k):
-        return [n for n, line in enumerate(lines, start=1)
-                if n > 1 and line.strip() and line[0] != "#"][k]
-
+    rows, lineno = _data_lines(lines, 1)
     if set(map(str.count, rows, itertools.repeat(","))) - {nfields - 1}:
         bad = next(k for k, line in enumerate(rows) if line.count(",") != nfields - 1)
         raise ParseError(f"{path}: line {lineno(bad)}: expected {nfields} fields")
@@ -682,48 +691,58 @@ def _read_columns(path, header, nfields):
     return [fields[f::nfields] for f in range(nfields)], lineno
 
 
-def _numbers(path, col, convert, lineno):
-    """Parse a string column with Python's ``int`` or ``float``; a bad entry
-    raises ParseError naming its line."""
+def _finite(convert, text):
+    """``convert(text)``; a non-finite value is a ValueError too."""
+    value = convert(text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _numbers(path, col, convert, lineno, error=ParseError):
+    """Parse a string column with ``float`` or an int-valued ``convert``; an
+    unparsable or non-finite entry raises ``error`` naming its line."""
+    dtype = float if convert is float else np.int64
     try:
-        return np.fromiter(map(convert, col), np.int64 if convert is int else float, len(col))
-    except ValueError:
+        values = np.fromiter(map(convert, col), dtype, len(col))
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or not np.isfinite(values).all():
         for k, text in enumerate(col):
             try:
-                convert(text)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno(k)}: bad number {text!r}") from None
-        raise
+                dtype(_finite(convert, text))
+            except (ValueError, OverflowError) as exc:
+                raise error(f"{path}: line {lineno(k)}: bad number: {exc}") from None
+    return values
 
 
-def _levels(path, col, lineno, numeric=False):
+def _levels(path, col, lineno, convert=None, error=ParseError):
     """Distinct values of a string column and each row's index among them.
 
-    The values keep their order of first appearance, or with ``numeric`` are
-    parsed as integers and sorted.  Each distinct text is parsed only once.
+    The values keep their order of first appearance, or with ``convert`` are
+    parsed by it as integers and sorted.  Each distinct text is parsed only
+    once; a bad one raises ``error`` naming the first row that holds it.
     """
     values = list(dict.fromkeys(col))
     code = {v: i for i, v in enumerate(values)}
     index = np.fromiter(map(code.__getitem__, col), np.intp, len(col))
-    if not numeric:
+    if convert is None:
         return values, index
-    try:
-        parsed = np.fromiter(map(int, values), np.int64, len(values))
-    except ValueError:
-        _numbers(path, col, int, lineno)  # raises, naming the first bad row
-        raise
-    levels, remap = np.unique(parsed, return_inverse=True)
-    return levels, remap[index]
+    parsed = _numbers(path, values, convert, lambda i: lineno(int(np.argmax(index == i))), error)
+    levels = sorted(set(parsed.tolist()))
+    rank = {v: i for i, v in enumerate(levels)}
+    remap = np.array([rank[v] for v in parsed.tolist()], dtype=np.intp)
+    return np.array(levels, dtype=parsed.dtype), remap[index]
 
 
-def _check_cells(path, flat, expected, describe):
-    """Raise ParseError unless the rows' flat cell indices hit every expected
+def _check_cells(path, flat, expected, describe, error=ParseError):
+    """Raise ``error`` unless the rows' flat cell indices hit every expected
     cell exactly once; ``describe`` names a cell from its array index."""
     hits = np.bincount(flat, minlength=expected.size).reshape(expected.shape)
     for what, mask in (("duplicate", hits > 1), ("missing", expected & (hits == 0))):
         if mask.any():
             cell = np.unravel_index(int(np.argmax(mask)), mask.shape)
-            raise ParseError(f"{path}: {what} cell {describe(*map(int, cell))}")
+            raise error(f"{path}: {what} {describe(*map(int, cell))}")
 
 
 def write_annual_panel_csv(panel, path):
@@ -744,12 +763,12 @@ def read_annual_panel_csv(path):
         raise ParseError(f"{path}: line {lineno(g_col.index(unknown[0]))}: "
                          f"unknown gender {unknown[0]!r}")
     gi = np.array([GENDERS.index(g) for g in genders], dtype=np.intp)[gi]
-    ages, ai = _levels(path, a_col, lineno, numeric=True)
-    years, ti = _levels(path, t_col, lineno, numeric=True)
+    ages, ai = _levels(path, a_col, lineno, int)
+    years, ti = _levels(path, t_col, lineno, int)
     shape = (len(countries), len(GENDERS), len(ages), len(years))
     flat = np.ravel_multi_index((ci, gi, ai, ti), shape)
-    _check_cells(path, flat, np.ones(shape, dtype=bool),
-                 lambda c, g, x, t: (countries[c], GENDERS[g], int(ages[x]), int(years[t])))
+    _check_cells(path, flat, np.ones(shape, dtype=bool), lambda c, g, x, t:
+                 f"cell {(countries[c], GENDERS[g], int(ages[x]), int(years[t]))}")
     deaths = np.empty(shape)
     expos = np.empty(shape)
     deaths.flat[flat] = _numbers(path, d_col, float, lineno)
@@ -783,8 +802,8 @@ def read_weekly_panel_csv(path, country, gender):
         except (ValueError, ValidationError):
             k = int(np.argmax(ai == i))
             raise ParseError(f"{path}: line {lineno(k)}: bad age label {label!r}") from None
-    years, ti = _levels(path, t_col, lineno, numeric=True)
-    week_levels, wi = _levels(path, w_col, lineno, numeric=True)
+    years, ti = _levels(path, t_col, lineno, int)
+    week_levels, wi = _levels(path, w_col, lineno, int)
     week = week_levels[wi]
     bad = (week < 1) | (week > MAX_WEEKS)
     if bad.any():
@@ -800,7 +819,7 @@ def read_weekly_panel_csv(path, country, gender):
     flat = np.ravel_multi_index((ai, ti, week - 1), shape)
     expected = np.broadcast_to(np.arange(MAX_WEEKS) < last_week[:, None], shape)
     _check_cells(path, flat, expected,
-                 lambda i, j, w: f"age {labels[i]}, year {years[j]}, week {w + 1}")
+                 lambda i, j, w: f"cell age {labels[i]}, year {years[j]}, week {w + 1}")
     deaths = np.full(shape, np.nan)
     deaths.flat[flat] = _numbers(path, d_col, float, lineno)
     expos = None

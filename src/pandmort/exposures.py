@@ -39,6 +39,8 @@ class PopulationSnapshot:
     def validate(self):
         if len(self.counts) != len(self.ages):
             raise ValidationError("PopulationSnapshot: counts length != ages length")
+        if not np.isfinite(self.counts).all():
+            raise ValidationError("PopulationSnapshot: non-finite population count")
         if (self.counts < 0).any():
             raise ValidationError("PopulationSnapshot: negative population count")
         return self

@@ -10,6 +10,24 @@ Layouts (documented, no column-reordering tolerance):
   final group; optional trailing ``Split``/``Forecast`` flag columns are
   ignored with a warning.
 * population files: ``date(YYYY-MM-DD),age,sex,count``.
+
+Which rows get which checks:
+
+* annual files: every data row's field count, digit separators, year and
+  age are checked, and no (year, age) may repeat; the values are read only
+  for the requested years and ages, where a missing cell, a ``.``, or a
+  bad, non-finite or negative number is an error.  Total is never read.
+* weekly files: rows of other countries get no check.  Rows of the
+  requested countries get their field count, separators, year and week
+  checked; sex ``b`` rows are then dropped, and every other row gets the
+  sex, week range, duplicate, group-count and value checks.
+* population files: every row gets every check.
+
+Blank lines and lines starting with ``#`` are skipped.  A number is bad if
+Python's ``int`` or ``float`` rejects it, if it holds a ``_`` digit
+separator, or if it is ``nan`` or infinite.  The annual and weekly parsers
+check a whole column at a time, so in a file with several faults the first
+fault reported may not be on the first bad line.
 """
 
 from __future__ import annotations
@@ -20,7 +38,10 @@ import logging
 
 import numpy as np
 
-from .datastore import MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, check_age_partition
+from .datastore import (
+    MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, _check_cells, _data_lines, _finite, _levels,
+    _numbers, check_age_partition,
+)
 from .errors import IngestError
 from .exposures import PopulationSnapshot
 
@@ -35,74 +56,110 @@ def weeks_in_iso_year(year):
 def _number(convert, text, path, lineno):
     """``convert(text)``, or an IngestError naming the file and line."""
     try:
-        return convert(text)
+        return _finite(convert, text)
     except ValueError as exc:
         raise IngestError(f"{path}: line {lineno}: bad number: {exc}") from None
 
 
 def _no_separators(fields, path, lineno):
     """IngestError when a field holds a ``_``, which `int` and `float` read as
-    a digit separator (``1_0`` is 10); one scan per line, not per number."""
+    a digit separator (``1_0`` is 10)."""
     if "_" in "".join(fields):
         bad = next(v for v in fields if "_" in v)
         raise IngestError(f"{path}: line {lineno}: bad number: digit separator in {bad!r}")
 
 
-def _read_hmd_file(path):
-    """Read one 1x1 file -> {(year, age): (female, male, line number)}."""
-    cells = {}
+def _hmd_age(text):
+    """An annual file's age: an integer, or ``110+`` for the open age group."""
+    return 110 if text == "110+" else int(text)
+
+
+def _lookup(levels, values):
+    """Index of each value among the sorted ``levels``, or -1 where absent."""
+    i = np.searchsorted(levels, values)
+    hit = i < len(levels)
+    hit[hit] = levels[i[hit]] == values[hit]
+    return np.where(hit, i, -1)
+
+
+def _read_hmd_file(path, years, ages, kind):
+    """One 1x1 file's (male, female) values on the ages x years grid, shape
+    (2, len(ages), len(years)).
+
+    Every data row's field count, separators, year and age are checked;
+    values are read only for the requested cells.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    started = False
-    for lineno, line in enumerate(lines, start=1):
+    for start, line in enumerate(lines, start=1):
         parts = line.split()
-        if not parts:
-            continue
-        if not started:
-            if parts[0] == "Year":
-                if parts[:5] != ["Year", "Age", "Female", "Male", "Total"]:
-                    raise IngestError(f"{path}: line {lineno}: unexpected column header")
-                started = True
-            continue
-        if len(parts) != 5:
-            raise IngestError(f"{path}: line {lineno}: expected 5 columns, got {len(parts)}")
-        _no_separators(parts, path, lineno)
-        year = _number(int, parts[0], path, lineno)
-        age = 110 if parts[1] == "110+" else _number(int, parts[1], path, lineno)
-        if (year, age) in cells:
-            raise IngestError(f"{path}: line {lineno}: duplicate row for year {year}, age {age}")
-        cells[(year, age)] = (parts[2], parts[3], lineno)
-    if not started:
+        if parts and parts[0] == "Year":
+            if parts[:5] != ["Year", "Age", "Female", "Male", "Total"]:
+                raise IngestError(f"{path}: line {start}: unexpected column header")
+            break
+    else:
         raise IngestError(f"{path}: no 'Year Age Female Male Total' header found")
-    return cells
-
-
-def _fill_panel(cells, path, years, ages, out, kind):
-    for j, t in enumerate(years):
-        for i, x in enumerate(ages):
-            if (t, x) not in cells:
+    rows, lineno = _data_lines(lines, start)
+    cols = [[], [], [], []]  # year, age, female, male
+    for b in range(0, len(rows), 1024):  # a block of rows at a time bounds the token lists
+        block = rows[b:b + 1024]
+        parts = list(map(str.split, block))
+        fields = list(map(len, parts))
+        if fields.count(5) != len(fields):
+            k = next(k for k, n in enumerate(fields) if n != 5)
+            raise IngestError(f"{path}: line {lineno(b + k)}: expected 5 columns, got {fields[k]}")
+        if "_" in "".join(block):
+            k = next(k for k, line in enumerate(block) if "_" in line)
+            _no_separators(parts[k], path, lineno(b + k))
+        for col, values in zip(cols, zip(*parts)):
+            col += values
+    year_col, age_col, female, male = cols
+    del rows, cols
+    file_years, yi = _levels(path, year_col, lineno, int, IngestError)
+    file_ages, ai = _levels(path, age_col, lineno, _hmd_age, IngestError)
+    del year_col, age_col
+    flat = yi * len(file_ages) + ai
+    if len(flat) and np.bincount(flat).max() > 1:
+        repeat = np.ones(len(flat), dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        k = int(np.argmax(repeat))
+        raise IngestError(f"{path}: line {lineno(k)}: duplicate row for year "
+                          f"{file_years[yi[k]]}, age {file_ages[ai[k]]}")
+    # file row of each (year, age); the extra row and column of -1 serve the
+    # requested years and ages the file lacks, which _lookup maps to -1
+    row_of = np.full((len(file_years) + 1, len(file_ages) + 1), -1)
+    row_of[yi, ai] = np.arange(len(flat))
+    row_of = row_of[np.ix_(_lookup(file_years, years), _lookup(file_ages, ages))]
+    cells = row_of.T.ravel().tolist()  # age-major, the panel's layout
+    out = None
+    if min(cells, default=0) >= 0:
+        try:
+            out = np.array([np.fromiter(map(float, map(col.__getitem__, cells)), float, len(cells))
+                            for col in (male, female)])
+        except ValueError:
+            pass
+    if out is None or not (np.isfinite(out).all() and (out >= 0).all()):
+        for (j, i), k in np.ndenumerate(row_of):  # the first bad cell, year-major
+            t, x = years[j], ages[i]
+            if k < 0:
                 raise IngestError(f"{path}: missing {kind} cell for year {t}, age {x}")
-            f_raw, m_raw, lineno = cells[(t, x)]
-            for gi, raw in ((0, m_raw), (1, f_raw)):
+            for raw in (male[k], female[k]):
                 if raw == ".":
                     raise IngestError(f"{path}: missing-value marker at year {t}, age {x}")
-                val = _number(float, raw, path, lineno)
-                if val < 0:
+                if _number(float, raw, path, lineno(k)) < 0:
                     raise IngestError(f"{path}: negative {kind} at year {t}, age {x}")
-                out[gi, i, j] = val
+    return out.reshape(2, len(ages), len(years))
 
 
 def parse_hmd_annual(deaths_path, exposures_path, country, years, ages):
     """Parse a deaths/exposures file pair into a single-country AnnualPanel."""
     years = np.asarray(list(years))
     ages = np.asarray(list(ages))
-    deaths = np.empty((1, 2, len(ages), len(years)))
-    expos = np.empty((1, 2, len(ages), len(years)))
-    _fill_panel(_read_hmd_file(deaths_path), deaths_path, years, ages, deaths[0], "death")
-    _fill_panel(_read_hmd_file(exposures_path), exposures_path, years, ages, expos[0], "exposure")
+    deaths = _read_hmd_file(deaths_path, years, ages, "death")[None]
+    expos = _read_hmd_file(exposures_path, years, ages, "exposure")[None]
     panel = AnnualPanel(countries=(country,), ages=ages, years=years, deaths=deaths, exposures=expos)
     return panel.validate()
 
@@ -154,8 +211,8 @@ def parse_stmf_countries(path, countries, open_group_high=110):
     if header[:4] != ["CountryCode", "Year", "Week", "Sex"]:
         raise IngestError(f"{path}: expected columns CountryCode,Year,Week,Sex,...")
     flag_cols = [i for i, n in enumerate(header) if n in ("Split", "Forecast")]
-    group_names = [n for i, n in enumerate(header[4:], start=4) if i not in flag_cols]
-    specs = _parse_group_columns(group_names)
+    value_cols = [i for i in range(4, len(header)) if i not in flag_cols]
+    specs = _parse_group_columns([header[i] for i in value_cols])
     ages = []
     for s in specs:
         if s[0] == "open":
@@ -164,73 +221,120 @@ def parse_stmf_countries(path, countries, open_group_high=110):
             ages.append(AgeIndex(s[1], s[2]))
     check_age_partition(ages)
     ages = tuple(ages)
-    ncols = len(group_names)
 
-    by_country = {c: {} for c in countries}  # country -> (year, week, sex) -> counts
-    flagged = 0
-    for lineno, row in enumerate(rows, start=2):
-        if not row or row[0] not in by_country:
-            continue
-        if len(row) < 4:
-            raise IngestError(f"{path}: line {lineno}: expected at least 4 fields, got {len(row)}")
-        _no_separators(row[1:3] + row[4:], path, lineno)  # codes such as GBR_SCO hold a "_"
-        data = by_country[row[0]]
-        year, week = _number(int, row[1], path, lineno), _number(int, row[2], path, lineno)
-        sex = row[3]
-        if sex == "b":
-            continue
-        if sex not in ("m", "f"):
-            raise IngestError(f"{path}: line {lineno}: unknown sex code {sex!r}")
-        if not (0 <= week <= MAX_WEEKS):
-            raise IngestError(f"{path}: line {lineno}: week {week} out of range")
-        if (year, week, sex) in data:
-            raise IngestError(f"{path}: duplicate row for year {year}, week {week}, sex {sex}")
-        vals = [v for i, v in enumerate(row[4:], start=4) if i not in flag_cols]
-        if len(vals) != ncols:
-            raise IngestError(f"{path}: line {lineno}: expected {ncols} group values")
-        if any(i in flag_cols and row[i] not in ("", "0") for i in range(len(row))):
-            flagged += 1
-        counts = np.array([_number(float, v, path, lineno) for v in vals])
-        if (counts < 0).any():
-            raise IngestError(f"{path}: line {lineno}: negative death count")
-        data[(year, week, sex)] = counts
-    if flagged:
-        log.warning("%s: %d rows carry Split/Forecast flags; counts used as-is", path, flagged)
-    return {c: _weekly_panels(path, c, ages, data) for c, data in by_country.items()}
+    code = {c: i for i, c in enumerate(dict.fromkeys(countries))}
+    picked = [k for k, row in enumerate(rows) if row and row[0] in code]
+    rows = list(map(rows.__getitem__, picked))
+    line = np.array(picked, dtype=np.intp) + 2
+    del picked
 
+    def lineno(k):  # reads ``line`` as it is when called: sex-b rows get dropped below
+        return line[k]
 
-def _weekly_panels(path, country, ages, data):
-    """One country's parsed rows {(year, week, sex): counts} -> {gender: WeeklyPanel}."""
-    # Merge week 0 of year t into the final week of year t-1.
-    for (year, week, sex) in sorted(k for k in data if k[1] == 0):
-        counts = data.pop((year, week, sex))
-        prev_wt = weeks_in_iso_year(year - 1)
-        key = (year - 1, prev_wt, sex)
-        if key in data:
-            data[key] = data[key] + counts
-        else:
-            data[key] = counts
+    length = np.fromiter(map(len, rows), np.intp, len(rows))
+    if (length < 4).any():
+        k = int(np.argmax(length < 4))
+        raise IngestError(f"{path}: line {lineno(k)}: expected at least 4 fields, got {length[k]}")
+    # pad rows without the trailing flag columns, so that the columns line up
+    width = max(len(header), length.max(initial=0))
+    if (length < width).any():
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    cols = list(zip(*rows)) or [()] * width
+    del rows
+    checked = [cols[1], cols[2], *cols[4:]]  # codes such as GBR_SCO hold a "_"
+    if any("_" in "".join(col) for col in checked):
+        k = next(k for k, fields in enumerate(zip(*checked)) if "_" in "".join(fields))
+        _no_separators([col[k] for col in checked], path, lineno(k))
+    del checked
+    country = np.fromiter(map(code.__getitem__, cols[0]), np.intp, len(line))
+    years, yi = _levels(path, cols[1], lineno, int, IngestError)
+    week_levels, wi = _levels(path, cols[2], lineno, int, IngestError)
+    week = week_levels[wi]
+    sexes, si = _levels(path, cols[3], lineno)
+    # 0 and 1 index the panels' genders, 2 marks the both-sexes rows, 3 is unknown
+    sex = np.array([{"m": 0, "f": 1, "b": 2}.get(sx, 3) for sx in sexes], dtype=np.intp)[si]
+    if (sex == 3).any():
+        k = int(np.argmax(sex == 3))
+        raise IngestError(f"{path}: line {lineno(k)}: unknown sex code {cols[3][k]!r}")
+    bad = (sex < 2) & ((week < 0) | (week > MAX_WEEKS))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise IngestError(f"{path}: line {lineno(k)}: week {week[k]} out of range")
+    keep = sex < 2
+    if not keep.all():
+        kept = np.flatnonzero(keep).tolist()
+        cols = [list(map(col.__getitem__, kept)) for col in cols]
+        country, yi, week, sex, length, line = (
+            v[keep] for v in (country, yi, week, sex, length, line))
+    shape = (len(code), 2, len(years), MAX_WEEKS + 1)
+    _check_cells(path, np.ravel_multi_index((country, sex, yi, week), shape),
+                 np.zeros(shape, dtype=bool),
+                 lambda c, g, j, w: f"row for year {years[j]}, week {w}, sex {'mf'[g]}",
+                 IngestError)
+    ncols = len(value_cols)
+    bad = length - 4 - np.searchsorted(flag_cols, length) != ncols
+    if bad.any():
+        raise IngestError(f"{path}: line {lineno(int(np.argmax(bad)))}: "
+                          f"expected {ncols} group values")
+    flagged = np.zeros(len(line), dtype=bool)
+    for f in flag_cols:
+        flagged |= ~np.fromiter(map(("", "0").__contains__, cols[f]), bool, len(line))
+    if flagged.any():
+        log.warning("%s: %d rows carry Split/Forecast flags; counts used as-is",
+                    path, flagged.sum())
+    counts = np.array([_numbers(path, cols[i], float, lineno, IngestError) for i in value_cols])
+    counts = counts.reshape(ncols, len(line))  # one row per age group
+    del cols
+    bad = (counts < 0).any(axis=0)
+    if bad.any():
+        raise IngestError(f"{path}: line {lineno(int(np.argmax(bad)))}: negative death count")
 
-    years = tuple(sorted({y for (y, _, _) in data}))
-    if not years:
-        raise IngestError(f"{path}: no usable rows for country {country}")
-    weeks_in_year = {}
-    for t in years:
-        observed = max(w for (y, w, _) in data if y == t)
-        weeks_in_year[t] = 53 if observed == 53 else 52
-
+    # Week 0 of year t is the final week of year t-1.
+    year = years[yi]
+    merged = week == 0
+    if merged.any():
+        last = np.zeros(len(years), dtype=week.dtype)
+        for j in set(yi[merged].tolist()):
+            last[j] = weeks_in_iso_year(int(years[j]) - 1)
+        week = np.where(merged, last[yi], week)
+        year = year - merged
     panels = {}
-    for sex in ("m", "f"):
+    for c, name in enumerate(code):
+        mine = country == c
+        if not mine.any():
+            raise IngestError(f"{path}: no usable rows for country {name}")
+        panels[name] = _weekly_panels(path, name, ages, sex[mine], year[mine], week[mine],
+                                      merged[mine], counts[:, mine])
+    return panels
+
+
+def _weekly_panels(path, country, ages, sex, year, week, merged, counts):
+    """One country's rows -> {gender: WeeklyPanel}.  ``week`` is each row's
+    ISO week after the week-0 merge, and ``merged`` marks the rows that came
+    from week 0: each one's counts are added to those of the row it joins,
+    if there is one."""
+    years = np.array(sorted(set(year.tolist())))
+    yj, wk = np.searchsorted(years, year), week - 1
+    have = np.zeros((2, len(years), MAX_WEEKS), dtype=bool)
+    have[sex[~merged], yj[~merged], wk[~merged]] = True
+    joins = merged.copy()
+    joins[merged] = have[sex[merged], yj[merged], wk[merged]]
+    have[sex, yj, wk] = True
+    weeks = np.where(have[:, :, -1].any(axis=0), 53, 52)
+    _check_cells(path, np.flatnonzero(have),
+                 np.broadcast_to(np.arange(MAX_WEEKS) < weeks[:, None], have.shape),
+                 lambda g, j, w: f"row for year {years[j]}, week {w + 1}, sex {'mf'[g]}",
+                 IngestError)
+    years = years.tolist()
+    panels = {}
+    for g, gender in enumerate(("m", "f")):
         deaths = np.full((len(ages), len(years), MAX_WEEKS), np.nan)
-        for j, t in enumerate(years):
-            for w in range(1, weeks_in_year[t] + 1):
-                key = (t, w, sex)
-                if key not in data:
-                    raise IngestError(f"{path}: missing row for year {t}, week {w}, sex {sex}")
-                deaths[:, j, w - 1] = data[key]
-        panels[sex] = WeeklyPanel(
-            country=country, gender=sex, ages=ages, years=years,
-            weeks_in_year=weeks_in_year, deaths=deaths,
+        plain, joined = (sex == g) & ~joins, (sex == g) & joins
+        deaths[:, yj[plain], wk[plain]] = counts[:, plain]
+        deaths[:, yj[joined], wk[joined]] += counts[:, joined]
+        panels[gender] = WeeklyPanel(
+            country=country, gender=gender, ages=ages, years=tuple(years),
+            weeks_in_year=dict(zip(years, weeks.tolist())), deaths=deaths,
         ).validate()
     return panels
 

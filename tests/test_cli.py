@@ -200,6 +200,9 @@ def test_malformed_model_file_exits_3(pipeline, tmp_path):
     ("AAA_deaths.txt", 5, 2, "1_0"),
     ("weekly_deaths.csv", 3, 4, "1_0"),
     ("AAA_population.csv", 3, 3, "1_0"),
+    ("AAA_deaths.txt", 5, 3, "nan"),
+    ("weekly_deaths.csv", 3, 4, "inf"),
+    ("AAA_population.csv", 3, 3, "nan"),
 ])
 def test_malformed_raw_number_exits_3(pipeline, tmp_path, name, lineno, field, text):
     data = tmp_path / "data"

@@ -57,6 +57,14 @@ def test_cohort_deaths_shape_check():
         ex.cohort_deaths(np.zeros((5, 52)), 53)
 
 
+@pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                          (-1.0, "negative")])
+def test_population_snapshot_rejects_bad_counts(bad, message):
+    snap = ex.PopulationSnapshot((2020, 1, 1), "AAA", "m", np.arange(3), np.array([5.0, bad, 5.0]))
+    with pytest.raises(ValidationError, match=message):
+        snap.validate()
+
+
 def test_project_population_monotone_no_deaths():
     start = np.linspace(1000.0, 500.0, 8)
     c = np.zeros((8, 52))

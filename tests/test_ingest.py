@@ -241,8 +241,9 @@ def test_parse_stmf_malformed_group_column(tmp_path, column):
 
 
 @pytest.mark.parametrize("row", ["2020-01-01,1x,m,100", "2020-01-01,1,m,2e5x",
-                                 "2020-01-01,1,m,1_0"],
-                         ids=["age", "count", "separator"])
+                                 "2020-01-01,1,m,1_0", "2020-01-01,1,m,nan",
+                                 "2020-01-01,1,m,inf"],
+                         ids=["age", "count", "separator", "nan", "inf"])
 def test_parse_population_malformed_number(tmp_path, row):
     path = tmp_path / "pop.csv"
     path.write_text(f"date,age,sex,count\n2020-01-01,0,m,100\n{row}\n")
@@ -317,7 +318,8 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
 
 @pytest.mark.parametrize("text, message", [
     ("", "empty file"),
-    ("Country,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\n", "expected columns CountryCode,Year,Week,Sex,..."),
+    ("Country,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\n",
+     "expected columns CountryCode,Year,Week,Sex,..."),
     ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018,1,x,10\n",
      "line 3: unknown sex code 'x'"),
     ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018,54,m,10\n",
@@ -359,3 +361,35 @@ def test_parse_population_errors_name_file_and_line(tmp_path, row, message):
     path = tmp_path / "pop.csv"
     path.write_text(f"date,age,sex,count\n2020-01-01,0,m,100\n{row}\n")
     _raises_exactly(f"{path}: {message}", ig.parse_population, str(path), "eurostat_annual")
+
+
+@pytest.mark.parametrize("which", ["deaths", "exposures"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+def test_parse_hmd_rejects_non_finite(tmp_path, which, text):
+    good = {"deaths": "  2000   0   5.00   5.00   10.00",
+            "exposures": "  2000   0   100.00   100.00   200.00"}
+    paths = {}
+    for kind, row in good.items():
+        if kind == which:
+            row = row.replace("5.00", text, 1).replace("100.00", text, 1)
+        paths[kind] = tmp_path / f"{kind}.txt"
+        paths[kind].write_text(HMD_HEADER + row + "\n")
+    _raises_exactly(f"{paths[which]}: line 4: bad number: non-finite value {text!r}",
+                    ig.parse_hmd_annual, str(paths["deaths"]), str(paths["exposures"]), "AAA",
+                    [2000], [0])
+
+
+def test_parse_hmd_skips_comment_lines(tmp_path):
+    deaths, expo = _hmd_pair(tmp_path, [
+        "# comment line", "  2000   0   5.00   5.00   10.00", "#", "",
+        "  2000   1   4.00   4.00   8.00", "# trailing comment"])
+    panel = ig.parse_hmd_annual(deaths, expo, "AAA", [2000], [0, 1])
+    assert panel.deaths[0, 0, :, 0].tolist() == [5.0, 4.0]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_parse_stmf_rejects_non_finite(tmp_path, text):
+    path = tmp_path / "stmf.csv"
+    path.write_text(f"CountryCode,Year,Week,Sex,D0_4\nXXX,2018,2,m,10\nXXX,2018,1,m,{text}\n")
+    _raises_exactly(f"{path}: line 3: bad number: non-finite value {text!r}",
+                    ig.parse_stmf, str(path), "XXX", 4)

@@ -16,13 +16,16 @@ from dataclasses import replace
 
 import numpy as np
 
+from .baseline import baseline_mu
 from .datastore import ForecastSet, ScenarioSpec
 from .errors import NumericalError, ValidationError
 
 BRACKET = 10.0
 ROOT_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
-DEFAULT_MAX_AGE = 120
+MAX_AGE = 120  # forecast tables close at this age
+LE_AGES = (0, 65, 85)  # ages of the forecast life expectancies
+EXTRAP_AGES = (80, 90)  # ln(mu) above the calibrated ages is extrapolated from these
 
 
 def weekly_mean_factor(layer, phi):
@@ -152,7 +155,7 @@ def annual_survival_gap(layer, phi, mu):
     return np.abs(lhs - rhs) / rhs
 
 
-def build_scenario(spec, x_2021=None):
+def build_scenario(spec):
     """Annual pandemic period-effect path for h = 1..horizon:
     X_{start} * eta^h + (1 - eta^h) * X_{infinity}."""
     spec.validate()
@@ -161,16 +164,16 @@ def build_scenario(spec, x_2021=None):
     return spec.x_start * w + (1.0 - w) * spec.x_infinity
 
 
-def standard_scenarios(x_2021, eta=0.5, horizon=50):
+def standard_scenarios(x_final, eta=0.5, horizon=50):
     """The six shipped scenario specifications, parameterized by the fitted
-    final-year annual effect."""
+    annual effect of the last pandemic year."""
     return (
         ScenarioSpec("completely_incidental", 0.0, 0.0, eta, horizon),
-        ScenarioSpec("completely_structural", x_2021, x_2021, eta, horizon),
-        ScenarioSpec("decreasing_impact", x_2021, 0.0, eta, horizon),
-        ScenarioSpec("growing_impact", x_2021, 1.25 * x_2021, eta, horizon),
-        ScenarioSpec("new_normal", x_2021, 0.25 * x_2021, eta, horizon),
-        ScenarioSpec("increased_resilience", x_2021, -0.25 * x_2021, eta, horizon),
+        ScenarioSpec("completely_structural", x_final, x_final, eta, horizon),
+        ScenarioSpec("decreasing_impact", x_final, 0.0, eta, horizon),
+        ScenarioSpec("growing_impact", x_final, 1.25 * x_final, eta, horizon),
+        ScenarioSpec("new_normal", x_final, 0.25 * x_final, eta, horizon),
+        ScenarioSpec("increased_resilience", x_final, -0.25 * x_final, eta, horizon),
     )
 
 
@@ -179,19 +182,14 @@ def extend_age_effect(V, calib_ages, full_ages):
     calibrated range, constant at the top calibrated value above it."""
     calib_ages = np.asarray(calib_ages)
     full_ages = np.asarray(full_ages)
-    out = np.zeros(len(full_ages), dtype=float)
-    lookup = dict(zip(calib_ages.tolist(), np.asarray(V).tolist()))
-    top = calib_ages.max()
-    for i, x in enumerate(full_ages):
-        if x < calib_ages.min():
-            out[i] = 0.0
-        elif x > top:
-            out[i] = lookup[int(top)]
-        else:
-            if int(x) not in lookup:
-                raise ValidationError(f"extend_age_effect: age {x} missing from calibrated range")
-            out[i] = lookup[int(x)]
-    return out
+    lo, hi = calib_ages.min(), calib_ages.max()
+    dense, have = np.zeros(hi - lo + 1), np.zeros(hi - lo + 1, dtype=bool)
+    dense[calib_ages - lo], have[calib_ages - lo] = V, True
+    at = np.clip(full_ages, lo, hi) - lo
+    if not have[at].all():
+        raise ValidationError(
+            f"extend_age_effect: age {full_ages[np.argmin(have[at])]} missing from calibrated range")
+    return np.where(full_ages < lo, 0.0, dense[at])
 
 
 def scenario_mu(mu_pre, V_ext, x_path):
@@ -201,34 +199,31 @@ def scenario_mu(mu_pre, V_ext, x_path):
     return mu, 1.0 - np.exp(-mu)
 
 
-def extended_baseline_mu(model, country, gender, years, max_age=DEFAULT_MAX_AGE,
-                         extrap_ages=(80, 90)):
-    """Central pre-pandemic projection on ages 0..max_age.
+def extended_baseline_mu(model, country, gender, years):
+    """Central pre-pandemic projection on ages 0..MAX_AGE.
 
     Ages above the calibrated range are closed by log-linear extrapolation of
-    ln(mu) over ``extrap_ages``, per year.
+    ln(mu) over ``EXTRAP_AGES``, per year.
     """
-    from .baseline import baseline_mu
-
     years = np.asarray(years)
     model_top = int(model.ages[-1])
     base = baseline_mu(model, country, gender, model.ages, years)
-    if max_age <= model_top:
-        return base[: max_age - int(model.ages[0]) + 1]
-    lo, hi = extrap_ages
+    if MAX_AGE <= model_top:
+        return base[: MAX_AGE - int(model.ages[0]) + 1]
+    lo, hi = EXTRAP_AGES
     sel = (model.ages >= lo) & (model.ages <= hi)
     xs = model.ages[sel].astype(float)
     lnmu = np.log(base[sel])
-    out = np.empty((max_age - int(model.ages[0]) + 1, len(years)))
+    out = np.empty((MAX_AGE - int(model.ages[0]) + 1, len(years)))
     out[: len(model.ages)] = base
-    extra = np.arange(model_top + 1, max_age + 1, dtype=float)
+    extra = np.arange(model_top + 1, MAX_AGE + 1, dtype=float)
     for j in range(len(years)):
         slope, intercept = np.polyfit(xs, lnmu[:, j], 1)
         out[len(model.ages) :, j] = np.exp(intercept + slope * extra)
     return out
 
 
-def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=DEFAULT_MAX_AGE):
+def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=MAX_AGE):
     """Remaining life expectancy under the curtate-plus-half convention:
     e = sum_k (prod_{j<k} (1 - q_j)) * (1 - q_k / 2), truncated at
     ``max_age`` where q is forced to one.
@@ -267,8 +262,7 @@ def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=DEFAULT_MAX_A
     return float((surv * (1.0 - qs / 2.0)).sum())
 
 
-def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period",
-                            max_age=DEFAULT_MAX_AGE):
+def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period", max_age=MAX_AGE):
     """`life_expectancy` at age ``x0`` for every start year in ``t0s`` at once.
 
     Gathers one C-ordered (len(t0s), max_age - x0 + 1) block of death
@@ -309,18 +303,18 @@ def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period",
     return (surv * (1.0 - qs / 2.0)).sum(axis=1)
 
 
-def forecast_scenarios(model, country, gender, V, calib_ages, x_2021, scenarios,
-                       first_year=2022, report_years=30, max_age=DEFAULT_MAX_AGE,
-                       le_ages=(0, 65, 85)):
-    """Build a ForecastSet for a list of ScenarioSpec.
+def forecast_scenarios(model, country, gender, V, calib_ages, scenarios, first_year,
+                       report_years=30):
+    """Build a ForecastSet for a list of ScenarioSpec, reporting the
+    ``report_years`` years from ``first_year`` on.
 
     Internally projects far enough past the reporting window that cohort life
-    expectancies up to ``max_age`` are computable for every reported year.
+    expectancies up to ``MAX_AGE`` are computable for every reported year.
     """
-    full_horizon = report_years + (max_age + 1)
+    full_horizon = report_years + (MAX_AGE + 1)
     years_full = np.arange(first_year, first_year + full_horizon)
-    ages_full = np.arange(0, max_age + 1)
-    mu_pre = extended_baseline_mu(model, country, gender, years_full, max_age=max_age)
+    ages_full = np.arange(0, MAX_AGE + 1)
+    mu_pre = extended_baseline_mu(model, country, gender, years_full)
     V_ext = extend_age_effect(V, calib_ages, ages_full)
     report = np.arange(first_year, first_year + report_years)
 
@@ -333,10 +327,10 @@ def forecast_scenarios(model, country, gender, V, calib_ages, x_2021, scenarios,
         q_out[spec.name] = q[:, :report_years]
         for kind, e_out in (("period", ep_out), ("cohort", ec_out)):
             e_out[spec.name] = np.stack([
-                life_expectancy_by_year(q, ages_full, years_full, x0, report, kind, max_age)
-                for x0 in le_ages
+                life_expectancy_by_year(q, ages_full, years_full, x0, report, kind)
+                for x0 in LE_AGES
             ])
     return ForecastSet(
-        ages=ages_full, years=report, le_ages=tuple(le_ages), max_age=max_age,
+        ages=ages_full, years=report, le_ages=LE_AGES,
         mu=mu_out, q=q_out, e_period=ep_out, e_cohort=ec_out,
     ).validate()

@@ -259,10 +259,16 @@ def calibrate_baseline(panel, traces=None):
 # time-series layer
 
 
+def period_series(countries):
+    """The period-effect series as (parameter, key) pairs, in the one order of
+    ``BaselineModel.series`` and ``sigma``: each gender's K, then kappa for
+    each (country, gender)."""
+    return [("K", g) for g in GENDERS] + [("kappa", (c, g)) for c in countries for g in GENDERS]
+
+
 def series_labels(countries):
-    labels = [f"K|{g}" for g in GENDERS]
-    labels += [f"kappa|{c}|{g}" for c in countries for g in GENDERS]
-    return tuple(labels)
+    return tuple("|".join([name, key] if name == "K" else [name, *key])
+                 for name, key in period_series(countries))
 
 
 def fit_time_series(model):
@@ -273,46 +279,46 @@ def fit_time_series(model):
     drifts delta are reported with t-statistics but forced to zero for
     projection, so that countries do not diverge from the common trend.
     """
-    nt = len(model.years)
-    if nt < 3:
+    if len(model.years) < 3:
         raise NumericalError("time-series fit needs at least 3 time points")
-    series = [model.K[g] for g in GENDERS]
-    series += [model.kappa[(c, g)] for c in model.countries for g in GENDERS]
-    diffs = np.stack([np.diff(s) for s in series])  # (nseries, nt-1)
+    order = period_series(model.countries)
+    diffs = np.stack([np.diff(getattr(model, name)[key]) for name, key in order])  # (nseries, nt-1)
     n = diffs.shape[1]
     drift = diffs.mean(axis=1)
     resid = diffs - drift[:, None]
     sigma = resid @ resid.T / n
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(np.diag(sigma) > 0, drift / np.sqrt(np.diag(sigma) / n), np.inf * np.sign(drift))
-    theta = {g: drift[i] for i, g in enumerate(GENDERS)}
-    delta, delta_tstat = {}, {}
-    idx = len(GENDERS)
-    for c in model.countries:
-        for g in GENDERS:
-            delta[(c, g)] = drift[idx]
-            delta_tstat[(c, g)] = float(tstat[idx])
-            idx += 1
+    theta = {key: d for (name, key), d in zip(order, drift) if name == "K"}
+    delta = {key: d for (name, key), d in zip(order, drift) if name == "kappa"}
+    delta_tstat = {key: float(t) for (name, key), t in zip(order, tstat) if name == "kappa"}
     return replace(
         model, theta=theta, delta=delta, delta_tstat=delta_tstat,
         sigma=sigma, series=series_labels(model.countries),
     )
 
 
-def project_period_effects(model, years_ahead):
-    """Central projection: common effect drifts at theta, country deviations
-    stay at their last calibrated value (drift forced to zero)."""
-    h = np.asarray(years_ahead)
-    K = {g: model.K[g][-1] + model.theta[g] * h for g in GENDERS}
-    kappa = {key: np.full(len(h), model.kappa[key][-1]) for key in model.kappa}
-    return K, kappa
+def _start_and_drift(model, series):
+    """Last calibrated value and projection drift of each (parameter, key)
+    series: K drifts at theta, and each kappa is held (delta forced to 0)."""
+    start = np.array([getattr(model, name)[key][-1] for name, key in series])
+    drift = np.array([model.theta[key] if name == "K" else 0.0 for name, key in series])
+    return start, drift
+
+
+def project_period_effects(model, years_ahead, series):
+    """Central projection of the (parameter, key) ``series``, such as those of
+    `period_series`, ``years_ahead`` years after the calibration window;
+    shape (len(series), len(years_ahead))."""
+    start, drift = _start_and_drift(model, series)
+    return start[:, None] + drift[:, None] * np.asarray(years_ahead)
 
 
 def baseline_mu(model, country, gender, ages, years):
     """Force of mortality mu[x, t] under the two-layer model.
 
     Calibration years return the fitted values; later years use the central
-    projection (common drift, zero country drift).  Ages must lie inside the
+    projection, `project_period_effects`.  Ages must lie inside the
     model's calibration range.
     """
     ages = np.atleast_1d(np.asarray(ages))
@@ -329,8 +335,8 @@ def baseline_mu(model, country, gender, ages, years):
     K = model.K[gender][yj]
     kap = model.kappa[(country, gender)][yj]
     if ahead.any():
-        K[ahead] = model.K[gender][-1] + model.theta[gender] * (years[ahead] - last)
-        kap[ahead] = model.kappa[(country, gender)][-1]
+        K[ahead], kap[ahead] = project_period_effects(
+            model, years[ahead] - last, (("K", gender), ("kappa", (country, gender))))
     B = model.B[gender][ai]
     alpha = model.alpha[(country, gender)][ai]
     beta = model.beta[(country, gender)][ai]
@@ -340,17 +346,12 @@ def baseline_mu(model, country, gender, ages, years):
 def simulate_period_effects(model, horizon, n_sims, rng):
     """Draw joint random-walk paths for all period effects.
 
-    Returns an array of shape (n_sims, nseries, horizon) of simulated levels;
-    series order follows ``model.series``.  Country drifts are zero in
-    projection per the central convention.
+    Returns an array of shape (n_sims, nseries, horizon) of simulated levels
+    in `period_series` order; the drifts are those of the central projection
+    (`project_period_effects`).
     """
-    nseries = len(model.series)
-    chol = np.linalg.cholesky(model.sigma + 1e-15 * np.eye(nseries))
-    drift = np.array([model.theta[g] for g in GENDERS] + [0.0] * (nseries - len(GENDERS)))
-    start = np.array(
-        [model.K[g][-1] for g in GENDERS]
-        + [model.kappa[(c, g)][-1] for c in model.countries for g in GENDERS]
-    )
-    eps = rng.standard_normal((n_sims, horizon, nseries)) @ chol.T
+    start, drift = _start_and_drift(model, period_series(model.countries))
+    chol = np.linalg.cholesky(model.sigma + 1e-15 * np.eye(len(start)))
+    eps = rng.standard_normal((n_sims, horizon, len(start))) @ chol.T
     steps = drift[None, None, :] + eps
     return start[None, :, None] + np.cumsum(steps, axis=1).transpose(0, 2, 1)

@@ -327,21 +327,24 @@ def stage_annualize(cfg, out):
             _write(layer, _covid_path(out, c, g), ds.save_model, cfg)
 
 
+def _load_annualized(out, c, g):
+    """The covid layer of ``c``/``g``, which must carry its annual effects."""
+    layer = _read(_covid_path(out, c, g), "calibrate-covid", ds.load_model)
+    if layer.V is None or layer.X is None:
+        raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
+                          "run annualize first")
+    return layer
+
+
 def stage_forecast(cfg, out):
     model = _read(_baseline_path(out), "calibrate-baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = _read(_covid_path(out, c, g), "calibrate-covid", ds.load_model)
-            if layer.V is None or layer.X is None:
-                raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
-                                  "run annualize first")
-            x_2021 = float(layer.X[layer.years.index(2021)])
-            scenarios = af.standard_scenarios(x_2021, eta=cfg.eta, horizon=cfg.horizon)
+            layer = _load_annualized(out, c, g)
+            scenarios = af.standard_scenarios(float(layer.X[-1]), eta=cfg.eta)
             calib_ages = np.array([a.low for a in layer.ages])
-            fs = af.forecast_scenarios(
-                model, c, g, layer.V, calib_ages, x_2021, scenarios,
-                report_years=cfg.horizon,
-            )
+            fs = af.forecast_scenarios(model, c, g, layer.V, calib_ages, scenarios,
+                                       layer.years[-1] + 1, report_years=cfg.horizon)
             nx, nt, nle = len(fs.ages), len(fs.years), len(fs.le_ages)
             for name in fs.mu:
                 _write_table(cfg, os.path.join(out, f"forecast_{name}_{c}_{g}.csv"),
@@ -355,42 +358,32 @@ def stage_forecast(cfg, out):
                              np.stack([fs.e_period[name], fs.e_cohort[name]], axis=-1).ravel())
 
 
-def _read_le_at_birth(path, year):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if parts[0] == "period" and parts[1] == "0" and parts[2] == str(year):
-                return float(parts[3])
+def _le_at_birth(out, name, c, g, year):
+    """Period life expectancy at birth in ``year`` under scenario ``name``,
+    from its ``life_expectancy_*`` file."""
+    path = _require(os.path.join(out, f"life_expectancy_{name}_{c}_{g}.csv"), "forecast")
+    (kind, age, years, value), lineno = ds._read_columns(path, "kind,age,year,value", 4)
+    value = ds._numbers(path, value, float, lineno)
+    for k, row in enumerate(zip(kind, age, years)):
+        if row == ("period", "0", str(year)):
+            return value[k]
     raise IngestError(f"{path}: no period life expectancy at birth for {year}")
 
 
 def stage_report(cfg, out):
     names = [s.name for s in af.standard_scenarios(0.0)]
-    final_year = 2021 + cfg.horizon
     rows = []
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = _read(_covid_path(out, c, g), "calibrate-covid", ds.load_model)
-            if layer.X is None:
-                raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
-                                  "run annualize first")
-            base_path = _require(
-                os.path.join(out, f"life_expectancy_completely_incidental_{c}_{g}.csv"),
-                "forecast",
-            )
-            base_le = _read_le_at_birth(base_path, final_year)
-            deltas = []
-            for n in names:
-                le = _read_le_at_birth(
-                    _require(os.path.join(out, f"life_expectancy_{n}_{c}_{g}.csv"),
-                             "forecast"),
-                    final_year,
-                )
-                deltas.append(le - base_le)
-            x = {t: layer.X[layer.years.index(t)] for t in layer.years}
-            rows.append((c, g, x.get(2020, np.nan), x.get(2021, np.nan), *deltas))
+            layer = _load_annualized(out, c, g)
+            final_year = layer.years[-1] + cfg.horizon
+            le = {n: _le_at_birth(out, n, c, g, final_year) for n in names}
+            x = dict(zip(layer.years, layer.X))
+            rows.append((c, g, *(x.get(t, np.nan) for t in PANDEMIC_YEARS),
+                         *(le[n] - le["completely_incidental"] for n in names)))
     _write_table(cfg, os.path.join(out, "report.csv"),
-                 "country,gender,X_2020,X_2021," + ",".join(f"dLE_{n}" for n in names),
+                 ",".join(["country,gender", *(f"X_{t}" for t in PANDEMIC_YEARS),
+                           *(f"dLE_{n}" for n in names)]),
                  *zip(*rows))
 
 

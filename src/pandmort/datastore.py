@@ -399,7 +399,6 @@ class ForecastSet:
     ages: np.ndarray
     years: np.ndarray
     le_ages: tuple
-    max_age: int
     mu: dict
     q: dict
     e_period: dict

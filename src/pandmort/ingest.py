@@ -21,7 +21,8 @@ Which rows get which checks:
   requested countries get their field count, separators, year and week
   checked; sex ``b`` rows are then dropped, and every other row gets the
   sex, week range, duplicate, group-count and value checks.
-* population files: every row gets every check.
+* population files: every row gets every check, and no (date, sex, age)
+  may repeat.
 
 Blank lines and lines starting with ``#`` are skipped.  A number is bad if
 Python's ``int`` or ``float`` rejects it, if it holds a ``_`` digit
@@ -294,8 +295,13 @@ def parse_stmf_countries(path, countries, open_group_high=110):
     merged = week == 0
     if merged.any():
         last = np.zeros(len(years), dtype=week.dtype)
-        for j in set(yi[merged].tolist()):
-            last[j] = weeks_in_iso_year(int(years[j]) - 1)
+        for j in np.unique(yi[merged]).tolist():
+            prior = int(years[j]) - 1
+            if not 0 < prior < 10000:  # the years `datetime` knows
+                k = int(np.argmax(merged & (yi == j)))
+                raise IngestError(f"{path}: line {lineno(k)}: week 0 of year {years[j]} "
+                                  f"falls in year {prior}, outside 1..9999")
+            last[j] = weeks_in_iso_year(prior)
         week = np.where(merged, last[yi], week)
         year = year - merged
     panels = {}
@@ -376,7 +382,11 @@ def parse_population(path, layout):
         age, count = _number(int, row[1], path, lineno), _number(float, row[3], path, lineno)
         if count < 0:
             raise IngestError(f"{path}: line {lineno}: negative population count")
-        by_key.setdefault(((y, m, d), sex), {})[age] = count
+        per_age = by_key.setdefault(((y, m, d), sex), {})
+        if age in per_age:
+            raise IngestError(f"{path}: line {lineno}: duplicate row for date {row[0]}, "
+                              f"sex {sex}, age {age}")
+        per_age[age] = count
     snapshots = []
     for (date, sex), per_age in sorted(by_key.items()):
         ages = np.array(sorted(per_age))

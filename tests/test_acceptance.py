@@ -174,7 +174,7 @@ def test_criterion_05_scenario_algebra(baseline_model):
     V /= np.linalg.norm(V)
     scens = af.standard_scenarios(x2021)
     fs = af.forecast_scenarios(baseline_model, "AAA", "m", V, calib_ages,
-                               x2021, scens)
+                               scens, first_year=2022)
     fs.validate()
 
     years = np.arange(fs.years[0], fs.years[0] + len(fs.years))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -143,13 +144,48 @@ def test_time_series_needs_three_years(annual_panel):
 
 
 def test_project_period_effects(baseline_model):
-    K, kappa = bl.project_period_effects(baseline_model, np.arange(1, 6))
+    order = bl.period_series(baseline_model.countries)
+    paths = bl.project_period_effects(baseline_model, np.arange(1, 6), order)
+    assert paths.shape == (len(order), 5)
+    K = {key: path for (name, key), path in zip(order, paths) if name == "K"}
+    kappa = {key: path for (name, key), path in zip(order, paths) if name == "kappa"}
+    assert set(kappa) == set(baseline_model.kappa)
     for g in ("m", "f"):
         np.testing.assert_allclose(
             K[g], baseline_model.K[g][-1] + baseline_model.theta[g] * np.arange(1, 6)
         )
     for key, path in kappa.items():
         np.testing.assert_allclose(path, baseline_model.kappa[key][-1])
+
+
+def test_series_order_is_the_fitted_order(baseline_model):
+    order = bl.period_series(baseline_model.countries)
+    assert bl.series_labels(baseline_model.countries) == baseline_model.series
+    assert baseline_model.series[:3] == ("K|m", "K|f", "kappa|AAA|m")
+    diffs = np.stack([np.diff(getattr(baseline_model, name)[key]) for name, key in order])
+    for (name, key), drift in zip(order, diffs.mean(axis=1)):
+        assert (baseline_model.theta if name == "K" else baseline_model.delta)[key] == drift
+
+
+def test_simulation_without_noise_is_the_central_projection(baseline_model):
+    model = dataclasses.replace(baseline_model, sigma=np.zeros_like(baseline_model.sigma))
+    sims = bl.simulate_period_effects(model, 40, 2, np.random.default_rng(0))
+    central = bl.project_period_effects(baseline_model, np.arange(1, 41),
+                                        bl.period_series(baseline_model.countries))
+    for sim in sims:
+        np.testing.assert_allclose(sim, central, rtol=0, atol=1e-6)
+
+
+def test_baseline_mu_after_window_is_exp_of_projected_effects(baseline_model):
+    ages = np.arange(0, 91, 7)
+    years = np.arange(2020, 2031)
+    K, kap = bl.project_period_effects(baseline_model, years - baseline_model.years[-1],
+                                       [("K", "f"), ("kappa", ("BBB", "f"))])
+    expected = np.exp(np.outer(baseline_model.B["f"][ages], K)
+                      + baseline_model.alpha[("BBB", "f")][ages][:, None]
+                      + np.outer(baseline_model.beta[("BBB", "f")][ages], kap))
+    np.testing.assert_array_equal(bl.baseline_mu(baseline_model, "BBB", "f", ages, years),
+                                  expected)
 
 
 def test_baseline_mu_fitted_vs_projected(baseline_model):

@@ -242,6 +242,55 @@ def test_short_weekly_row_exits_3(pipeline, tmp_path):
     assert rec["message"] == f"{path}: line {lineno}: expected at least 4 fields, got 2"
 
 
+def test_duplicate_population_row_exits_3(pipeline, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "AAA_population.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    date, age, sex, _ = lines[1].split(",")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{date},{age},{sex},99\n")
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=data))
+    out = tmp_path / "out"
+    rc = cli.main(["ingest", "--config", str(config), "--out", str(out)])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert rec["error"] == "IngestError"
+    assert rec["message"] == (f"{path}: line {len(lines) + 1}: duplicate row for date {date}, "
+                              f"sex {sex}, age {age}")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("period,0", "expected 4 fields"),
+    ("period,0,2031,abc", "bad number: could not convert string to float: 'abc'"),
+])
+def test_malformed_life_expectancy_file_exits_3(pipeline, tmp_path, row, message):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    path = out / "life_expectancy_new_normal_BBB_f.csv"
+    lineno = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    rc = cli.main(["report", "--config", str(pipeline["config"]), "--out", str(out)])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == ("report", "ParseError")
+    assert rec["message"] == f"{path}: line {lineno}: {message}"
+
+
+def test_report_reads_each_life_expectancy_file_once(pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    read = []
+    real = ds._read_columns
+    monkeypatch.setattr(ds, "_read_columns", lambda path, *a: read.append(path) or real(path, *a))
+    assert cli.main(["report", "--config", str(pipeline["config"]), "--out", str(out)]) == 0
+    assert (out / "report.csv").read_bytes() == (pipeline["out"] / "report.csv").read_bytes()
+    expected = sorted(str(out / n) for n in os.listdir(out) if n.startswith("life_expectancy_"))
+    assert sorted(read) == expected
+
+
 def test_stages_from_disk_match_run_all(pipeline, tmp_path):
     """Each stage in its own ``main`` call reads its inputs from disk; the
     files must equal those of ``run-all``, whose stages hand objects on in

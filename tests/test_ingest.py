@@ -332,8 +332,12 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
      "duplicate row for year 2018, week 1, sex m"),
     ("CountryCode,Year,Week,Sex,D0_4\n" + "".join(_stmf_year(skip={(7, "f")})),
      "missing row for year 2018, week 7, sex f"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,1,0,m,1\nXXX,1,0,f,1\n",
+     "line 2: week 0 of year 1 falls in year 0, outside 1..9999"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,10001,1,m,1\nXXX,10001,0,f,1\n",
+     "line 3: week 0 of year 10001 falls in year 10000, outside 1..9999"),
 ], ids=["empty", "wrong-header", "sex", "week-54", "value-count", "negative", "duplicate",
-        "missing-week"])
+        "missing-week", "week-0-of-year-1", "week-0-of-year-10001"])
 def test_parse_stmf_errors_name_file_and_line(tmp_path, text, message):
     path = tmp_path / "stmf.csv"
     path.write_text(text)
@@ -356,7 +360,9 @@ def test_parse_stmf_drops_both_sexes_rows_unread(tmp_path):
     ("2020-02-01,1,m,100", "line 3: snapshot date must be a first-of-period"),
     ("2020-01-01,1,x,100", "line 3: unknown sex code 'x'"),
     ("2020-01-01,1,m,-100", "line 3: negative population count"),
-], ids=["three-fields", "bad-date", "not-first-of-month", "not-january", "sex", "negative"])
+    ("2020-01-01,0,m,99", "line 3: duplicate row for date 2020-01-01, sex m, age 0"),
+], ids=["three-fields", "bad-date", "not-first-of-month", "not-january", "sex", "negative",
+        "duplicate"])
 def test_parse_population_errors_name_file_and_line(tmp_path, row, message):
     path = tmp_path / "pop.csv"
     path.write_text(f"date,age,sex,count\n2020-01-01,0,m,100\n{row}\n")

@@ -155,25 +155,27 @@ def annual_survival_gap(layer, phi, mu):
     return np.abs(lhs - rhs) / rhs
 
 
-def build_scenario(spec):
+def build_scenario(spec, horizon):
     """Annual pandemic period-effect path for h = 1..horizon:
     X_{start} * eta^h + (1 - eta^h) * X_{infinity}."""
     spec.validate()
-    h = np.arange(1, spec.horizon + 1)
+    if horizon < 1:
+        raise ValidationError("build_scenario: horizon must be >= 1")
+    h = np.arange(1, horizon + 1)
     w = spec.eta**h
     return spec.x_start * w + (1.0 - w) * spec.x_infinity
 
 
-def standard_scenarios(x_final, eta=0.5, horizon=50):
+def standard_scenarios(x_final, eta=0.5):
     """The six shipped scenario specifications, parameterized by the fitted
     annual effect of the last pandemic year."""
     return (
-        ScenarioSpec("completely_incidental", 0.0, 0.0, eta, horizon),
-        ScenarioSpec("completely_structural", x_final, x_final, eta, horizon),
-        ScenarioSpec("decreasing_impact", x_final, 0.0, eta, horizon),
-        ScenarioSpec("growing_impact", x_final, 1.25 * x_final, eta, horizon),
-        ScenarioSpec("new_normal", x_final, 0.25 * x_final, eta, horizon),
-        ScenarioSpec("increased_resilience", x_final, -0.25 * x_final, eta, horizon),
+        ScenarioSpec("completely_incidental", 0.0, 0.0, eta),
+        ScenarioSpec("completely_structural", x_final, x_final, eta),
+        ScenarioSpec("decreasing_impact", x_final, 0.0, eta),
+        ScenarioSpec("growing_impact", x_final, 1.25 * x_final, eta),
+        ScenarioSpec("new_normal", x_final, 0.25 * x_final, eta),
+        ScenarioSpec("increased_resilience", x_final, -0.25 * x_final, eta),
     )
 
 
@@ -320,8 +322,7 @@ def forecast_scenarios(model, country, gender, V, calib_ages, scenarios, first_y
 
     mu_out, q_out, ep_out, ec_out = {}, {}, {}, {}
     for spec in scenarios:
-        spec = replace(spec, horizon=full_horizon)
-        x_path = build_scenario(spec)
+        x_path = build_scenario(spec, full_horizon)
         mu, q = scenario_mu(mu_pre, V_ext, x_path)
         mu_out[spec.name] = mu[:, :report_years]
         q_out[spec.name] = q[:, :report_years]

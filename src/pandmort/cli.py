@@ -36,7 +36,7 @@ from . import exposures as ex
 from . import ingest as ig
 from . import seasonal as se
 from . import synthetic
-from .errors import ConfigError, IngestError, NumericalError, PandmortError, ParseError
+from .errors import ConfigError, IngestError, PandmortError
 
 log = logging.getLogger("pandmort")
 
@@ -55,8 +55,9 @@ def _write_columns(path, header, *columns):
         fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
-def _write_table(cfg, path, header, *columns):
-    """`_write_columns`, then the config stamp."""
+def _write_table(cfg, out, kind, header, *columns, **key):
+    """`_write_columns` to the ``kind`` file for ``key``, then the config stamp."""
+    path = _path(out, kind, **key)
     _write_columns(path, header, *columns)
     _stamp(path, cfg)
 
@@ -99,8 +100,13 @@ class RunConfig:
             raise ConfigError(f"method must be 1 or 2, got {self.method}")
         if not (0.0 <= self.eta <= 1.0):
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
+        if self.ages[0] != 0:
+            raise ConfigError(f"ages must start at 0, got {self.ages[0]}: the forecast and "
+                              "report need life expectancy at birth")
         if not (self.ages[0] <= self.covid_ages[0] <= self.covid_ages[1] <= self.ages[1]):
             raise ConfigError("covid_ages must lie inside the baseline age range")
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
 
 
 def _stamp(path, cfg):
@@ -108,10 +114,27 @@ def _stamp(path, cfg):
         fh.write(f"#confighash:{cfg.hash}\n")
 
 
-def _require(path, stage):
-    if not os.path.exists(path):
-        raise IngestError(f"missing {os.path.basename(path)}: run {stage} first")
-    return path
+# Every file the stages write to the run directory, by kind: its name pattern
+# over the fields country ``c``, gender ``g``, year ``t`` and scenario
+# ``name``, and the stage that first writes it.
+FILES = {
+    "annual": ("annual_panel.csv", "ingest"),
+    "weekly": ("weekly_{c}_{g}.csv", "ingest"),
+    "population": ("population_{c}.csv", "ingest"),
+    "baseline": ("baseline_model.csv", "calibrate-baseline"),
+    "iterations": ("baseline_iterations.csv", "calibrate-baseline"),
+    "seasonal": ("seasonal_{c}_{g}.csv", "fit-seasonal"),
+    "covid": ("covid_{c}_{g}.csv", "calibrate-covid"),
+    "covid_fit": ("covid_fit_{c}_{g}.csv", "calibrate-covid"),
+    "coda": ("coda_{t}_{g}.csv", "coda"),
+    "forecast": ("forecast_{name}_{c}_{g}.csv", "forecast"),
+    "life_expectancy": ("life_expectancy_{name}_{c}_{g}.csv", "forecast"),
+    "report": ("report.csv", "report"),
+}
+
+
+def _path(out, kind, **key):
+    return os.path.join(out, FILES[kind][0].format(**key))
 
 
 # Objects written by this ``main`` call, by output path.
@@ -133,9 +156,10 @@ def _freeze(obj):
             _freeze(v)
 
 
-def _write(obj, path, writer, cfg):
-    """Write ``obj`` with ``writer(obj, path)``, stamp the file, and keep
-    ``obj``, frozen, as what ``path`` holds."""
+def _write(cfg, out, kind, obj, writer, **key):
+    """Write ``obj`` to the ``kind`` file for ``key`` with ``writer(obj,
+    path)``, stamp the file, and keep ``obj``, frozen, as what it holds."""
+    path = _path(out, kind, **key)
     _memo.pop(path, None)
     writer(obj, path)
     _stamp(path, cfg)
@@ -143,40 +167,18 @@ def _write(obj, path, writer, cfg):
     _memo[path] = obj
 
 
-def _read(path, stage, reader, *args):
-    """The object at ``path``: the one this process wrote there, re-validated,
-    or else ``reader(path, *args)``."""
-    _require(path, stage)
+def _read(out, kind, reader, *args, **key):
+    """The object in the ``kind`` file for ``key``: the one this process
+    wrote there, re-validated, or else ``reader(path, *args)``."""
+    path = _path(out, kind, **key)
+    if not os.path.exists(path):
+        raise IngestError(f"missing {os.path.basename(path)}: run {FILES[kind][1]} first")
     if path not in _memo:
         return reader(path, *args)
     obj = _memo[path]
     for item in obj if isinstance(obj, list) else (obj,):
         item.validate()
     return obj
-
-
-def _annual_panel_path(out):
-    return os.path.join(out, "annual_panel.csv")
-
-
-def _weekly_path(out, c, g):
-    return os.path.join(out, f"weekly_{c}_{g}.csv")
-
-
-def _population_path(out, c):
-    return os.path.join(out, f"population_{c}.csv")
-
-
-def _baseline_path(out):
-    return os.path.join(out, "baseline_model.csv")
-
-
-def _seasonal_path(out, c, g):
-    return os.path.join(out, f"seasonal_{c}_{g}.csv")
-
-
-def _covid_path(out, c, g):
-    return os.path.join(out, f"covid_{c}_{g}.csv")
 
 
 def _write_population(snaps, path):
@@ -195,66 +197,57 @@ def stage_ingest(cfg, out):
     for c in cfg.countries:
         panels.append(
             ig.parse_hmd_annual(
-                os.path.join(cfg.data_dir, f"{c}_deaths.txt"),
-                os.path.join(cfg.data_dir, f"{c}_exposures.txt"),
+                ig.raw_path(cfg.data_dir, "deaths", c),
+                ig.raw_path(cfg.data_dir, "exposures", c),
                 c,
                 range(cfg.years[0], cfg.years[1] + 1),
                 range(0, 111),
             )
         )
-    _write(ds.AnnualPanel.merge(panels), _annual_panel_path(out), ds.write_annual_panel_csv, cfg)
+    _write(cfg, out, "annual", ds.AnnualPanel.merge(panels), ds.write_annual_panel_csv)
 
-    stmf = os.path.join(cfg.data_dir, "weekly_deaths.csv")
-    weekly = ig.parse_stmf_countries(stmf, cfg.countries, open_group_high=110)
+    weekly = ig.parse_stmf_countries(ig.raw_path(cfg.data_dir, "weekly"), cfg.countries,
+                                     open_group_high=110)
     for c, per_gender in weekly.items():
         for g, wp in per_gender.items():
-            _write(wp, _weekly_path(out, c, g), ds.write_weekly_panel_csv, cfg)
+            _write(cfg, out, "weekly", wp, ds.write_weekly_panel_csv, c=c, g=g)
     for c in cfg.countries:
-        snaps = ig.parse_population(os.path.join(cfg.data_dir, f"{c}_population.csv"),
+        snaps = ig.parse_population(ig.raw_path(cfg.data_dir, "population", c),
                                     "eurostat_annual")
-        _write(snaps, _population_path(out, c), _write_population, cfg)
+        _write(cfg, out, "population", snaps, _write_population, c=c)
     log.info("ingest: wrote panels for %s", ", ".join(cfg.countries))
 
 
-def _load_annual(out):
-    return _read(_annual_panel_path(out), "ingest", ds.read_annual_panel_csv)
-
-
-def _load_weekly(out, c, g):
-    return _read(_weekly_path(out, c, g), "ingest", ds.read_weekly_panel_csv, c, g)
-
-
 def stage_calibrate_baseline(cfg, out):
-    panel = _load_annual(out)
+    panel = _read(out, "annual", ds.read_annual_panel_csv)
     panel = panel.select(
         ages=np.arange(cfg.ages[0], cfg.ages[1] + 1),
         years=np.arange(cfg.years[0], cfg.years[1] + 1),
     )
     traces = {}
     model = bl.calibrate_baseline(panel, traces=traces)
-    _write(model, _baseline_path(out), ds.save_model, cfg)
+    _write(cfg, out, "baseline", model, ds.save_model)
     rows = [(stage, g, it, lnl, change)
             for (stage, g), trace in traces.items() for it, lnl, change in trace]
-    _write_table(cfg, os.path.join(out, "baseline_iterations.csv"),
-                 "stage,gender,iteration,lnl,max_change", *zip(*rows))
+    _write_table(cfg, out, "iterations", "stage,gender,iteration,lnl,max_change", *zip(*rows))
 
 
 def stage_fit_seasonal(cfg, out):
     y0, y1 = cfg.seasonal_years
     for c in cfg.countries:
         for g in ds.GENDERS:
-            wp = _load_weekly(out, c, g).select_years(range(y0, y1 + 1))
-            fractions = se.weekly_fractions(wp)
+            wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
+            fractions = se.weekly_fractions(wp.select_years(range(y0, y1 + 1)))
             eff = se.fit_seasonal_spline(fractions, country=c, gender=g, knots=cfg.knots)
-            _write(eff, _seasonal_path(out, c, g), ds.save_model, cfg)
+            _write(cfg, out, "seasonal", eff, ds.save_model, c=c, g=g)
 
 
 def _reconstruct_weekly(cfg, out, c, g, historical):
     """Disaggregated pandemic-year deaths plus projected weekly exposures."""
-    wp = _load_weekly(out, c, g).select_years(PANDEMIC_YEARS)
-    indiv = ex.disaggregate_deaths(wp, historical,
+    wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
+    indiv = ex.disaggregate_deaths(wp.select_years(PANDEMIC_YEARS), historical,
                                    range(cfg.hist_years[0], cfg.hist_years[1] + 1))
-    snaps = _read(_population_path(out, c), "ingest", ig.parse_population, "eurostat_annual")
+    snaps = _read(out, "population", ig.parse_population, "eurostat_annual", c=c)
     snaps = [s for s in snaps if s.gender == g]
     start = snaps[-1]
     panel_ages = np.array([a.low for a in indiv.ages])
@@ -272,64 +265,63 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
 
 
 def stage_calibrate_covid(cfg, out):
-    model = _read(_baseline_path(out), "calibrate-baseline", ds.load_model)
-    historical = _load_annual(out)
+    model = _read(out, "baseline", ds.load_model)
+    historical = _read(out, "annual", ds.read_annual_panel_csv)
     lo, hi = cfg.covid_ages
     for c in cfg.countries:
         for g in ds.GENDERS:
             seasonal = None
             if cfg.method == 2:
-                seasonal = _read(_seasonal_path(out, c, g), "fit-seasonal", ds.load_model)
+                seasonal = _read(out, "seasonal", ds.load_model, c=c, g=g)
             full = _reconstruct_weekly(cfg, out, c, g, historical)
             work = full.select_ages(lo, hi).validate(require_exposures=True)
             mu = cl.group_baseline_mu(model, c, g, work.ages, work.years)
             pred = cl.predicted_deaths(work, mu, seasonal=seasonal, method=cfg.method)
             layer = cl.calibrate_covid(work, pred, cfg.method)
-            _write(layer, _covid_path(out, c, g), ds.save_model, cfg)
+            _write(cfg, out, "covid", layer, ds.save_model, c=c, g=g)
             # (year, week) rows in file order, ages along the last axis
             used = ds.week_mask(work.years, work.weeks_in_year)
             obs = np.moveaxis(work.deaths, 0, -1)[used]
             base = np.moveaxis(pred, 0, -1)[used]
             fitted = base * np.exp(layer.B * layer.K[used][:, None])
             year_idx, week_idx = np.nonzero(used)
-            _write_table(cfg, os.path.join(out, f"covid_fit_{c}_{g}.csv"),
-                         "year,week,observed,predicted,fitted",
+            _write_table(cfg, out, "covid_fit", "year,week,observed,predicted,fitted",
                          np.asarray(work.years)[year_idx], week_idx + 1,
-                         obs.sum(axis=1), base.sum(axis=1), fitted.sum(axis=1))
+                         obs.sum(axis=1), base.sum(axis=1), fitted.sum(axis=1), c=c, g=g)
 
 
 def stage_coda(cfg, out):
-    historical = _load_annual(out)
+    historical = _read(out, "annual", ds.read_annual_panel_csv)
     c = cfg.countries[0]
     for g in ds.GENDERS:
-        wp = _load_weekly(out, c, g).select_years(PANDEMIC_YEARS)
-        indiv = ex.disaggregate_deaths(wp, historical,
+        wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
+        indiv = ex.disaggregate_deaths(wp.select_years(PANDEMIC_YEARS), historical,
                                        range(cfg.hist_years[0], cfg.hist_years[1] + 1))
         indiv = indiv.select_ages(0, 98)
         ages = np.array([a.low for a in indiv.ages])
         for t in indiv.years:
             d, _ = indiv.cells(t)
             fit = coda_mod.coda_fit(d, ages, t, g)
-            _write(fit, os.path.join(out, f"coda_{t}_{g}.csv"), ds.save_model, cfg)
+            _write(cfg, out, "coda", fit, ds.save_model, t=t, g=g)
 
 
 def stage_annualize(cfg, out):
-    model = _read(_baseline_path(out), "calibrate-baseline", ds.load_model)
+    model = _read(out, "baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = _read(_covid_path(out, c, g), "calibrate-covid", ds.load_model)
+            layer = _read(out, "covid", ds.load_model, c=c, g=g)
             if cfg.method == 2:
-                phi = _read(_seasonal_path(out, c, g), "fit-seasonal", ds.load_model).phi
+                phi = _read(out, "seasonal", ds.load_model, c=c, g=g).phi
             else:
                 phi = np.ones(ds.MAX_WEEKS)
             mu = cl.group_baseline_mu(model, c, g, layer.ages, layer.years)
             layer = af.annualize(layer, phi, mu)
-            _write(layer, _covid_path(out, c, g), ds.save_model, cfg)
+            _write(cfg, out, "covid", layer, ds.save_model, c=c, g=g)
 
 
 def _load_annualized(out, c, g):
     """The covid layer of ``c``/``g``, which must carry its annual effects."""
-    layer = _read(_covid_path(out, c, g), "calibrate-covid", ds.load_model)
+    layer = _read(out, "covid", ds.load_model, c=c, g=g)
     if layer.V is None or layer.X is None:
         raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
                           "run annualize first")
@@ -337,7 +329,7 @@ def _load_annualized(out, c, g):
 
 
 def stage_forecast(cfg, out):
-    model = _read(_baseline_path(out), "calibrate-baseline", ds.load_model)
+    model = _read(out, "baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
             layer = _load_annualized(out, c, g)
@@ -347,21 +339,20 @@ def stage_forecast(cfg, out):
                                        layer.years[-1] + 1, report_years=cfg.horizon)
             nx, nt, nle = len(fs.ages), len(fs.years), len(fs.le_ages)
             for name in fs.mu:
-                _write_table(cfg, os.path.join(out, f"forecast_{name}_{c}_{g}.csv"),
-                             "age,year,mu,q", np.repeat(fs.ages, nt),
-                             np.tile(fs.years, nx), fs.mu[name].ravel(), fs.q[name].ravel())
+                _write_table(cfg, out, "forecast", "age,year,mu,q", np.repeat(fs.ages, nt),
+                             np.tile(fs.years, nx), fs.mu[name].ravel(), fs.q[name].ravel(),
+                             name=name, c=c, g=g)
                 # per (age, year): the period row, then the cohort row
-                _write_table(cfg, os.path.join(out, f"life_expectancy_{name}_{c}_{g}.csv"),
-                             "kind,age,year,value",
+                _write_table(cfg, out, "life_expectancy", "kind,age,year,value",
                              np.tile(["period", "cohort"], nle * nt),
                              np.repeat(fs.le_ages, 2 * nt), np.tile(np.repeat(fs.years, 2), nle),
-                             np.stack([fs.e_period[name], fs.e_cohort[name]], axis=-1).ravel())
+                             np.stack([fs.e_period[name], fs.e_cohort[name]], axis=-1).ravel(),
+                             name=name, c=c, g=g)
 
 
-def _le_at_birth(out, name, c, g, year):
-    """Period life expectancy at birth in ``year`` under scenario ``name``,
-    from its ``life_expectancy_*`` file."""
-    path = _require(os.path.join(out, f"life_expectancy_{name}_{c}_{g}.csv"), "forecast")
+def _le_at_birth(path, year):
+    """Period life expectancy at birth in ``year`` from the
+    ``life_expectancy_*`` file at ``path``."""
     (kind, age, years, value), lineno = ds._read_columns(path, "kind,age,year,value", 4)
     value = ds._numbers(path, value, float, lineno)
     for k, row in enumerate(zip(kind, age, years)):
@@ -377,11 +368,12 @@ def stage_report(cfg, out):
         for g in ds.GENDERS:
             layer = _load_annualized(out, c, g)
             final_year = layer.years[-1] + cfg.horizon
-            le = {n: _le_at_birth(out, n, c, g, final_year) for n in names}
+            le = {n: _read(out, "life_expectancy", _le_at_birth, final_year, name=n, c=c, g=g)
+                  for n in names}
             x = dict(zip(layer.years, layer.X))
             rows.append((c, g, *(x.get(t, np.nan) for t in PANDEMIC_YEARS),
                          *(le[n] - le["completely_incidental"] for n in names)))
-    _write_table(cfg, os.path.join(out, "report.csv"),
+    _write_table(cfg, out, "report",
                  ",".join(["country,gender", *(f"X_{t}" for t in PANDEMIC_YEARS),
                            *(f"dLE_{n}" for n in names)]),
                  *zip(*rows))
@@ -432,28 +424,18 @@ def main(argv=None):
     if args.command == "synth":
         synthetic.write_synthetic_dataset(args.out, seed=args.seed)
         return 0
+    stage = args.command
     try:
         cfg = RunConfig(args.config)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "run-all":
-            for name, fn in STAGES.items():
-                log.info("stage %s", name)
-                fn(cfg, args.out)
-        else:
-            STAGES[args.command](cfg, args.out)
+        for stage in STAGES if args.command == "run-all" else [args.command]:
+            log.info("stage %s", stage)
+            STAGES[stage](cfg, args.out)
         return 0
-    except ConfigError as exc:
+    except PandmortError as exc:
         log.error("%s", exc)
-        _error_record(args.out, args.command, exc)
-        return 2
-    except (IngestError, ParseError) as exc:
-        log.error("%s", exc)
-        _error_record(args.out, args.command, exc)
-        return 3
-    except (NumericalError, PandmortError) as exc:
-        log.error("%s", exc)
-        _error_record(args.out, args.command, exc)
-        return 4
+        _error_record(args.out, stage, exc)
+        return exc.exit_code
     finally:
         _memo.clear()
 

@@ -379,13 +379,10 @@ class ScenarioSpec:
     x_start: float
     x_infinity: float
     eta: float
-    horizon: int
 
     def validate(self):
         if not (0.0 <= self.eta <= 1.0):
             raise ValidationError("ScenarioSpec: eta outside [0, 1]")
-        if self.horizon < 1:
-            raise ValidationError("ScenarioSpec: horizon must be >= 1")
         return self
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import datetime
 import logging
+import os
 
 import numpy as np
 
@@ -47,6 +48,19 @@ from .errors import IngestError
 from .exposures import PopulationSnapshot
 
 log = logging.getLogger(__name__)
+
+# The files of a raw dataset directory, by kind; ``{c}`` is the country code.
+RAW_FILES = {
+    "deaths": "{c}_deaths.txt",
+    "exposures": "{c}_exposures.txt",
+    "weekly": "weekly_deaths.csv",
+    "population": "{c}_population.csv",
+}
+
+
+def raw_path(data_dir, kind, c=None):
+    """The path of the raw ``kind`` file of country ``c`` in ``data_dir``."""
+    return os.path.join(data_dir, RAW_FILES[kind].format(c=c))
 
 
 def weeks_in_iso_year(year):

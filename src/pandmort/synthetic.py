@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from .datastore import GENDERS, AgeIndex, AnnualPanel, WeeklyPanel, MAX_WEEKS
+from .ingest import raw_path, weeks_in_iso_year
 
 PANDEMIC_YEARS = (2020, 2021)
 PANDEMIC_WEEKS = {2020: 53, 2021: 52}
@@ -204,11 +205,11 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
     for c in countries:
         ci = panel.country_index(c)
         _write_hmd_file(
-            os.path.join(outdir, f"{c}_deaths.txt"), years, ages,
+            raw_path(outdir, "deaths", c), years, ages,
             panel.deaths[ci, 1], panel.deaths[ci, 0],
         )
         _write_hmd_file(
-            os.path.join(outdir, f"{c}_exposures.txt"), years, ages,
+            raw_path(outdir, "exposures", c), years, ages,
             panel.exposures[ci, 1], panel.exposures[ci, 0],
         )
 
@@ -216,8 +217,7 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
     phi = seasonal_phi(0.18)
     pandemic = make_pandemic_truth(ages, seed=seed + 2)
     group_cols = [f"D{lo}_{hi}" for lo, hi in STMF_GROUPS] + ["D90p"]
-    stmf_path = os.path.join(outdir, "weekly_deaths.csv")
-    with open(stmf_path, "w", encoding="utf-8") as fh:
+    with open(raw_path(outdir, "weekly"), "w", encoding="utf-8") as fh:
         fh.write("CountryCode,Year,Week,Sex," + ",".join(group_cols) + "\n")
         for c in countries:
             ci = panel.country_index(c)
@@ -225,8 +225,6 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
                 mu_2019 = np.exp(true_ln_mu(truth, c, g)[:, -1])
                 e_week = panel.exposures[ci, gi, :, -1] * 7.0 / 365.0
                 for t in range(2010, 2022):
-                    from .ingest import weeks_in_iso_year
-
                     wt = weeks_in_iso_year(t)
                     for w in range(1, wt + 1):
                         if t in PANDEMIC_YEARS:
@@ -243,8 +241,7 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
     # Start-of-year population snapshots for 2020 (exposure as head count).
     for c in countries:
         ci = panel.country_index(c)
-        pop_path = os.path.join(outdir, f"{c}_population.csv")
-        with open(pop_path, "w", encoding="utf-8") as fh:
+        with open(raw_path(outdir, "population", c), "w", encoding="utf-8") as fh:
             fh.write("date,age,sex,count\n")
             for gi, g in enumerate(GENDERS):
                 for i, x in enumerate(ages):

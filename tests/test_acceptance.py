@@ -165,8 +165,8 @@ def test_criterion_04_annualization_identity():
 
 def test_criterion_05_scenario_algebra(baseline_model):
     x2021 = 0.8
-    spec = ScenarioSpec("decreasing_impact", x2021, 0.0, 0.5, 50)
-    assert af.build_scenario(spec)[1] == 0.25 * x2021  # exact
+    spec = ScenarioSpec("decreasing_impact", x2021, 0.0, 0.5)
+    assert af.build_scenario(spec, 50)[1] == 0.25 * x2021  # exact
 
     calib_ages = np.arange(35, 91)
     rng = np.random.default_rng(1)

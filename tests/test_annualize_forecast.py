@@ -133,14 +133,16 @@ def test_annualize_shape_check(annualized):
 
 
 def test_build_scenario_path():
-    spec = ScenarioSpec("s", 1.0, 0.0, 0.5, 4)
-    np.testing.assert_allclose(af.build_scenario(spec), [0.5, 0.25, 0.125, 0.0625])
-    const = ScenarioSpec("s", 2.0, 2.0, 0.5, 3)
-    np.testing.assert_allclose(af.build_scenario(const), 2.0)
+    spec = ScenarioSpec("s", 1.0, 0.0, 0.5)
+    np.testing.assert_allclose(af.build_scenario(spec, 4), [0.5, 0.25, 0.125, 0.0625])
+    const = ScenarioSpec("s", 2.0, 2.0, 0.5)
+    np.testing.assert_allclose(af.build_scenario(const, 3), 2.0)
+    with pytest.raises(ValidationError, match="horizon must be >= 1"):
+        af.build_scenario(spec, 0)
 
 
 def test_standard_scenarios_parameterization():
-    scens = {s.name: s for s in af.standard_scenarios(0.8, eta=0.3, horizon=20)}
+    scens = {s.name: s for s in af.standard_scenarios(0.8, eta=0.3)}
     assert len(scens) == 6
     assert scens["completely_incidental"].x_start == 0.0
     assert scens["completely_structural"].x_infinity == 0.8
@@ -148,7 +150,7 @@ def test_standard_scenarios_parameterization():
     assert scens["new_normal"].x_infinity == pytest.approx(0.2)
     assert scens["increased_resilience"].x_infinity == pytest.approx(-0.2)
     for s in scens.values():
-        assert s.eta == 0.3 and s.horizon == 20
+        assert s.eta == 0.3
 
 
 def test_extend_age_effect():

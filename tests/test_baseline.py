@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pandmort.baseline as bl
 import pandmort.synthetic as sy
@@ -78,6 +80,24 @@ def test_overflow_gives_minus_inf_lnl_and_non_finite_score():
     assert all(np.isfinite(part).all() for part in masked)
     for part, at_zero in zip(masked, bl.score(D, E, a, b, np.array([0.0, 1.0, 0.0]))):
         assert np.array_equal(part, at_zero)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8),
+       st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
+def test_loglik_is_invariant_under_the_gauge_moves(seed, nx, nt, c, s):
+    """lnL depends on (a, b, k) only through a + b k, so neither rescaling
+    (b, k) -> (cb, k/c) nor shifting (a, k) -> (a + bs, k - s) changes it."""
+    rng = np.random.default_rng(seed)
+    E = rng.uniform(10.0, 1e5, (nx, nt))
+    a = rng.normal(-4.0, 1.0, nx)
+    b = rng.normal(0.0, 0.2, nx)
+    k = rng.normal(0.0, 3.0, nt)
+    D = rng.poisson(E * np.exp(a[:, None] + np.outer(b, k))).astype(float)
+    lnl = bl.loglik(D, E, a, b, k)
+    assert np.isfinite(lnl)
+    np.testing.assert_allclose(bl.loglik(D, E, a, c * b, k / c), lnl, rtol=1e-12)
+    np.testing.assert_allclose(bl.loglik(D, E, a + b * s, b, k - s), lnl, rtol=1e-12)
 
 
 def test_fit_bilinear_raises_when_halving_fails(monkeypatch):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import pandmort.annualize_forecast as af
 import pandmort.baseline as bl
 import pandmort.cli as cli
 import pandmort.datastore as ds
@@ -57,17 +58,18 @@ def test_runconfig_parses(pipeline):
 
 def test_runconfig_rejects_bad_values(tmp_path, pipeline):
     base = CONFIG.format(datadir=pipeline["data"])
-    for patch, msg in [
-        ("method = 2", None),  # control: must parse
-        ("method = 3", "method"),
-        ("eta = 1.5", "eta"),
-        ("covid_ages = 40:95", "covid_ages"),
+    for old, new, msg in [
+        ("method = 2", "method = 2", None),  # control: must parse
+        ("method = 2", "method = 3", "method"),
+        ("eta = 0.5", "eta = 1.5", "eta"),
+        ("covid_ages = 40:90", "covid_ages = 40:95", "covid_ages"),
+        ("\nages = 0:90", "\nages = 20:90", "ages must start at 0, got 20"),
+        ("horizon = 10", "horizon = 0", "horizon must be at least 1, got 0"),
+        ("horizon = 10", "horizon = -5", "horizon must be at least 1, got -5"),
     ]:
-        text = base.replace("method = 2", patch) if patch.startswith("method") else base.replace(
-            "eta = 0.5", patch) if patch.startswith("eta") else base.replace(
-            "covid_ages = 40:90", patch)
+        assert old in base
         p = tmp_path / "cfg.ini"
-        p.write_text(text)
+        p.write_text(base.replace(old, new))
         if msg is None:
             cli.RunConfig(str(p))
         else:
@@ -238,8 +240,19 @@ def test_short_weekly_row_exits_3(pipeline, tmp_path):
     rc = cli.main(["run-all", "--config", str(config), "--out", str(out)])
     assert rc == 3
     rec = json.loads((out / "error.json").read_text())
+    assert rec["stage"] == "ingest"
     assert rec["error"] == "IngestError"
     assert rec["message"] == f"{path}: line {lineno}: expected at least 4 fields, got 2"
+
+
+def test_run_all_error_names_failing_stage(pipeline, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(
+        "seasonal_years = 2010:2019", "seasonal_years = 2030:2031"))
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "--config", str(config), "--out", str(out)]) == 4
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == ("fit-seasonal", "ValidationError")
 
 
 def test_duplicate_population_row_exits_3(pipeline, tmp_path):
@@ -291,16 +304,35 @@ def test_report_reads_each_life_expectancy_file_once(pipeline, tmp_path, monkeyp
     assert sorted(read) == expected
 
 
+def _expand(pattern, cfg):
+    """The file names of ``pattern`` for every country, gender, pandemic year
+    and scenario of the run."""
+    values = {"c": cfg.countries, "g": ds.GENDERS, "t": cli.PANDEMIC_YEARS,
+              "name": [s.name for s in af.standard_scenarios(0.0)]}
+    used = [f for f in values if "{" + f + "}" in pattern]
+    return {pattern.format(**dict(zip(used, combo)))
+            for combo in itertools.product(*(values[f] for f in used))}
+
+
 def test_stages_from_disk_match_run_all(pipeline, tmp_path):
     """Each stage in its own ``main`` call reads its inputs from disk; the
     files must equal those of ``run-all``, whose stages hand objects on in
-    memory."""
+    memory.  Each stage creates exactly the files ``FILES`` assigns to it."""
+    cfg = cli.RunConfig(str(pipeline["config"]))
+    expanded = {kind: _expand(pattern, cfg) for kind, (pattern, _) in cli.FILES.items()}
     out = tmp_path / "staged"
+    before = set()
     for stage in cli.STAGES:
         assert cli.main([stage, "--config", str(pipeline["config"]), "--out", str(out)]) == 0
         assert not cli._memo
+        after = set(os.listdir(out))
+        assert after - before == set().union(
+            *(expanded[kind] for kind, (_, by) in cli.FILES.items() if by == stage)), stage
+        before = after
     names = sorted(os.listdir(out))
     assert names == sorted(os.listdir(pipeline["out"]))
+    for name in names:
+        assert sum(name in files for files in expanded.values()) == 1, name
     for name in names:
         assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes(), name
 
@@ -311,7 +343,7 @@ def test_memo_hit_is_validated(tmp_path, monkeypatch):
     bad = ds.SeasonalEffect(country="AAA", gender="m", phi=np.zeros(ds.MAX_WEEKS), knots=12)
     monkeypatch.setitem(cli._memo, path, bad)
     with pytest.raises(ValidationError, match="strictly positive"):
-        cli._read(path, "fit-seasonal", ds.load_model)
+        cli._read(str(tmp_path), "seasonal", ds.load_model, c="AAA", g="m")
 
 
 def test_failed_write_leaves_no_memo_entry(tmp_path, monkeypatch):
@@ -322,7 +354,7 @@ def test_failed_write_leaves_no_memo_entry(tmp_path, monkeypatch):
         raise ParseError(f"cannot write model file {p}")
 
     with pytest.raises(ParseError):
-        cli._write(object(), path, failing_writer, None)
+        cli._write(None, str(tmp_path), "baseline", object(), failing_writer)
     assert path not in cli._memo
 
 

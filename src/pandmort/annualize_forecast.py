@@ -146,15 +146,6 @@ def annualize(layer, phi, mu):
     return replace(layer, V=V / norm, X=X * norm)
 
 
-def annual_survival_gap(layer, phi, mu):
-    """Relative gap per age between the annual and weekly two-year survival
-    probabilities; the defining identity of the annualization."""
-    m = weekly_mean_factor(layer, phi)
-    lhs = np.exp(-(mu * np.exp(np.outer(layer.V, layer.X))).sum(axis=1))
-    rhs = np.exp(-(mu * m).sum(axis=1))
-    return np.abs(lhs - rhs) / rhs
-
-
 def build_scenario(spec, horizon):
     """Annual pandemic period-effect path for h = 1..horizon:
     X_{start} * eta^h + (1 - eta^h) * X_{infinity}."""

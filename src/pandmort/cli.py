@@ -62,9 +62,13 @@ def _write_table(cfg, out, kind, header, *columns, **key):
     _stamp(path, cfg)
 
 
-def _parse_range(text):
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+def _parse_range(run, key, default):
+    """The inclusive range ``lo:hi`` under ``key``; ConfigError unless lo <= hi."""
+    lo, _, hi = run.get(key, default).partition(":")
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ConfigError(f"{key} must run from low to high, got {lo}:{hi}")
+    return lo, hi
 
 
 class RunConfig:
@@ -84,11 +88,11 @@ class RunConfig:
             run = parser["run"]
             self.data_dir = data["dir"]
             self.countries = tuple(c.strip() for c in run["countries"].split(","))
-            self.years = _parse_range(run.get("years", "1970:2019"))
-            self.ages = _parse_range(run.get("ages", "0:90"))
-            self.covid_ages = _parse_range(run.get("covid_ages", "40:90"))
-            self.seasonal_years = _parse_range(run.get("seasonal_years", "2010:2019"))
-            self.hist_years = _parse_range(run.get("hist_years", "2015:2019"))
+            self.years = _parse_range(run, "years", "1970:2019")
+            self.ages = _parse_range(run, "ages", "0:90")
+            self.covid_ages = _parse_range(run, "covid_ages", "40:90")
+            self.seasonal_years = _parse_range(run, "seasonal_years", "2010:2019")
+            self.hist_years = _parse_range(run, "hist_years", "2015:2019")
             self.method = run.getint("method", 2)
             self.knots = run.getint("knots", 12)
             self.eta = run.getfloat("eta", 0.5)
@@ -107,6 +111,9 @@ class RunConfig:
             raise ConfigError("covid_ages must lie inside the baseline age range")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
+        (h0, h1), (y0, y1) = self.hist_years, self.years
+        if h1 < y0 or h0 > y1:
+            raise ConfigError(f"hist_years {h0}:{h1} shares no year with years {y0}:{y1}")
 
 
 def _stamp(path, cfg):
@@ -237,6 +244,9 @@ def stage_fit_seasonal(cfg, out):
     for c in cfg.countries:
         for g in ds.GENDERS:
             wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
+            if not any(y0 <= t <= y1 for t in wp.years):
+                raise ConfigError(f"seasonal_years {y0}:{y1} shares no year with the weekly "
+                                  f"data of {c}/{g}, which holds {min(wp.years)}:{max(wp.years)}")
             fractions = se.weekly_fractions(wp.select_years(range(y0, y1 + 1)))
             eff = se.fit_seasonal_spline(fractions, country=c, gender=g, knots=cfg.knots)
             _write(cfg, out, "seasonal", eff, ds.save_model, c=c, g=g)

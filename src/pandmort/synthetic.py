@@ -178,23 +178,26 @@ def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure
 
 
 def _write_hmd_file(path, years, ages, female, male):
+    labels = ["110+" if x == 110 else str(x) for x in ages]
+    total = female + male
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("synthetic 1x1 data\n\n")
         fh.write("  Year          Age             Female            Male           Total\n")
         for j, t in enumerate(years):
-            for i, x in enumerate(ages):
-                label = "110+" if x == 110 else str(x)
-                f, m = female[i, j], male[i, j]
-                fh.write(f"  {t}   {label:>5}   {f:.2f}   {m:.2f}   {f + m:.2f}\n")
+            row = f"  {t}   %5s   %.2f   %.2f   %.2f\n"
+            cells = zip(labels, female[:, j].tolist(), male[:, j].tolist(), total[:, j].tolist())
+            fh.write("".join([row % cell for cell in cells]))
 
 
-STMF_GROUPS = [(lo, lo + 4) for lo in range(0, 90, 5)]  # 90+ handled separately
+# Lower bounds of the 19 STMF age groups 0-4, ..., 85-89 and the open 90+;
+# with ages from 0 they are also the column indices `np.add.reduceat` takes.
+STMF_LOWER = np.arange(0, 91, 5)
 
 
 def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
     """Write a complete raw dataset: annual 1x1 files, a weekly grouped
     deaths file and population snapshot files, all sampled from known
-    parameters.  Deterministic for a fixed seed."""
+    parameters.  Deterministic for a fixed seed, byte for byte."""
     os.makedirs(outdir, exist_ok=True)
     rng = np.random.default_rng(seed)
     ages = np.arange(0, 111)
@@ -204,19 +207,29 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
 
     for c in countries:
         ci = panel.country_index(c)
-        _write_hmd_file(
-            raw_path(outdir, "deaths", c), years, ages,
-            panel.deaths[ci, 1], panel.deaths[ci, 0],
-        )
-        _write_hmd_file(
-            raw_path(outdir, "exposures", c), years, ages,
-            panel.exposures[ci, 1], panel.exposures[ci, 0],
-        )
+        for kind, table in (("deaths", panel.deaths), ("exposures", panel.exposures)):
+            _write_hmd_file(raw_path(outdir, kind, c), years, ages, table[ci, 1], table[ci, 0])
+        # Start-of-year population snapshot for 2020 (exposure as head count).
+        with open(raw_path(outdir, "population", c), "w", encoding="utf-8") as fh:
+            fh.write("date,age,sex,count\n")
+            for gi, g in enumerate(GENDERS):
+                row = f"2020-01-01,%d,{g},%.2f\n"
+                cells = zip(ages, panel.exposures[ci, gi, :, -1].tolist())
+                fh.write("".join([row % cell for cell in cells]))
 
     # Weekly grouped deaths, 2010..2021; pandemic waves only in 2020/2021.
+    # One Poisson call per (country, gender) over its (weeks x ages)
+    # intensity fills the draws in C order, the order of one call per week.
     phi = seasonal_phi(0.18)
     pandemic = make_pandemic_truth(ages, seed=seed + 2)
-    group_cols = [f"D{lo}_{hi}" for lo, hi in STMF_GROUPS] + ["D90p"]
+    calendar = [(t, w) for t in range(2010, 2022) for w in range(1, weeks_in_iso_year(t) + 1)]
+    t_col, w_col = np.array(calendar).T
+    pan = np.isin(t_col, PANDEMIC_YEARS)
+    # exp(0) is 1, so the weeks outside the pandemic need no factor.
+    k_pan = pandemic["K"][t_col[pan] - PANDEMIC_YEARS[0], w_col[pan] - 1]
+    wave = np.exp(np.outer(k_pan, pandemic["B"]))
+    group_cols = [f"D{lo}_{lo + 4}" for lo in STMF_LOWER[:-1]] + ["D90p"]
+    week_row = "%s,%d,%d,%s," + ",".join(["%d"] * len(STMF_LOWER)) + "\n"
     with open(raw_path(outdir, "weekly"), "w", encoding="utf-8") as fh:
         fh.write("CountryCode,Year,Week,Sex," + ",".join(group_cols) + "\n")
         for c in countries:
@@ -224,26 +237,9 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
             for gi, g in enumerate(GENDERS):
                 mu_2019 = np.exp(true_ln_mu(truth, c, g)[:, -1])
                 e_week = panel.exposures[ci, gi, :, -1] * 7.0 / 365.0
-                for t in range(2010, 2022):
-                    wt = weeks_in_iso_year(t)
-                    for w in range(1, wt + 1):
-                        if t in PANDEMIC_YEARS:
-                            j = PANDEMIC_YEARS.index(t)
-                            bk = pandemic["B"] * pandemic["K"][j, w - 1]
-                        else:
-                            bk = 0.0
-                        lam = e_week * mu_2019 * phi[w - 1] * np.exp(bk)
-                        dx = rng.poisson(lam)
-                        vals = [dx[(ages >= lo) & (ages <= hi)].sum() for lo, hi in STMF_GROUPS]
-                        vals.append(dx[ages >= 90].sum())
-                        fh.write(f"{c},{t},{w},{g}," + ",".join(str(v) for v in vals) + "\n")
-
-    # Start-of-year population snapshots for 2020 (exposure as head count).
-    for c in countries:
-        ci = panel.country_index(c)
-        with open(raw_path(outdir, "population", c), "w", encoding="utf-8") as fh:
-            fh.write("date,age,sex,count\n")
-            for gi, g in enumerate(GENDERS):
-                for i, x in enumerate(ages):
-                    fh.write(f"2020-01-01,{x},{g},{panel.exposures[ci, gi, i, -1]:.2f}\n")
+                lam = (e_week * mu_2019)[None, :] * phi[w_col - 1, None]
+                lam[pan] *= wave
+                groups = np.add.reduceat(rng.poisson(lam), STMF_LOWER, axis=1)
+                cells = zip(calendar, groups.tolist())
+                fh.write("".join([week_row % (c, t, w, g, *v) for (t, w), v in cells]))
     return truth, pandemic, phi

@@ -7,7 +7,7 @@ import pandmort.annualize_forecast as af
 import pandmort.synthetic as sy
 from pandmort.datastore import CovidLayer, ScenarioSpec
 from pandmort.errors import NumericalError, ValidationError
-from util import assert_covid_constraints
+from util import annual_survival_gap, assert_covid_constraints
 
 
 def make_layer(ages, seed=3, amplitude=0.35):
@@ -31,7 +31,7 @@ def annualized():
 
 def test_annualize_survival_identity(annualized):
     layer, phi, mu = annualized
-    gap = af.annual_survival_gap(layer, phi, mu)
+    gap = annual_survival_gap(layer, phi, mu)
     assert gap.max() < 1e-10
     assert_covid_constraints(layer)
     assert layer.X.shape == (2,)

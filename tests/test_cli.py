@@ -66,6 +66,14 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
         ("\nages = 0:90", "\nages = 20:90", "ages must start at 0, got 20"),
         ("horizon = 10", "horizon = 0", "horizon must be at least 1, got 0"),
         ("horizon = 10", "horizon = -5", "horizon must be at least 1, got -5"),
+        ("years = 1970:2019", "years = 2019:1970", "years must run from low to high, got 2019:1970"),
+        ("seasonal_years = 2010:2019", "seasonal_years = 2019:2010",
+         "seasonal_years must run from low to high, got 2019:2010"),
+        ("hist_years = 2015:2019", "hist_years = 2019:2015",
+         "hist_years must run from low to high, got 2019:2015"),
+        ("hist_years = 2015:2019", "hist_years = 1900:1910",
+         "hist_years 1900:1910 shares no year with years 1970:2019"),
+        ("hist_years = 2015:2019", "hist_years = 2019:2030", None),  # overlap suffices
     ]:
         assert old in base
         p = tmp_path / "cfg.ini"
@@ -250,9 +258,27 @@ def test_run_all_error_names_failing_stage(pipeline, tmp_path):
     config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(
         "seasonal_years = 2010:2019", "seasonal_years = 2030:2031"))
     out = tmp_path / "out"
-    assert cli.main(["run-all", "--config", str(config), "--out", str(out)]) == 4
+    assert cli.main(["run-all", "--config", str(config), "--out", str(out)]) == 2
     rec = json.loads((out / "error.json").read_text())
-    assert (rec["stage"], rec["error"]) == ("fit-seasonal", "ValidationError")
+    assert (rec["stage"], rec["error"]) == ("fit-seasonal", "ConfigError")
+    assert rec["message"] == ("seasonal_years 2030:2031 shares no year with the weekly data "
+                              "of AAA/m, which holds 2010:2021")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("seasonal_years = 2010:2019", "seasonal_years = 2019:2010",
+     "seasonal_years must run from low to high, got 2019:2010"),
+    ("hist_years = 2015:2019", "hist_years = 1900:1910",
+     "hist_years 1900:1910 shares no year with years 1970:2019"),
+])
+def test_bad_year_range_exits_2_before_any_stage(pipeline, tmp_path, old, new, message):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "--config", str(config), "--out", str(out)]) == 2
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"], rec["message"]) == ("run-all", "ConfigError", message)
+    assert os.listdir(out) == ["error.json"]
 
 
 def test_duplicate_population_row_exits_3(pipeline, tmp_path):

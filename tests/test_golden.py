@@ -1,6 +1,8 @@
-"""Golden digests of the ``run-all`` output directory and of the fits.
+"""Golden digests of the raw dataset, the ``run-all`` output directory and
+the fits.
 
-The first digest pins every output file byte for byte, so a rewrite of the
+The synth digest pins every raw file ``synth --seed 1234`` writes, byte for
+byte.  The run-all digest pins every output file, so a rewrite of the
 file I/O or of a numerical kernel must keep the outputs identical.  The fit
 digest pins, bit for bit, the baseline and pandemic-layer fits on a sampled
 panel with parts that ``run-all`` never runs: Method 1, individual ages above
@@ -25,6 +27,7 @@ from pandmort.datastore import GENDERS, SeasonalEffect
 # so the digest is only binding for the version it was taken with.  The
 # pipeline imports no SciPy, so SciPy's version does not enter the outputs.
 GOLDEN_VERSIONS = {"numpy": "2.4.6"}
+SYNTH_SHA256 = "892c435e313605970b88153d788366462dffaca7b25a14af127df8309ce5d421"
 GOLDEN_SHA256 = "008826774c0f84ae8246125d43fa0ad14db48567894d7917b1d3bbefa3e6d266"
 FIT_SHA256 = "9ad7923bee2b8f506fb3755db1880b96083deef657c3084209812828f8b42b63"
 MASKED_FIT_SHA256 = "4520d39beea7a3491880ad2cab607c93dddd1b23d5ee27efeed3adf625a12b20"
@@ -126,6 +129,12 @@ def masked_fit_digest():
                 for part in baseline.score(D, E_fit, *params, base=fit_base):
                     h.update(part.tobytes())
     return h.hexdigest()
+
+
+def test_synth_golden_digest(tmp_path):
+    skip_unless_golden_versions()
+    assert cli.main(["synth", "--out", str(tmp_path), "--seed", "1234"]) == 0
+    assert tree_digest(tmp_path) == SYNTH_SHA256
 
 
 def test_run_all_golden_digest(tmp_path, monkeypatch):

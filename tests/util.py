@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: constraint assertions, finite
-difference gradient checks and a daily cohort microsimulation used as an
-oracle for the week-population recursion."""
+difference gradient checks, the annualization identity and a daily cohort
+microsimulation used as an oracle for the week-population recursion."""
 
 import numpy as np
 
+from pandmort.annualize_forecast import weekly_mean_factor
 from pandmort.datastore import GENDERS
 
 NORM_TOL = 1e-10
@@ -39,6 +40,15 @@ def assert_coda_constraints(fit):
     assert abs(fit.beta.sum()) < CODA_SUM_TOL
     assert abs(fit.kappa.sum()) < CODA_SUM_TOL
     assert abs(np.linalg.norm(fit.beta) - 1.0) < NORM_TOL
+
+
+def annual_survival_gap(layer, phi, mu):
+    """Relative gap per age between the annual and weekly two-year survival
+    probabilities; the defining identity of the annualization."""
+    m = weekly_mean_factor(layer, phi)
+    lhs = np.exp(-(mu * np.exp(np.outer(layer.V, layer.X))).sum(axis=1))
+    rhs = np.exp(-(mu * m).sum(axis=1))
+    return np.abs(lhs - rhs) / rhs
 
 
 def fd_gradient_error(f, grads, params, h=1e-6):

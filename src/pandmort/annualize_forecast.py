@@ -62,7 +62,7 @@ def _brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     if fcur == 0.0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NumericalError("brentq: f(xa) and f(xb) must differ in sign")
+        raise NumericalError(f"brentq: f(xa)={fpre:.3g} and f(xb)={fcur:.3g} must differ in sign")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
@@ -127,18 +127,10 @@ def annualize(layer, phi, mu):
         def gap(v):
             return float((mu_i * (np.exp(v * X) - m_i)).sum())
 
-        lo, hi = gap(-BRACKET), gap(BRACKET)
-        if lo == 0.0:
-            V[i] = -BRACKET
-        elif hi == 0.0:
-            V[i] = BRACKET
-        elif np.sign(lo) == np.sign(hi):
-            raise NumericalError(
-                f"annualize: no sign change in bracket for age index {i} "
-                f"(gap({-BRACKET})={lo:.3g}, gap({BRACKET})={hi:.3g})"
-            )
-        else:
+        try:
             V[i] = _brentq(gap, -BRACKET, BRACKET, xtol=ROOT_TOL)
+        except NumericalError as exc:
+            raise NumericalError(f"annualize: age index {i}: {exc}") from None
 
     norm = np.linalg.norm(V)
     if norm == 0:

@@ -195,59 +195,37 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     raise NumericalError(f"no convergence after {MAX_ITER} iterations", trace)
 
 
-def calibrate_common(panel):
-    """Stage one: fit the common (A, B, K) per gender on aggregated data.
-
-    The sign convention makes K decreasing overall (mortality improves);
-    constraints: sum K = 0, ||B|| = 1.
-    """
-    D, E = panel.aggregate()
-    out = {}
-    for gi, g in enumerate(GENDERS):
-        a, b, k, trace = fit_bilinear_poisson(D[gi], E[gi])
-        if np.sum(np.diff(k)) > 0:
-            b, k = -b, -k
-        out[g] = (a, b, k, trace)
-        log.info("common stage %s: %d iterations, lnL=%.6f", g, trace[-1][0], trace[-1][1])
-    return out
-
-
-def calibrate_country(panel, country, common):
-    """Stage two: fit (alpha, beta, kappa) for one country given the common
-    layer as a fixed offset.  Sign convention: sum(beta) >= 0."""
-    D, E = panel.country(country)
-    out = {}
-    for gi, g in enumerate(GENDERS):
-        _, B, K, _ = common[g]
-        a, b, k, trace = fit_bilinear_poisson(D[gi], E[gi], base=np.outer(B, K))
-        if b.sum() < 0:
-            b, k = -b, -k
-        out[g] = (a, b, k, trace)
-        log.info("country stage %s/%s: %d iterations, lnL=%.6f", country, g, trace[-1][0], trace[-1][1])
-    return out
-
-
 def calibrate_baseline(panel, traces=None):
-    """Run both stages over all countries and genders, then the joint
-    random-walk fit; returns a BaselineModel.
+    """Fit the common (A, B, K) per gender on the aggregated data, then each
+    country's (alpha, beta, kappa) with the common ``B K`` as a fixed offset,
+    then the joint random-walk fit; returns a BaselineModel.
 
-    When ``traces`` is a dict it is populated with the iteration logs, keyed
-    ("common", g) and (country, g).
+    K is signed to decrease overall (mortality improves) and each beta to
+    sum >= 0; every fit has mean-zero k and unit-norm b.  When ``traces`` is
+    a dict it is populated with the iteration logs, keyed ("common", g) and
+    (country, g), in fit order.
     """
-    common = calibrate_common(panel)
-    A = {g: common[g][0] for g in GENDERS}
-    B = {g: common[g][1] for g in GENDERS}
-    K = {g: common[g][2] for g in GENDERS}
-    if traces is not None:
-        for g in GENDERS:
-            traces[("common", g)] = common[g][3]
+    traces = {} if traces is None else traces
+    A, B, K = {}, {}, {}
+    D, E = panel.aggregate()
+    for gi, g in enumerate(GENDERS):
+        A[g], B[g], K[g], trace = fit_bilinear_poisson(D[gi], E[gi])
+        if np.sum(np.diff(K[g])) > 0:
+            B[g], K[g] = -B[g], -K[g]
+        traces[("common", g)] = trace
+        log.info("common stage %s: %d iterations, lnL=%.6f", g, trace[-1][0], trace[-1][1])
     alpha, beta, kappa = {}, {}, {}
     for c in panel.countries:
-        stage2 = calibrate_country(panel, c, common)
-        for g in GENDERS:
-            alpha[(c, g)], beta[(c, g)], kappa[(c, g)], _ = stage2[g]
-            if traces is not None:
-                traces[(c, g)] = stage2[g][3]
+        D, E = panel.country(c)
+        for gi, g in enumerate(GENDERS):
+            cg = (c, g)
+            alpha[cg], beta[cg], kappa[cg], trace = fit_bilinear_poisson(
+                D[gi], E[gi], base=np.outer(B[g], K[g]))
+            if beta[cg].sum() < 0:
+                beta[cg], kappa[cg] = -beta[cg], -kappa[cg]
+            traces[cg] = trace
+            log.info("country stage %s/%s: %d iterations, lnL=%.6f",
+                     c, g, trace[-1][0], trace[-1][1])
     model = BaselineModel(
         countries=panel.countries, ages=panel.ages, years=panel.years,
         A=A, B=B, K=K, alpha=alpha, beta=beta, kappa=kappa,

@@ -36,7 +36,7 @@ from . import exposures as ex
 from . import ingest as ig
 from . import seasonal as se
 from . import synthetic
-from .errors import ConfigError, IngestError, PandmortError
+from .errors import ConfigError, IngestError, PandmortError, ParseError
 
 log = logging.getLogger("pandmort")
 
@@ -58,8 +58,7 @@ def _write_columns(path, header, *columns):
 def _write_table(cfg, out, kind, header, *columns, **key):
     """`_write_columns` to the ``kind`` file for ``key``, then the config stamp."""
     path = _path(out, kind, **key)
-    _write_columns(path, header, *columns)
-    _stamp(path, cfg)
+    _stamped(cfg, path, lambda: _write_columns(path, header, *columns))
 
 
 def _parse_range(run, key, default):
@@ -83,7 +82,7 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         self.hash = hashlib.sha256(text.encode()).hexdigest()[:16]
         try:
-            parser.read_string(text)
+            parser.read_string(text, source=path)
             data = parser["data"]
             run = parser["run"]
             self.data_dir = data["dir"]
@@ -98,8 +97,11 @@ class RunConfig:
             self.eta = run.getfloat("eta", 0.5)
             self.horizon = run.getint("horizon", 30)
             self.seed = run.getint("seed", 1234)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, configparser.Error) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
+        if "" in self.countries or len(set(self.countries)) < len(self.countries):
+            raise ConfigError("countries must be distinct non-empty codes, "
+                              f"got {run['countries']!r}")
         if self.method not in (1, 2):
             raise ConfigError(f"method must be 1 or 2, got {self.method}")
         if not (0.0 <= self.eta <= 1.0):
@@ -109,6 +111,8 @@ class RunConfig:
                               "report need life expectancy at birth")
         if not (self.ages[0] <= self.covid_ages[0] <= self.covid_ages[1] <= self.ages[1]):
             raise ConfigError("covid_ages must lie inside the baseline age range")
+        if self.knots < 4:
+            raise ConfigError(f"knots must be at least 4, got {self.knots}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
         (h0, h1), (y0, y1) = self.hist_years, self.years
@@ -116,9 +120,15 @@ class RunConfig:
             raise ConfigError(f"hist_years {h0}:{h1} shares no year with years {y0}:{y1}")
 
 
-def _stamp(path, cfg):
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(f"#confighash:{cfg.hash}\n")
+def _stamped(cfg, path, write):
+    """Call ``write()``, which writes ``path``, then append the config stamp;
+    a failed write is a ParseError naming the file, as in `ds.save_model`."""
+    try:
+        write()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"#confighash:{cfg.hash}\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 # Every file the stages write to the run directory, by kind: its name pattern
@@ -168,8 +178,7 @@ def _write(cfg, out, kind, obj, writer, **key):
     path)``, stamp the file, and keep ``obj``, frozen, as what it holds."""
     path = _path(out, kind, **key)
     _memo.pop(path, None)
-    writer(obj, path)
-    _stamp(path, cfg)
+    _stamped(cfg, path, lambda: writer(obj, path))
     _freeze(obj)
     _memo[path] = obj
 
@@ -244,9 +253,11 @@ def stage_fit_seasonal(cfg, out):
     for c in cfg.countries:
         for g in ds.GENDERS:
             wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
-            if not any(y0 <= t <= y1 for t in wp.years):
-                raise ConfigError(f"seasonal_years {y0}:{y1} shares no year with the weekly "
-                                  f"data of {c}/{g}, which holds {min(wp.years)}:{max(wp.years)}")
+            shared = sum(y0 <= t <= y1 for t in wp.years)
+            if shared < 2:
+                have = "no year" if shared == 0 else "only 1 of the 2 years it needs"
+                raise ConfigError(f"seasonal_years {y0}:{y1} shares {have} with the weekly data "
+                                  f"of {c}/{g}, which holds {min(wp.years)}:{max(wp.years)}")
             fractions = se.weekly_fractions(wp.select_years(range(y0, y1 + 1)))
             eff = se.fit_seasonal_spline(fractions, country=c, gender=g, knots=cfg.knots)
             _write(cfg, out, "seasonal", eff, ds.save_model, c=c, g=g)
@@ -437,7 +448,10 @@ def main(argv=None):
     stage = args.command
     try:
         cfg = RunConfig(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ParseError(f"cannot create output directory {args.out}: {exc}") from exc
         for stage in STAGES if args.command == "run-all" else [args.command]:
             log.info("stage %s", stage)
             STAGES[stage](cfg, args.out)

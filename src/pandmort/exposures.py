@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datastore import MAX_WEEKS, WeeklyPanel
+from .datastore import AgeIndex, WeeklyPanel
 from .errors import IngestError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -71,30 +71,20 @@ def disaggregate_deaths(panel, historical, hist_years=range(2015, 2020)):
     times fixed within-group shares.  Returns a new WeeklyPanel on individual
     ages.
     """
-    shares = []
-    all_ages = []
-    for group in panel.ages:
+    ages, blocks = [], []
+    for group, group_deaths in zip(panel.ages, panel.deaths):
         s = historical_age_shares(historical, panel.country, panel.gender, group, hist_years)
         if not np.all(np.isfinite(s)):
             raise IngestError(f"non-finite historical shares for group {group.label}")
-        shares.append(s)
-        all_ages.extend(group.ages)
-    nages = len(all_ages)
-    deaths = np.full((nages, len(panel.years), MAX_WEEKS), np.nan)
-    pos = 0
-    for gidx, group in enumerate(panel.ages):
-        s = shares[gidx]
-        deaths[pos : pos + len(s)] = s[:, None, None] * panel.deaths[gidx][None]
-        pos += len(s)
-    from .datastore import AgeIndex
-
+        ages.extend(group.ages)
+        blocks.append(s[:, None, None] * group_deaths)
     return WeeklyPanel(
         country=panel.country,
         gender=panel.gender,
-        ages=tuple(AgeIndex(a, a) for a in all_ages),
+        ages=tuple(AgeIndex(a, a) for a in ages),
         years=panel.years,
         weeks_in_year=dict(panel.weeks_in_year),
-        deaths=deaths,
+        deaths=np.concatenate(blocks),
         exposures=None,
     )
 

@@ -111,6 +111,14 @@ def test_brentq_rejects_bad_bracket_and_nan():
         af._brentq(lambda v: np.nan if v > 0 else -1.0, -1.0, 1.0, xtol=1e-12)
 
 
+def test_annualize_names_the_age_without_a_sign_change(annualized, monkeypatch):
+    # So narrow a bracket leaves the gap of every age with one sign at both ends.
+    layer, phi, mu = annualized
+    monkeypatch.setattr(af, "BRACKET", 1e-9)
+    with pytest.raises(NumericalError, match=r"annualize: .*age index 0\b"):
+        af.annualize(layer, phi, mu)
+
+
 def test_annualize_degenerate_zero_effect():
     ages = np.arange(40, 60)
     layer = make_layer(ages)

@@ -74,6 +74,13 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
         ("hist_years = 2015:2019", "hist_years = 1900:1910",
          "hist_years 1900:1910 shares no year with years 1970:2019"),
         ("hist_years = 2015:2019", "hist_years = 2019:2030", None),  # overlap suffices
+        ("knots = 12", "knots = 3", "knots must be at least 4, got 3"),
+        ("countries = AAA,BBB", "countries = AAA,AAA",
+         "countries must be distinct non-empty codes, got 'AAA,AAA'"),
+        ("countries = AAA,BBB", "countries = AAA,",
+         "countries must be distinct non-empty codes, got 'AAA,'"),
+        ("[data]\n", "", "File contains no section headers"),
+        ("eta = 0.5", "eta = 0.5\neta = 0.7", "option 'eta' in section 'run' already exists"),
     ]:
         assert old in base
         p = tmp_path / "cfg.ini"
@@ -279,6 +286,40 @@ def test_bad_year_range_exits_2_before_any_stage(pipeline, tmp_path, old, new, m
     rec = json.loads((out / "error.json").read_text())
     assert (rec["stage"], rec["error"], rec["message"]) == ("run-all", "ConfigError", message)
     assert os.listdir(out) == ["error.json"]
+
+
+@pytest.mark.parametrize("years", ["2019:2019", "2005:2010"])
+def test_one_seasonal_year_exits_2(pipeline, tmp_path, years):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(
+        "seasonal_years = 2010:2019", f"seasonal_years = {years}"))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    assert cli.main(["fit-seasonal", "--config", str(config), "--out", str(out)]) == 2
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == ("fit-seasonal", "ConfigError")
+    assert rec["message"] == (f"seasonal_years {years} shares only 1 of the 2 years it needs "
+                              "with the weekly data of AAA/m, which holds 2010:2021")
+
+
+@pytest.mark.parametrize("stage, name", [("ingest", "annual_panel.csv"),
+                                         ("calibrate-baseline", "baseline_iterations.csv")])
+def test_failed_write_exits_3(pipeline, tmp_path, stage, name):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    (out / name).unlink()
+    (out / name).mkdir()
+    assert cli.main([stage, "--config", str(pipeline["config"]), "--out", str(out)]) == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == (stage, "ParseError")
+    assert rec["message"].startswith(f"cannot write {out / name}: ")
+
+
+def test_out_naming_a_file_exits_3(pipeline, tmp_path, caplog):
+    out = tmp_path / "out"
+    out.write_text("")
+    assert cli.main(["ingest", "--config", str(pipeline["config"]), "--out", str(out)]) == 3
+    assert f"cannot create output directory {out}: " in caplog.text
 
 
 def test_duplicate_population_row_exits_3(pipeline, tmp_path):

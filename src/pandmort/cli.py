@@ -3,9 +3,9 @@
 Stages (each reads prior-stage outputs from the run directory and writes its
 own): ingest, calibrate-baseline, fit-seasonal, calibrate-covid, coda,
 annualize, forecast, report.  ``synth`` generates the bundled synthetic raw
-dataset.  Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical
-failure.  Every stage appends the configuration hash to its outputs, and a
-machine-readable error record is written on failure.
+dataset.  Exit codes: 0 ok, 2 config error, 3 data error or failed write,
+4 numerical failure.  Every stage appends the configuration hash to its
+outputs, and a machine-readable error record is written on failure.
 
 Every output file is written to the run directory.  Within one ``main``
 call the objects a stage wrote are also kept in memory, so ``run-all``

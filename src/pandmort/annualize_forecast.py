@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baseline import baseline_mu
-from .datastore import ForecastSet, ScenarioSpec
+from .datastore import ForecastSet, ScenarioSpec, week_mask
 from .errors import NumericalError, ValidationError
 
 BRACKET = 10.0
@@ -30,12 +30,10 @@ EXTRAP_AGES = (80, 90)  # ln(mu) above the calibrated ages is extrapolated from 
 
 def weekly_mean_factor(layer, phi):
     """m[x, t] = (1/w_t) sum_w phi_w exp(B_x K_{t,w}) for the fitted years."""
-    m = np.empty((len(layer.ages), len(layer.years)))
-    for j, t in enumerate(layer.years):
-        wt = layer.weeks_in_year[t]
-        k = layer.K[j, :wt]
-        m[:, j] = (phi[None, :wt] * np.exp(np.outer(layer.B, k))).mean(axis=1)
-    return m
+    used = week_mask(layer.years, layer.weeks_in_year)
+    terms = np.where(used, phi * np.exp(layer.B[:, None, None] * layer.K), 0.0)
+    # NumPy sums <= 53 values in blocks of 8, then the rest in order: a 52-week pad adds +0.0 last.
+    return terms.sum(axis=-1) / used.sum(axis=-1)
 
 
 def _brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):

@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 
 REL_TOL = 1e-10
 MAX_ITER = 10_000
+MIN_YEARS = 3  # fewest years `fit_time_series` takes: one difference leaves no residual
 
 
 def _usable(D, E):
@@ -257,8 +258,8 @@ def fit_time_series(model):
     drifts delta are reported with t-statistics but forced to zero for
     projection, so that countries do not diverge from the common trend.
     """
-    if len(model.years) < 3:
-        raise NumericalError("time-series fit needs at least 3 time points")
+    if len(model.years) < MIN_YEARS:
+        raise NumericalError(f"time-series fit needs at least {MIN_YEARS} time points")
     order = period_series(model.countries)
     diffs = np.stack([np.diff(getattr(model, name)[key]) for name, key in order])  # (nseries, nt-1)
     n = diffs.shape[1]

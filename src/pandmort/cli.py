@@ -109,6 +109,8 @@ class RunConfig:
         if self.ages[0] != 0:
             raise ConfigError(f"ages must start at 0, got {self.ages[0]}: the forecast and "
                               "report need life expectancy at birth")
+        if self.ages[1] > ig.TOP_AGE:
+            raise ConfigError(f"ages must end at {ig.TOP_AGE} or below, got {self.ages[1]}")
         if not (self.ages[0] <= self.covid_ages[0] <= self.covid_ages[1] <= self.ages[1]):
             raise ConfigError("covid_ages must lie inside the baseline age range")
         if self.knots < 4:
@@ -116,6 +118,8 @@ class RunConfig:
         if self.horizon < 1:
             raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
         (h0, h1), (y0, y1) = self.hist_years, self.years
+        if y1 - y0 + 1 < bl.MIN_YEARS:
+            raise ConfigError(f"years must span at least {bl.MIN_YEARS} years, got {y0}:{y1}")
         if h1 < y0 or h0 > y1:
             raise ConfigError(f"hist_years {h0}:{h1} shares no year with years {y0}:{y1}")
 
@@ -217,13 +221,12 @@ def stage_ingest(cfg, out):
                 ig.raw_path(cfg.data_dir, "exposures", c),
                 c,
                 range(cfg.years[0], cfg.years[1] + 1),
-                range(0, 111),
+                range(0, ig.TOP_AGE + 1),
             )
         )
     _write(cfg, out, "annual", ds.AnnualPanel.merge(panels), ds.write_annual_panel_csv)
 
-    weekly = ig.parse_stmf_countries(ig.raw_path(cfg.data_dir, "weekly"), cfg.countries,
-                                     open_group_high=110)
+    weekly = ig.parse_stmf_countries(ig.raw_path(cfg.data_dir, "weekly"), cfg.countries)
     for c, per_gender in weekly.items():
         for g, wp in per_gender.items():
             _write(cfg, out, "weekly", wp, ds.write_weekly_panel_csv, c=c, g=g)
@@ -442,11 +445,14 @@ def _error_record(out, stage, exc):
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    if args.command == "synth":
-        synthetic.write_synthetic_dataset(args.out, seed=args.seed)
-        return 0
     stage = args.command
     try:
+        if args.command == "synth":
+            try:
+                synthetic.write_synthetic_dataset(args.out, seed=args.seed)
+            except OSError as exc:
+                raise ParseError(f"cannot write synthetic data to {args.out}: {exc}") from exc
+            return 0
         cfg = RunConfig(args.config)
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -51,11 +51,8 @@ def predicted_deaths(panel, mu, seasonal=None, method=2):
         raise ValidationError("Method 2 requires a fitted seasonal effect")
     panel.validate(require_exposures=True)
     phi = np.ones(MAX_WEEKS) if method == 1 else seasonal.phi
-    pred = np.full_like(panel.deaths, np.nan)
-    for j, t in enumerate(panel.years):
-        wt = panel.weeks_in_year[t]
-        pred[:, j, :wt] = panel.exposures[:, j, :wt] * mu[:, j : j + 1] * phi[None, :wt]
-    return pred
+    used = week_mask(panel.years, panel.weeks_in_year)
+    return np.where(used, panel.exposures * mu[:, :, None] * phi, np.nan)
 
 
 def calibrate_covid(panel, pred, method):

@@ -119,27 +119,18 @@ def project_population(start_pop, cohort_dxw, w_t):
     start_pop = np.asarray(start_pop, dtype=float)
     if (start_pop < 0).any():
         raise ValidationError("project_population: negative start population")
-    nx = len(start_pop)
     cum = np.cumsum(cohort_dxw, axis=1)  # sum_{i<=w} C[x, i]
-    out = np.empty((nx, w_t + 1))
-    out[:, 0] = start_pop
     # For the lowest age the incoming cohort (births during the year) is
     # approximated by the current age-0 count; above the top age no deaths
     # are subtracted.
     below = np.concatenate([[start_pop[0]], start_pop[:-1]])
     cum_above = np.vstack([cum[1:], np.zeros((1, w_t))])
-    clamped = 0
-    for w in range(1, w_t + 1):
-        r = w / w_t
-        p = (1.0 - r) * (start_pop - cum_above[:, w - 1]) + r * (below - cum[:, w - 1])
-        neg = p < 0
-        if neg.any():
-            clamped += int(neg.sum())
-            p = np.maximum(p, 0.0)
-        out[:, w] = p
-    if clamped:
-        log.warning("project_population: clamped %d negative week populations to 0", clamped)
-    return out
+    r = np.arange(1, w_t + 1) / w_t
+    p = (1.0 - r) * (start_pop[:, None] - cum_above) + r * (below[:, None] - cum)
+    neg = p < 0
+    if neg.any():
+        log.warning("project_population: clamped %d negative week populations to 0", neg.sum())
+    return np.hstack([start_pop[:, None], np.where(neg, 0.0, p)])
 
 
 def weekly_exposures_from_projection(pop_xw, w_t):

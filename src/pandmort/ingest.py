@@ -49,6 +49,8 @@ from .exposures import PopulationSnapshot
 
 log = logging.getLogger(__name__)
 
+TOP_AGE = 110  # the raw data's top age: HMD's open ``110+`` and the weekly open group's end
+
 # The files of a raw dataset directory, by kind; ``{c}`` is the country code.
 RAW_FILES = {
     "deaths": "{c}_deaths.txt",
@@ -86,7 +88,7 @@ def _no_separators(fields, path, lineno):
 
 def _hmd_age(text):
     """An annual file's age: an integer, or ``110+`` for the open age group."""
-    return 110 if text == "110+" else int(text)
+    return TOP_AGE if text == f"{TOP_AGE}+" else int(text)
 
 
 def _lookup(levels, values):
@@ -199,13 +201,13 @@ def _parse_group_columns(names):
     return groups
 
 
-def parse_stmf(path, country, open_group_high=110):
+def parse_stmf(path, country, open_group_high=TOP_AGE):
     """Parse a weekly grouped-deaths file into one WeeklyPanel per gender;
     `parse_stmf_countries` for a single country."""
     return parse_stmf_countries(path, (country,), open_group_high)[country]
 
 
-def parse_stmf_countries(path, countries, open_group_high=110):
+def parse_stmf_countries(path, countries, open_group_high=TOP_AGE):
     """Parse a multi-country weekly grouped-deaths file once into
     {country: {gender: WeeklyPanel}} for each of ``countries``.
 

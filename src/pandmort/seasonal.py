@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datastore import MAX_WEEKS, SeasonalEffect
+from .datastore import MAX_WEEKS, SeasonalEffect, week_mask
 from .errors import NumericalError, ValidationError
 
 PERIOD = 52.0
@@ -26,15 +26,15 @@ def weekly_fractions(panel):
     """
     if len(panel.years) < 2:
         raise ValidationError("weekly fractions need at least 2 years of data")
-    out = {}
-    for t in panel.years:
-        d, _ = panel.cells(t)
-        totals = d.sum(axis=0)
-        year_total = totals.sum()
-        if year_total <= 0:
-            raise ValidationError(f"year {t} has zero total deaths")
-        out[t] = totals / year_total * panel.weeks_in_year[t]
-    return out
+    used = week_mask(panel.years, panel.weeks_in_year)
+    totals = np.where(used, panel.deaths, 0.0).sum(axis=0)
+    year_totals = totals.sum(axis=1)  # the zero pad adds +0.0 last: see `weekly_mean_factor`
+    empty = year_totals <= 0
+    if empty.any():
+        raise ValidationError(f"year {panel.years[np.argmax(empty)]} has zero total deaths")
+    weeks = used.sum(axis=1)
+    fractions = totals / year_totals[:, None] * weeks[:, None]
+    return dict(zip(panel.years, np.split(fractions[used], np.cumsum(weeks)[:-1])))
 
 
 def _basis_knots(k):

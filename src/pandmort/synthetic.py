@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .datastore import GENDERS, AgeIndex, AnnualPanel, WeeklyPanel, MAX_WEEKS
-from .ingest import raw_path, weeks_in_iso_year
+from .ingest import TOP_AGE, raw_path, weeks_in_iso_year
 
 PANDEMIC_YEARS = (2020, 2021)
 PANDEMIC_WEEKS = {2020: 53, 2021: 52}
@@ -178,7 +178,7 @@ def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure
 
 
 def _write_hmd_file(path, years, ages, female, male):
-    labels = ["110+" if x == 110 else str(x) for x in ages]
+    labels = [f"{TOP_AGE}+" if x == TOP_AGE else str(x) for x in ages]
     total = female + male
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("synthetic 1x1 data\n\n")
@@ -200,7 +200,7 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
     parameters.  Deterministic for a fixed seed, byte for byte."""
     os.makedirs(outdir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    ages = np.arange(0, 111)
+    ages = np.arange(0, TOP_AGE + 1)
     years = np.arange(1970, 2020)
     truth = make_baseline_truth(countries, ages, years, seed=seed)
     panel = sample_annual_panel(truth, exposure=2e5, seed=seed + 1)

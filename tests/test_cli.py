@@ -64,9 +64,13 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
         ("eta = 0.5", "eta = 1.5", "eta"),
         ("covid_ages = 40:90", "covid_ages = 40:95", "covid_ages"),
         ("\nages = 0:90", "\nages = 20:90", "ages must start at 0, got 20"),
+        ("\nages = 0:90", "\nages = 0:110", None),  # the top raw age
+        ("\nages = 0:90", "\nages = 0:120", "ages must end at 110 or below, got 120"),
         ("horizon = 10", "horizon = 0", "horizon must be at least 1, got 0"),
         ("horizon = 10", "horizon = -5", "horizon must be at least 1, got -5"),
         ("years = 1970:2019", "years = 2019:1970", "years must run from low to high, got 2019:1970"),
+        ("years = 1970:2019", "years = 2017:2019", None),  # the shortest range
+        ("years = 1970:2019", "years = 2018:2019", "years must span at least 3 years, got 2018:2019"),
         ("seasonal_years = 2010:2019", "seasonal_years = 2019:2010",
          "seasonal_years must run from low to high, got 2019:2010"),
         ("hist_years = 2015:2019", "hist_years = 2019:2015",
@@ -320,6 +324,13 @@ def test_out_naming_a_file_exits_3(pipeline, tmp_path, caplog):
     out.write_text("")
     assert cli.main(["ingest", "--config", str(pipeline["config"]), "--out", str(out)]) == 3
     assert f"cannot create output directory {out}: " in caplog.text
+
+
+def test_synth_out_naming_a_file_exits_3(tmp_path, caplog):
+    out = tmp_path / "data"
+    out.write_text("")
+    assert cli.main(["synth", "--out", str(out)]) == 3
+    assert f"cannot write synthetic data to {out}: " in caplog.text
 
 
 def test_duplicate_population_row_exits_3(pipeline, tmp_path):

@@ -1,11 +1,18 @@
 """Shared helpers for the test suite: constraint assertions, finite
 difference gradient checks, the annualization identity and a daily cohort
-microsimulation used as an oracle for the week-population recursion."""
+microsimulation used as an oracle for the week-population recursion, and
+the per-year and per-week loop forms of four weekly-grid functions, kept as
+oracles for their array forms."""
+
+import logging
 
 import numpy as np
 
 from pandmort.annualize_forecast import weekly_mean_factor
-from pandmort.datastore import GENDERS
+from pandmort.datastore import GENDERS, MAX_WEEKS
+from pandmort.errors import ValidationError
+
+log = logging.getLogger(__name__)
 
 NORM_TOL = 1e-10
 SUM_TOL = 1e-8
@@ -108,3 +115,72 @@ def daily_microsim(start_pop, daily_m, w_t=52):
         newborn[: d + 1] = alive - dd
     end_pop[0] += newborn.sum()
     return end_pop, deaths
+
+
+# The loop forms that `covid_layer.predicted_deaths`,
+# `annualize_forecast.weekly_mean_factor`, `seasonal.weekly_fractions` and
+# `exposures.project_population` replaced, kept verbatim apart from their names and docstrings.
+
+
+def loop_predicted_deaths(panel, mu, seasonal=None, method=2):
+    if method not in (1, 2):
+        raise ValidationError("method must be 1 or 2")
+    if method == 2 and seasonal is None:
+        raise ValidationError("Method 2 requires a fitted seasonal effect")
+    panel.validate(require_exposures=True)
+    phi = np.ones(MAX_WEEKS) if method == 1 else seasonal.phi
+    pred = np.full_like(panel.deaths, np.nan)
+    for j, t in enumerate(panel.years):
+        wt = panel.weeks_in_year[t]
+        pred[:, j, :wt] = panel.exposures[:, j, :wt] * mu[:, j : j + 1] * phi[None, :wt]
+    return pred
+
+
+def loop_weekly_mean_factor(layer, phi):
+    m = np.empty((len(layer.ages), len(layer.years)))
+    for j, t in enumerate(layer.years):
+        wt = layer.weeks_in_year[t]
+        k = layer.K[j, :wt]
+        m[:, j] = (phi[None, :wt] * np.exp(np.outer(layer.B, k))).mean(axis=1)
+    return m
+
+
+def loop_weekly_fractions(panel):
+    if len(panel.years) < 2:
+        raise ValidationError("weekly fractions need at least 2 years of data")
+    out = {}
+    for t in panel.years:
+        d, _ = panel.cells(t)
+        totals = d.sum(axis=0)
+        year_total = totals.sum()
+        if year_total <= 0:
+            raise ValidationError(f"year {t} has zero total deaths")
+        out[t] = totals / year_total * panel.weeks_in_year[t]
+    return out
+
+
+def loop_project_population(start_pop, cohort_dxw, w_t):
+    start_pop = np.asarray(start_pop, dtype=float)
+    if (start_pop < 0).any():
+        raise ValidationError("project_population: negative start population")
+    nx = len(start_pop)
+    cum = np.cumsum(cohort_dxw, axis=1)  # sum_{i<=w} C[x, i]
+    out = np.empty((nx, w_t + 1))
+    out[:, 0] = start_pop
+    # For the lowest age the incoming cohort (births during the year) is
+    # approximated by the current age-0 count; above the top age no deaths
+    # are subtracted.
+    below = np.concatenate([[start_pop[0]], start_pop[:-1]])
+    cum_above = np.vstack([cum[1:], np.zeros((1, w_t))])
+    clamped = 0
+    for w in range(1, w_t + 1):
+        r = w / w_t
+        p = (1.0 - r) * (start_pop - cum_above[:, w - 1]) + r * (below - cum[:, w - 1])
+        neg = p < 0
+        if neg.any():
+            clamped += int(neg.sum())
+            p = np.maximum(p, 0.0)
+        out[:, w] = p
+    if clamped:
+        log.warning("project_population: clamped %d negative week populations to 0", clamped)
+    return out

@@ -43,22 +43,12 @@ log = logging.getLogger("pandmort")
 PANDEMIC_YEARS = (2020, 2021)
 
 
-def _write_columns(path, header, *columns):
-    """Write a CSV file with one row per position of the equal-length columns.
-
-    Each cell is the ``str`` of its Python value, which for floats is the
-    shortest text that reads back to the same double.
-    """
-    cells = [map(str, np.asarray(col).tolist()) for col in columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
-
-
 def _write_table(cfg, out, kind, header, *columns, **key):
-    """`_write_columns` to the ``kind`` file for ``key``, then the config stamp."""
+    """`ds.write_table` to the ``kind`` file for ``key``, every cell as its
+    ``str`` (a float's shortest round-trip text), then the config stamp."""
     path = _path(out, kind, **key)
-    _stamped(cfg, path, lambda: _write_columns(path, header, *columns))
+    row = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    _stamped(cfg, path, lambda: ds.write_table(path, header, row, *columns))
 
 
 def _parse_range(run, key, default):
@@ -111,6 +101,10 @@ class RunConfig:
                               "report need life expectancy at birth")
         if self.ages[1] > ig.TOP_AGE:
             raise ConfigError(f"ages must end at {ig.TOP_AGE} or below, got {self.ages[1]}")
+        lo, hi = af.EXTRAP_AGES
+        if self.ages[1] <= lo:
+            raise ConfigError(f"ages must end above {lo}, got {self.ages[1]}: the forecast "
+                              f"extrapolates ln(mu) to older ages from the ages {lo}:{hi}")
         if not (self.ages[0] <= self.covid_ages[0] <= self.covid_ages[1] <= self.ages[1]):
             raise ConfigError("covid_ages must lie inside the baseline age range")
         if self.knots < 4:
@@ -203,8 +197,8 @@ def _read(out, kind, reader, *args, **key):
 
 def _write_population(snaps, path):
     sizes = [len(s.ages) for s in snaps]
-    _write_columns(
-        path, "date,age,sex,count",
+    ds.write_table(
+        path, "date,age,sex,count", "%s,%s,%s,%s\n",
         np.repeat(["%04d-%02d-%02d" % s.date for s in snaps], sizes),
         np.concatenate([s.ages for s in snaps]),
         np.repeat([s.gender for s in snaps], sizes),
@@ -266,11 +260,17 @@ def stage_fit_seasonal(cfg, out):
             _write(cfg, out, "seasonal", eff, ds.save_model, c=c, g=g)
 
 
+def _pandemic_deaths(cfg, out, c, g, historical):
+    """The weekly deaths of ``c``/``g`` in the pandemic years, disaggregated
+    to individual ages with the age shares of ``hist_years``."""
+    wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
+    return ex.disaggregate_deaths(wp.select_years(PANDEMIC_YEARS), historical,
+                                  range(cfg.hist_years[0], cfg.hist_years[1] + 1))
+
+
 def _reconstruct_weekly(cfg, out, c, g, historical):
     """Disaggregated pandemic-year deaths plus projected weekly exposures."""
-    wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
-    indiv = ex.disaggregate_deaths(wp.select_years(PANDEMIC_YEARS), historical,
-                                   range(cfg.hist_years[0], cfg.hist_years[1] + 1))
+    indiv = _pandemic_deaths(cfg, out, c, g, historical)
     snaps = _read(out, "population", ig.parse_population, "eurostat_annual", c=c)
     snaps = [s for s in snaps if s.gender == g]
     start = snaps[-1]
@@ -318,10 +318,7 @@ def stage_coda(cfg, out):
     historical = _read(out, "annual", ds.read_annual_panel_csv)
     c = cfg.countries[0]
     for g in ds.GENDERS:
-        wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
-        indiv = ex.disaggregate_deaths(wp.select_years(PANDEMIC_YEARS), historical,
-                                       range(cfg.hist_years[0], cfg.hist_years[1] + 1))
-        indiv = indiv.select_ages(0, 98)
+        indiv = _pandemic_deaths(cfg, out, c, g, historical).select_ages(0, 98)
         ages = np.array([a.low for a in indiv.ages])
         for t in indiv.years:
             d, _ = indiv.cells(t)
@@ -377,7 +374,7 @@ def stage_forecast(cfg, out):
 def _le_at_birth(path, year):
     """Period life expectancy at birth in ``year`` from the
     ``life_expectancy_*`` file at ``path``."""
-    (kind, age, years, value), lineno = ds._read_columns(path, "kind,age,year,value", 4)
+    (kind, age, years, value), lineno = ds._read_columns(path, "kind,age,year,value")
     value = ds._numbers(path, value, float, lineno)
     for k, row in enumerate(zip(kind, age, years)):
         if row == ("period", "0", str(year)):

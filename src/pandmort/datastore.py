@@ -1,10 +1,11 @@
-"""Shared domain types, index conventions and parameter-file serialization.
+"""Shared domain types, index conventions and CSV serialization.
 
 All model objects are frozen dataclasses; validation is a separate pass that
-is re-run whenever an object is loaded from disk.  Parameter files are
-line-oriented CSV with a ``#schema:<TypeName> v1`` first line followed by
+is re-run whenever an object is loaded from disk.  Model files (`save_model`)
+are line-oriented CSV with a ``#schema:<TypeName> v1`` first line followed by
 ``key,index1,index2,value`` rows, floats printed with 17 significant digits
-so that save/load round-trips are exact.
+so that save/load round-trips are exact.  Every other table row is formatted
+by `write_table` from its file's row string, which fixes its float text.
 """
 
 from __future__ import annotations
@@ -646,7 +647,17 @@ def load_model(path):
 
 
 # ---------------------------------------------------------------------------
-# audit CSV for panels
+# CSV tables
+
+
+def write_table(path, header, row, *columns):
+    """Write ``header``, then one ``row % cells`` line per position of the
+    equal-size ``columns``, each flattened in C order to Python values: ``%s``
+    of a float gives its shortest round-trip text, ``%.17g`` 17 digits."""
+    cells = zip(*[np.ravel(col).tolist() for col in columns])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write("".join([row % cell for cell in cells]))
 
 
 _ANNUAL_HEADER = "country,gender,age,year,deaths,exposure"
@@ -666,12 +677,14 @@ def _data_lines(lines, start):
     return rows, lineno
 
 
-def _read_columns(path, header, nfields):
-    """Split a panel CSV into ``nfields`` string columns of its data rows.
+def _read_columns(path, header):
+    """Split a CSV table into string columns of its data rows, one per field
+    of ``header``.
 
     Blank lines and ``#`` lines are skipped.  Also returns a function giving
     the 1-based file line number of a data row, for error messages.
     """
+    nfields = header.count(",") + 1
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -742,16 +755,13 @@ def _check_cells(path, flat, expected, describe, error=ParseError):
 
 
 def write_annual_panel_csv(panel, path):
-    keys = itertools.product(panel.countries, GENDERS, panel.ages.tolist(),
-                             panel.years.tolist())
-    rows = zip(keys, panel.deaths.ravel().tolist(), panel.exposures.ravel().tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_ANNUAL_HEADER + "\n")
-        fh.write("".join(["%s,%s,%s,%s,%.17g,%.17g\n" % (*k, d, e) for k, d, e in rows]))
+    keys = np.meshgrid(panel.countries, GENDERS, panel.ages, panel.years, indexing="ij")
+    write_table(path, _ANNUAL_HEADER, "%s,%s,%s,%s,%.17g,%.17g\n",
+                *keys, panel.deaths, panel.exposures)
 
 
 def read_annual_panel_csv(path):
-    (c_col, g_col, a_col, t_col, d_col, e_col), lineno = _read_columns(path, _ANNUAL_HEADER, 6)
+    (c_col, g_col, a_col, t_col, d_col, e_col), lineno = _read_columns(path, _ANNUAL_HEADER)
     countries, ci = _levels(path, c_col, lineno)
     genders, gi = _levels(path, g_col, lineno)
     unknown = [g for g in genders if g not in GENDERS]
@@ -775,21 +785,15 @@ def read_annual_panel_csv(path):
 
 def write_weekly_panel_csv(panel, path):
     used = np.broadcast_to(week_mask(panel.years, panel.weeks_in_year), panel.deaths.shape)
-    year_weeks = [(t, w) for t in panel.years for w in range(1, panel.weeks_in_year[t] + 1)]
-    keys = itertools.product([a.label for a in panel.ages], year_weeks)
-    deaths = panel.deaths[used].tolist()
-    if panel.exposures is None:
-        lines = ["%s,%s,%s,%.17g,\n" % (a, t, w, d) for (a, (t, w)), d in zip(keys, deaths)]
-    else:
-        lines = ["%s,%s,%s,%.17g,%.17g\n" % (a, t, w, d, e)
-                 for (a, (t, w)), d, e in zip(keys, deaths, panel.exposures[used].tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_WEEKLY_HEADER + "\n")
-        fh.write("".join(lines))
+    a, t, w = np.nonzero(used)
+    labels = np.array([x.label for x in panel.ages])
+    expos = [] if panel.exposures is None else [panel.exposures[used]]
+    write_table(path, _WEEKLY_HEADER, "%s,%s,%s,%.17g," + "%.17g" * len(expos) + "\n",
+                labels[a], np.asarray(panel.years)[t], w + 1, panel.deaths[used], *expos)
 
 
 def read_weekly_panel_csv(path, country, gender):
-    (a_col, t_col, w_col, d_col, e_col), lineno = _read_columns(path, _WEEKLY_HEADER, 5)
+    (a_col, t_col, w_col, d_col, e_col), lineno = _read_columns(path, _WEEKLY_HEADER)
     labels, ai = _levels(path, a_col, lineno)
     ages = []
     for i, label in enumerate(labels):

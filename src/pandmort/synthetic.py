@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .datastore import GENDERS, AgeIndex, AnnualPanel, WeeklyPanel, MAX_WEEKS
+from .datastore import GENDERS, MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, write_table
 from .ingest import TOP_AGE, raw_path, weeks_in_iso_year
 
 PANDEMIC_YEARS = (2020, 2021)
@@ -179,14 +179,10 @@ def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure
 
 def _write_hmd_file(path, years, ages, female, male):
     labels = [f"{TOP_AGE}+" if x == TOP_AGE else str(x) for x in ages]
-    total = female + male
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("synthetic 1x1 data\n\n")
-        fh.write("  Year          Age             Female            Male           Total\n")
-        for j, t in enumerate(years):
-            row = f"  {t}   %5s   %.2f   %.2f   %.2f\n"
-            cells = zip(labels, female[:, j].tolist(), male[:, j].tolist(), total[:, j].tolist())
-            fh.write("".join([row % cell for cell in cells]))
+    write_table(path, "synthetic 1x1 data\n\n"
+                "  Year          Age             Female            Male           Total",
+                "  %s   %5s   %.2f   %.2f   %.2f\n", np.repeat(years, len(ages)),
+                np.tile(labels, len(years)), female.T, male.T, (female + male).T)
 
 
 # Lower bounds of the 19 STMF age groups 0-4, ..., 85-89 and the open 90+;
@@ -210,12 +206,9 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
         for kind, table in (("deaths", panel.deaths), ("exposures", panel.exposures)):
             _write_hmd_file(raw_path(outdir, kind, c), years, ages, table[ci, 1], table[ci, 0])
         # Start-of-year population snapshot for 2020 (exposure as head count).
-        with open(raw_path(outdir, "population", c), "w", encoding="utf-8") as fh:
-            fh.write("date,age,sex,count\n")
-            for gi, g in enumerate(GENDERS):
-                row = f"2020-01-01,%d,{g},%.2f\n"
-                cells = zip(ages, panel.exposures[ci, gi, :, -1].tolist())
-                fh.write("".join([row % cell for cell in cells]))
+        write_table(raw_path(outdir, "population", c), "date,age,sex,count",
+                    "2020-01-01,%d,%s,%.2f\n", np.tile(ages, len(GENDERS)),
+                    np.repeat(GENDERS, len(ages)), panel.exposures[ci, :, :, -1])
 
     # Weekly grouped deaths, 2010..2021; pandemic waves only in 2020/2021.
     # One Poisson call per (country, gender) over its (weeks x ages)

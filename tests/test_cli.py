@@ -66,6 +66,12 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
         ("\nages = 0:90", "\nages = 20:90", "ages must start at 0, got 20"),
         ("\nages = 0:90", "\nages = 0:110", None),  # the top raw age
         ("\nages = 0:90", "\nages = 0:120", "ages must end at 110 or below, got 120"),
+        ("\nages = 0:90\ncovid_ages = 40:90", "\nages = 0:60\ncovid_ages = 40:60",
+         r"ages must end above 80, got 60: the forecast extrapolates ln\(mu\) to older ages "
+         "from the ages 80:90"),
+        ("\nages = 0:90\ncovid_ages = 40:90", "\nages = 0:80\ncovid_ages = 40:80",
+         "ages must end above 80, got 80"),
+        ("\nages = 0:90\ncovid_ages = 40:90", "\nages = 0:81\ncovid_ages = 40:81", None),
         ("horizon = 10", "horizon = 0", "horizon must be at least 1, got 0"),
         ("horizon = 10", "horizon = -5", "horizon must be at least 1, got -5"),
         ("years = 1970:2019", "years = 2019:1970", "years must run from low to high, got 2019:1970"),
@@ -413,6 +419,24 @@ def test_stages_from_disk_match_run_all(pipeline, tmp_path):
         assert sum(name in files for files in expanded.values()) == 1, name
     for name in names:
         assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes(), name
+
+
+def test_every_table_goes_through_write_table(pipeline, tmp_path, monkeypatch):
+    """``ds.write_table`` formats every output file but the model files, each
+    once."""
+    written = []
+    real = ds.write_table
+    monkeypatch.setattr(ds, "write_table",
+                        lambda path, *a: written.append(os.path.basename(path)) or real(path, *a))
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "--config", str(pipeline["config"]), "--out", str(out)]) == 0
+    cfg = cli.RunConfig(str(pipeline["config"]))
+    models = {"baseline", "seasonal", "covid", "coda"}
+    tables = set().union(*(_expand(pattern, cfg)
+                           for kind, (pattern, _) in cli.FILES.items() if kind not in models))
+    assert sorted(written) == sorted(tables)
+    assert set(os.listdir(out)) - tables == set().union(
+        *(_expand(cli.FILES[kind][0], cfg) for kind in models))
 
 
 def test_memo_hit_is_validated(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from pandmort.datastore import (
     read_weekly_panel_csv,
     save_model,
     write_annual_panel_csv,
+    write_table,
     write_weekly_panel_csv,
 )
 from pandmort.errors import ParseError, ValidationError
@@ -197,6 +198,22 @@ def test_load_model_unknown_schema(tmp_path):
     path.write_text("#schema:Mystery v1\n")
     with pytest.raises(ParseError):
         load_model(str(path))
+
+
+def test_write_table_formats_rows_from_the_row_string(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, "stage,value", "%s,%s\n")  # no rows: the header only
+    assert path.read_text() == "stage,value\n"
+    values = [0.1, np.inf, np.nan]
+    write_table(path, "name,short,digits", "%s,%s,%.17g\n", ("a", "b", "c"), values,
+                np.array(values))
+    assert path.read_text() == ("name,short,digits\n"
+                                "a,0.1,0.10000000000000001\nb,inf,inf\nc,nan,nan\n")
+    # a two-dimensional column is read in C order; the header may span lines
+    write_table(path, "# preamble\nyear,count", "%d,%.2f\n", [[2020, 2020], [2021, 2021]],
+                np.array([[1.0, 2.5], [3.0, 4.125]]))
+    assert path.read_text() == ("# preamble\nyear,count\n"
+                                "2020,1.00\n2020,2.50\n2021,3.00\n2021,4.12\n")
 
 
 def test_annual_panel_csv_roundtrip(annual_panel, tmp_path):

@@ -36,19 +36,24 @@ from . import exposures as ex
 from . import ingest as ig
 from . import seasonal as se
 from . import synthetic
+from .datastore import PANDEMIC_YEARS
 from .errors import ConfigError, IngestError, PandmortError, ParseError
 
 log = logging.getLogger("pandmort")
 
-PANDEMIC_YEARS = (2020, 2021)
+
+def _write_text(cfg, out, kind, header, *bodies, **key):
+    """`ds.write_table` of the row texts ``bodies`` to the ``kind`` file for
+    ``key``, then the config stamp."""
+    path = _path(out, kind, **key)
+    _stamped(cfg, path, lambda: ds.write_table(path, header, *bodies))
 
 
 def _write_table(cfg, out, kind, header, *columns, **key):
-    """`ds.write_table` to the ``kind`` file for ``key``, every cell as its
-    ``str`` (a float's shortest round-trip text), then the config stamp."""
-    path = _path(out, kind, **key)
+    """`_write_text` of ``columns``, every cell as its ``str`` (a float's
+    shortest round-trip text)."""
     row = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
-    _stamped(cfg, path, lambda: ds.write_table(path, header, row, *columns))
+    _write_text(cfg, out, kind, header, ds.format_rows(row, *columns), **key)
 
 
 def _parse_range(run, key, default):
@@ -197,13 +202,13 @@ def _read(out, kind, reader, *args, **key):
 
 def _write_population(snaps, path):
     sizes = [len(s.ages) for s in snaps]
-    ds.write_table(
-        path, "date,age,sex,count", "%s,%s,%s,%s\n",
+    ds.write_table(path, "date,age,sex,count", ds.format_rows(
+        "%s,%s,%s,%s\n",
         np.repeat(["%04d-%02d-%02d" % s.date for s in snaps], sizes),
         np.concatenate([s.ages for s in snaps]),
         np.repeat([s.gender for s in snaps], sizes),
         np.concatenate([s.counts for s in snaps]),
-    )
+    ))
 
 
 def stage_ingest(cfg, out):
@@ -349,6 +354,41 @@ def _load_annualized(out, c, g):
     return layer
 
 
+def _same_bits(arrays):
+    """Per position, whether all the equal-size float64 vectors ``arrays``
+    hold the same bit pattern there (so -0.0 and 0.0 differ, as do NaNs
+    with different bits)."""
+    bits = np.stack(list(arrays)).view(np.uint64)
+    return (bits == bits[0]).all(axis=0)
+
+
+def _write_forecasts(cfg, out, fs, c, g):
+    """Write the ``forecast`` table of each scenario of ``fs``.
+
+    The ``age,year,`` key of every row, and the rows whose mu and q have the
+    same bits in all scenarios (the ages below the pandemic layer's), are
+    formatted once; each file is written from that text and its own rows.
+    """
+    nx, nt = len(fs.ages), len(fs.years)
+    keys = np.array(["%s,%s," % k for k in zip(np.repeat(fs.ages, nt).tolist(),
+                                               np.tile(fs.years, nx).tolist())])
+    mu = {name: m.ravel() for name, m in fs.mu.items()}
+    q = {name: v.ravel() for name, v in fs.q.items()}
+    shared = _same_bits(mu.values()) & _same_bits(q.values())
+    cuts = [0, *(np.flatnonzero(shared[1:] != shared[:-1]) + 1).tolist(), nx * nt]
+    runs = list(zip(cuts, cuts[1:]))  # row ranges that are all shared or none
+
+    def rows(name, a, b):
+        return ds.format_rows("%s%s,%s\n", keys[a:b], mu[name][a:b], q[name][a:b])
+
+    first = next(iter(mu))
+    common = {a: rows(first, a, b) for a, b in runs if shared[a]}
+    for name in mu:
+        _write_text(cfg, out, "forecast", "age,year,mu,q",
+                    *[common[a] if shared[a] else rows(name, a, b) for a, b in runs],
+                    name=name, c=c, g=g)
+
+
 def stage_forecast(cfg, out):
     model = _read(out, "baseline", ds.load_model)
     for c in cfg.countries:
@@ -358,11 +398,9 @@ def stage_forecast(cfg, out):
             calib_ages = np.array([a.low for a in layer.ages])
             fs = af.forecast_scenarios(model, c, g, layer.V, calib_ages, scenarios,
                                        layer.years[-1] + 1, report_years=cfg.horizon)
-            nx, nt, nle = len(fs.ages), len(fs.years), len(fs.le_ages)
+            _write_forecasts(cfg, out, fs, c, g)
+            nt, nle = len(fs.years), len(fs.le_ages)
             for name in fs.mu:
-                _write_table(cfg, out, "forecast", "age,year,mu,q", np.repeat(fs.ages, nt),
-                             np.tile(fs.years, nx), fs.mu[name].ravel(), fs.q[name].ravel(),
-                             name=name, c=c, g=g)
                 # per (age, year): the period row, then the cohort row
                 _write_table(cfg, out, "life_expectancy", "kind,age,year,value",
                              np.tile(["period", "cohort"], nle * nt),

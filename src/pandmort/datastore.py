@@ -5,7 +5,9 @@ is re-run whenever an object is loaded from disk.  Model files (`save_model`)
 are line-oriented CSV with a ``#schema:<TypeName> v1`` first line followed by
 ``key,index1,index2,value`` rows, floats printed with 17 significant digits
 so that save/load round-trips are exact.  Every other table row is formatted
-by `write_table` from its file's row string, which fixes its float text.
+by `format_rows` from its file's row string, which fixes its float text, and
+`write_table` writes a header followed by one or more such row texts, so a
+caller can format rows that several files share once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 GENDERS = ("m", "f")
+PANDEMIC_YEARS = (2020, 2021)
 
 NORM_TOL = 1e-10
 SUM_TOL = 1e-8
@@ -650,14 +653,20 @@ def load_model(path):
 # CSV tables
 
 
-def write_table(path, header, row, *columns):
-    """Write ``header``, then one ``row % cells`` line per position of the
-    equal-size ``columns``, each flattened in C order to Python values: ``%s``
-    of a float gives its shortest round-trip text, ``%.17g`` 17 digits."""
+def format_rows(row, *columns):
+    """The text of one ``row % cells`` line per position of the equal-size
+    ``columns``, each flattened in C order to Python values: ``%s`` of a
+    float gives its shortest round-trip text, ``%.17g`` 17 digits."""
     cells = zip(*[np.ravel(col).tolist() for col in columns])
+    return "".join([row % cell for cell in cells])
+
+
+def write_table(path, header, *bodies):
+    """Write ``header``, then each of the row texts ``bodies`` in turn."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.write("".join([row % cell for cell in cells]))
+        for body in bodies:
+            fh.write(body)
 
 
 _ANNUAL_HEADER = "country,gender,age,year,deaths,exposure"
@@ -756,8 +765,8 @@ def _check_cells(path, flat, expected, describe, error=ParseError):
 
 def write_annual_panel_csv(panel, path):
     keys = np.meshgrid(panel.countries, GENDERS, panel.ages, panel.years, indexing="ij")
-    write_table(path, _ANNUAL_HEADER, "%s,%s,%s,%s,%.17g,%.17g\n",
-                *keys, panel.deaths, panel.exposures)
+    write_table(path, _ANNUAL_HEADER, format_rows("%s,%s,%s,%s,%.17g,%.17g\n",
+                                                  *keys, panel.deaths, panel.exposures))
 
 
 def read_annual_panel_csv(path):
@@ -788,8 +797,9 @@ def write_weekly_panel_csv(panel, path):
     a, t, w = np.nonzero(used)
     labels = np.array([x.label for x in panel.ages])
     expos = [] if panel.exposures is None else [panel.exposures[used]]
-    write_table(path, _WEEKLY_HEADER, "%s,%s,%s,%.17g," + "%.17g" * len(expos) + "\n",
-                labels[a], np.asarray(panel.years)[t], w + 1, panel.deaths[used], *expos)
+    row = "%s,%s,%s,%.17g," + "%.17g" * len(expos) + "\n"
+    write_table(path, _WEEKLY_HEADER, format_rows(row, labels[a], np.asarray(panel.years)[t],
+                                                  w + 1, panel.deaths[used], *expos))
 
 
 def read_weekly_panel_csv(path, country, gender):

@@ -13,10 +13,12 @@ import os
 
 import numpy as np
 
-from .datastore import GENDERS, MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, write_table
+from .datastore import (
+    GENDERS, MAX_WEEKS, PANDEMIC_YEARS, AgeIndex, AnnualPanel, WeeklyPanel, format_rows,
+    write_table,
+)
 from .ingest import TOP_AGE, raw_path, weeks_in_iso_year
 
-PANDEMIC_YEARS = (2020, 2021)
 PANDEMIC_WEEKS = {2020: 53, 2021: 52}
 
 
@@ -181,8 +183,8 @@ def _write_hmd_file(path, years, ages, female, male):
     labels = [f"{TOP_AGE}+" if x == TOP_AGE else str(x) for x in ages]
     write_table(path, "synthetic 1x1 data\n\n"
                 "  Year          Age             Female            Male           Total",
-                "  %s   %5s   %.2f   %.2f   %.2f\n", np.repeat(years, len(ages)),
-                np.tile(labels, len(years)), female.T, male.T, (female + male).T)
+                format_rows("  %s   %5s   %.2f   %.2f   %.2f\n", np.repeat(years, len(ages)),
+                            np.tile(labels, len(years)), female.T, male.T, (female + male).T))
 
 
 # Lower bounds of the 19 STMF age groups 0-4, ..., 85-89 and the open 90+;
@@ -207,8 +209,8 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
             _write_hmd_file(raw_path(outdir, kind, c), years, ages, table[ci, 1], table[ci, 0])
         # Start-of-year population snapshot for 2020 (exposure as head count).
         write_table(raw_path(outdir, "population", c), "date,age,sex,count",
-                    "2020-01-01,%d,%s,%.2f\n", np.tile(ages, len(GENDERS)),
-                    np.repeat(GENDERS, len(ages)), panel.exposures[ci, :, :, -1])
+                    format_rows("2020-01-01,%d,%s,%.2f\n", np.tile(ages, len(GENDERS)),
+                                np.repeat(GENDERS, len(ages)), panel.exposures[ci, :, :, -1]))
 
     # Weekly grouped deaths, 2010..2021; pandemic waves only in 2020/2021.
     # One Poisson call per (country, gender) over its (weeks x ages)

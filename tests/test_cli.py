@@ -15,6 +15,7 @@ import pandmort.cli as cli
 import pandmort.datastore as ds
 import pandmort.ingest as ig
 from pandmort.errors import ConfigError, ParseError, ValidationError
+from util import per_scenario_forecast_rows
 
 CONFIG = """\
 [data]
@@ -437,6 +438,88 @@ def test_every_table_goes_through_write_table(pipeline, tmp_path, monkeypatch):
     assert sorted(written) == sorted(tables)
     assert set(os.listdir(out)) - tables == set().union(
         *(_expand(cli.FILES[kind][0], cfg) for kind in models))
+
+
+@pytest.mark.parametrize("case", ["below_covid_ages", "none", "all"])
+def test_forecast_files_match_the_per_scenario_oracle(pipeline, tmp_path, monkeypatch, case):
+    """The forecast files, whose rows common to all six scenarios are
+    formatted once, equal the per-scenario text byte for byte.  The rows
+    shared are those below ``covid_ages`` (40:90), none (``covid_ages``
+    0:90) or all (every annual effect X set to 0)."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    config = pipeline["config"]
+    if case == "none":
+        config = tmp_path / "run.ini"
+        config.write_text(pipeline["config"].read_text().replace("covid_ages = 40:90",
+                                                                 "covid_ages = 0:90"))
+        for stage in ("calibrate-covid", "annualize"):
+            assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
+    elif case == "all":
+        for name in os.listdir(out):
+            if name.startswith("covid_") and not name.startswith("covid_fit_"):
+                layer = ds.load_model(str(out / name))
+                ds.save_model(dataclasses.replace(layer, X=np.zeros_like(layer.X)),
+                              str(out / name))
+    made = []
+    real = af.forecast_scenarios
+
+    def recorded(model, c, g, *args, **kwargs):
+        fs = real(model, c, g, *args, **kwargs)
+        made.append((c, g, fs))
+        return fs
+
+    monkeypatch.setattr(af, "forecast_scenarios", recorded)
+    assert cli.main(["forecast", "--config", str(config), "--out", str(out)]) == 0
+    stamp = f"#confighash:{cli.RunConfig(str(config)).hash}\n"
+    assert len(made) == 4
+    for c, g, fs in made:
+        rows = {name: per_scenario_forecast_rows(fs, name) for name in fs.mu}
+        for name, text in rows.items():
+            # compared line by line, which keeps a failure's report short
+            got = (out / f"forecast_{name}_{c}_{g}.csv").read_bytes()
+            want = ("age,year,mu,q\n" + text + stamp).encode()
+            assert got.splitlines(keepends=True) == want.splitlines(keepends=True), name
+        lines = np.array([text.splitlines() for text in rows.values()])
+        same_ages = (lines == lines[0]).all(axis=0).reshape(len(fs.ages), -1).all(axis=1)
+        expected = {"below_covid_ages": fs.ages < 40, "none": False, "all": True}[case]
+        np.testing.assert_array_equal(same_ages, expected)
+
+
+def test_same_bits_tells_signed_zeros_and_nan_payloads_apart():
+    nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    a = np.array([0.0, np.nan, np.nan, 1.0])
+    b = np.array([-0.0, np.nan, nan2, 1.0])
+    np.testing.assert_array_equal(cli._same_bits([a, a.copy()]), [True] * 4)
+    np.testing.assert_array_equal(cli._same_bits([a, a, b]), [False, True, False, True])
+
+
+@pytest.mark.parametrize("user", [None, "3"])
+def test_cli_process_limits_blas_threads_unless_set(user):
+    """The console script ``pandmort.cli:main`` imports the package, which
+    sets one BLAS thread before NumPy is first imported; a value the user
+    set is kept."""
+    spy = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")])
+sys.meta_path.insert(0, Spy())
+from pandmort.cli import main
+print(*seen[0])
+"""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = user
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", spy], env=env, capture_output=True, text=True,
+                          check=True)
+    want = user or "1"
+    assert done.stdout.split() == [want, want]
 
 
 def test_memo_hit_is_validated(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from pandmort.datastore import (
     SeasonalEffect,
     WeeklyPanel,
     check_age_partition,
+    format_rows,
     load_model,
     read_annual_panel_csv,
     read_weekly_panel_csv,
@@ -202,18 +203,22 @@ def test_load_model_unknown_schema(tmp_path):
 
 def test_write_table_formats_rows_from_the_row_string(tmp_path):
     path = tmp_path / "table.csv"
-    write_table(path, "stage,value", "%s,%s\n")  # no rows: the header only
+    write_table(path, "stage,value", format_rows("%s,%s\n"))  # no rows: the header only
     assert path.read_text() == "stage,value\n"
     values = [0.1, np.inf, np.nan]
-    write_table(path, "name,short,digits", "%s,%s,%.17g\n", ("a", "b", "c"), values,
-                np.array(values))
+    write_table(path, "name,short,digits", format_rows("%s,%s,%.17g\n", ("a", "b", "c"),
+                                                       values, np.array(values)))
     assert path.read_text() == ("name,short,digits\n"
                                 "a,0.1,0.10000000000000001\nb,inf,inf\nc,nan,nan\n")
     # a two-dimensional column is read in C order; the header may span lines
-    write_table(path, "# preamble\nyear,count", "%d,%.2f\n", [[2020, 2020], [2021, 2021]],
-                np.array([[1.0, 2.5], [3.0, 4.125]]))
+    write_table(path, "# preamble\nyear,count", format_rows(
+        "%d,%.2f\n", [[2020, 2020], [2021, 2021]], np.array([[1.0, 2.5], [3.0, 4.125]])))
     assert path.read_text() == ("# preamble\nyear,count\n"
                                 "2020,1.00\n2020,2.50\n2021,3.00\n2021,4.12\n")
+    # several row texts are written one after the other
+    write_table(path, "year,count", format_rows("%d,%d\n", [2020], [1]), "",
+                format_rows("%d,%d\n", [2021, 2022], [2, 3]))
+    assert path.read_text() == "year,count\n2020,1\n2021,2\n2022,3\n"
 
 
 def test_annual_panel_csv_roundtrip(annual_panel, tmp_path):

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: constraint assertions, finite
 difference gradient checks, the annualization identity and a daily cohort
-microsimulation used as an oracle for the week-population recursion, and
-the per-year and per-week loop forms of four weekly-grid functions, kept as
-oracles for their array forms."""
+microsimulation used as an oracle for the week-population recursion, the
+per-year and per-week loop forms of four weekly-grid functions, kept as
+oracles for their array forms, and the per-scenario form of a forecast
+table, kept as the oracle for the writer that shares rows across scenarios."""
 
 import logging
 
@@ -184,3 +185,14 @@ def loop_project_population(start_pop, cohort_dxw, w_t):
     if clamped:
         log.warning("project_population: clamped %d negative week populations to 0", clamped)
     return out
+
+
+def per_scenario_forecast_rows(fs, name):
+    """The rows of the ``forecast`` table of scenario ``name`` of ForecastSet
+    ``fs``: every key, mu and q cell formatted for this scenario alone
+    through the table's row string, as the CLI wrote them before it shared
+    the rows that all scenarios have in common."""
+    nx, nt = len(fs.ages), len(fs.years)
+    columns = (np.repeat(fs.ages, nt), np.tile(fs.years, nx), fs.mu[name].ravel(),
+               fs.q[name].ravel())
+    return "".join(["%s,%s,%s,%s\n" % cell for cell in zip(*[c.tolist() for c in columns])])

@@ -11,25 +11,3 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-from .datastore import (  # after the thread limits: this imports NumPy
-    AgeIndex,
-    AnnualPanel,
-    BaselineModel,
-    CodaFit,
-    CovidLayer,
-    ForecastSet,
-    ScenarioSpec,
-    SeasonalEffect,
-    WeeklyPanel,
-    load_model,
-    save_model,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AgeIndex", "AnnualPanel", "BaselineModel", "CodaFit", "CovidLayer",
-    "ForecastSet", "ScenarioSpec", "SeasonalEffect", "WeeklyPanel",
-    "load_model", "save_model", "__version__",
-]

@@ -189,17 +189,14 @@ def extended_baseline_mu(model, country, gender, years):
     ln(mu) over ``EXTRAP_AGES``, per year.
     """
     years = np.asarray(years)
-    model_top = int(model.ages[-1])
     base = baseline_mu(model, country, gender, model.ages, years)
-    if MAX_AGE <= model_top:
-        return base[: MAX_AGE - int(model.ages[0]) + 1]
     lo, hi = EXTRAP_AGES
     sel = (model.ages >= lo) & (model.ages <= hi)
     xs = model.ages[sel].astype(float)
     lnmu = np.log(base[sel])
     out = np.empty((MAX_AGE - int(model.ages[0]) + 1, len(years)))
     out[: len(model.ages)] = base
-    extra = np.arange(model_top + 1, MAX_AGE + 1, dtype=float)
+    extra = np.arange(int(model.ages[-1]) + 1, MAX_AGE + 1, dtype=float)
     for j in range(len(years)):
         slope, intercept = np.polyfit(xs, lnmu[:, j], 1)
         out[len(model.ages) :, j] = np.exp(intercept + slope * extra)

@@ -65,11 +65,23 @@ def _parse_range(run, key, default):
     return lo, hi
 
 
+class _KeyRecordingParser(configparser.ConfigParser):
+    """A ConfigParser that records in ``read_keys`` each (section, key) read."""
+
+    def __init__(self):
+        super().__init__()
+        self.read_keys = set()
+
+    def get(self, section, option, **kwargs):
+        self.read_keys.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
 class RunConfig:
     """Parsed and validated run configuration (INI key-value format)."""
 
     def __init__(self, path):
-        parser = configparser.ConfigParser()
+        parser = _KeyRecordingParser()
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
@@ -94,6 +106,10 @@ class RunConfig:
             self.seed = run.getint("seed", 1234)
         except (KeyError, ValueError, configparser.Error) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
+        for section in (data, run):
+            for key in section:
+                if (section.name, key) not in parser.read_keys:
+                    raise ConfigError(f"unknown key {key!r} in [{section.name}]")
         if "" in self.countries or len(set(self.countries)) < len(self.countries):
             raise ConfigError("countries must be distinct non-empty codes, "
                               f"got {run['countries']!r}")
@@ -121,6 +137,10 @@ class RunConfig:
             raise ConfigError(f"years must span at least {bl.MIN_YEARS} years, got {y0}:{y1}")
         if h1 < y0 or h0 > y1:
             raise ConfigError(f"hist_years {h0}:{h1} shares no year with years {y0}:{y1}")
+        (s0, s1), p0, p1 = self.seasonal_years, min(PANDEMIC_YEARS), max(PANDEMIC_YEARS)
+        if s0 <= p1 and s1 >= p0:
+            raise ConfigError(f"seasonal_years {s0}:{s1} overlaps the pandemic years {p0}:{p1}, "
+                              "whose waves would enter the seasonal curve")
 
 
 def _stamped(cfg, path, write):
@@ -365,9 +385,9 @@ def _same_bits(arrays):
 def _write_forecasts(cfg, out, fs, c, g):
     """Write the ``forecast`` table of each scenario of ``fs``.
 
-    The ``age,year,`` key of every row, and the rows whose mu and q have the
-    same bits in all scenarios (the ages below the pandemic layer's), are
-    formatted once; each file is written from that text and its own rows.
+    The ``age,year,`` key of every row, and the leading rows whose mu and q
+    have the same bits in all scenarios (the ages below the pandemic layer's),
+    are formatted once; each file is written from that text and its own rows.
     """
     nx, nt = len(fs.ages), len(fs.years)
     keys = np.array(["%s,%s," % k for k in zip(np.repeat(fs.ages, nt).tolist(),
@@ -375,17 +395,14 @@ def _write_forecasts(cfg, out, fs, c, g):
     mu = {name: m.ravel() for name, m in fs.mu.items()}
     q = {name: v.ravel() for name, v in fs.q.items()}
     shared = _same_bits(mu.values()) & _same_bits(q.values())
-    cuts = [0, *(np.flatnonzero(shared[1:] != shared[:-1]) + 1).tolist(), nx * nt]
-    runs = list(zip(cuts, cuts[1:]))  # row ranges that are all shared or none
+    n = nx * nt if shared.all() else int(shared.argmin())  # rows [0, n) are shared
 
-    def rows(name, a, b):
-        return ds.format_rows("%s%s,%s\n", keys[a:b], mu[name][a:b], q[name][a:b])
+    def rows(name, part):
+        return ds.format_rows("%s%s,%s\n", keys[part], mu[name][part], q[name][part])
 
-    first = next(iter(mu))
-    common = {a: rows(first, a, b) for a, b in runs if shared[a]}
+    head = rows(next(iter(mu)), slice(0, n))
     for name in mu:
-        _write_text(cfg, out, "forecast", "age,year,mu,q",
-                    *[common[a] if shared[a] else rows(name, a, b) for a, b in runs],
+        _write_text(cfg, out, "forecast", "age,year,mu,q", head, rows(name, slice(n, None)),
                     name=name, c=c, g=g)
 
 

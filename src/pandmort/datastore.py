@@ -488,8 +488,9 @@ class _Rows:
 
 
 # Each layout below is the one description of its model's file format.  An
-# optional group of rows (theta; delta and delta_tstat; series and sigma;
-# coef; V; X) is present when any of its rows is, and then needs all of them.
+# optional group of rows (coef; V; X) is present when any of its rows is, and
+# then needs all of them; every other row, a baseline's time-series fit
+# included, is always there.
 
 
 def _baseline_layout(r, m):
@@ -497,7 +498,6 @@ def _baseline_layout(r, m):
     years = r.row(m and m.years, "years", codec=_SPAN)
     countries = tuple(r.row(m and m.countries[i], "country", i, codec=_TEXT)
                       for i in range(r.count(m and len(m.countries), "country")))
-    has_theta = r.count(m and len(m.theta), "theta")
     A, B, K, theta = {}, {}, {}, {}
     for g in GENDERS:
         A[g], B[g] = np.empty(len(ages)), np.empty(len(ages))
@@ -505,9 +505,7 @@ def _baseline_layout(r, m):
             A[g][i] = r.row(m and m.A[g][i], "A", g, x)
             B[g][i] = r.row(m and m.B[g][i], "B", g, x)
         K[g] = np.array([r.row(m and m.K[g][j], "K", g, t) for j, t in enumerate(years)])
-        if has_theta:
-            theta[g] = r.row(m and m.theta[g], "theta", g)
-    has_delta = r.count(m and len(m.delta), "delta", "delta_tstat")
+        theta[g] = r.row(m and m.theta[g], "theta", g)
     alpha, beta, kappa, delta, tstat = {}, {}, {}, {}, {}
     for cg in itertools.product(countries, GENDERS):
         key = "|".join(cg)
@@ -517,15 +515,12 @@ def _baseline_layout(r, m):
             beta[cg][i] = r.row(m and m.beta[cg][i], "beta", key, x)
         kappa[cg] = np.array([r.row(m and m.kappa[cg][j], "kappa", key, t)
                               for j, t in enumerate(years)])
-        if has_delta:
-            delta[cg] = r.row(m and m.delta[cg], "delta", key)
-            tstat[cg] = r.row(m and m.delta_tstat[cg], "delta_tstat", key)
-    series, sigma = (), None
-    if r.count(m and m.sigma is not None, "series", "sigma"):
-        n = r.count(m and len(m.series), "series")
-        series = tuple(r.row(m and m.series[i], "series", i, codec=_TEXT) for i in range(n))
-        sigma = np.array([[r.row(m and m.sigma[i, j], "sigma", i, j) for j in range(n)]
-                          for i in range(n)]).reshape(n, n)
+        delta[cg] = r.row(m and m.delta[cg], "delta", key)
+        tstat[cg] = r.row(m and m.delta_tstat[cg], "delta_tstat", key)
+    n = len(GENDERS) * (1 + len(countries))  # the series of `baseline.period_series`
+    series = tuple(r.row(m and m.series[i], "series", i, codec=_TEXT) for i in range(n))
+    sigma = np.array([[r.row(m and m.sigma[i, j], "sigma", i, j) for j in range(n)]
+                      for i in range(n)])
     return BaselineModel(
         countries=countries, ages=ages, years=years, A=A, B=B, K=K,
         alpha=alpha, beta=beta, kappa=kappa, theta=theta, delta=delta,

@@ -92,6 +92,11 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
          "countries must be distinct non-empty codes, got 'AAA,'"),
         ("[data]\n", "", "File contains no section headers"),
         ("eta = 0.5", "eta = 0.5\neta = 0.7", "option 'eta' in section 'run' already exists"),
+        ("method = 2", "methd = 1", r"unknown key 'methd' in \[run\]"),
+        ("[data]\n", "[data]\nformat = stmf\n", r"unknown key 'format' in \[data\]"),
+        ("seasonal_years = 2010:2019", "seasonal_years = 2015:2021",
+         "seasonal_years 2015:2021 overlaps the pandemic years 2020:2021"),
+        ("seasonal_years = 2010:2019", "seasonal_years = 2010:2019", None),  # pre-pandemic
     ]:
         assert old in base
         p = tmp_path / "cfg.ini"
@@ -219,6 +224,22 @@ def test_malformed_model_file_exits_3(pipeline, tmp_path):
     rec = json.loads((out / "error.json").read_text())
     assert (rec["stage"], rec["error"]) == ("annualize", "ParseError")
     assert rec["message"] == f"{path}: missing row delta_tstat,BBB|f,"
+
+
+def test_baseline_without_drift_rows_exits_3(pipeline, tmp_path):
+    """The forecast projects K at its drift theta, so a baseline file without
+    its theta rows is malformed, not a model to project without a drift."""
+    out = tmp_path / "no_theta"
+    shutil.copytree(pipeline["out"], out)
+    path = out / "baseline_model.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("theta,")),
+                    encoding="utf-8")
+    rc = cli.main(["calibrate-covid", "--config", str(pipeline["config"]), "--out", str(out)])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == ("calibrate-covid", "ParseError")
+    assert rec["message"] == f"{path}: missing row theta,m,"
 
 
 @pytest.mark.parametrize("name, lineno, field, text", [

@@ -438,7 +438,8 @@ def test_weekly_panel_csv_contract_exposure_on_some_rows_only(tmp_path):
 
 def _tiny_models():
     """One small model per type and variant: every optional group absent
-    (``coda`` has none: that variant is the degenerate fit) or present."""
+    (``coda`` has none: that variant is the degenerate fit) or present.  A
+    baseline has no optional group, so it has only the one variant."""
     ages, years = np.arange(60, 62), np.arange(2017, 2020)
     layers = dict(
         countries=("AAA",), ages=ages, years=years,
@@ -464,7 +465,6 @@ def _tiny_models():
                 beta=np.array([2 ** -0.5, -(2 ** -0.5)]), kappa=np.array([1.0, -1.0, 0.0]),
                 explained_variance=0.875)
     return {
-        ("baseline", "absent"): BaselineModel(**layers),
         ("baseline", "present"): BaselineModel(
             **layers, theta={"m": -1.0, "f": -0.5},
             delta={("AAA", "m"): -0.2, ("AAA", "f"): 0.0},
@@ -483,42 +483,6 @@ def _tiny_models():
 
 # The text save_model writes for each of _tiny_models(), pinned: these are
 # the bytes the model file format has always had.
-BASELINE_ABSENT = """\
-#schema:BaselineModel v1
-key,index1,index2,value
-ages,,,60;61
-years,,,2017;2019
-country,0,,AAA
-A,m,60,-4.5
-B,m,60,0.59999999999999998
-A,m,61,-4.25
-B,m,61,0.80000000000000004
-K,m,2017,1
-K,m,2018,0
-K,m,2019,-1
-A,f,60,-5
-B,f,60,0.80000000000000004
-A,f,61,-4.75
-B,f,61,0.59999999999999998
-K,f,2017,0.5
-K,f,2018,0
-K,f,2019,-0.5
-alpha,AAA|m,60,0.25
-beta,AAA|m,60,0.59999999999999998
-alpha,AAA|m,61,-0.25
-beta,AAA|m,61,-0.80000000000000004
-kappa,AAA|m,2017,0.10000000000000001
-kappa,AAA|m,2018,0.20000000000000001
-kappa,AAA|m,2019,-0.29999999999999999
-alpha,AAA|f,60,0.125
-beta,AAA|f,60,1
-alpha,AAA|f,61,0
-beta,AAA|f,61,0
-kappa,AAA|f,2017,-0
-kappa,AAA|f,2018,0
-kappa,AAA|f,2019,0
-"""
-
 BASELINE_PRESENT = """\
 #schema:BaselineModel v1
 key,index1,index2,value
@@ -647,7 +611,7 @@ kappa,3,,0
 CODA_PRESENT = CODA_ABSENT.replace("degenerate,,,1", "degenerate,,,0")
 
 MODEL_TEXT = {
-    ("baseline", "absent"): BASELINE_ABSENT, ("baseline", "present"): BASELINE_PRESENT,
+    ("baseline", "present"): BASELINE_PRESENT,
     ("seasonal", "absent"): SEASONAL_ABSENT, ("seasonal", "present"): SEASONAL_PRESENT,
     ("covid", "absent"): COVID_ABSENT, ("covid", "present"): COVID_PRESENT,
     ("coda", "absent"): CODA_ABSENT, ("coda", "present"): CODA_PRESENT,
@@ -692,10 +656,10 @@ CORRUPTIONS = {
         BASELINE_PRESENT, ("delta_tstat,AAA|f,,inf\n", ""), "missing row delta_tstat,AAA|f,"),
     "baseline missing sigma": (BASELINE_PRESENT, ("sigma,2,3,0\n", ""), "missing row sigma,2,3"),
     "baseline missing theta": (BASELINE_PRESENT, ("theta,f,,-0.5\n", ""), "missing row theta,f,"),
-    "baseline missing A": (BASELINE_ABSENT, ("A,f,61,-4.75\n", ""), "missing row A,f,61"),
-    "baseline bad float": (BASELINE_ABSENT, ("A,m,61,-4.25", "A,m,61,-4.2.5"), "row A,m,61"),
-    "baseline bad age span": (BASELINE_ABSENT, ("ages,,,60;61", "ages,,,60"), "row ages,,"),
-    "baseline bad country index": (BASELINE_ABSENT, ("country,0,", "country,x,"),
+    "baseline missing A": (BASELINE_PRESENT, ("A,f,61,-4.75\n", ""), "missing row A,f,61"),
+    "baseline bad float": (BASELINE_PRESENT, ("A,m,61,-4.25", "A,m,61,-4.2.5"), "row A,m,61"),
+    "baseline bad age span": (BASELINE_PRESENT, ("ages,,,60;61", "ages,,,60"), "row ages,,"),
+    "baseline bad country index": (BASELINE_PRESENT, ("country,0,", "country,x,"),
                                    "missing row country,0,"),
     "covid missing K": (COVID_PRESENT, ("K,2021,2,2\n", ""), "missing row K,2021,2"),
     "covid missing first X": (COVID_PRESENT, ("X,2020,,0.29999999999999999\n", ""),
@@ -777,17 +741,14 @@ def baseline_models(draw):
         alpha={cg: _floats(draw, nx) for cg in cgs}, beta={cg: _unit(draw, nx) for cg in cgs},
         kappa={cg: _zero_sum(draw, nt) for cg in cgs},
     )
-    if draw(st.booleans()):
-        fields["theta"] = {g: draw(ANY_FLOAT) for g in GENDERS}
-    if draw(st.booleans()):
-        fields["delta"] = {cg: draw(ANY_FLOAT) for cg in cgs}
-        fields["delta_tstat"] = {cg: draw(ANY_FLOAT) for cg in cgs}
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 4))
-        u = _floats(draw, n, st.floats(-1, 1))
-        d = _floats(draw, n, st.one_of(st.sampled_from((0.0, 5e-324, 1e300)), st.floats(0, 10)))
-        fields["sigma"] = np.outer(u, u) + np.diag(d)
-        fields["series"] = tuple(draw(st.lists(LABEL, min_size=n, max_size=n)))
+    fields["theta"] = {g: draw(ANY_FLOAT) for g in GENDERS}
+    fields["delta"] = {cg: draw(ANY_FLOAT) for cg in cgs}
+    fields["delta_tstat"] = {cg: draw(ANY_FLOAT) for cg in cgs}
+    n = len(GENDERS) * (1 + len(countries))  # one series per K and per kappa
+    u = _floats(draw, n, st.floats(-1, 1))
+    d = _floats(draw, n, st.one_of(st.sampled_from((0.0, 5e-324, 1e300)), st.floats(0, 10)))
+    fields["sigma"] = np.outer(u, u) + np.diag(d)
+    fields["series"] = tuple(draw(st.lists(LABEL, min_size=n, max_size=n)))
     return BaselineModel(**fields)
 
 

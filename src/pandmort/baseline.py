@@ -14,7 +14,8 @@ parameter change.  The unusable cells (E == 0, or NaN in D or E) are zeroed
 in D and E once per fit, so an evaluation needs no mask: such a cell adds
 nothing to lnL and has no fitted deaths.  Identification constraints
 (mean-zero period effect, unit-norm age effect) are reapplied after every
-sweep, which leaves the likelihood unchanged.
+sweep; this gauge step leaves the likelihood unchanged, so the k step's lnL
+and fitted deaths carry over.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datastore import GENDERS, BaselineModel
+from .datastore import GENDERS, BaselineModel, period_series, series_labels
 from .errors import NumericalError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -119,10 +120,11 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     the per-age level ``a`` stays at zero and the period effect is not
     centered.  Every evaluation of lnL that the fit keeps also yields the
     fitted deaths for the next Newton step: a sweep evaluates the full grid
-    four times (three without the level), plus once per step halving.  Stops when lnL changes by at most
-    ``REL_TOL`` relative, and raises NumericalError after ``MAX_ITER``
-    sweeps.  Returns ``(a, b, k, trace)`` where ``trace`` is the iteration
-    log of (iteration, lnL, max parameter change) tuples.
+    three times (two without the level), plus once per step halving.  Stops
+    when lnL changes by at most ``REL_TOL`` relative, and raises
+    NumericalError after ``MAX_ITER`` sweeps.  Returns ``(a, b, k, trace)``
+    where ``trace`` is the iteration log of (iteration, lnL, max parameter
+    change) tuples.
     """
     D = np.asarray(D, dtype=float)
     E = np.asarray(E, dtype=float)
@@ -170,9 +172,10 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
         num = b @ (Dm - dhat)
         den = (b * b) @ dhat
         delta_k = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        k, lnl, _ = _damped_update(Dm, Em, off, b, k, "k", delta_k, lnl)
+        k, lnl, dhat = _damped_update(Dm, Em, off, b, k, "k", delta_k, lnl)
 
-        # Reapply identification constraints; likelihood-neutral.
+        # Reapply identification constraints; likelihood-neutral, so the k
+        # step's lnL and fitted deaths carry over.
         if fit_level:
             shift = k.mean()
             k = k - shift
@@ -183,16 +186,12 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
             b = b / norm
             k = k * norm
 
-        lnl_new, dhat = _evaluate(Dm, Em, off, b, k)
-        if not np.isfinite(lnl_new):
-            raise NumericalError("non-finite log-likelihood during iteration", trace)
         change = max(
             np.abs(a - prev[0]).max(), np.abs(b - prev[1]).max(), np.abs(k - prev[2]).max()
         )
-        trace.append((it, lnl_new, change))
-        if abs(lnl_new - trace[-2][1]) <= REL_TOL * (abs(lnl_new) + 1.0):
+        trace.append((it, lnl, change))
+        if abs(lnl - trace[-2][1]) <= REL_TOL * (abs(lnl) + 1.0):
             return a, b, k, trace
-        lnl = lnl_new
     raise NumericalError(f"no convergence after {MAX_ITER} iterations", trace)
 
 
@@ -236,18 +235,6 @@ def calibrate_baseline(panel, traces=None):
 
 # ---------------------------------------------------------------------------
 # time-series layer
-
-
-def period_series(countries):
-    """The period-effect series as (parameter, key) pairs, in the one order of
-    ``BaselineModel.series`` and ``sigma``: each gender's K, then kappa for
-    each (country, gender)."""
-    return [("K", g) for g in GENDERS] + [("kappa", (c, g)) for c in countries for g in GENDERS]
-
-
-def series_labels(countries):
-    return tuple("|".join([name, key] if name == "K" else [name, *key])
-                 for name, key in period_series(countries))
 
 
 def fit_time_series(model):

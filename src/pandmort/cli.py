@@ -250,8 +250,7 @@ def stage_ingest(cfg, out):
         for g, wp in per_gender.items():
             _write(cfg, out, "weekly", wp, ds.write_weekly_panel_csv, c=c, g=g)
     for c in cfg.countries:
-        snaps = ig.parse_population(ig.raw_path(cfg.data_dir, "population", c),
-                                    "eurostat_annual")
+        snaps = ig.parse_population(ig.raw_path(cfg.data_dir, "population", c))
         _write(cfg, out, "population", snaps, _write_population, c=c)
     log.info("ingest: wrote panels for %s", ", ".join(cfg.countries))
 
@@ -296,7 +295,7 @@ def _pandemic_deaths(cfg, out, c, g, historical):
 def _reconstruct_weekly(cfg, out, c, g, historical):
     """Disaggregated pandemic-year deaths plus projected weekly exposures."""
     indiv = _pandemic_deaths(cfg, out, c, g, historical)
-    snaps = _read(out, "population", ig.parse_population, "eurostat_annual", c=c)
+    snaps = _read(out, "population", ig.parse_population, c=c)
     snaps = [s for s in snaps if s.gender == g]
     start = snaps[-1]
     panel_ages = np.array([a.low for a in indiv.ages])

@@ -277,6 +277,20 @@ class BaselineModel:
         return self
 
 
+def period_series(countries):
+    """The period-effect series as (parameter, key) pairs, in the one order of
+    ``BaselineModel.series`` and ``sigma``: each gender's K, then kappa for
+    each (country, gender)."""
+    return [("K", g) for g in GENDERS] + [("kappa", (c, g)) for c in countries for g in GENDERS]
+
+
+def series_labels(countries):
+    """The ``series`` label of each `period_series` entry: ``K|m``, ``K|f``,
+    then ``kappa|<country>|<gender>``."""
+    return tuple("|".join([name, key] if name == "K" else [name, *key])
+                 for name, key in period_series(countries))
+
+
 @dataclass(frozen=True)
 class SeasonalEffect:
     """Multiplicative weekly seasonal factor for one country and gender.
@@ -490,7 +504,8 @@ class _Rows:
 # Each layout below is the one description of its model's file format.  An
 # optional group of rows (coef; V; X) is present when any of its rows is, and
 # then needs all of them; every other row, a baseline's time-series fit
-# included, is always there.
+# included, is always there.  A baseline's ``series`` labels must be those of
+# its countries (`series_labels`), the order in which ``sigma`` is indexed.
 
 
 def _baseline_layout(r, m):
@@ -517,8 +532,11 @@ def _baseline_layout(r, m):
                               for j, t in enumerate(years)])
         delta[cg] = r.row(m and m.delta[cg], "delta", key)
         tstat[cg] = r.row(m and m.delta_tstat[cg], "delta_tstat", key)
-    n = len(GENDERS) * (1 + len(countries))  # the series of `baseline.period_series`
-    series = tuple(r.row(m and m.series[i], "series", i, codec=_TEXT) for i in range(n))
+    series = series_labels(countries)
+    for i, want in enumerate(series):
+        if (label := r.row(m and m.series[i], "series", i, codec=_TEXT)) != want:
+            raise ParseError(f"row series,{i},: label {label!r}, but the countries give {want!r}")
+    n = len(series)
     sigma = np.array([[r.row(m and m.sigma[i, j], "sigma", i, j) for j in range(n)]
                       for i in range(n)])
     return BaselineModel(

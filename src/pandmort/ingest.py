@@ -361,12 +361,12 @@ def _weekly_panels(path, country, ages, sex, year, week, merged, counts):
     return panels
 
 
-def parse_population(path, layout):
+def parse_population(path, layout="eurostat_annual"):
     """Parse a population file into PopulationSnapshot objects.
 
-    ``layout`` is 'eurostat_annual' (one snapshot per 1 January) or
-    'nl_monthly' (one per first-of-month); both share the CSV layout
-    ``date,age,sex,count``.  Returns a list sorted by date.
+    ``layout`` is 'eurostat_annual' (the default; one snapshot per
+    1 January) or 'nl_monthly' (one per first-of-month); both share the CSV
+    layout ``date,age,sex,count``.  Returns a list sorted by date.
     """
     if layout not in ("eurostat_annual", "nl_monthly"):
         raise IngestError(f"unknown population layout {layout!r}")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +99,51 @@ def test_loglik_is_invariant_under_the_gauge_moves(seed, nx, nt, c, s):
     assert np.isfinite(lnl)
     np.testing.assert_allclose(bl.loglik(D, E, a, c * b, k / c), lnl, rtol=1e-12)
     np.testing.assert_allclose(bl.loglik(D, E, a + b * s, b, k - s), lnl, rtol=1e-12)
+
+
+def _bilinear_panel(seed, nx, nt, grid_base, fit_level):
+    """Poisson deaths of ``E * exp(base + a + b k)`` and the fit's ``base``:
+    a scalar, or a full (nx, nt) grid when ``grid_base``; ``a`` is 0 when
+    the fit has no level."""
+    rng = np.random.default_rng(seed)
+    E = rng.uniform(1e3, 1e5, (nx, nt))
+    base = rng.normal(-4.0, 0.5, (nx, nt)) if grid_base else -4.0
+    a = rng.normal(0.0, 0.5, nx) if fit_level else np.zeros(nx)
+    eta = base + a[:, None] + np.outer(rng.uniform(0.05, 0.4, nx), rng.normal(0.0, 1.0, nt))
+    return rng.poisson(E * np.exp(eta)).astype(float), E, base
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 8), st.booleans(),
+       st.booleans())
+def test_fit_bilinear_trace_ends_at_the_loglik_of_the_returned_fit(seed, nx, nt, grid_base,
+                                                                   fit_level):
+    """The last sweep's lnL is that of its k step, before the gauge step; the
+    gauge step leaves lnL unchanged, so it is lnL at the returned parameters."""
+    D, E, base = _bilinear_panel(seed, nx, nt, grid_base, fit_level)
+    a, b, k, trace = bl.fit_bilinear_poisson(D, E, base=base, fit_level=fit_level)
+    np.testing.assert_allclose(trace[-1][1], bl.loglik(D, E, a, b, k, base), rtol=1e-12)
+
+
+@pytest.mark.parametrize("fit_level", [True, False])
+def test_fit_bilinear_evaluates_outside_the_steps_at_start_and_level_only(monkeypatch,
+                                                                          fit_level):
+    """Besides the b and k steps, a fit evaluates the full grid once at its
+    start and once per level update: the k step's evaluation carries over
+    the gauge step."""
+    callers = []
+    evaluate = bl._evaluate
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return evaluate(*args)
+
+    monkeypatch.setattr(bl, "_evaluate", counting)
+    D, E, base = _bilinear_panel(3, 6, 8, True, fit_level)
+    _, _, _, trace = bl.fit_bilinear_poisson(D, E, base=base, fit_level=fit_level)
+    sweeps = trace[-1][0]
+    assert sweeps >= 2
+    assert sum(c != "_damped_update" for c in callers) == (1 + sweeps if fit_level else 1)
 
 
 def test_fit_bilinear_raises_when_halving_fails(monkeypatch):

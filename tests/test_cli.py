@@ -242,6 +242,23 @@ def test_baseline_without_drift_rows_exits_3(pipeline, tmp_path):
     assert rec["message"] == f"{path}: missing row theta,m,"
 
 
+def test_mislabelled_baseline_series_exits_3(pipeline, tmp_path):
+    """``sigma`` is indexed in the order the countries give, so a baseline
+    file whose series labels say otherwise is malformed."""
+    out = tmp_path / "mislabelled"
+    shutil.copytree(pipeline["out"], out)
+    path = out / "baseline_model.csv"
+    text = path.read_text(encoding="utf-8")
+    assert text.count("series,0,,K|m\n") == 1
+    path.write_text(text.replace("series,0,,K|m\n", "series,0,,kappa|BBB|f\n"), encoding="utf-8")
+    rc = cli.main(["forecast", "--config", str(pipeline["config"]), "--out", str(out)])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == ("forecast", "ParseError")
+    assert rec["message"] == (f"{path}: row series,0,: label 'kappa|BBB|f', "
+                              "but the countries give 'K|m'")
+
+
 @pytest.mark.parametrize("name, lineno, field, text", [
     ("AAA_deaths.txt", 5, 2, "12x4"),
     ("weekly_deaths.csv", 3, 4, "8z"),

@@ -25,6 +25,7 @@ from pandmort.datastore import (
     read_annual_panel_csv,
     read_weekly_panel_csv,
     save_model,
+    series_labels,
     write_annual_panel_csv,
     write_table,
     write_weekly_panel_csv,
@@ -661,6 +662,11 @@ CORRUPTIONS = {
     "baseline bad age span": (BASELINE_PRESENT, ("ages,,,60;61", "ages,,,60"), "row ages,,"),
     "baseline bad country index": (BASELINE_PRESENT, ("country,0,", "country,x,"),
                                    "missing row country,0,"),
+    "baseline series label": (BASELINE_PRESENT, ("series,0,,K|m", "series,0,,kappa|AAA|f"),
+                              "row series,0,: label 'kappa|AAA|f', but the countries give 'K|m'"),
+    "baseline series of another country": (
+        BASELINE_PRESENT, ("series,3,,kappa|AAA|f", "series,3,,kappa|BBB|f"),
+        "row series,3,: label 'kappa|BBB|f', but the countries give 'kappa|AAA|f'"),
     "covid missing K": (COVID_PRESENT, ("K,2021,2,2\n", ""), "missing row K,2021,2"),
     "covid missing first X": (COVID_PRESENT, ("X,2020,,0.29999999999999999\n", ""),
                               "missing row X,2020,"),
@@ -748,7 +754,7 @@ def baseline_models(draw):
     u = _floats(draw, n, st.floats(-1, 1))
     d = _floats(draw, n, st.one_of(st.sampled_from((0.0, 5e-324, 1e300)), st.floats(0, 10)))
     fields["sigma"] = np.outer(u, u) + np.diag(d)
-    fields["series"] = tuple(draw(st.lists(LABEL, min_size=n, max_size=n)))
+    fields["series"] = series_labels(countries)
     return BaselineModel(**fields)
 
 

@@ -28,9 +28,9 @@ from pandmort.datastore import GENDERS, SeasonalEffect
 # pipeline imports no SciPy, so SciPy's version does not enter the outputs.
 GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 SYNTH_SHA256 = "892c435e313605970b88153d788366462dffaca7b25a14af127df8309ce5d421"
-GOLDEN_SHA256 = "008826774c0f84ae8246125d43fa0ad14db48567894d7917b1d3bbefa3e6d266"
-FIT_SHA256 = "9ad7923bee2b8f506fb3755db1880b96083deef657c3084209812828f8b42b63"
-MASKED_FIT_SHA256 = "4520d39beea7a3491880ad2cab607c93dddd1b23d5ee27efeed3adf625a12b20"
+GOLDEN_SHA256 = "1ea03f55f5f7f6e2bb4fea3a07a4b8c3a0de9a0adf6b1400daa64fd494ebc579"
+FIT_SHA256 = "6cf377e640e9774613d390f8cfe1c1782183e1555bc222a5a1c5aa6439eef2ab"
+MASKED_FIT_SHA256 = "ed59dec606bbbd2eebfcb15519cdcc615e056d6730849ec7be9ef21268ade13d"
 
 CONFIG = """\
 [data]

@@ -15,7 +15,10 @@ in D and E once per fit, so an evaluation needs no mask: such a cell adds
 nothing to lnL and has no fitted deaths.  Identification constraints
 (mean-zero period effect, unit-norm age effect) are reapplied after every
 sweep; this gauge step leaves the likelihood unchanged, so the k step's lnL
-and fitted deaths carry over.
+and fitted deaths carry over, and it does not rebuild the offset
+``base + a``, which the next sweep's level update rebuilds before anything
+reads it.  The pandemic fits have no level and a zero base, so their
+evaluations form ``eta = b k`` with no offset at all.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ def _usable(D, E):
 
 
 def _fitted(E, off, b, k):
-    """``eta = off + b k`` and the fitted deaths ``E * exp(eta)``."""
+    """``eta = off + b k`` (``b k`` alone when ``off`` is None) and the fitted
+    deaths ``E * exp(eta)``."""
     eta = b[:, None] * k
-    eta += off
+    if off is not None:
+        eta += off
     fitted = np.exp(eta)
     fitted *= E
     return eta, fitted
@@ -63,9 +68,9 @@ def _evaluate(Dm, Em, off, b, k):
     with np.errstate(over="raise"):
         try:
             eta, fitted = _fitted(Em, off, b, k)
-            val = Dm * eta
-            val -= fitted
-            return val.sum(), fitted
+            eta *= Dm
+            eta -= fitted
+            return eta.sum(), fitted
         except FloatingPointError:
             return -np.inf, None
 
@@ -100,14 +105,15 @@ def _damped_update(Dm, Em, off, b, k, which, delta, lnl_before):
     Returns the new block, its lnL and its fitted deaths.  Raises
     NumericalError when 40 halvings do not restore lnL.
     """
-    step = 1.0
+    start = b if which == "b" else k
+    floor = lnl_before - 1e-13 * (abs(lnl_before) + 1.0)
+    step, new = 1.0, start + delta
     for _ in range(40):
-        new = (b if which == "b" else k) + step * delta
-        b_k = (new, k) if which == "b" else (b, new)
-        cand, fitted = _evaluate(Dm, Em, off, *b_k)
-        if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
+        cand, fitted = _evaluate(Dm, Em, off, *((new, k) if which == "b" else (b, new)))
+        if cand >= floor:
             return new, cand, fitted
         step *= 0.5
+        new = start + step * delta
     raise NumericalError(f"step halving failed to restore lnL in the {which} update")
 
 
@@ -118,10 +124,14 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     likelihood: they are zeroed in D and E once, before the first sweep, and
     every evaluation runs on the zeroed arrays.  When ``fit_level`` is False
     the per-age level ``a`` stays at zero and the period effect is not
-    centered.  Every evaluation of lnL that the fit keeps also yields the
-    fitted deaths for the next Newton step: a sweep evaluates the full grid
-    three times (two without the level), plus once per step halving.  Stops
-    when lnL changes by at most ``REL_TOL`` relative, and raises
+    centered; with the default ``base`` of 0 the offset ``base + a`` is then
+    zero, and ``eta`` is ``b k`` alone.  Every evaluation of lnL that the fit
+    keeps also yields the fitted deaths for the next Newton step.  One sweep
+    computes: the level update and its evaluation (with the level only),
+    which also rebuilds the offset; the b step and the k step, each one
+    evaluation plus one per step halving; and the gauge step, which moves
+    (a, b, k) but not ``a + b k`` and so needs no evaluation and no offset.
+    Stops when lnL changes by at most ``REL_TOL`` relative, and raises
     NumericalError after ``MAX_ITER`` sweeps.  Returns ``(a, b, k, trace)``
     where ``trace`` is the iteration log of (iteration, lnL, max parameter
     change) tuples.
@@ -132,32 +142,35 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
     mask, Dm, Em = _usable(D, E)
     if not mask.any():
         raise NumericalError("no usable cells in likelihood")
-    if (D[mask] < 0).any():
+    if (Dm < 0).any():
         raise ValidationError("negative death counts in likelihood")
     base = np.asarray(base, dtype=float)
 
     rows_d = Dm.sum(axis=1)
+    has_deaths = rows_d > 0
+    rows_d = np.maximum(rows_d, 1e-300)
     if fit_level:
         with np.errstate(divide="ignore"):
             rows_e = (Em * np.exp(np.where(mask, base, 0.0))).sum(axis=1)
-            a = np.where(rows_d > 0, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_e, 1e-300)), -20.0)
+            a = np.where(has_deaths, np.log(rows_d / np.maximum(rows_e, 1e-300)), -20.0)
     else:
         a = np.zeros(nx)
     b = (np.full(nx, 1.0 / np.sqrt(nx)) if b0 is None else np.asarray(b0, dtype=float).copy())
     k = (np.zeros(nt) if k0 is None else np.asarray(k0, dtype=float).copy())
 
-    off = base + a[:, None]
+    # Without the level, a zero base gives a zero offset, and adding it to
+    # eta could only change the sign of a zero, which neither exp nor lnL sees.
+    off = None if not fit_level and base.ndim == 0 and base == 0.0 else base + a[:, None]
     lnl, dhat = _evaluate(Dm, Em, off, b, k)
     if not np.isfinite(lnl):
         raise NumericalError("non-finite log-likelihood at starting values")
     trace = [(0, lnl, np.inf)]
+    prev = np.concatenate((a, b, k))
     for it in range(1, MAX_ITER + 1):
-        prev = (a, b, k)
-
         if fit_level:
             rows_h = dhat.sum(axis=1)
-            ok = (rows_d > 0) & (rows_h > 0)
-            a = a + np.where(ok, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_h, 1e-300)), 0.0)
+            ok = has_deaths & (rows_h > 0)
+            a = a + np.where(ok, np.log(rows_d / np.maximum(rows_h, 1e-300)), 0.0)
             off = base + a[:, None]
             lnl, dhat = _evaluate(Dm, Em, off, b, k)
             if not np.isfinite(lnl):
@@ -175,21 +188,20 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
         k, lnl, dhat = _damped_update(Dm, Em, off, b, k, "k", delta_k, lnl)
 
         # Reapply identification constraints; likelihood-neutral, so the k
-        # step's lnL and fitted deaths carry over.
+        # step's lnL and fitted deaths carry over, and the offset is rebuilt
+        # by the next level update before anything reads it.
         if fit_level:
-            shift = k.mean()
+            shift = k.sum() / nt
             k = k - shift
             a = a + b * shift
-            off = base + a[:, None]
-        norm = np.linalg.norm(b)
+        norm = np.sqrt(b @ b)
         if norm > 0:
             b = b / norm
             k = k * norm
 
-        change = max(
-            np.abs(a - prev[0]).max(), np.abs(b - prev[1]).max(), np.abs(k - prev[2]).max()
-        )
-        trace.append((it, lnl, change))
+        params = np.concatenate((a, b, k))
+        trace.append((it, lnl, np.abs(params - prev).max()))
+        prev = params
         if abs(lnl - trace[-2][1]) <= REL_TOL * (abs(lnl) + 1.0):
             return a, b, k, trace
     raise NumericalError(f"no convergence after {MAX_ITER} iterations", trace)
@@ -214,13 +226,14 @@ def calibrate_baseline(panel, traces=None):
             B[g], K[g] = -B[g], -K[g]
         traces[("common", g)] = trace
         log.info("common stage %s: %d iterations, lnL=%.6f", g, trace[-1][0], trace[-1][1])
+    common = {g: np.outer(B[g], K[g]) for g in GENDERS}
     alpha, beta, kappa = {}, {}, {}
     for c in panel.countries:
         D, E = panel.country(c)
         for gi, g in enumerate(GENDERS):
             cg = (c, g)
             alpha[cg], beta[cg], kappa[cg], trace = fit_bilinear_poisson(
-                D[gi], E[gi], base=np.outer(B[g], K[g]))
+                D[gi], E[gi], base=common[g])
             if beta[cg].sum() < 0:
                 beta[cg], kappa[cg] = -beta[cg], -kappa[cg]
             traces[cg] = trace

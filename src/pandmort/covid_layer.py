@@ -24,8 +24,11 @@ log = logging.getLogger(__name__)
 def group_baseline_mu(model, country, gender, ages, years):
     """Baseline mu per age index: individual ages directly, groups as the
     unweighted mean of their member ages inside the model's age range.
-    One `baseline_mu` call covers the member ages of all groups."""
+    One `baseline_mu` call covers the member ages of all groups; when every
+    index is a single age inside that range, its rows are the result."""
     low, high = model.ages[0], model.ages[-1]
+    if all(a.is_individual and low <= a.low <= high for a in ages):
+        return baseline_mu(model, country, gender, [a.low for a in ages], years)
     members = []
     for a in ages:
         member = range(max(a.low, low), min(a.high, high) + 1)

@@ -172,6 +172,32 @@ class WeeklyPanel:
         shape = (len(self.ages), len(self.years), MAX_WEEKS)
         if self.deaths.shape != shape:
             raise ValidationError(f"WeeklyPanel: deaths shape != {shape}")
+        if not self._cells_valid(shape):
+            self._check_each_year()
+        if require_exposures and self.exposures is None:
+            raise ValidationError("WeeklyPanel: exposures required but missing")
+        return self
+
+    def _cells_valid(self, shape):
+        """Whether every year has 52 or 53 weeks, and every cell of those weeks
+        finite non-negative deaths and finite positive exposures, checked on
+        all years at once."""
+        if any(self.weeks_in_year[t] not in (52, 53) for t in self.years):
+            return False
+        used = week_mask(self.years, self.weeks_in_year)
+        d = self.deaths[:, used]
+        if not np.isfinite(d).all() or (d < 0).any():
+            return False
+        if self.exposures is None:
+            return True
+        if self.exposures.shape != shape:
+            return False
+        e = self.exposures[:, used]
+        return bool(np.isfinite(e).all() and not (e <= 0).any())
+
+    def _check_each_year(self):
+        """The checks of `_cells_valid` year by year, in the order of
+        ``years``: raises the ValidationError of the first failing year."""
         for j, t in enumerate(self.years):
             wt = self.weeks_in_year[t]
             if wt not in (52, 53):
@@ -187,15 +213,13 @@ class WeeklyPanel:
                     raise ValidationError(f"WeeklyPanel: non-finite exposures in year {t}")
                 if (eb <= 0).any():
                     raise ValidationError(f"WeeklyPanel: non-positive exposure in year {t}")
-        if require_exposures and self.exposures is None:
-            raise ValidationError("WeeklyPanel: exposures required but missing")
-        return self
 
     def year_index(self, t):
         return self.years.index(t)
 
     def select_years(self, years):
-        keep = [j for j, t in enumerate(self.years) if t in set(years)]
+        wanted = set(years)
+        keep = [j for j, t in enumerate(self.years) if t in wanted]
         if not keep:
             raise ValidationError("select_years: no overlapping years")
         return replace(

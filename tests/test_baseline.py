@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import pandmort.baseline as bl
 import pandmort.synthetic as sy
 from pandmort.errors import NumericalError, ValidationError
+import util
 from util import assert_baseline_constraints
 
 
@@ -123,6 +124,58 @@ def test_fit_bilinear_trace_ends_at_the_loglik_of_the_returned_fit(seed, nx, nt,
     D, E, base = _bilinear_panel(seed, nx, nt, grid_base, fit_level)
     a, b, k, trace = bl.fit_bilinear_poisson(D, E, base=base, fit_level=fit_level)
     np.testing.assert_allclose(trace[-1][1], bl.loglik(D, E, a, b, k, base), rtol=1e-12)
+
+
+@st.composite
+def bilinear_problems(draw):
+    """Poisson deaths of ``E * exp(base + a + b k)`` and the arguments of a
+    fit: ``base`` 0, a non-zero scalar or a full grid; with or without the
+    level; some cells masked (zero exposure or NaN deaths); some rows
+    without deaths; and optionally given starting values ``b0``, ``k0``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx, nt = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    fit_level = draw(st.booleans())
+    base = {"zero": 0.0, "scalar": -4.0, "grid": rng.normal(-4.0, 0.5, (nx, nt))}[
+        draw(st.sampled_from(("zero", "scalar", "grid")))]
+    E = 10.0 ** rng.uniform(0.0, 5.0, (nx, nt))
+    a = rng.normal(0.0, 0.5, nx) if fit_level else np.zeros(nx)
+    eta = base + a[:, None] + np.outer(rng.uniform(0.05, 0.4, nx), rng.normal(0.0, 1.0, nt))
+    D = rng.poisson(E * np.exp(eta)).astype(float)
+    if draw(st.booleans()):
+        E[rng.random(E.shape) < 0.2] = 0.0
+        D[rng.random(D.shape) < 0.1] = np.nan
+    start = {}
+    if draw(st.booleans()):
+        start = {"b0": rng.normal(0.0, 0.5, nx), "k0": rng.normal(0.0, 1.0, nt)}
+    return D, E, dict(base=base, fit_level=fit_level, **start)
+
+
+def _fit_bits(fit, *args, **kwargs):
+    """The bytes of a fit's (a, b, k) and of every trace tuple, or the type and
+    text of the error it raises."""
+    try:
+        a, b, k, trace = fit(*args, **kwargs)
+    except (NumericalError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return ([p.tobytes() for p in (a, b, k)],
+            [(it, np.float64(lnl).tobytes(), np.float64(change).tobytes())
+             for it, lnl, change in trace])
+
+
+@settings(max_examples=150, deadline=None)
+@given(bilinear_problems())
+def test_fit_bilinear_matches_the_loop_oracle_bit_for_bit(problem):
+    """The fit returns the bits of the sweep it replaced (`util`), trace
+    included: the dropped offset rebuild, the dropped zero offset and the
+    per-fit constants change no output bit."""
+    D, E, kwargs = problem
+    with pytest.MonkeyPatch.context() as mp:
+        # Both stop after 200 sweeps, so that a slow fit compares its first
+        # 200 sweeps and its error instead of running up to 10,000.
+        mp.setattr(bl, "MAX_ITER", 200)
+        mp.setattr(util, "MAX_ITER", 200)
+        assert (_fit_bits(bl.fit_bilinear_poisson, D, E, **kwargs)
+                == _fit_bits(util.loop_fit_bilinear_poisson, D, E, **kwargs))
 
 
 @pytest.mark.parametrize("fit_level", [True, False])

@@ -81,6 +81,33 @@ def test_group_baseline_mu_outside_range(baseline_model):
                              np.array([2019]))
 
 
+def test_group_baseline_mu_single_ages_take_the_rows_of_the_general_path(baseline_model):
+    """Single ages alone return `baseline_mu`'s rows; beside a group, which
+    takes the path that averages member ages, they get the same bits."""
+    years = np.array([1970, 2019, 2020, 2035])
+    ages = tuple(AgeIndex(x, x) for x in (0, 47, 46, 90))
+    alone = cv.group_baseline_mu(baseline_model, "BBB", "f", ages, years)
+    mixed = cv.group_baseline_mu(baseline_model, "BBB", "f", ages + (AgeIndex(60, 64),), years)
+    assert alone.shape == (4, 4) and alone.dtype == mixed.dtype
+    assert alone.tobytes() == mixed[:-1].tobytes()
+    assert alone.tobytes() == bl.baseline_mu(baseline_model, "BBB", "f", [0, 47, 46, 90],
+                                             years).tobytes()
+    np.testing.assert_array_equal(
+        mixed[-1], bl.baseline_mu(baseline_model, "BBB", "f", np.arange(60, 65),
+                                  years).mean(axis=0))
+
+
+@pytest.mark.parametrize("ages, label", [
+    ((AgeIndex(95, 99),), "95_99"),
+    ((AgeIndex(50, 50), AgeIndex(91, 91)), "91"),
+    ((AgeIndex(-1, -1), AgeIndex(40, 44)), "-1"),
+])
+def test_group_baseline_mu_names_the_index_outside_the_range(baseline_model, ages, label):
+    with pytest.raises(ValidationError) as err:
+        cv.group_baseline_mu(baseline_model, "AAA", "m", ages, np.array([2019]))
+    assert str(err.value) == f"age index {label} outside baseline range"
+
+
 def test_predicted_deaths_methods(weekly_setup):
     panel, mu, eff = weekly_setup["panel"], weekly_setup["mu"], weekly_setup["seasonal"]
     p1 = cv.predicted_deaths(panel, mu, method=1)

@@ -26,6 +26,7 @@ from pandmort.datastore import (
     read_weekly_panel_csv,
     save_model,
     series_labels,
+    week_mask,
     write_annual_panel_csv,
     write_table,
     write_weekly_panel_csv,
@@ -105,6 +106,68 @@ def test_weekly_panel_validate_requires_exposures(pandemic_truth, phi_truth):
     wp.validate()
     with pytest.raises(ValidationError):
         wp.validate(require_exposures=True)
+
+
+def _valid_weekly_panel():
+    """Two ages over 2019 (52 weeks), 2020 (53) and 2021 (52), with exposures,
+    and a negative death count in the week that 2019 does not have."""
+    years, weeks = (2019, 2020, 2021), {2019: 52, 2020: 53, 2021: 52}
+    used = np.broadcast_to(week_mask(years, weeks), (2, 3, MAX_WEEKS))
+    deaths = np.where(used, 5.0, np.nan)
+    deaths[0, 0, 52] = -1.0
+    return WeeklyPanel(country="AAA", gender="m", ages=(AgeIndex(40, 40), AgeIndex(41, 41)),
+                       years=years, weeks_in_year=weeks, deaths=deaths,
+                       exposures=np.where(used, 1e3, np.nan))
+
+
+def _with_weeks(wt):
+    def corrupt(panel, j):
+        return dataclasses.replace(panel, weeks_in_year={**panel.weeks_in_year,
+                                                         panel.years[j]: wt})
+    return corrupt
+
+
+def _with_cell(name, value):
+    def corrupt(panel, j):
+        array = getattr(panel, name).copy()
+        array[1, j, 3] = value
+        return dataclasses.replace(panel, **{name: array})
+    return corrupt
+
+
+# Each way a year can fail `WeeklyPanel.validate`, in the order it checks them.
+VALIDATE_FAILURES = {
+    "weeks 51": (_with_weeks(51), "weeks in year {} = 51"),
+    "weeks 54": (_with_weeks(54), "weeks in year {} = 54"),
+    "non-finite deaths": (_with_cell("deaths", np.nan), "non-finite deaths in year {}"),
+    "negative deaths": (_with_cell("deaths", -1.0), "negative deaths in year {}"),
+    "non-finite exposures": (_with_cell("exposures", np.inf), "non-finite exposures in year {}"),
+    "non-positive exposures": (_with_cell("exposures", 0.0), "non-positive exposure in year {}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_FAILURES))
+def test_weekly_panel_validate_names_the_first_failing_year(case):
+    """One failing year is named with its failure; when a later year fails too,
+    in any way, the message is still that of the first."""
+    panel = _valid_weekly_panel().validate(require_exposures=True)
+    corrupt, message = VALIDATE_FAILURES[case]
+    broken = corrupt(panel, 1)
+    for later in [None] + sorted(VALIDATE_FAILURES):
+        worse = broken if later is None else VALIDATE_FAILURES[later][0](broken, 2)
+        with pytest.raises(ValidationError) as err:
+            worse.validate()
+        assert str(err.value) == "WeeklyPanel: " + message.format(2020)
+
+
+def test_weekly_panel_validate_checks_cells_before_missing_exposures():
+    panel = dataclasses.replace(_valid_weekly_panel(), exposures=None).validate()
+    with pytest.raises(ValidationError) as err:
+        panel.validate(require_exposures=True)
+    assert str(err.value) == "WeeklyPanel: exposures required but missing"
+    with pytest.raises(ValidationError) as err:
+        _with_cell("deaths", -2.0)(panel, 2).validate(require_exposures=True)
+    assert str(err.value) == "WeeklyPanel: negative deaths in year 2021"
 
 
 def test_baseline_model_roundtrip(baseline_model, tmp_path):

@@ -1,0 +1,87 @@
+"""Every top-level function and class of ``pandmort`` is reached from the
+command line, or is named in ``UNREACHED`` with the reason it stays.
+
+The call graph is built from names alone: a definition reaches every
+top-level definition, in any module, whose name it mentions as a variable
+or an attribute.  The roots are ``cli.main`` and the module-level code of
+every module (import statements excluded).  Mentioning a name is enough, so
+the graph over-approximates the calls; a definition it finds unreached has
+no caller at all.
+"""
+
+import ast
+from pathlib import Path
+
+import pandmort
+
+# Unreached definitions, "module.name", with the reason each one stays.
+# "benchmark input": `perfbench` looks it up by name (`checks.py`,
+# `tracing.py` or `calibration.py`), so removing it breaks the benchmark.
+UNREACHED = {
+    "annualize_forecast.life_expectancy":
+        "oracle of life_expectancy_by_year; benchmark input (tracing.py wraps it)",
+    "baseline.loglik": "oracle: the likelihood that the fits maximize, for tests",
+    "baseline.score": "oracle: the analytic gradient that tests check the fits with",
+    "baseline.score_common": "benchmark input (checks.py)",
+    "baseline.score_country": "benchmark input (checks.py)",
+    "baseline.simulate_period_effects": "pending ROADMAP item 10 (simulate stage)",
+    "coda.inverse_clr": "pending ROADMAP item 11 (used only by reconstruct_compositions)",
+    "coda.reconstruct_compositions": "pending ROADMAP item 11",
+    "coda.standardized_weekly_deaths": "pending ROADMAP item 11",
+    "covid_layer.aggregate_to_groups": "pending ROADMAP item 11 (granularity study)",
+    "covid_layer.flatten_weeks": "benchmark input (checks.py)",
+    "covid_layer.run_granularity_study": "pending ROADMAP item 11 (granularity study)",
+    "covid_layer.score_covid": "benchmark input (checks.py)",
+    "exposures._month_start_days": "pending ROADMAP item 11 (monthly exposures)",
+    "exposures.weekly_exposures_monthly_interpolation": "pending ROADMAP item 11",
+    "ingest.parse_stmf": "benchmark input (tracing.py wraps it)",
+    "synthetic.sample_weekly_panel": "benchmark input (calibration.py)",
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _mentioned(nodes):
+    """The variable and attribute names mentioned anywhere in ``nodes``."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def unreached_definitions():
+    """The "module.name" of every top-level definition that no path from
+    ``cli.main`` or module-level code mentions."""
+    mentions = {}  # "module.name" -> names its definition mentions
+    by_name = {}  # name -> the "module.name" keys of that name
+    module_code = set()  # names that module-level code mentions
+    for path in sorted(Path(pandmort.__file__).parent.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        for node in body:
+            if isinstance(node, DEFINITIONS):
+                key = f"{path.stem}.{node.name}"
+                mentions[key] = _mentioned([node])
+                by_name.setdefault(node.name, set()).add(key)
+        module_code |= _mentioned(
+            n for n in body if not isinstance(n, DEFINITIONS + (ast.Import, ast.ImportFrom)))
+    reached = set()
+    todo = ["cli.main"] + [k for name in module_code for k in by_name.get(name, ())]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        todo += [k for name in mentions[key] for k in by_name.get(name, ())]
+    return set(mentions) - reached
+
+
+def test_every_definition_is_reached_or_listed_with_a_reason():
+    unreached = unreached_definitions()
+    assert sorted(unreached - set(UNREACHED)) == [], "unreached and not in UNREACHED"
+    # An entry whose definition is now reached, or gone, leaves the list.
+    assert sorted(set(UNREACHED) - unreached) == [], "in UNREACHED but reached or removed"
+    assert all(reason.strip() for reason in UNREACHED.values())

@@ -2,16 +2,19 @@
 difference gradient checks, the annualization identity and a daily cohort
 microsimulation used as an oracle for the week-population recursion, the
 per-year and per-week loop forms of four weekly-grid functions, kept as
-oracles for their array forms, and the per-scenario form of a forecast
-table, kept as the oracle for the writer that shares rows across scenarios."""
+oracles for their array forms, the per-scenario form of a forecast table,
+kept as the oracle for the writer that shares rows across scenarios, and
+the sweep of the bilinear Poisson fit as it was before it dropped the work
+that its results do not need, kept as the bit-exact oracle of the fit."""
 
 import logging
 
 import numpy as np
 
 from pandmort.annualize_forecast import weekly_mean_factor
+from pandmort.baseline import MAX_ITER, REL_TOL, _usable
 from pandmort.datastore import GENDERS, MAX_WEEKS
-from pandmort.errors import ValidationError
+from pandmort.errors import NumericalError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -196,3 +199,111 @@ def per_scenario_forecast_rows(fs, name):
     columns = (np.repeat(fs.ages, nt), np.tile(fs.years, nx), fs.mu[name].ravel(),
                fs.q[name].ravel())
     return "".join(["%s,%s,%s,%s\n" % cell for cell in zip(*[c.tolist() for c in columns])])
+
+
+# The sweep of `baseline.fit_bilinear_poisson`, with its evaluation and
+# step-halving helpers, as it was before the fit dropped the gauge step's
+# offset rebuild, the pandemic fits' zero offset and the per-sweep
+# recomputation of its constants; kept verbatim apart from the names and
+# docstrings.
+
+
+def _loop_fitted(E, off, b, k):
+    eta = b[:, None] * k
+    eta += off
+    fitted = np.exp(eta)
+    fitted *= E
+    return eta, fitted
+
+
+def _loop_evaluate(Dm, Em, off, b, k):
+    with np.errstate(over="raise"):
+        try:
+            eta, fitted = _loop_fitted(Em, off, b, k)
+            val = Dm * eta
+            val -= fitted
+            return val.sum(), fitted
+        except FloatingPointError:
+            return -np.inf, None
+
+
+def _loop_damped_update(Dm, Em, off, b, k, which, delta, lnl_before):
+    step = 1.0
+    for _ in range(40):
+        new = (b if which == "b" else k) + step * delta
+        b_k = (new, k) if which == "b" else (b, new)
+        cand, fitted = _loop_evaluate(Dm, Em, off, *b_k)
+        if cand >= lnl_before - 1e-13 * (abs(lnl_before) + 1.0):
+            return new, cand, fitted
+        step *= 0.5
+    raise NumericalError(f"step halving failed to restore lnL in the {which} update")
+
+
+def loop_fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
+    D = np.asarray(D, dtype=float)
+    E = np.asarray(E, dtype=float)
+    nx, nt = D.shape
+    mask, Dm, Em = _usable(D, E)
+    if not mask.any():
+        raise NumericalError("no usable cells in likelihood")
+    if (D[mask] < 0).any():
+        raise ValidationError("negative death counts in likelihood")
+    base = np.asarray(base, dtype=float)
+
+    rows_d = Dm.sum(axis=1)
+    if fit_level:
+        with np.errstate(divide="ignore"):
+            rows_e = (Em * np.exp(np.where(mask, base, 0.0))).sum(axis=1)
+            a = np.where(rows_d > 0, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_e, 1e-300)), -20.0)
+    else:
+        a = np.zeros(nx)
+    b = (np.full(nx, 1.0 / np.sqrt(nx)) if b0 is None else np.asarray(b0, dtype=float).copy())
+    k = (np.zeros(nt) if k0 is None else np.asarray(k0, dtype=float).copy())
+
+    off = base + a[:, None]
+    lnl, dhat = _loop_evaluate(Dm, Em, off, b, k)
+    if not np.isfinite(lnl):
+        raise NumericalError("non-finite log-likelihood at starting values")
+    trace = [(0, lnl, np.inf)]
+    for it in range(1, MAX_ITER + 1):
+        prev = (a, b, k)
+
+        if fit_level:
+            rows_h = dhat.sum(axis=1)
+            ok = (rows_d > 0) & (rows_h > 0)
+            a = a + np.where(ok, np.log(np.maximum(rows_d, 1e-300) / np.maximum(rows_h, 1e-300)), 0.0)
+            off = base + a[:, None]
+            lnl, dhat = _loop_evaluate(Dm, Em, off, b, k)
+            if not np.isfinite(lnl):
+                raise NumericalError("non-finite log-likelihood during iteration", trace)
+
+        # Newton steps on b, then k: the score component over its curvature.
+        num = (Dm - dhat) @ k
+        den = dhat @ (k * k)
+        delta_b = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        b, lnl, dhat = _loop_damped_update(Dm, Em, off, b, k, "b", delta_b, lnl)
+
+        num = b @ (Dm - dhat)
+        den = (b * b) @ dhat
+        delta_k = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        k, lnl, dhat = _loop_damped_update(Dm, Em, off, b, k, "k", delta_k, lnl)
+
+        # Reapply identification constraints; likelihood-neutral, so the k
+        # step's lnL and fitted deaths carry over.
+        if fit_level:
+            shift = k.mean()
+            k = k - shift
+            a = a + b * shift
+            off = base + a[:, None]
+        norm = np.linalg.norm(b)
+        if norm > 0:
+            b = b / norm
+            k = k * norm
+
+        change = max(
+            np.abs(a - prev[0]).max(), np.abs(b - prev[1]).max(), np.abs(k - prev[2]).max()
+        )
+        trace.append((it, lnl, change))
+        if abs(lnl - trace[-2][1]) <= REL_TOL * (abs(lnl) + 1.0):
+            return a, b, k, trace
+    raise NumericalError(f"no convergence after {MAX_ITER} iterations", trace)

@@ -56,70 +56,73 @@ def _write_table(cfg, out, kind, header, *columns, **key):
     _write_text(cfg, out, kind, header, ds.format_rows(row, *columns), **key)
 
 
-def _parse_range(run, key, default):
-    """The inclusive range ``lo:hi`` under ``key``; ConfigError unless lo <= hi."""
-    lo, _, hi = run.get(key, default).partition(":")
-    lo, hi = int(lo), int(hi)
-    if lo > hi:
-        raise ConfigError(f"{key} must run from low to high, got {lo}:{hi}")
-    return lo, hi
+def _range(text):
+    """The inclusive range ``lo:hi`` as ``(lo, hi)``."""
+    lo, _, hi = text.partition(":")
+    return int(lo), int(hi)
 
 
-class _KeyRecordingParser(configparser.ConfigParser):
-    """A ConfigParser that records in ``read_keys`` each (section, key) read."""
-
-    def __init__(self):
-        super().__init__()
-        self.read_keys = set()
-
-    def get(self, section, option, **kwargs):
-        self.read_keys.add((section, self.optionxform(option)))
-        return super().get(section, option, **kwargs)
+_ORDERED = (lambda v: v[0] <= v[1], "{key} must run from low to high, got {v[0]}:{v[1]}")
+# Every config key, by section: key -> (its default INI text, or None if it
+# is required; the parser of that text; then its checks on the parsed value
+# ``v``, each a predicate and the message, over ``key``, ``v`` and the raw
+# ``text``, of the ConfigError raised when it fails).  A ``[run]`` key is the
+# RunConfig attribute of its name, a key of another section ``<section>_<key>``.
+CONFIG_KEYS = {
+    "data": {"dir": (None, str)},
+    "run": {
+        "countries": (None, lambda text: tuple(c.strip() for c in text.split(",")),
+                      (lambda v: "" not in v and len(set(v)) == len(v),
+                       "countries must be distinct non-empty codes, got {text!r}")),
+        "years": ("1970:2019", _range, _ORDERED),
+        "ages": ("0:90", _range, _ORDERED,
+                 (lambda v: v[0] == 0, "ages must start at 0, got {v[0]}: the forecast and "
+                                       "report need life expectancy at birth")),
+        "covid_ages": ("40:90", _range, _ORDERED),
+        "seasonal_years": ("2010:2019", _range, _ORDERED),
+        "hist_years": ("2015:2019", _range, _ORDERED),
+        "method": ("2", int, (lambda v: v in (1, 2), "method must be 1 or 2, got {v}")),
+        "knots": (str(se.DEFAULT_KNOTS), int,  # spline coefficients fitted to the weekly averages
+                  (lambda v: v >= 4, "knots must be at least 4, got {v}"),
+                  (lambda v: v <= se.PERIOD, f"knots must be at most {se.PERIOD:g}, got {{v}}")),
+        "eta": ("0.5", float, (lambda v: 0.0 <= v <= 1.0, "eta must lie in [0, 1], got {v}")),
+        "horizon": ("30", int, (lambda v: v >= 1, "horizon must be at least 1, got {v}")),
+        "seed": ("1234", int),
+    },
+}
 
 
 class RunConfig:
-    """Parsed and validated run configuration (INI key-value format)."""
+    """Parsed and validated run configuration (INI key-value format): one
+    attribute per key of `CONFIG_KEYS`, and ``hash``, the stamp of its text."""
 
     def __init__(self, path):
-        parser = _KeyRecordingParser()
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         self.hash = hashlib.sha256(text.encode()).hexdigest()[:16]
+        parser = configparser.ConfigParser()
         try:
             parser.read_string(text, source=path)
-            data = parser["data"]
-            run = parser["run"]
-            self.data_dir = data["dir"]
-            self.countries = tuple(c.strip() for c in run["countries"].split(","))
-            self.years = _parse_range(run, "years", "1970:2019")
-            self.ages = _parse_range(run, "ages", "0:90")
-            self.covid_ages = _parse_range(run, "covid_ages", "40:90")
-            self.seasonal_years = _parse_range(run, "seasonal_years", "2010:2019")
-            self.hist_years = _parse_range(run, "hist_years", "2015:2019")
-            self.method = run.getint("method", 2)
-            self.knots = run.getint("knots", 12)
-            self.eta = run.getfloat("eta", 0.5)
-            self.horizon = run.getint("horizon", 30)
-            self.seed = run.getint("seed", 1234)
+            for name in parser.sections():
+                if name not in CONFIG_KEYS:
+                    raise ConfigError(f"unknown section [{name}]")
+            for name, keys in CONFIG_KEYS.items():
+                section = parser[name]
+                for key in section:
+                    if key not in keys:
+                        raise ConfigError(f"unknown key {key!r} in [{name}]")
+                for key, (default, parse, *checks) in keys.items():
+                    raw = section[key] if default is None else section.get(key, default)
+                    value = parse(raw)
+                    for ok, message in checks:
+                        if not ok(value):
+                            raise ConfigError(message.format(key=key, v=value, text=raw))
+                    setattr(self, key if name == "run" else f"{name}_{key}", value)
         except (KeyError, ValueError, configparser.Error) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
-        for section in (data, run):
-            for key in section:
-                if (section.name, key) not in parser.read_keys:
-                    raise ConfigError(f"unknown key {key!r} in [{section.name}]")
-        if "" in self.countries or len(set(self.countries)) < len(self.countries):
-            raise ConfigError("countries must be distinct non-empty codes, "
-                              f"got {run['countries']!r}")
-        if self.method not in (1, 2):
-            raise ConfigError(f"method must be 1 or 2, got {self.method}")
-        if not (0.0 <= self.eta <= 1.0):
-            raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.ages[0] != 0:
-            raise ConfigError(f"ages must start at 0, got {self.ages[0]}: the forecast and "
-                              "report need life expectancy at birth")
         if self.ages[1] > ig.TOP_AGE:
             raise ConfigError(f"ages must end at {ig.TOP_AGE} or below, got {self.ages[1]}")
         lo, hi = af.EXTRAP_AGES
@@ -128,10 +131,6 @@ class RunConfig:
                               f"extrapolates ln(mu) to older ages from the ages {lo}:{hi}")
         if not (self.ages[0] <= self.covid_ages[0] <= self.covid_ages[1] <= self.ages[1]):
             raise ConfigError("covid_ages must lie inside the baseline age range")
-        if self.knots < 4:
-            raise ConfigError(f"knots must be at least 4, got {self.knots}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
         (h0, h1), (y0, y1) = self.hist_years, self.years
         if y1 - y0 + 1 < bl.MIN_YEARS:
             raise ConfigError(f"years must span at least {bl.MIN_YEARS} years, got {y0}:{y1}")

@@ -149,14 +149,14 @@ def aggregate_to_groups(panel, bounds):
     )
 
 
-def run_granularity_study(panel, historical, model, seasonal, levels=(1, 2, 3),
-                          method=2, hist_years=range(2015, 2020)):
+def run_granularity_study(panel, historical, model, seasonal, hist_years, levels=(1, 2, 3),
+                          method=2):
     """Refit the pandemic layer at several data granularities.
 
     Level 1 uses individual-age deaths directly; levels 2 and 3 first
     aggregate them into age groups and then disaggregate back to individual
-    ages by historical shares, exactly as for externally grouped data.
-    Requires an individual-age ``panel`` with exposures.
+    ages by their shares in ``hist_years``, exactly as for externally grouped
+    data.  Requires an individual-age ``panel`` with exposures.
     """
     if not all(a.is_individual for a in panel.ages):
         raise ValidationError("granularity study requires individual-age input data")

@@ -64,7 +64,7 @@ def historical_age_shares(panel, country, gender, group, years):
     return totals / denom
 
 
-def disaggregate_deaths(panel, historical, hist_years=range(2015, 2020)):
+def disaggregate_deaths(panel, historical, hist_years):
     """Allocate grouped weekly deaths to individual ages by historical shares.
 
     Group sums are preserved exactly: the per-age deaths are the group count

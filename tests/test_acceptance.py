@@ -215,7 +215,7 @@ def test_criterion_06_exposure_pipeline(annual_panel, pandemic_truth, phi_truth)
                                    phi=phi_truth, seed=12)
     bounds = [(lo, lo + 4) for lo in range(0, 90, 5)] + [(90, 90)]
     grouped = cv.aggregate_to_groups(indiv, bounds)
-    back = ex.disaggregate_deaths(grouped, annual_panel)
+    back = ex.disaggregate_deaths(grouped, annual_panel, range(2015, 2020))
     pos = 0
     for gidx, group in enumerate(grouped.ages):
         n = len(list(group.ages))
@@ -271,7 +271,7 @@ def test_criterion_08_granularity_study():
                                    exposure_week=expo, seed=21)
     eff = SeasonalEffect(country="AAA", gender="m", knots=12, coeffs=None,
                          phi=phi)
-    res = cv.run_granularity_study(panel, annual, model, eff,
+    res = cv.run_granularity_study(panel, annual, model, eff, range(2015, 2020),
                                    levels=(1, 2, 3), method=2)
     k1 = cv.flatten_weeks(res[1], res[1].K)
     for level in (2, 3):

@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import itertools
 import json
@@ -97,6 +98,9 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
         ("seasonal_years = 2010:2019", "seasonal_years = 2015:2021",
          "seasonal_years 2015:2021 overlaps the pandemic years 2020:2021"),
         ("seasonal_years = 2010:2019", "seasonal_years = 2010:2019", None),  # pre-pandemic
+        ("seed = 1234\n", "seed = 1234\n[Run]\nmethod = 1\n", r"unknown section \[Run\]"),
+        ("knots = 12", "knots = 53", "knots must be at most 52, got 53"),
+        ("knots = 12", "knots = 52", None),  # one coefficient per weekly average
     ]:
         assert old in base
         p = tmp_path / "cfg.ini"
@@ -106,6 +110,23 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
         else:
             with pytest.raises(ConfigError, match=msg):
                 cli.RunConfig(str(p))
+
+
+def test_readme_lists_the_config_keys():
+    """The README's INI example holds exactly the keys of `cli.CONFIG_KEYS`,
+    each in its section and with its default where it has one."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("### Configuration (INI)\n\n```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    assert parser.sections() == list(cli.CONFIG_KEYS)
+    for name, keys in cli.CONFIG_KEYS.items():
+        assert list(parser[name]) == list(keys)
+        for key, (default, *_) in keys.items():
+            if default is not None:
+                assert parser[name][key] == default, key
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -185,7 +185,7 @@ def test_granularity_levels_two_and_one_agree(weekly_setup, annual_panel,
                                               baseline_model):
     res = cv.run_granularity_study(
         weekly_setup["panel"], annual_panel, baseline_model,
-        weekly_setup["seasonal"], levels=(1, 2), method=2,
+        weekly_setup["seasonal"], range(2015, 2020), levels=(1, 2), method=2,
     )
     k1 = cv.flatten_weeks(res[1], res[1].K)
     k2 = cv.flatten_weeks(res[2], res[2].K)
@@ -206,7 +206,8 @@ def test_granularity_study_on_ages_40_to_110():
     panel = sy.sample_weekly_panel("AAA", "m", sy.make_pandemic_truth(ages, seed=3),
                                    np.stack([mu_last, mu_last], axis=1), phi=phi, seed=21)
     eff = SeasonalEffect(country="AAA", gender="m", knots=12, coeffs=None, phi=phi)
-    res = cv.run_granularity_study(panel, annual, model, eff, levels=(1, 2, 3))
+    res = cv.run_granularity_study(panel, annual, model, eff, range(2015, 2020),
+                                   levels=(1, 2, 3))
     for level in (1, 2, 3):
         assert res[level].ages == panel.ages
         assert_covid_constraints(res[level])

@@ -32,7 +32,7 @@ def test_disaggregation_preserves_group_totals(annual_panel, pandemic_truth, phi
     indiv = sy.sample_weekly_panel("AAA", "m", pandemic_truth, mu, phi=phi_truth, seed=12)
     bounds = [(lo, lo + 4) for lo in range(0, 90, 5)] + [(90, 90)]
     grouped = cv.aggregate_to_groups(indiv, bounds)
-    back = ex.disaggregate_deaths(grouped, annual_panel)
+    back = ex.disaggregate_deaths(grouped, annual_panel, range(2015, 2020))
     assert all(a.is_individual for a in back.ages)
     pos = 0
     for gidx, group in enumerate(grouped.ages):

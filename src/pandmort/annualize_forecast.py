@@ -12,12 +12,11 @@ which leaves every product V_x * X_t unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .baseline import baseline_mu
-from .datastore import ForecastSet, ScenarioSpec, week_mask
+from .datastore import AnnualEffects, ForecastSet, ScenarioSpec, week_mask
 from .errors import NumericalError, ValidationError
 
 BRACKET = 10.0
@@ -103,19 +102,20 @@ def annualize(layer, phi, mu):
 
     ``phi`` is the length-53 seasonal vector used in the fit (ones under
     Method 1) and ``mu`` the annual baseline forces, shape (nages, nyears) on
-    the layer's age indices and years.  Returns a new CovidLayer carrying V
-    and X.  If X vanishes in every year the age effect is unidentifiable and
-    a flagged uniform vector is returned instead of failing.
+    the layer's age indices and years.  Returns the layer's AnnualEffects.
+    If X vanishes in every year the age effect is unidentifiable and a
+    flagged uniform vector is returned instead of failing.
     """
     if mu.shape != (len(layer.ages), len(layer.years)):
         raise ValidationError("annualize: mu shape does not match the layer")
     m = weekly_mean_factor(layer, phi)
     X = np.log(m).sum(axis=0)
+    owner = dict(country=layer.country, gender=layer.gender, ages=layer.ages, years=layer.years)
 
     if np.abs(X).max() < DEGENERATE_TOL:
         n = len(layer.ages)
-        V = np.full(n, 1.0 / np.sqrt(n))
-        return replace(layer, V=V, X=np.zeros_like(X), degenerate=True)
+        return AnnualEffects(**owner, V=np.full(n, 1.0 / np.sqrt(n)), X=np.zeros_like(X),
+                             degenerate=True)
 
     V = np.empty(len(layer.ages))
     for i in range(len(layer.ages)):
@@ -133,7 +133,7 @@ def annualize(layer, phi, mu):
     norm = np.linalg.norm(V)
     if norm == 0:
         raise NumericalError("annualize: zero age-effect vector")
-    return replace(layer, V=V / norm, X=X * norm)
+    return AnnualEffects(**owner, V=V / norm, X=X * norm)
 
 
 def build_scenario(spec, horizon):

@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datastore import GENDERS, BaselineModel, period_series, series_labels
+from .datastore import GENDERS, BaselineModel, period_series
 from .errors import NumericalError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -271,10 +271,7 @@ def fit_time_series(model):
     theta = {key: d for (name, key), d in zip(order, drift) if name == "K"}
     delta = {key: d for (name, key), d in zip(order, drift) if name == "kappa"}
     delta_tstat = {key: float(t) for (name, key), t in zip(order, tstat) if name == "kappa"}
-    return replace(
-        model, theta=theta, delta=delta, delta_tstat=delta_tstat,
-        sigma=sigma, series=series_labels(model.countries),
-    )
+    return replace(model, theta=theta, delta=delta, delta_tstat=delta_tstat, sigma=sigma)
 
 
 def _start_and_drift(model, series):

@@ -103,7 +103,7 @@ class RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         self.hash = hashlib.sha256(text.encode()).hexdigest()[:16]
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text, source=path)
             for name in parser.sections():
@@ -155,7 +155,7 @@ def _stamped(cfg, path, write):
 
 # Every file the stages write to the run directory, by kind: its name pattern
 # over the fields country ``c``, gender ``g``, year ``t`` and scenario
-# ``name``, and the stage that first writes it.
+# ``name``, and the one stage that writes it.
 FILES = {
     "annual": ("annual_panel.csv", "ingest"),
     "weekly": ("weekly_{c}_{g}.csv", "ingest"),
@@ -166,6 +166,7 @@ FILES = {
     "covid": ("covid_{c}_{g}.csv", "calibrate-covid"),
     "covid_fit": ("covid_fit_{c}_{g}.csv", "calibrate-covid"),
     "coda": ("coda_{t}_{g}.csv", "coda"),
+    "annual_effects": ("annual_effects_{c}_{g}.csv", "annualize"),
     "forecast": ("forecast_{name}_{c}_{g}.csv", "forecast"),
     "life_expectancy": ("life_expectancy_{name}_{c}_{g}.csv", "forecast"),
     "report": ("report.csv", "report"),
@@ -354,22 +355,11 @@ def stage_annualize(cfg, out):
     for c in cfg.countries:
         for g in ds.GENDERS:
             layer = _read(out, "covid", ds.load_model, c=c, g=g)
-            if cfg.method == 2:
-                phi = _read(out, "seasonal", ds.load_model, c=c, g=g).phi
-            else:
-                phi = np.ones(ds.MAX_WEEKS)
+            phi = (_read(out, "seasonal", ds.load_model, c=c, g=g).phi if cfg.method == 2
+                   else np.ones(ds.MAX_WEEKS))
             mu = cl.group_baseline_mu(model, c, g, layer.ages, layer.years)
-            layer = af.annualize(layer, phi, mu)
-            _write(cfg, out, "covid", layer, ds.save_model, c=c, g=g)
-
-
-def _load_annualized(out, c, g):
-    """The covid layer of ``c``/``g``, which must carry its annual effects."""
-    layer = _read(out, "covid", ds.load_model, c=c, g=g)
-    if layer.V is None or layer.X is None:
-        raise IngestError(f"covid layer for {c}/{g} has no annual effects: "
-                          "run annualize first")
-    return layer
+            _write(cfg, out, "annual_effects", af.annualize(layer, phi, mu), ds.save_model,
+                   c=c, g=g)
 
 
 def _same_bits(arrays):
@@ -408,11 +398,11 @@ def stage_forecast(cfg, out):
     model = _read(out, "baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = _load_annualized(out, c, g)
-            scenarios = af.standard_scenarios(float(layer.X[-1]), eta=cfg.eta)
-            calib_ages = np.array([a.low for a in layer.ages])
-            fs = af.forecast_scenarios(model, c, g, layer.V, calib_ages, scenarios,
-                                       layer.years[-1] + 1, report_years=cfg.horizon)
+            eff = _read(out, "annual_effects", ds.load_model, c=c, g=g)
+            scenarios = af.standard_scenarios(float(eff.X[-1]), eta=cfg.eta)
+            calib_ages = np.array([a.low for a in eff.ages])
+            fs = af.forecast_scenarios(model, c, g, eff.V, calib_ages, scenarios,
+                                       eff.years[-1] + 1, report_years=cfg.horizon)
             _write_forecasts(cfg, out, fs, c, g)
             nt, nle = len(fs.years), len(fs.le_ages)
             for name in fs.mu:
@@ -440,11 +430,11 @@ def stage_report(cfg, out):
     rows = []
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = _load_annualized(out, c, g)
-            final_year = layer.years[-1] + cfg.horizon
+            eff = _read(out, "annual_effects", ds.load_model, c=c, g=g)
+            final_year = eff.years[-1] + cfg.horizon
             le = {n: _read(out, "life_expectancy", _le_at_birth, final_year, name=n, c=c, g=g)
                   for n in names}
-            x = dict(zip(layer.years, layer.X))
+            x = dict(zip(eff.years, eff.X))
             rows.append((c, g, *(x.get(t, np.nan) for t in PANDEMIC_YEARS),
                          *(le[n] - le["completely_incidental"] for n in names)))
     _write_table(cfg, out, "report",

@@ -2,12 +2,13 @@
 
 All model objects are frozen dataclasses; validation is a separate pass that
 is re-run whenever an object is loaded from disk.  Model files (`save_model`)
-are line-oriented CSV with a ``#schema:<TypeName> v1`` first line followed by
-``key,index1,index2,value`` rows, floats printed with 17 significant digits
-so that save/load round-trips are exact.  Every other table row is formatted
-by `format_rows` from its file's row string, which fixes its float text, and
-`write_table` writes a header followed by one or more such row texts, so a
-caller can format rows that several files share once.
+are line-oriented CSV with a ``#schema:<TypeName> v2`` first line followed by
+``key,index1,index2,value`` rows, none for what the other rows give, floats
+printed with 17 significant digits so that save/load round-trips are exact.
+Every other table row is formatted by `format_rows` from its file's row
+string, which fixes its float text, and `write_table` writes a header
+followed by one or more such row texts, so a caller can format rows that
+several files share once.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ class BaselineModel:
 
     Per-gender common parameters A, B, K; per (country, gender) parameters
     alpha, beta, kappa.  ``sigma`` is the joint innovation covariance of the
-    random walks, ordered as in ``series``.
+    random walks, ordered as in `period_series`.
     """
 
     countries: tuple
@@ -273,7 +274,6 @@ class BaselineModel:
     delta: dict = field(default_factory=dict)
     delta_tstat: dict = field(default_factory=dict)
     sigma: np.ndarray = None
-    series: tuple = ()
 
     def validate(self):
         nx, nt = len(self.ages), len(self.years)
@@ -302,17 +302,9 @@ class BaselineModel:
 
 
 def period_series(countries):
-    """The period-effect series as (parameter, key) pairs, in the one order of
-    ``BaselineModel.series`` and ``sigma``: each gender's K, then kappa for
-    each (country, gender)."""
+    """The period-effect series as (parameter, key) pairs, in the order of
+    ``BaselineModel.sigma``: each gender's K, then each (country, gender)'s kappa."""
     return [("K", g) for g in GENDERS] + [("kappa", (c, g)) for c in countries for g in GENDERS]
-
-
-def series_labels(countries):
-    """The ``series`` label of each `period_series` entry: ``K|m``, ``K|f``,
-    then ``kappa|<country>|<gender>``."""
-    return tuple("|".join([name, key] if name == "K" else [name, *key])
-                 for name, key in period_series(countries))
 
 
 @dataclass(frozen=True)
@@ -350,7 +342,7 @@ class SeasonalEffect:
 
 @dataclass(frozen=True)
 class CovidLayer:
-    """Pandemic age effect B and week effect K, with annualized V and X.
+    """Pandemic age effect B and week effect K of one country and gender.
 
     ``method`` is 1 (no predetermined seasonal effect) or 2 (seasonal effect
     applied before the fit).  ``K`` has shape (nyears, 53), NaN-padded.
@@ -364,9 +356,6 @@ class CovidLayer:
     method: int
     B: np.ndarray
     K: np.ndarray
-    V: np.ndarray = None
-    X: np.ndarray = None
-    degenerate: bool = False
 
     def validate(self):
         if self.method not in (1, 2):
@@ -375,13 +364,32 @@ class CovidLayer:
             raise ValidationError("CovidLayer: B length != number of age indices")
         if self.K.shape != (len(self.years), MAX_WEEKS):
             raise ValidationError("CovidLayer: K shape mismatch")
-        if not self.degenerate:
-            if abs(np.linalg.norm(self.B) - 1.0) > NORM_TOL:
-                raise ValidationError("CovidLayer: norm constraint violated for B")
-            if self.B.sum() < -NORM_TOL:
-                raise ValidationError("CovidLayer: sign convention violated (sum B < 0)")
-            if self.V is not None and abs(np.linalg.norm(self.V) - 1.0) > NORM_TOL:
-                raise ValidationError("CovidLayer: norm constraint violated for V")
+        if abs(np.linalg.norm(self.B) - 1.0) > NORM_TOL:
+            raise ValidationError("CovidLayer: norm constraint violated for B")
+        if self.B.sum() < -NORM_TOL:
+            raise ValidationError("CovidLayer: sign convention violated (sum B < 0)")
+        return self
+
+
+@dataclass(frozen=True)
+class AnnualEffects:
+    """Annual pandemic age effect V and period effect X of one country and
+    gender, from its CovidLayer (`annualize`); ``degenerate`` marks an X of 0
+    in every year, for which V is set to the uniform unit vector."""
+
+    country: str
+    gender: str
+    ages: tuple
+    years: tuple
+    V: np.ndarray
+    X: np.ndarray
+    degenerate: bool = False
+
+    def validate(self):
+        if (len(self.V), len(self.X)) != (len(self.ages), len(self.years)):
+            raise ValidationError("AnnualEffects: V or X length != number of ages or years")
+        if abs(np.linalg.norm(self.V) - 1.0) > NORM_TOL:
+            raise ValidationError("AnnualEffects: norm constraint violated for V")
         return self
 
 
@@ -525,11 +533,10 @@ class _Rows:
                             for k, i1, _ in self.rows if k == key))
 
 
-# Each layout below is the one description of its model's file format.  An
-# optional group of rows (coef; V; X) is present when any of its rows is, and
-# then needs all of them; every other row, a baseline's time-series fit
-# included, is always there.  A baseline's ``series`` labels must be those of
-# its countries (`series_labels`), the order in which ``sigma`` is indexed.
+# Each layout below is the one description of its model's file format.  The
+# one optional group, a seasonal effect's coef rows, is present when any of
+# its rows is, and then needs all of them; every other row, a baseline's
+# time-series fit included, is always there.
 
 
 def _baseline_layout(r, m):
@@ -556,17 +563,13 @@ def _baseline_layout(r, m):
                               for j, t in enumerate(years)])
         delta[cg] = r.row(m and m.delta[cg], "delta", key)
         tstat[cg] = r.row(m and m.delta_tstat[cg], "delta_tstat", key)
-    series = series_labels(countries)
-    for i, want in enumerate(series):
-        if (label := r.row(m and m.series[i], "series", i, codec=_TEXT)) != want:
-            raise ParseError(f"row series,{i},: label {label!r}, but the countries give {want!r}")
-    n = len(series)
+    n = len(period_series(countries))
     sigma = np.array([[r.row(m and m.sigma[i, j], "sigma", i, j) for j in range(n)]
                       for i in range(n)])
     return BaselineModel(
         countries=countries, ages=ages, years=years, A=A, B=B, K=K,
         alpha=alpha, beta=beta, kappa=kappa, theta=theta, delta=delta,
-        delta_tstat=tstat, sigma=sigma, series=series,
+        delta_tstat=tstat, sigma=sigma,
     )
 
 
@@ -581,30 +584,37 @@ def _seasonal_layout(r, m):
     return SeasonalEffect(country=country, gender=gender, phi=phi, knots=knots, coeffs=coeffs)
 
 
-def _covid_layout(r, m):
+def _age_effect(r, m, key):
+    """The ``country`` and ``gender`` rows, then an ``age`` and a ``key`` row
+    per age index, of a CovidLayer (``B``) or an AnnualEffects (``V``): those
+    three fields, and the age effect."""
     country = r.row(m and m.country, "country", codec=_TEXT)
     gender = r.row(m and m.gender, "gender", codec=_TEXT)
-    method = r.row(m and m.method, "method", codec=_INT)
-    degenerate = r.row(m and m.degenerate, "degenerate", codec=_FLAG)
-    years = r.indices(m and m.years, "weeks")
-    weeks = {t: r.row(m and m.weeks_in_year[t], "weeks", t, codec=_WEEKS) for t in years}
-    ages, B = [], []
+    ages, effect = [], []
     for i in range(r.count(m and len(m.ages), "age")):
         ages.append(r.row(m and m.ages[i], "age", i, codec=_AGE))
-        B.append(r.row(m and m.B[i], "B", i))
+        effect.append(r.row(m and getattr(m, key)[i], key, i))
+    return dict(country=country, gender=gender, ages=tuple(ages)), np.array(effect)
+
+
+def _covid_layout(r, m):
+    owner, B = _age_effect(r, m, "B")
+    method = r.row(m and m.method, "method", codec=_INT)
+    years = r.indices(m and m.years, "weeks")
+    weeks = {t: r.row(m and m.weeks_in_year[t], "weeks", t, codec=_WEEKS) for t in years}
     K = np.full((len(years), MAX_WEEKS), np.nan)
     for j, t in enumerate(years):
         for w in range(1, weeks[t] + 1):
             K[j, w - 1] = r.row(m and m.K[j, w - 1], "K", t, w)
-    V = X = None
-    if n := r.count(m and m.V is not None and len(m.V), "V"):
-        V = np.array([r.row(m and m.V[i], "V", i) for i in range(n)])
-    if r.count(m and m.X is not None, "X"):
-        X = np.array([r.row(m and m.X[j], "X", t) for j, t in enumerate(years)])
-    return CovidLayer(
-        country=country, gender=gender, ages=tuple(ages), years=years, weeks_in_year=weeks,
-        method=method, B=np.array(B), K=K, V=V, X=X, degenerate=degenerate,
-    )
+    return CovidLayer(**owner, years=years, weeks_in_year=weeks, method=method, B=B, K=K)
+
+
+def _annual_layout(r, m):
+    owner, V = _age_effect(r, m, "V")
+    degenerate = r.row(m and m.degenerate, "degenerate", codec=_FLAG)
+    years = r.indices(m and m.years, "X")
+    X = np.array([r.row(m and m.X[j], "X", t) for j, t in enumerate(years)])
+    return AnnualEffects(**owner, years=years, V=V, X=X, degenerate=degenerate)
 
 
 def _coda_layout(r, m):
@@ -627,6 +637,7 @@ _LAYOUTS = {
     "BaselineModel": _baseline_layout,
     "SeasonalEffect": _seasonal_layout,
     "CovidLayer": _covid_layout,
+    "AnnualEffects": _annual_layout,
     "CodaFit": _coda_layout,
 }
 
@@ -637,7 +648,7 @@ def save_model(model, path):
     if name not in _LAYOUTS:
         raise ParseError(f"no serialization schema for {name}")
     buf = io.StringIO()
-    buf.write(f"#schema:{name} v1\n")
+    buf.write(f"#schema:{name} v2\n")
     buf.write("key,index1,index2,value\n")
     _LAYOUTS[name](_Rows(out=csv.writer(buf, lineterminator="\n")), model)
     try:
@@ -661,7 +672,7 @@ def load_model(path):
         raise ParseError(f"{path}: line 1: missing '#schema:' header")
     schema = lines[0][len("#schema:"):].strip()
     name, _, version = schema.partition(" ")
-    if name not in _LAYOUTS or version != "v1":
+    if name not in _LAYOUTS or version != "v2":
         raise ParseError(f"{path}: line 1: unknown schema {schema!r}")
     if len(lines) < 2 or lines[1] != "key,index1,index2,value":
         raise ParseError(f"{path}: line 2: expected header 'key,index1,index2,value'")

@@ -102,8 +102,8 @@ def fit_seasonal_spline(fractions, country="", gender="", knots=DEFAULT_KNOTS):
     curve must stay strictly positive; otherwise fitting fails rather than
     truncating, because the effect multiplies a force of mortality.
     """
-    if knots < 4:
-        raise ValidationError("cyclic spline needs at least 4 knots")
+    if not 4 <= knots <= PERIOD:  # one coefficient per knot, fitted to 52 weekly averages
+        raise ValidationError(f"cyclic spline needs 4 to {PERIOD:g} knots, got {knots}")
     sums = np.zeros(52)
     counts = np.zeros(52)
     for f in fractions.values():

@@ -7,7 +7,7 @@ import pandmort.annualize_forecast as af
 import pandmort.synthetic as sy
 from pandmort.datastore import CovidLayer, ScenarioSpec
 from pandmort.errors import NumericalError, ValidationError
-from util import annual_survival_gap, assert_covid_constraints
+from util import annual_survival_gap, assert_annual_constraints
 
 
 def make_layer(ages, seed=3, amplitude=0.35):
@@ -26,21 +26,23 @@ def annualized():
     phi = sy.seasonal_phi(0.2)
     rng = np.random.default_rng(7)
     mu = rng.uniform(1e-3, 0.1, (len(ages), 2))
-    return af.annualize(layer, phi, mu), phi, mu
+    return layer, af.annualize(layer, phi, mu), phi, mu
 
 
 def test_annualize_survival_identity(annualized):
-    layer, phi, mu = annualized
-    gap = annual_survival_gap(layer, phi, mu)
+    layer, effects, phi, mu = annualized
+    gap = annual_survival_gap(layer, effects, phi, mu)
     assert gap.max() < 1e-10
-    assert_covid_constraints(layer)
-    assert layer.X.shape == (2,)
+    assert_annual_constraints(effects)
+    assert (effects.country, effects.gender, effects.ages, effects.years) == (
+        layer.country, layer.gender, layer.ages, layer.years)
+    assert not effects.degenerate
     # positive pandemic effect in both years
-    assert (layer.X > 0).all()
+    assert (effects.X > 0).all()
 
 
 def test_annualize_renormalization_preserves_products(annualized):
-    layer, phi, mu = annualized
+    layer, effects, phi, mu = annualized
     # recompute without the final normalization: V'_x X'_t must match V_x X_t
     m = af.weekly_mean_factor(layer, phi)
     X_raw = np.log(m).sum(axis=0)
@@ -53,7 +55,7 @@ def test_annualize_renormalization_preserves_products(annualized):
             -af.BRACKET, af.BRACKET, xtol=af.ROOT_TOL,
         )
     np.testing.assert_allclose(
-        np.outer(V_raw, X_raw), np.outer(layer.V, layer.X), atol=1e-12
+        np.outer(V_raw, X_raw), np.outer(effects.V, effects.X), atol=1e-12
     )
 
 
@@ -113,7 +115,7 @@ def test_brentq_rejects_bad_bracket_and_nan():
 
 def test_annualize_names_the_age_without_a_sign_change(annualized, monkeypatch):
     # So narrow a bracket leaves the gap of every age with one sign at both ends.
-    layer, phi, mu = annualized
+    layer, _, phi, mu = annualized
     monkeypatch.setattr(af, "BRACKET", 1e-9)
     with pytest.raises(NumericalError, match=r"annualize: .*age index 0\b"):
         af.annualize(layer, phi, mu)
@@ -135,7 +137,7 @@ def test_annualize_degenerate_zero_effect():
 
 
 def test_annualize_shape_check(annualized):
-    layer, phi, mu = annualized
+    layer, _, phi, mu = annualized
     with pytest.raises(ValidationError):
         af.annualize(layer, phi, mu[:-1])
 

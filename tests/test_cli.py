@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -101,12 +102,18 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
         ("seed = 1234\n", "seed = 1234\n[Run]\nmethod = 1\n", r"unknown section \[Run\]"),
         ("knots = 12", "knots = 53", "knots must be at most 52, got 53"),
         ("knots = 12", "knots = 52", None),  # one coefficient per weekly average
+        # values are read literally: no '%' interpolation
+        (f"dir = {pipeline['data']}", "dir = raw/50%data", {"data_dir": "raw/50%data"}),
+        ("knots = 12", "knots = %(horizon)s",
+         re.escape("invalid literal for int() with base 10: '%(horizon)s'")),
     ]:
         assert old in base
         p = tmp_path / "cfg.ini"
         p.write_text(base.replace(old, new))
-        if msg is None:
-            cli.RunConfig(str(p))
+        if msg is None or isinstance(msg, dict):  # accepted, with these values
+            cfg = cli.RunConfig(str(p))
+            for key, value in (msg or {}).items():
+                assert getattr(cfg, key) == value
         else:
             with pytest.raises(ConfigError, match=msg):
                 cli.RunConfig(str(p))
@@ -161,7 +168,7 @@ def test_forecast_requires_annualize(pipeline, tmp_path):
 def test_outputs_carry_config_hash(pipeline):
     cfg = cli.RunConfig(str(pipeline["config"]))
     for name in ["annual_panel.csv", "baseline_model.csv", "covid_AAA_m.csv",
-                 "report.csv"]:
+                 "annual_effects_AAA_m.csv", "report.csv"]:
         text = (pipeline["out"] / name).read_text()
         assert f"#confighash:{cfg.hash}" in text
 
@@ -177,11 +184,13 @@ def test_covid_layers_have_annual_effects(pipeline):
     for c in ("AAA", "BBB"):
         for g in ("m", "f"):
             layer = ds.load_model(str(pipeline["out"] / f"covid_{c}_{g}.csv"))
-            assert layer.V is not None and layer.X is not None
-            assert layer.X.shape == (2,)
-            assert abs(np.linalg.norm(layer.V) - 1.0) < 1e-10
+            eff = ds.load_model(str(pipeline["out"] / f"annual_effects_{c}_{g}.csv"))
+            assert (eff.country, eff.gender, eff.ages, eff.years) == (c, g, layer.ages,
+                                                                      layer.years)
+            assert eff.X.shape == (2,)
+            assert abs(np.linalg.norm(eff.V) - 1.0) < 1e-10
             # a real pandemic was injected into 2020/2021
-            assert layer.X.max() > 0.1
+            assert eff.X.max() > 0.1
 
 
 def test_report_contents(pipeline):
@@ -263,21 +272,31 @@ def test_baseline_without_drift_rows_exits_3(pipeline, tmp_path):
     assert rec["message"] == f"{path}: missing row theta,m,"
 
 
-def test_mislabelled_baseline_series_exits_3(pipeline, tmp_path):
-    """``sigma`` is indexed in the order the countries give, so a baseline
-    file whose series labels say otherwise is malformed."""
-    out = tmp_path / "mislabelled"
+def test_model_file_of_an_older_format_exits_3(pipeline, tmp_path):
+    out = tmp_path / "v1"
     shutil.copytree(pipeline["out"], out)
     path = out / "baseline_model.csv"
     text = path.read_text(encoding="utf-8")
-    assert text.count("series,0,,K|m\n") == 1
-    path.write_text(text.replace("series,0,,K|m\n", "series,0,,kappa|BBB|f\n"), encoding="utf-8")
+    assert text.startswith("#schema:BaselineModel v2\n")
+    path.write_text(text.replace(" v2\n", " v1\n", 1), encoding="utf-8")
     rc = cli.main(["forecast", "--config", str(pipeline["config"]), "--out", str(out)])
     assert rc == 3
     rec = json.loads((out / "error.json").read_text())
     assert (rec["stage"], rec["error"]) == ("forecast", "ParseError")
-    assert rec["message"] == (f"{path}: row series,0,: label 'kappa|BBB|f', "
-                              "but the countries give 'K|m'")
+    assert rec["message"] == f"{path}: line 1: unknown schema 'BaselineModel v1'"
+
+
+def test_forecast_after_calibrate_covid_rerun(pipeline, tmp_path):
+    """The annual effects have files of their own, so running
+    ``calibrate-covid`` again after ``run-all`` leaves ``forecast`` the
+    inputs it had, and every file as it was."""
+    out = tmp_path / "rerun"
+    shutil.copytree(pipeline["out"], out)
+    for stage in ("calibrate-covid", "forecast"):
+        assert cli.main([stage, "--config", str(pipeline["config"]), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(os.listdir(pipeline["out"]))
+    for name in os.listdir(out):
+        assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name, lineno, field, text", [
@@ -461,17 +480,19 @@ def _expand(pattern, cfg):
 def test_stages_from_disk_match_run_all(pipeline, tmp_path):
     """Each stage in its own ``main`` call reads its inputs from disk; the
     files must equal those of ``run-all``, whose stages hand objects on in
-    memory.  Each stage creates exactly the files ``FILES`` assigns to it."""
+    memory.  Each stage creates exactly the files ``FILES`` assigns to it,
+    and leaves the files of the stages before it as they were."""
     cfg = cli.RunConfig(str(pipeline["config"]))
     expanded = {kind: _expand(pattern, cfg) for kind, (pattern, _) in cli.FILES.items()}
     out = tmp_path / "staged"
-    before = set()
+    before = {}
     for stage in cli.STAGES:
         assert cli.main([stage, "--config", str(pipeline["config"]), "--out", str(out)]) == 0
         assert not cli._memo
-        after = set(os.listdir(out))
-        assert after - before == set().union(
+        after = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert after.keys() - before.keys() == set().union(
             *(expanded[kind] for kind, (_, by) in cli.FILES.items() if by == stage)), stage
+        assert {name: after[name] for name in before} == before, stage
         before = after
     names = sorted(os.listdir(out))
     assert names == sorted(os.listdir(pipeline["out"]))
@@ -491,7 +512,7 @@ def test_every_table_goes_through_write_table(pipeline, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["run-all", "--config", str(pipeline["config"]), "--out", str(out)]) == 0
     cfg = cli.RunConfig(str(pipeline["config"]))
-    models = {"baseline", "seasonal", "covid", "coda"}
+    models = {"baseline", "seasonal", "covid", "coda", "annual_effects"}
     tables = set().union(*(_expand(pattern, cfg)
                            for kind, (pattern, _) in cli.FILES.items() if kind not in models))
     assert sorted(written) == sorted(tables)
@@ -516,10 +537,9 @@ def test_forecast_files_match_the_per_scenario_oracle(pipeline, tmp_path, monkey
             assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
     elif case == "all":
         for name in os.listdir(out):
-            if name.startswith("covid_") and not name.startswith("covid_fit_"):
-                layer = ds.load_model(str(out / name))
-                ds.save_model(dataclasses.replace(layer, X=np.zeros_like(layer.X)),
-                              str(out / name))
+            if name.startswith("annual_effects_"):
+                eff = ds.load_model(str(out / name))
+                ds.save_model(dataclasses.replace(eff, X=np.zeros_like(eff.X)), str(out / name))
     made = []
     real = af.forecast_scenarios
 

@@ -13,6 +13,7 @@ from pandmort.datastore import (
     GENDERS,
     MAX_WEEKS,
     AgeIndex,
+    AnnualEffects,
     AnnualPanel,
     BaselineModel,
     CodaFit,
@@ -25,7 +26,6 @@ from pandmort.datastore import (
     read_annual_panel_csv,
     read_weekly_panel_csv,
     save_model,
-    series_labels,
     week_mask,
     write_annual_panel_csv,
     write_table,
@@ -184,7 +184,7 @@ def test_baseline_model_roundtrip(baseline_model, tmp_path):
         np.testing.assert_array_equal(back.kappa[key], baseline_model.kappa[key])
     np.testing.assert_array_equal(back.sigma, baseline_model.sigma)
     assert back.theta == baseline_model.theta
-    assert first_line(path) == "#schema:BaselineModel v1"
+    assert first_line(path) == "#schema:BaselineModel v2"
 
 
 def first_line(path):
@@ -251,7 +251,7 @@ def test_load_model_tolerates_comment_lines(baseline_model, tmp_path):
 def test_load_model_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#schema:BaselineModel v1\n")
+        fh.write("#schema:BaselineModel v2\n")
         fh.write("garbage line without commas\n")
     with pytest.raises(ParseError) as err:
         load_model(str(path))
@@ -260,7 +260,7 @@ def test_load_model_reports_line_numbers(tmp_path):
 
 def test_load_model_unknown_schema(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("#schema:Mystery v1\n")
+    path.write_text("#schema:Mystery v2\n")
     with pytest.raises(ParseError):
         load_model(str(path))
 
@@ -502,8 +502,8 @@ def test_weekly_panel_csv_contract_exposure_on_some_rows_only(tmp_path):
 
 def _tiny_models():
     """One small model per type and variant: every optional group absent
-    (``coda`` has none: that variant is the degenerate fit) or present.  A
-    baseline has no optional group, so it has only the one variant."""
+    (``coda`` has none: that variant is the degenerate fit) or present.  The
+    other types have no optional group, so each has only the one variant."""
     ages, years = np.arange(60, 62), np.arange(2017, 2020)
     layers = dict(
         countries=("AAA",), ages=ages, years=years,
@@ -522,9 +522,8 @@ def _tiny_models():
     K = np.full((2, MAX_WEEKS), np.nan)
     K[0, :2] = [0.5, -0.5]
     K[1, :3] = [1.0, 2.0, 5e-324]
-    covid = dict(country="BBB", gender="m", ages=(AgeIndex(40, 64), AgeIndex(65, 65)),
-                 years=(2020, 2021), weeks_in_year={2020: 2, 2021: 3}, method=2,
-                 B=np.array([0.6, 0.8]), K=K)
+    owner = dict(country="BBB", gender="m", ages=(AgeIndex(40, 64), AgeIndex(65, 65)),
+                 years=(2020, 2021))
     coda = dict(year=2021, gender="f", ages=np.arange(40, 42), alpha=np.array([0.5, 0.25]),
                 beta=np.array([2 ** -0.5, -(2 ** -0.5)]), kappa=np.array([1.0, -1.0, 0.0]),
                 explained_variance=0.875)
@@ -533,22 +532,24 @@ def _tiny_models():
             **layers, theta={"m": -1.0, "f": -0.5},
             delta={("AAA", "m"): -0.2, ("AAA", "f"): 0.0},
             delta_tstat={("AAA", "m"): -1.5, ("AAA", "f"): np.inf},
-            sigma=sigma, series=("K|m", "K|f", "kappa|AAA|m", "kappa|AAA|f")),
+            sigma=sigma),
         ("seasonal", "absent"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4),
         ("seasonal", "present"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4,
                                                 coeffs=np.array([1.5, 0.5, 1.0, 1.0 / 3])),
-        ("covid", "absent"): CovidLayer(**covid),
-        ("covid", "present"): CovidLayer(**covid, V=np.array([0.8, 0.6]),
-                                         X=np.array([0.3, -0.1])),
+        ("covid", "present"): CovidLayer(**owner, weeks_in_year={2020: 2, 2021: 3}, method=2,
+                                         B=np.array([0.6, 0.8]), K=K),
+        ("annual", "present"): AnnualEffects(**owner, V=np.array([0.8, 0.6]),
+                                             X=np.array([0.3, -0.1])),
         ("coda", "absent"): CodaFit(**coda, degenerate=True),
         ("coda", "present"): CodaFit(**coda),
     }
 
 
 # The text save_model writes for each of _tiny_models(), pinned: these are
-# the bytes the model file format has always had.
+# the bytes of version 2 of the model file format.  A change of them is a
+# new format version.
 BASELINE_PRESENT = """\
-#schema:BaselineModel v1
+#schema:BaselineModel v2
 key,index1,index2,value
 ages,,,60;61
 years,,,2017;2019
@@ -587,10 +588,6 @@ kappa,AAA|f,2018,0
 kappa,AAA|f,2019,0
 delta,AAA|f,,0
 delta_tstat,AAA|f,,inf
-series,0,,K|m
-series,1,,K|f
-series,2,,kappa|AAA|m
-series,3,,kappa|AAA|f
 sigma,0,0,0.25
 sigma,0,1,0.125
 sigma,0,2,0
@@ -610,7 +607,7 @@ sigma,3,3,2
 """
 
 SEASONAL_ABSENT = """\
-#schema:SeasonalEffect v1
+#schema:SeasonalEffect v2
 key,index1,index2,value
 country,,,AAA
 gender,,,f
@@ -628,19 +625,18 @@ coef,2,,1
 coef,3,,0.33333333333333331
 """
 
-COVID_ABSENT = """\
-#schema:CovidLayer v1
+COVID_PRESENT = """\
+#schema:CovidLayer v2
 key,index1,index2,value
 country,,,BBB
 gender,,,m
-method,,,2
-degenerate,,,0
-weeks,2020,,2
-weeks,2021,,3
 age,0,,40_64
 B,0,,0.59999999999999998
 age,1,,65
 B,1,,0.80000000000000004
+method,,,2
+weeks,2020,,2
+weeks,2021,,3
 K,2020,1,0.5
 K,2020,2,-0.5
 K,2021,1,1
@@ -648,15 +644,22 @@ K,2021,2,2
 K,2021,3,4.9406564584124654e-324
 """
 
-COVID_PRESENT = COVID_ABSENT + """\
+ANNUAL_PRESENT = """\
+#schema:AnnualEffects v2
+key,index1,index2,value
+country,,,BBB
+gender,,,m
+age,0,,40_64
 V,0,,0.80000000000000004
+age,1,,65
 V,1,,0.59999999999999998
+degenerate,,,0
 X,2020,,0.29999999999999999
 X,2021,,-0.10000000000000001
 """
 
 CODA_ABSENT = """\
-#schema:CodaFit v1
+#schema:CodaFit v2
 key,index1,index2,value
 year,,,2021
 gender,,,f
@@ -677,7 +680,7 @@ CODA_PRESENT = CODA_ABSENT.replace("degenerate,,,1", "degenerate,,,0")
 MODEL_TEXT = {
     ("baseline", "present"): BASELINE_PRESENT,
     ("seasonal", "absent"): SEASONAL_ABSENT, ("seasonal", "present"): SEASONAL_PRESENT,
-    ("covid", "absent"): COVID_ABSENT, ("covid", "present"): COVID_PRESENT,
+    ("covid", "present"): COVID_PRESENT, ("annual", "present"): ANNUAL_PRESENT,
     ("coda", "absent"): CODA_ABSENT, ("coda", "present"): CODA_PRESENT,
 }
 
@@ -725,24 +728,27 @@ CORRUPTIONS = {
     "baseline bad age span": (BASELINE_PRESENT, ("ages,,,60;61", "ages,,,60"), "row ages,,"),
     "baseline bad country index": (BASELINE_PRESENT, ("country,0,", "country,x,"),
                                    "missing row country,0,"),
-    "baseline series label": (BASELINE_PRESENT, ("series,0,,K|m", "series,0,,kappa|AAA|f"),
-                              "row series,0,: label 'kappa|AAA|f', but the countries give 'K|m'"),
+    "baseline v1 header": (BASELINE_PRESENT, ("BaselineModel v2\n", "BaselineModel v1\n"),
+                           "line 1: unknown schema 'BaselineModel v1'"),
+    # the series labels are those of `period_series`, so no file stores them
+    "baseline series label": (BASELINE_PRESENT, ("sigma,0,0,", "series,0,,K|m\nsigma,0,0,"),
+                              "unexpected row series,0,"),
     "baseline series of another country": (
-        BASELINE_PRESENT, ("series,3,,kappa|AAA|f", "series,3,,kappa|BBB|f"),
-        "row series,3,: label 'kappa|BBB|f', but the countries give 'kappa|AAA|f'"),
+        BASELINE_PRESENT, ("sigma,0,0,", "series,3,,kappa|BBB|f\nsigma,0,0,"),
+        "unexpected row series,3,"),
     "covid missing K": (COVID_PRESENT, ("K,2021,2,2\n", ""), "missing row K,2021,2"),
-    "covid missing first X": (COVID_PRESENT, ("X,2020,,0.29999999999999999\n", ""),
-                              "missing row X,2020,"),
-    "covid missing V": (COVID_PRESENT, ("V,0,,0.80000000000000004\n", ""), "missing row V,0,"),
-    "covid bad method": (COVID_ABSENT, ("method,,,2", "method,,,two"), "row method,,"),
-    "covid bad age label": (COVID_ABSENT, ("age,1,,65", "age,1,,6x5"), "row age,1,"),
-    "covid inverted age group": (COVID_ABSENT, ("age,0,,40_64", "age,0,,64_40"), "row age,0,"),
-    "covid three-part age label": (COVID_ABSENT, ("age,0,,40_64", "age,0,,40_64_70"),
+    "covid V row": (COVID_PRESENT, ("method,", "V,0,,0.80000000000000004\nmethod,"),
+                    "unexpected row V,0,"),
+    "covid bad method": (COVID_PRESENT, ("method,,,2", "method,,,two"), "row method,,"),
+    "covid bad age label": (COVID_PRESENT, ("age,1,,65", "age,1,,6x5"), "row age,1,"),
+    "covid inverted age group": (COVID_PRESENT, ("age,0,,40_64", "age,0,,64_40"), "row age,0,"),
+    "covid three-part age label": (COVID_PRESENT, ("age,0,,40_64", "age,0,,40_64_70"),
                                    "row age,0,"),
-    "covid bad degenerate flag": (COVID_ABSENT, ("degenerate,,,0", "degenerate,,,no"),
-                                  "row degenerate,,"),
-    "covid too many weeks": (COVID_ABSENT, ("weeks,2021,,3", "weeks,2021,,54"), "row weeks,2021,"),
-    "covid bad year": (COVID_ABSENT, ("weeks,2020,,2", "weeks,20x0,,2"), "row weeks,20x0"),
+    "covid too many weeks": (COVID_PRESENT, ("weeks,2021,,3", "weeks,2021,,54"), "row weeks,2021,"),
+    "covid bad year": (COVID_PRESENT, ("weeks,2020,,2", "weeks,20x0,,2"), "row weeks,20x0"),
+    "annual missing V": (ANNUAL_PRESENT, ("V,0,,0.80000000000000004\n", ""), "missing row V,0,"),
+    "annual bad degenerate flag": (ANNUAL_PRESENT, ("degenerate,,,0", "degenerate,,,no"),
+                                   "row degenerate,,"),
     "seasonal missing coef": (SEASONAL_PRESENT, ("coef,2,,1\n", ""), "missing row coef,2,"),
     "seasonal missing phi": (SEASONAL_ABSENT, ("phi,17,,1\n", ""), "missing row phi,17,"),
     "seasonal bad knots": (SEASONAL_ABSENT, ("knots,,,4", "knots,,,4.5"), "row knots,,"),
@@ -817,7 +823,6 @@ def baseline_models(draw):
     u = _floats(draw, n, st.floats(-1, 1))
     d = _floats(draw, n, st.one_of(st.sampled_from((0.0, 5e-324, 1e300)), st.floats(0, 10)))
     fields["sigma"] = np.outer(u, u) + np.diag(d)
-    fields["series"] = series_labels(countries)
     return BaselineModel(**fields)
 
 
@@ -833,24 +838,31 @@ def seasonal_models(draw):
                           knots=draw(st.integers(-3, 60)), coeffs=coeffs)
 
 
-@st.composite
-def covid_layers(draw):
+def _owner(draw):
+    """The fields that a CovidLayer and its AnnualEffects share."""
     lows = np.cumsum([draw(st.integers(0, 90))] + draw(st.lists(st.integers(1, 5), max_size=3)))
     ages = tuple(AgeIndex(int(lo), int(hi) - 1) for lo, hi in zip(lows, lows[1:]))
     ages += (AgeIndex(int(lows[-1]), int(lows[-1]) + draw(st.integers(0, 30))),)
     years = tuple(sorted(draw(st.sets(st.integers(2015, 2025), min_size=1, max_size=3))))
-    weeks = {t: draw(st.integers(0, MAX_WEEKS)) for t in years}
-    K = np.full((len(years), MAX_WEEKS), np.nan)
-    for j, t in enumerate(years):
+    return dict(country=draw(LABEL), gender=draw(LABEL), ages=ages, years=years)
+
+
+@st.composite
+def covid_layers(draw):
+    owner = _owner(draw)
+    weeks = {t: draw(st.integers(0, MAX_WEEKS)) for t in owner["years"]}
+    K = np.full((len(weeks), MAX_WEEKS), np.nan)
+    for j, t in enumerate(owner["years"]):
         K[j, :weeks[t]] = _floats(draw, weeks[t])
-    degenerate = draw(st.booleans())
-    unit = (lambda n: _floats(draw, n)) if degenerate else (lambda n: _unit(draw, n, True))
-    return CovidLayer(
-        country=draw(LABEL), gender=draw(LABEL), ages=ages, years=years, weeks_in_year=weeks,
-        method=draw(st.sampled_from((1, 2))), B=unit(len(ages)), K=K,
-        V=unit(len(ages)) if draw(st.booleans()) else None,
-        X=_floats(draw, len(years)) if draw(st.booleans()) else None, degenerate=degenerate,
-    )
+    return CovidLayer(**owner, weeks_in_year=weeks, method=draw(st.sampled_from((1, 2))),
+                      B=_unit(draw, len(owner["ages"]), True), K=K)
+
+
+@st.composite
+def annual_effects(draw):
+    owner = _owner(draw)
+    return AnnualEffects(**owner, V=_unit(draw, len(owner["ages"])),
+                         X=_floats(draw, len(owner["years"])), degenerate=draw(st.booleans()))
 
 
 @st.composite
@@ -869,7 +881,8 @@ def coda_fits(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(baseline_models(), seasonal_models(), covid_layers(), coda_fits()))
+@given(st.one_of(baseline_models(), seasonal_models(), covid_layers(), annual_effects(),
+                 coda_fits()))
 def test_model_save_load_save_round_trip(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("roundtrip") / "model.csv"
     save_model(model, str(path))

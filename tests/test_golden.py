@@ -28,7 +28,7 @@ from pandmort.datastore import GENDERS, SeasonalEffect
 # pipeline imports no SciPy, so SciPy's version does not enter the outputs.
 GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 SYNTH_SHA256 = "892c435e313605970b88153d788366462dffaca7b25a14af127df8309ce5d421"
-GOLDEN_SHA256 = "1ea03f55f5f7f6e2bb4fea3a07a4b8c3a0de9a0adf6b1400daa64fd494ebc579"
+GOLDEN_SHA256 = "6353e5629627121c8f1b315cc815707f20bc2afa8d9979ddd6e14d1922fdaa15"
 FIT_SHA256 = "6cf377e640e9774613d390f8cfe1c1782183e1555bc222a5a1c5aa6439eef2ab"
 MASKED_FIT_SHA256 = "ed59dec606bbbd2eebfcb15519cdcc615e056d6730849ec7be9ef21268ade13d"
 

@@ -98,6 +98,13 @@ def test_fit_rejects_few_knots(phi_truth):
         se.fit_seasonal_spline(fr, knots=3)
 
 
+def test_fit_rejects_more_knots_than_weekly_averages(phi_truth):
+    fr = make_fractions(phi_truth, range(2010, 2014))
+    assert len(se.fit_seasonal_spline(fr, knots=52).coeffs) == 52
+    with pytest.raises(ValidationError, match="needs 4 to 52 knots, got 60"):
+        se.fit_seasonal_spline(fr, knots=60)
+
+
 def test_fit_rejects_nonpositive_curve():
     # extreme concentration in one week forces the spline negative elsewhere
     f = np.full(52, 1e-6)

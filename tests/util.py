@@ -38,8 +38,11 @@ def assert_baseline_constraints(model):
 def assert_covid_constraints(layer):
     assert abs(np.linalg.norm(layer.B) - 1.0) < NORM_TOL
     assert layer.B.sum() >= -NORM_TOL
-    if layer.V is not None:
-        assert abs(np.linalg.norm(layer.V) - 1.0) < NORM_TOL
+
+
+def assert_annual_constraints(effects):
+    assert len(effects.V) == len(effects.ages) and len(effects.X) == len(effects.years)
+    assert abs(np.linalg.norm(effects.V) - 1.0) < NORM_TOL
 
 
 def assert_seasonal_constraints(effect):
@@ -53,11 +56,12 @@ def assert_coda_constraints(fit):
     assert abs(np.linalg.norm(fit.beta) - 1.0) < NORM_TOL
 
 
-def annual_survival_gap(layer, phi, mu):
-    """Relative gap per age between the annual and weekly two-year survival
-    probabilities; the defining identity of the annualization."""
+def annual_survival_gap(layer, effects, phi, mu):
+    """Relative gap per age between the annual two-year survival probability
+    of ``effects`` and the weekly one of ``layer``; the defining identity of
+    the annualization."""
     m = weekly_mean_factor(layer, phi)
-    lhs = np.exp(-(mu * np.exp(np.outer(layer.V, layer.X))).sum(axis=1))
+    lhs = np.exp(-(mu * np.exp(np.outer(effects.V, effects.X))).sum(axis=1))
     rhs = np.exp(-(mu * m).sum(axis=1))
     return np.abs(lhs - rhs) / rhs
 

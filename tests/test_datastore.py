@@ -502,8 +502,10 @@ def test_weekly_panel_csv_contract_exposure_on_some_rows_only(tmp_path):
 
 def _tiny_models():
     """One small model per type and variant: every optional group absent
-    (``coda`` has none: that variant is the degenerate fit) or present.  The
-    other types have no optional group, so each has only the one variant."""
+    (``coda`` has none: that variant is the degenerate fit; ``covid`` has
+    none: that variant is the method-1 fit, with no seasonal effect applied)
+    or present.  The other types have no optional group, so each has only the
+    one variant."""
     ages, years = np.arange(60, 62), np.arange(2017, 2020)
     layers = dict(
         countries=("AAA",), ages=ages, years=years,
@@ -536,6 +538,8 @@ def _tiny_models():
         ("seasonal", "absent"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4),
         ("seasonal", "present"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4,
                                                 coeffs=np.array([1.5, 0.5, 1.0, 1.0 / 3])),
+        ("covid", "absent"): CovidLayer(**owner, weeks_in_year={2020: 2, 2021: 3}, method=1,
+                                        B=np.array([0.6, 0.8]), K=K),
         ("covid", "present"): CovidLayer(**owner, weeks_in_year={2020: 2, 2021: 3}, method=2,
                                          B=np.array([0.6, 0.8]), K=K),
         ("annual", "present"): AnnualEffects(**owner, V=np.array([0.8, 0.6]),
@@ -644,6 +648,8 @@ K,2021,2,2
 K,2021,3,4.9406564584124654e-324
 """
 
+COVID_ABSENT = COVID_PRESENT.replace("method,,,2", "method,,,1")
+
 ANNUAL_PRESENT = """\
 #schema:AnnualEffects v2
 key,index1,index2,value
@@ -680,7 +686,8 @@ CODA_PRESENT = CODA_ABSENT.replace("degenerate,,,1", "degenerate,,,0")
 MODEL_TEXT = {
     ("baseline", "present"): BASELINE_PRESENT,
     ("seasonal", "absent"): SEASONAL_ABSENT, ("seasonal", "present"): SEASONAL_PRESENT,
-    ("covid", "present"): COVID_PRESENT, ("annual", "present"): ANNUAL_PRESENT,
+    ("covid", "absent"): COVID_ABSENT, ("covid", "present"): COVID_PRESENT,
+    ("annual", "present"): ANNUAL_PRESENT,
     ("coda", "absent"): CODA_ABSENT, ("coda", "present"): CODA_PRESENT,
 }
 

@@ -322,7 +322,7 @@ def stage_calibrate_covid(cfg, out):
             if cfg.method == 2:
                 seasonal = _read(out, "seasonal", ds.load_model, c=c, g=g)
             full = _reconstruct_weekly(cfg, out, c, g, historical)
-            work = full.select_ages(lo, hi).validate(require_exposures=True)
+            work = full.select_ages(lo, hi)
             mu = cl.group_baseline_mu(model, c, g, work.ages, work.years)
             pred = cl.predicted_deaths(work, mu, seasonal=seasonal, method=cfg.method)
             layer = cl.calibrate_covid(work, pred, cfg.method)
@@ -355,7 +355,7 @@ def stage_annualize(cfg, out):
     for c in cfg.countries:
         for g in ds.GENDERS:
             layer = _read(out, "covid", ds.load_model, c=c, g=g)
-            phi = (_read(out, "seasonal", ds.load_model, c=c, g=g).phi if cfg.method == 2
+            phi = (_read(out, "seasonal", ds.load_model, c=c, g=g).phi if layer.method == 2
                    else np.ones(ds.MAX_WEEKS))
             mu = cl.group_baseline_mu(model, c, g, layer.ages, layer.years)
             _write(cfg, out, "annual_effects", af.annualize(layer, phi, mu), ds.save_model,

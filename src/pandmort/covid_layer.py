@@ -53,6 +53,8 @@ def predicted_deaths(panel, mu, seasonal=None, method=2):
     if method == 2 and seasonal is None:
         raise ValidationError("Method 2 requires a fitted seasonal effect")
     panel.validate(require_exposures=True)
+    if mu.shape != (len(panel.ages), len(panel.years)):
+        raise ValidationError("predicted_deaths: mu shape does not match the panel")
     phi = np.ones(MAX_WEEKS) if method == 1 else seasonal.phi
     used = week_mask(panel.years, panel.weeks_in_year)
     return np.where(used, panel.exposures * mu[:, :, None] * phi, np.nan)

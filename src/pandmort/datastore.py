@@ -157,8 +157,8 @@ def week_mask(years, weeks_in_year):
 class WeeklyPanel:
     """Weekly deaths (and optionally exposures) for one country and gender.
 
-    Arrays have shape (nages, nyears, 53); weeks beyond ``weeks_in_year[t]``
-    are NaN-padded.
+    Deaths and exposures have shape (nages, nyears, 53); weeks beyond
+    ``weeks_in_year[t]`` are NaN-padded.
     """
 
     country: str
@@ -170,50 +170,39 @@ class WeeklyPanel:
     exposures: np.ndarray = None
 
     def validate(self, require_exposures=False):
+        """Check the arrays' shapes, then that every year has 52 or 53 weeks
+        and every cell of those weeks finite non-negative deaths and finite
+        positive exposures.  A failure names the first failing year, in the
+        order of ``years``, and that year's first failing check."""
         shape = (len(self.ages), len(self.years), MAX_WEEKS)
         if self.deaths.shape != shape:
             raise ValidationError(f"WeeklyPanel: deaths shape != {shape}")
-        if not self._cells_valid(shape):
-            self._check_each_year()
+        if self.exposures is not None and self.exposures.shape != shape:
+            raise ValidationError(f"WeeklyPanel: exposures shape != {shape}")
+        weeks = np.array([self.weeks_in_year[t] for t in self.years])
+        used = np.arange(MAX_WEEKS) < weeks[:, None]
+        d = self.deaths[:, used]
+        # each check, in the order reported, as where it holds (per year or per
+        # used cell) and its message; a NaN fails the sign checks too, but only
+        # after it has failed the finiteness check before them
+        checks = [((weeks == 52) | (weeks == 53), "weeks in year {t} = {w}"),
+                  (np.isfinite(d), "non-finite deaths in year {t}"),
+                  (d >= 0, "negative deaths in year {t}")]
+        if self.exposures is not None:
+            e = self.exposures[:, used]
+            checks += [(np.isfinite(e), "non-finite exposures in year {t}"),
+                       (e > 0, "non-positive exposure in year {t}")]
+        if not all(ok.all() for ok, _ in checks):
+            year = np.nonzero(used)[0]  # the year index of each used cell's column
+            failed = np.stack([~checks[0][0]] + [
+                np.bincount(year[~ok.all(axis=0)], minlength=len(weeks)) > 0
+                for ok, _ in checks[1:]], axis=1)  # (year, check)
+            j, k = divmod(int(failed.argmax()), len(checks))
+            raise ValidationError("WeeklyPanel: " + checks[k][1].format(t=self.years[j],
+                                                                        w=weeks[j]))
         if require_exposures and self.exposures is None:
             raise ValidationError("WeeklyPanel: exposures required but missing")
         return self
-
-    def _cells_valid(self, shape):
-        """Whether every year has 52 or 53 weeks, and every cell of those weeks
-        finite non-negative deaths and finite positive exposures, checked on
-        all years at once."""
-        if any(self.weeks_in_year[t] not in (52, 53) for t in self.years):
-            return False
-        used = week_mask(self.years, self.weeks_in_year)
-        d = self.deaths[:, used]
-        if not np.isfinite(d).all() or (d < 0).any():
-            return False
-        if self.exposures is None:
-            return True
-        if self.exposures.shape != shape:
-            return False
-        e = self.exposures[:, used]
-        return bool(np.isfinite(e).all() and not (e <= 0).any())
-
-    def _check_each_year(self):
-        """The checks of `_cells_valid` year by year, in the order of
-        ``years``: raises the ValidationError of the first failing year."""
-        for j, t in enumerate(self.years):
-            wt = self.weeks_in_year[t]
-            if wt not in (52, 53):
-                raise ValidationError(f"WeeklyPanel: weeks in year {t} = {wt}")
-            block = self.deaths[:, j, :wt]
-            if not np.isfinite(block).all():
-                raise ValidationError(f"WeeklyPanel: non-finite deaths in year {t}")
-            if (block < 0).any():
-                raise ValidationError(f"WeeklyPanel: negative deaths in year {t}")
-            if self.exposures is not None:
-                eb = self.exposures[:, j, :wt]
-                if not np.isfinite(eb).all():
-                    raise ValidationError(f"WeeklyPanel: non-finite exposures in year {t}")
-                if (eb <= 0).any():
-                    raise ValidationError(f"WeeklyPanel: non-positive exposure in year {t}")
 
     def year_index(self, t):
         return self.years.index(t)

@@ -299,6 +299,27 @@ def test_forecast_after_calibrate_covid_rerun(pipeline, tmp_path):
         assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes(), name
 
 
+def test_annualize_takes_the_method_of_the_covid_layer(pipeline, tmp_path):
+    """``annualize`` applies phi exactly when the covid layer was fitted under
+    Method 2, so on a Method 2 run a config that now says ``method = 1``
+    gives the same annual effects, bit for bit."""
+    out = tmp_path / "method1"
+    shutil.copytree(pipeline["out"], out)
+    config = tmp_path / "method1.ini"
+    config.write_text(pipeline["config"].read_text().replace("method = 2", "method = 1"))
+    assert cli.main(["annualize", "--config", str(config), "--out", str(out)]) == 0
+    for c in ("AAA", "BBB"):
+        for g in ds.GENDERS:
+            name = f"annual_effects_{c}_{g}.csv"
+            new, old = (ds.load_model(str(d / name)) for d in (out, pipeline["out"]))
+            for f in dataclasses.fields(old):
+                a, b = getattr(new, f.name), getattr(old, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), (name, f.name)
+                else:
+                    assert a == b, (name, f.name)
+
+
 @pytest.mark.parametrize("name, lineno, field, text", [
     ("AAA_deaths.txt", 5, 2, "12x4"),
     ("weekly_deaths.csv", 3, 4, "8z"),

@@ -121,6 +121,11 @@ def test_predicted_deaths_methods(weekly_setup):
         cv.predicted_deaths(panel, mu, method=2)  # seasonal missing
     with pytest.raises(ValidationError):
         cv.predicted_deaths(panel, mu, method=3)
+    # a mu for one year is not spread over both, and one an age short is no bare ValueError
+    for part in (np.s_[:, :1], np.s_[:-1]):
+        with pytest.raises(ValidationError) as err:
+            cv.predicted_deaths(panel, mu[part], method=1)
+        assert str(err.value) == "predicted_deaths: mu shape does not match the panel"
 
 
 def test_calibrate_covid_recovers_truth(weekly_setup, pandemic_truth):

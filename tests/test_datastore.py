@@ -160,6 +160,17 @@ def test_weekly_panel_validate_names_the_first_failing_year(case):
         assert str(err.value) == "WeeklyPanel: " + message.format(2020)
 
 
+@pytest.mark.parametrize("extra", [(1, 0, 0), (0, 0, 60 - MAX_WEEKS)], ids=["age row", "60 weeks"])
+def test_weekly_panel_validate_checks_the_exposures_shape(extra):
+    """Exposures off the deaths' grid, by an extra age row or by 60 weeks, are
+    a ValidationError, not a broadcasting error in the fit that follows."""
+    panel = _valid_weekly_panel()
+    exposures = np.full(np.add(panel.deaths.shape, extra), 1e3)
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(panel, exposures=exposures).validate(require_exposures=True)
+    assert str(err.value) == f"WeeklyPanel: exposures shape != {panel.deaths.shape}"
+
+
 def test_weekly_panel_validate_checks_cells_before_missing_exposures():
     panel = dataclasses.replace(_valid_weekly_panel(), exposures=None).validate()
     with pytest.raises(ValidationError) as err:

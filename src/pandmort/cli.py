@@ -293,11 +293,15 @@ def _pandemic_deaths(cfg, out, c, g, historical):
 
 
 def _reconstruct_weekly(cfg, out, c, g, historical):
-    """Disaggregated pandemic-year deaths plus projected weekly exposures."""
+    """Disaggregated pandemic-year deaths plus weekly exposures projected
+    from the 1 January snapshot of the first pandemic year."""
     indiv = _pandemic_deaths(cfg, out, c, g, historical)
-    snaps = _read(out, "population", ig.parse_population, c=c)
-    snaps = [s for s in snaps if s.gender == g]
-    start = snaps[-1]
+    date = (PANDEMIC_YEARS[0], 1, 1)
+    start = next((s for s in _read(out, "population", ig.parse_population, c=c)
+                  if s.gender == g and s.date == date), None)
+    if start is None:
+        raise IngestError(f"{FILES['population'][0].format(c=c)}: no {date[0]}-01-01 "
+                          f"population snapshot for sex {g}")
     panel_ages = np.array([a.low for a in indiv.ages])
     if not np.array_equal(start.ages, panel_ages):
         raise IngestError(f"population ages do not match weekly panel ages for {c}/{g}")

@@ -77,13 +77,12 @@ def calibrate_covid(panel, pred, method):
     if D.sum() == 0:
         raise NumericalError("all-zero death counts; pandemic layer undefined")
 
-    # Start from a uniform age effect and week effects matching weekly totals.
-    b0 = np.full(nages, 1.0 / np.sqrt(nages))
+    # Start from the fit's uniform age effect and week effects matching weekly totals.
     tot_d = D.sum(axis=0)
     tot_p = P.sum(axis=0)
     with np.errstate(divide="ignore"):
         k0 = np.where(tot_d > 0, np.sqrt(nages) * np.log(np.maximum(tot_d, 1e-300) / tot_p), 0.0)
-    _, b, k, trace = fit_bilinear_poisson(D, P, fit_level=False, b0=b0, k0=k0)
+    _, b, k, trace = fit_bilinear_poisson(D, P, fit_level=False, k0=k0)
     if b.sum() < 0:
         b, k = -b, -k
     log.info(

@@ -301,8 +301,8 @@ class SeasonalEffect:
     """Multiplicative weekly seasonal factor for one country and gender.
 
     ``phi`` has length 53 (week 53 repeats week 52); ``coeffs`` are the
-    periodic-spline coefficients so the smooth curve can be re-evaluated
-    after a load.
+    ``knots`` periodic-spline coefficients ``phi`` comes from, which a saved
+    effect needs and an unsaved one may leave None.
     """
 
     country: str
@@ -319,14 +319,6 @@ class SeasonalEffect:
         if abs(self.phi[:52].mean() - 1.0) > SUM_TOL:
             raise ValidationError("SeasonalEffect: mean-one constraint violated")
         return self
-
-    def curve(self, w, derivative=0):
-        """Evaluate the fitted periodic spline at (possibly fractional) week w."""
-        from .seasonal import evaluate_cyclic_spline
-
-        if self.coeffs is None:
-            raise ValidationError("SeasonalEffect: no spline coefficients stored")
-        return evaluate_cyclic_spline(self.coeffs, np.asarray(w, dtype=float), derivative)
 
 
 @dataclass(frozen=True)
@@ -522,10 +514,9 @@ class _Rows:
                             for k, i1, _ in self.rows if k == key))
 
 
-# Each layout below is the one description of its model's file format.  The
-# one optional group, a seasonal effect's coef rows, is present when any of
-# its rows is, and then needs all of them; every other row, a baseline's
-# time-series fit included, is always there.
+# Each layout below is the one description of its model's file format.  No
+# group is optional: every row, a baseline's time-series fit and a seasonal
+# effect's coef rows included, is always there.
 
 
 def _baseline_layout(r, m):
@@ -567,9 +558,7 @@ def _seasonal_layout(r, m):
     gender = r.row(m and m.gender, "gender", codec=_TEXT)
     knots = r.row(m and m.knots, "knots", codec=_INT)
     phi = np.array([r.row(m and m.phi[w - 1], "phi", w) for w in range(1, MAX_WEEKS + 1)])
-    coeffs = None
-    if n := r.count(m and m.coeffs is not None and len(m.coeffs), "coef"):
-        coeffs = np.array([r.row(m and m.coeffs[i], "coef", i) for i in range(n)])
+    coeffs = np.array([r.row(m and m.coeffs[i], "coef", i) for i in range(knots)])
     return SeasonalEffect(country=country, gender=gender, phi=phi, knots=knots, coeffs=coeffs)
 
 

@@ -284,27 +284,35 @@ def parse_stmf_countries(path, countries, open_group_high=TOP_AGE):
         country, yi, week, sex, length, line = (
             v[keep] for v in (country, yi, week, sex, length, line))
     shape = (len(code), 2, len(years), MAX_WEEKS + 1)
-    _check_cells(path, np.ravel_multi_index((country, sex, yi, week), shape),
-                 np.zeros(shape, dtype=bool),
-                 lambda c, g, j, w: f"row for year {years[j]}, week {w}, sex {'mf'[g]}",
-                 IngestError)
+    cell = np.ravel_multi_index((country, sex, yi, week), shape)
+    # a row's value errors are reported before a later row's duplicate key, so
+    # the value checks below look only at the n rows before the first repeat
+    n = len(cell)
+    if n and np.bincount(cell).max() > 1:
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(cell, return_index=True)[1]] = False
+        n = int(np.argmax(repeat))
     ncols = len(value_cols)
-    bad = length - 4 - np.searchsorted(flag_cols, length) != ncols
+    bad = length[:n] - 4 - np.searchsorted(flag_cols, length[:n]) != ncols
     if bad.any():
         raise IngestError(f"{path}: line {lineno(int(np.argmax(bad)))}: "
                           f"expected {ncols} group values")
+    counts = np.array([_numbers(path, cols[i][:n], float, lineno, IngestError)
+                       for i in value_cols])
+    counts = counts.reshape(ncols, n)  # one row per age group
+    bad = (counts < 0).any(axis=0)
+    if bad.any():
+        raise IngestError(f"{path}: line {lineno(int(np.argmax(bad)))}: negative death count")
+    if n < len(cell):
+        raise IngestError(f"{path}: duplicate row for year {years[yi[n]]}, week {week[n]}, "
+                          f"sex {'mf'[sex[n]]}")
     flagged = np.zeros(len(line), dtype=bool)
     for f in flag_cols:
         flagged |= ~np.fromiter(map(("", "0").__contains__, cols[f]), bool, len(line))
     if flagged.any():
         log.warning("%s: %d rows carry Split/Forecast flags; counts used as-is",
                     path, flagged.sum())
-    counts = np.array([_numbers(path, cols[i], float, lineno, IngestError) for i in value_cols])
-    counts = counts.reshape(ncols, len(line))  # one row per age group
     del cols
-    bad = (counts < 0).any(axis=0)
-    if bad.any():
-        raise IngestError(f"{path}: line {lineno(int(np.argmax(bad)))}: negative death count")
 
     # Week 0 of year t is the final week of year t-1.
     year = years[yi]

@@ -42,15 +42,15 @@ def _basis_knots(k):
     return np.arange(-3, k + 4) * h
 
 
-def _bspline_basis(x, t, k, nu=0):
+def _bspline_basis(x, t, k):
     """Dense (len(x), len(t) - k - 1) matrix of the degree-k B-spline basis on
-    knots ``t``, or of its ``nu``-th derivative, at the points ``x``.
+    knots ``t`` at the points ``x``.
 
-    Vectorised form of de Boor's recurrence as SciPy's ``_deBoor_D`` runs it:
-    k - nu value sweeps, then nu derivative sweeps, in the same order of
-    operations, so the entries equal SciPy's ``BSpline`` ones bit for bit.
-    Points outside [t[k], t[-k-1]] use the end polynomial pieces.  The knots
-    must be strictly increasing, as `_basis_knots` makes them.
+    Vectorised form of de Boor's recurrence as SciPy's ``_deBoor_D`` runs it,
+    in the same order of operations, so the entries equal SciPy's ``BSpline``
+    ones bit for bit.  Points outside [t[k], t[-k-1]] use the end polynomial
+    pieces.  The knots must be strictly increasing, as `_basis_knots` makes
+    them.
     """
     n_basis = len(t) - k - 1
     ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n_basis - 1)
@@ -62,20 +62,15 @@ def _bspline_basis(x, t, k, nu=0):
         for n in range(1, j + 1):
             xb = t[ell + n]
             xa = t[ell + n - j]
-            if j <= k - nu:
-                w = hh[:, n - 1] / (xb - xa)
-                h[:, n - 1] += w * (xb - x)
-                h[:, n] = w * (x - xa)
-            else:
-                w = j * hh[:, n - 1] / (xb - xa)
-                h[:, n - 1] -= w
-                h[:, n] = w
+            w = hh[:, n - 1] / (xb - xa)
+            h[:, n - 1] += w * (xb - x)
+            h[:, n] = w * (x - xa)
     out = np.zeros((len(x), n_basis))
     out[np.arange(len(x))[:, None], ell[:, None] + np.arange(-k, 1)] = h
     return out
 
 
-def cyclic_design_matrix(x, k, derivative=0):
+def cyclic_design_matrix(x, k):
     """Design matrix of the k-coefficient periodic cubic spline basis at x.
 
     Built from an ordinary cubic B-spline basis on [0, 52] whose columns are
@@ -83,15 +78,11 @@ def cyclic_design_matrix(x, k, derivative=0):
     derivative.
     """
     x = np.mod(np.asarray(x, dtype=float), PERIOD)
-    spl = _bspline_basis(x, _basis_knots(k), 3, derivative)
+    spl = _bspline_basis(x, _basis_knots(k), 3)
     folded = np.zeros((len(x), k))
     for j in range(spl.shape[1]):
         folded[:, j % k] += spl[:, j]
     return folded
-
-
-def evaluate_cyclic_spline(coeffs, x, derivative=0):
-    return cyclic_design_matrix(x, len(coeffs), derivative) @ coeffs
 
 
 def fit_seasonal_spline(fractions, country="", gender="", knots=DEFAULT_KNOTS):
@@ -123,7 +114,7 @@ def fit_seasonal_spline(fractions, country="", gender="", knots=DEFAULT_KNOTS):
 
     # Positivity check on a fine grid, not just the week points.
     grid = np.linspace(0.0, PERIOD, 1041)
-    if (evaluate_cyclic_spline(coeffs, grid) <= 0).any():
+    if (cyclic_design_matrix(grid, knots) @ coeffs <= 0).any():
         raise NumericalError("fitted seasonal spline is non-positive")
 
     scale = phi52.mean()

@@ -19,7 +19,7 @@ from .datastore import (
 )
 from .ingest import TOP_AGE, raw_path, weeks_in_iso_year
 
-PANDEMIC_WEEKS = {2020: 53, 2021: 52}
+PANDEMIC_WEEKS = {t: weeks_in_iso_year(t) for t in PANDEMIC_YEARS}
 
 
 def _smooth_noise(n, rng, scale, width=7):
@@ -207,17 +207,19 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
         ci = panel.country_index(c)
         for kind, table in (("deaths", panel.deaths), ("exposures", panel.exposures)):
             _write_hmd_file(raw_path(outdir, kind, c), years, ages, table[ci, 1], table[ci, 0])
-        # Start-of-year population snapshot for 2020 (exposure as head count).
+        # Population snapshot on 1 January of the first pandemic year (exposure as head count).
         write_table(raw_path(outdir, "population", c), "date,age,sex,count",
-                    format_rows("2020-01-01,%d,%s,%.2f\n", np.tile(ages, len(GENDERS)),
-                                np.repeat(GENDERS, len(ages)), panel.exposures[ci, :, :, -1]))
+                    format_rows(f"{PANDEMIC_YEARS[0]}-01-01,%d,%s,%.2f\n",
+                                np.tile(ages, len(GENDERS)), np.repeat(GENDERS, len(ages)),
+                                panel.exposures[ci, :, :, -1]))
 
-    # Weekly grouped deaths, 2010..2021; pandemic waves only in 2020/2021.
+    # Weekly grouped deaths, 2010 to the last pandemic year; waves only in pandemic years.
     # One Poisson call per (country, gender) over its (weeks x ages)
     # intensity fills the draws in C order, the order of one call per week.
     phi = seasonal_phi(0.18)
     pandemic = make_pandemic_truth(ages, seed=seed + 2)
-    calendar = [(t, w) for t in range(2010, 2022) for w in range(1, weeks_in_iso_year(t) + 1)]
+    calendar = [(t, w) for t in range(2010, PANDEMIC_YEARS[-1] + 1)
+                for w in range(1, weeks_in_iso_year(t) + 1)]
     t_col, w_col = np.array(calendar).T
     pan = np.isin(t_col, PANDEMIC_YEARS)
     # exp(0) is 1, so the weeks outside the pandemic need no factor.

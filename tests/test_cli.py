@@ -458,6 +458,50 @@ def test_duplicate_population_row_exits_3(pipeline, tmp_path):
                               f"sex {sex}, age {age}")
 
 
+def _run_on_population(pipeline, tmp_path, edit):
+    """run-all on a copy of the data whose population files' data lines are
+    replaced by ``edit(lines)``; returns its exit code and run directory."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    for c in ("AAA", "BBB"):
+        path = data / f"{c}_population.csv"
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([header, *edit(lines)]) + "\n", encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=data))
+    out = tmp_path / "out"
+    return cli.main(["run-all", "--config", str(config), "--out", str(out)]), out
+
+
+def test_projection_starts_from_the_first_pandemic_year_snapshot(pipeline, tmp_path):
+    """A later snapshot in the population files, here with half the counts,
+    changes only the population files and the config stamps: the exposure
+    projection starts from the 1 January 2020 snapshot."""
+    def add_2021(lines):
+        later = (line.replace("2020-01-01,", "2021-01-01,").rsplit(",", 1) for line in lines)
+        return lines + [f"{row},{float(count) / 2:.2f}" for row, count in later]
+
+    rc, out = _run_on_population(pipeline, tmp_path, add_2021)
+    assert rc == 0
+    assert sorted(os.listdir(out)) == sorted(os.listdir(pipeline["out"]))
+    for name in os.listdir(out):
+        if not name.startswith("population_"):
+            new, old = ([line for line in (d / name).read_text().splitlines()
+                         if not line.startswith("#confighash:")] for d in (out, pipeline["out"]))
+            assert new == old, name
+
+
+def test_population_without_the_first_pandemic_year_snapshot_exits_3(pipeline, tmp_path):
+    rc, out = _run_on_population(
+        pipeline, tmp_path, lambda lines: [line.replace("2020-01-01,", "2023-01-01,")
+                                           for line in lines])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert rec["stage"] == "calibrate-covid"
+    assert rec["error"] == "IngestError"
+    assert rec["message"] == "population_AAA.csv: no 2020-01-01 population snapshot for sex m"
+
+
 @pytest.mark.parametrize("row, message", [
     ("period,0", "expected 4 fields"),
     ("period,0,2031,abc", "bad number: could not convert string to float: 'abc'"),

@@ -512,11 +512,10 @@ def test_weekly_panel_csv_contract_exposure_on_some_rows_only(tmp_path):
 
 
 def _tiny_models():
-    """One small model per type and variant: every optional group absent
-    (``coda`` has none: that variant is the degenerate fit; ``covid`` has
-    none: that variant is the method-1 fit, with no seasonal effect applied)
-    or present.  The other types have no optional group, so each has only the
-    one variant."""
+    """One small model per type and variant.  No format has an optional
+    group: the ``absent`` variant of ``coda`` is the degenerate fit, and that
+    of ``covid`` the method-1 fit, with no seasonal effect applied.  The other
+    types have only the ``present`` variant."""
     ages, years = np.arange(60, 62), np.arange(2017, 2020)
     layers = dict(
         countries=("AAA",), ages=ages, years=years,
@@ -546,7 +545,6 @@ def _tiny_models():
             delta={("AAA", "m"): -0.2, ("AAA", "f"): 0.0},
             delta_tstat={("AAA", "m"): -1.5, ("AAA", "f"): np.inf},
             sigma=sigma),
-        ("seasonal", "absent"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4),
         ("seasonal", "present"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4,
                                                 coeffs=np.array([1.5, 0.5, 1.0, 1.0 / 3])),
         ("covid", "absent"): CovidLayer(**owner, weeks_in_year={2020: 2, 2021: 3}, method=1,
@@ -621,7 +619,7 @@ sigma,3,2,0
 sigma,3,3,2
 """
 
-SEASONAL_ABSENT = """\
+SEASONAL_PRESENT = """\
 #schema:SeasonalEffect v2
 key,index1,index2,value
 country,,,AAA
@@ -631,9 +629,6 @@ phi,1,,1.25
 """ + "".join(f"phi,{w},,1\n" for w in range(2, 52)) + """\
 phi,52,,0.75
 phi,53,,0.75
-"""
-
-SEASONAL_PRESENT = SEASONAL_ABSENT + """\
 coef,0,,1.5
 coef,1,,0.5
 coef,2,,1
@@ -696,7 +691,7 @@ CODA_PRESENT = CODA_ABSENT.replace("degenerate,,,1", "degenerate,,,0")
 
 MODEL_TEXT = {
     ("baseline", "present"): BASELINE_PRESENT,
-    ("seasonal", "absent"): SEASONAL_ABSENT, ("seasonal", "present"): SEASONAL_PRESENT,
+    ("seasonal", "present"): SEASONAL_PRESENT,
     ("covid", "absent"): COVID_ABSENT, ("covid", "present"): COVID_PRESENT,
     ("annual", "present"): ANNUAL_PRESENT,
     ("coda", "absent"): CODA_ABSENT, ("coda", "present"): CODA_PRESENT,
@@ -768,9 +763,11 @@ CORRUPTIONS = {
     "annual bad degenerate flag": (ANNUAL_PRESENT, ("degenerate,,,0", "degenerate,,,no"),
                                    "row degenerate,,"),
     "seasonal missing coef": (SEASONAL_PRESENT, ("coef,2,,1\n", ""), "missing row coef,2,"),
-    "seasonal missing phi": (SEASONAL_ABSENT, ("phi,17,,1\n", ""), "missing row phi,17,"),
-    "seasonal bad knots": (SEASONAL_ABSENT, ("knots,,,4", "knots,,,4.5"), "row knots,,"),
-    "seasonal missing country": (SEASONAL_ABSENT, ("country,,,AAA\n", ""),
+    "seasonal missing last coef": (SEASONAL_PRESENT, ("coef,3,,0.33333333333333331\n", ""),
+                                   "missing row coef,3,"),
+    "seasonal missing phi": (SEASONAL_PRESENT, ("phi,17,,1\n", ""), "missing row phi,17,"),
+    "seasonal bad knots": (SEASONAL_PRESENT, ("knots,,,4", "knots,,,4.5"), "row knots,,"),
+    "seasonal missing country": (SEASONAL_PRESENT, ("country,,,AAA\n", ""),
                                  "missing row country,,"),
     "coda missing kappa": (CODA_ABSENT, ("kappa,1,,1\n", ""), "missing row kappa,1,"),
     "coda bad year": (CODA_ABSENT, ("year,,,2021", "year,,,"), "row year,,"),
@@ -849,11 +846,9 @@ def seasonal_models(draw):
     phi = _floats(draw, MAX_WEEKS, st.floats(0.5, 2.0))
     phi[:52] /= phi[:52].mean()
     phi[52] = draw(st.sampled_from((5e-324, 1e300, phi[51])))
-    coeffs = None
-    if draw(st.booleans()):
-        coeffs = _floats(draw, draw(st.integers(1, 6)))
-    return SeasonalEffect(country=draw(LABEL), gender=draw(LABEL), phi=phi,
-                          knots=draw(st.integers(-3, 60)), coeffs=coeffs)
+    knots = draw(st.integers(0, 12))
+    return SeasonalEffect(country=draw(LABEL), gender=draw(LABEL), phi=phi, knots=knots,
+                          coeffs=_floats(draw, knots))
 
 
 def _owner(draw):

@@ -330,6 +330,10 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
      "line 3: negative death count"),
     ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018,1,m,11\n",
      "duplicate row for year 2018, week 1, sex m"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,1x\nXXX,2018,1,m,11\n",
+     "line 2: bad number: could not convert string to float: '1x'"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,11\nXXX,2018,1,m,1x\n",
+     "duplicate row for year 2018, week 1, sex m"),
     ("CountryCode,Year,Week,Sex,D0_4\n" + "".join(_stmf_year(skip={(7, "f")})),
      "missing row for year 2018, week 7, sex f"),
     ("CountryCode,Year,Week,Sex,D0_4\nXXX,1,0,m,1\nXXX,1,0,f,1\n",
@@ -337,7 +341,8 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
     ("CountryCode,Year,Week,Sex,D0_4\nXXX,10001,1,m,1\nXXX,10001,0,f,1\n",
      "line 3: week 0 of year 10001 falls in year 10000, outside 1..9999"),
 ], ids=["empty", "wrong-header", "sex", "week-54", "value-count", "negative", "duplicate",
-        "missing-week", "week-0-of-year-1", "week-0-of-year-10001"])
+        "bad-value-before-duplicate", "duplicate-before-bad-value", "missing-week",
+        "week-0-of-year-1", "week-0-of-year-10001"])
 def test_parse_stmf_errors_name_file_and_line(tmp_path, text, message):
     path = tmp_path / "stmf.csv"
     path.write_text(text)

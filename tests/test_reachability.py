@@ -1,12 +1,16 @@
-"""Every top-level function and class of ``pandmort`` is reached from the
-command line, or is named in ``UNREACHED`` with the reason it stays.
+"""Every top-level function and class of ``pandmort``, and every method of
+its classes, is reached from the command line, or is named in ``UNREACHED``
+with the reason it stays.
 
 The call graph is built from names alone: a definition reaches every
-top-level definition, in any module, whose name it mentions as a variable
-or an attribute.  The roots are ``cli.main`` and the module-level code of
-every module (import statements excluded).  Mentioning a name is enough, so
-the graph over-approximates the calls; a definition it finds unreached has
-no caller at all.
+definition, in any module, whose name it mentions as a variable or an
+attribute.  A class mentions what its body does outside its methods and in
+its dunder methods, which count as reached with their class because Python
+calls them implicitly; each other method is a definition of its own.  The
+roots are ``cli.main`` and the module-level code of every module (import
+statements excluded).  Mentioning a name is enough, so the graph
+over-approximates the calls; a definition it finds unreached has no caller
+at all.
 """
 
 import ast
@@ -14,7 +18,8 @@ from pathlib import Path
 
 import pandmort
 
-# Unreached definitions, "module.name", with the reason each one stays.
+# Unreached definitions, "module.name" or "module.Class.method", with the
+# reason each one stays.
 # "benchmark input": `perfbench` looks it up by name (`checks.py`,
 # `tracing.py` or `calibration.py`), so removing it breaks the benchmark.
 UNREACHED = {
@@ -38,7 +43,8 @@ UNREACHED = {
     "synthetic.sample_weekly_panel": "benchmark input (calibration.py)",
 }
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def _mentioned(nodes):
@@ -53,19 +59,35 @@ def _mentioned(nodes):
     return names
 
 
+def _methods(node):
+    """The methods of class ``node`` that are not dunder methods."""
+    return [n for n in node.body if isinstance(n, FUNCTIONS)
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+
 def unreached_definitions():
-    """The "module.name" of every top-level definition that no path from
-    ``cli.main`` or module-level code mentions."""
-    mentions = {}  # "module.name" -> names its definition mentions
-    by_name = {}  # name -> the "module.name" keys of that name
+    """The "module.name" of every top-level definition, and the
+    "module.Class.method" of every method, that no path from ``cli.main`` or
+    module-level code mentions."""
+    mentions = {}  # "module.name" or "module.Class.method" -> names it mentions
+    by_name = {}  # name -> the keys of the definitions of that name
     module_code = set()  # names that module-level code mentions
     for path in sorted(Path(pandmort.__file__).parent.glob("*.py")):
         body = ast.parse(path.read_text(encoding="utf-8")).body
         for node in body:
-            if isinstance(node, DEFINITIONS):
-                key = f"{path.stem}.{node.name}"
-                mentions[key] = _mentioned([node])
-                by_name.setdefault(node.name, set()).add(key)
+            if not isinstance(node, DEFINITIONS):
+                continue
+            key = f"{path.stem}.{node.name}"
+            own = [node]
+            if isinstance(node, ast.ClassDef):
+                methods = _methods(node)
+                own = node.decorator_list + node.bases + node.keywords + [
+                    n for n in node.body if n not in methods]
+                for method in methods:
+                    mentions[f"{key}.{method.name}"] = _mentioned([method])
+                    by_name.setdefault(method.name, set()).add(f"{key}.{method.name}")
+            mentions[key] = _mentioned(own)
+            by_name.setdefault(node.name, set()).add(key)
         module_code |= _mentioned(
             n for n in body if not isinstance(n, DEFINITIONS + (ast.Import, ast.ImportFrom)))
     reached = set()

@@ -309,8 +309,7 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
     expos = np.full_like(indiv.deaths, np.nan)
     for j, t in enumerate(indiv.years):
         wt = indiv.weeks_in_year[t]
-        c_xw = ex.cohort_deaths(indiv.deaths[:, j, :wt], wt)
-        proj = ex.project_population(pop, c_xw, wt)
+        proj = ex.project_population(pop, ex.cohort_deaths(indiv.deaths[:, j, :wt]))
         expos[:, j, :wt] = ex.weekly_exposures_from_projection(proj, wt)
         pop = proj[:, -1]
     return replace(indiv, exposures=expos)

@@ -314,6 +314,8 @@ class SeasonalEffect:
     def validate(self):
         if len(self.phi) != MAX_WEEKS:
             raise ValidationError("SeasonalEffect: phi must have 53 entries")
+        if self.coeffs is not None and len(self.coeffs) != self.knots:
+            raise ValidationError("SeasonalEffect: coeffs length != knots")
         if (self.phi <= 0).any():
             raise ValidationError("SeasonalEffect: phi must be strictly positive")
         if abs(self.phi[:52].mean() - 1.0) > SUM_TOL:
@@ -554,6 +556,8 @@ def _baseline_layout(r, m):
 
 
 def _seasonal_layout(r, m):
+    if m and m.coeffs is None:
+        raise ValidationError("SeasonalEffect: spline coefficients missing; cannot save")
     country = r.row(m and m.country, "country", codec=_TEXT)
     gender = r.row(m and m.gender, "gender", codec=_TEXT)
     knots = r.row(m and m.knots, "knots", codec=_INT)
@@ -621,10 +625,11 @@ _LAYOUTS = {
 
 
 def save_model(model, path):
-    """Write a model object to ``path`` in the self-describing CSV format."""
+    """Validate a model object and write it to ``path`` in the self-describing CSV format."""
     name = type(model).__name__
     if name not in _LAYOUTS:
         raise ParseError(f"no serialization schema for {name}")
+    model.validate()
     buf = io.StringIO()
     buf.write(f"#schema:{name} v2\n")
     buf.write("key,index1,index2,value\n")
@@ -819,13 +824,12 @@ def read_annual_panel_csv(path):
 
 
 def write_weekly_panel_csv(panel, path):
+    """Write a panel's deaths; exposures are rebuilt from snapshots, so their field stays empty."""
     used = np.broadcast_to(week_mask(panel.years, panel.weeks_in_year), panel.deaths.shape)
     a, t, w = np.nonzero(used)
-    labels = np.array([x.label for x in panel.ages])
-    expos = [] if panel.exposures is None else [panel.exposures[used]]
-    row = "%s,%s,%s,%.17g," + "%.17g" * len(expos) + "\n"
-    write_table(path, _WEEKLY_HEADER, format_rows(row, labels[a], np.asarray(panel.years)[t],
-                                                  w + 1, panel.deaths[used], *expos))
+    labels, years = np.array([x.label for x in panel.ages]), np.asarray(panel.years)
+    write_table(path, _WEEKLY_HEADER, format_rows("%s,%s,%s,%.17g,\n", labels[a], years[t],
+                                                  w + 1, panel.deaths[used]))
 
 
 def read_weekly_panel_csv(path, country, gender):
@@ -845,10 +849,9 @@ def read_weekly_panel_csv(path, country, gender):
     if bad.any():
         k = int(np.argmax(bad))
         raise ParseError(f"{path}: line {lineno(k)}: week {week[k]} outside 1..{MAX_WEEKS}")
-    blank = e_col.count("")
-    if 0 < blank < len(e_col):
-        k = next(k for k, e in enumerate(e_col) if (e == "") != (e_col[0] == ""))
-        raise ParseError(f"{path}: line {lineno(k)}: exposure given on some rows only")
+    if any(e_col):
+        k = next(k for k, e in enumerate(e_col) if e)
+        raise ParseError(f"{path}: line {lineno(k)}: exposure field {e_col[k]!r} is not empty")
     last_week = np.zeros(len(years), dtype=np.int64)
     np.maximum.at(last_week, ti, week)
     shape = (len(labels), len(years), MAX_WEEKS)
@@ -858,12 +861,7 @@ def read_weekly_panel_csv(path, country, gender):
                  lambda i, j, w: f"cell age {labels[i]}, year {years[j]}, week {w + 1}")
     deaths = np.full(shape, np.nan)
     deaths.flat[flat] = _numbers(path, d_col, float, lineno)
-    expos = None
-    if blank == 0 and e_col:
-        expos = np.full(shape, np.nan)
-        expos.flat[flat] = _numbers(path, e_col, float, lineno)
     years = years.tolist()
-    return WeeklyPanel(country=country, gender=gender,
-                       ages=tuple(ages),
-                       years=tuple(years), weeks_in_year=dict(zip(years, last_week.tolist())),
-                       deaths=deaths, exposures=expos).validate()
+    return WeeklyPanel(country=country, gender=gender, ages=tuple(ages), years=tuple(years),
+                       weeks_in_year=dict(zip(years, last_week.tolist())),
+                       deaths=deaths).validate()

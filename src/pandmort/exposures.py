@@ -28,10 +28,9 @@ assert sum(MONTH_DAYS) == YEAR_DAYS == 52 * 7
 
 @dataclass(frozen=True)
 class PopulationSnapshot:
-    """Population counts per individual age on a reference date."""
+    """One gender's population counts per individual age on a reference date."""
 
     date: tuple  # (year, month, day); day is always 1
-    country: str
     gender: str
     ages: np.ndarray
     counts: np.ndarray
@@ -85,41 +84,40 @@ def disaggregate_deaths(panel, historical, hist_years):
         years=panel.years,
         weeks_in_year=dict(panel.weeks_in_year),
         deaths=np.concatenate(blocks),
-        exposures=None,
     )
 
 
-def cohort_deaths(deaths_xw, w_t):
+def cohort_deaths(deaths_xw):
     """Reallocate week-w deaths at current age x to the age the person would
-    have had on 31 December: C[x,w] = (1 - w/w_t) D[x-1,w] + (w/w_t) D[x,w].
+    have had on 31 December: C[x,w] = (1 - w/w_t) D[x-1,w] + (w/w_t) D[x,w],
+    where w_t is the year's week count, the number of columns of ``deaths_xw``.
 
     The lowest age has no younger neighbour (its D[x-1] term is 0) and the
     top age absorbs its own out-aging mass, so column totals are preserved.
     """
     deaths_xw = np.asarray(deaths_xw, dtype=float)
-    nx, nw = deaths_xw.shape
-    if nw != w_t:
-        raise ValidationError(f"cohort_deaths: expected {w_t} week columns, got {nw}")
+    w_t = deaths_xw.shape[1]
     w = np.arange(1, w_t + 1) / w_t
-    shifted = np.vstack([np.zeros((1, nw)), deaths_xw[:-1]])
+    shifted = np.vstack([np.zeros((1, w_t)), deaths_xw[:-1]])
     c = (1.0 - w)[None, :] * shifted + w[None, :] * deaths_xw
     c[-1] += (1.0 - w) * deaths_xw[-1]  # top age keeps people aging out
     return c
 
 
-def project_population(start_pop, cohort_dxw, w_t):
+def project_population(start_pop, cohort_dxw):
     """Project week-start populations through a year from a 1 January snapshot.
 
     ``start_pop[x]`` is the population at the start of week 1; ``cohort_dxw``
-    are the cohort deaths from :func:`cohort_deaths`.  Returns an array of
-    shape (nages, w_t + 1) of week-start populations; week w_t + 1 is the
-    start of the next year.  Births are assumed uniform over the year, so the
-    population at age x blends the cohorts starting at ages x and x - 1.
+    are the cohort deaths from :func:`cohort_deaths`, one column for each of
+    the year's w_t weeks.  Returns the (nages, w_t + 1) week-start populations;
+    week w_t + 1 starts the next year.  Births are assumed uniform over the
+    year, so the population at age x blends the cohorts starting at x and x - 1.
     """
     start_pop = np.asarray(start_pop, dtype=float)
     if (start_pop < 0).any():
         raise ValidationError("project_population: negative start population")
     cum = np.cumsum(cohort_dxw, axis=1)  # sum_{i<=w} C[x, i]
+    w_t = cum.shape[1]
     # For the lowest age the incoming cohort (births during the year) is
     # approximated by the current age-0 count; above the top age no deaths
     # are subtracted.

@@ -44,7 +44,7 @@ from .datastore import (
     MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, _check_cells, _data_lines, _finite, _levels,
     _numbers, check_age_partition,
 )
-from .errors import IngestError
+from .errors import IngestError, ValidationError
 from .exposures import PopulationSnapshot
 
 log = logging.getLogger(__name__)
@@ -229,15 +229,12 @@ def parse_stmf_countries(path, countries, open_group_high=TOP_AGE):
         raise IngestError(f"{path}: expected columns CountryCode,Year,Week,Sex,...")
     flag_cols = [i for i, n in enumerate(header) if n in ("Split", "Forecast")]
     value_cols = [i for i in range(4, len(header)) if i not in flag_cols]
-    specs = _parse_group_columns([header[i] for i in value_cols])
-    ages = []
-    for s in specs:
-        if s[0] == "open":
-            ages.append(AgeIndex(s[1], open_group_high))
-        else:
-            ages.append(AgeIndex(s[1], s[2]))
-    check_age_partition(ages)
-    ages = tuple(ages)
+    try:  # a malformed age-group header names the file, as every other fault does
+        ages = tuple(AgeIndex(s[1], open_group_high if s[0] == "open" else s[2])
+                     for s in _parse_group_columns([header[i] for i in value_cols]))
+        check_age_partition(ages)
+    except (IngestError, ValidationError) as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
     code = {c: i for i, c in enumerate(dict.fromkeys(countries))}
     picked = [k for k, row in enumerate(rows) if row and row[0] in code]
@@ -419,7 +416,7 @@ def parse_population(path, layout="eurostat_annual"):
             raise IngestError(f"{path}: snapshot {date} sex {sex}: missing ages {missing}")
         counts = np.array([per_age[a] for a in ages])
         snapshots.append(
-            PopulationSnapshot(date=date, country="", gender=sex, ages=ages, counts=counts).validate()
+            PopulationSnapshot(date=date, gender=sex, ages=ages, counts=counts).validate()
         )
     if not snapshots:
         raise IngestError(f"{path}: no snapshots found")

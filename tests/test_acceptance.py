@@ -203,8 +203,8 @@ def test_criterion_06_exposure_pipeline(annual_panel, pandemic_truth, phi_truth)
     annual_m = 0.01 * np.exp(0.15 * ages)
     daily_m = 1.0 - (1.0 - annual_m) ** (1.0 / 364.0)
     end_pop, deaths = daily_microsim(start, daily_m)
-    c = ex.cohort_deaths(deaths, 52)
-    p = ex.project_population(start, c, 52)
+    c = ex.cohort_deaths(deaths)
+    p = ex.project_population(start, c)
     # the open top age uses a different boundary convention; compare interior
     rel = np.abs(p[:-1, -1] - end_pop[:-1]) / end_pop[:-1]
     assert rel.max() < 5e-3

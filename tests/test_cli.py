@@ -173,6 +173,18 @@ def test_outputs_carry_config_hash(pipeline):
         assert f"#confighash:{cfg.hash}" in text
 
 
+def test_weekly_panel_files_hold_no_exposures(pipeline):
+    # the exposures of the pandemic years are rebuilt from population snapshots
+    paths = sorted(pipeline["out"].glob("weekly_*.csv"))
+    assert [p.name for p in paths] == [f"weekly_{c}_{g}.csv" for c in ("AAA", "BBB")
+                                       for g in ("f", "m")]
+    for path in paths:
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows = [line for line in rows if not line.startswith("#")]
+        assert header == "age,year,week,deaths,exposure" and rows
+        assert all(line.count(",") == 4 and line.endswith(",") for line in rows)
+
+
 def test_baseline_model_loadable(pipeline):
     model = ds.load_model(str(pipeline["out"] / "baseline_model.csv"))
     assert set(model.A) == {"m", "f"}

@@ -220,6 +220,18 @@ def test_seasonal_roundtrip(tmp_path):
     assert back.knots == eff.knots
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    (np.arange(6.0), "SeasonalEffect: coeffs length != knots"),
+    (None, "SeasonalEffect: spline coefficients missing; cannot save"),
+], ids=["six-coeffs-four-knots", "no-coeffs"])
+def test_save_model_refuses_a_seasonal_effect_it_cannot_write_whole(tmp_path, coeffs, message):
+    eff = SeasonalEffect(country="AAA", gender="m", phi=np.ones(MAX_WEEKS), knots=4, coeffs=coeffs)
+    path = tmp_path / "seasonal.csv"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        save_model(eff, str(path))
+    assert not path.exists()
+
+
 def test_covid_layer_roundtrip(pandemic_truth, phi_truth, tmp_path):
     import pandmort.covid_layer as cv
 
@@ -307,14 +319,14 @@ def test_annual_panel_csv_roundtrip(annual_panel, tmp_path):
 
 
 def test_weekly_panel_csv_roundtrip(pandemic_truth, phi_truth, tmp_path):
-    wp = _weekly(pandemic_truth, phi_truth)
+    wp = dataclasses.replace(_weekly(pandemic_truth, phi_truth), exposures=None)
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(wp, str(path))
     back = read_weekly_panel_csv(str(path), "AAA", "m")
     assert back.weeks_in_year == wp.weeks_in_year
     used = ~np.isnan(wp.deaths)
     np.testing.assert_array_equal(back.deaths[used], wp.deaths[used])
-    np.testing.assert_array_equal(back.exposures[used], wp.exposures[used])
+    assert back.exposures is None
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +343,15 @@ def _small_annual():
     )
 
 
-def _small_weekly(with_exposures=True):
+def _small_weekly():
     rng = np.random.default_rng(5)
     ages = (AgeIndex(90, 110), AgeIndex(5, 9), AgeIndex(10, 10))
     years = (2020, 2021)
     deaths = np.full((3, 2, 53), np.nan)
     deaths[:, 0, :53] = rng.integers(0, 30, (3, 53))
     deaths[:, 1, :52] = rng.integers(0, 30, (3, 52))
-    expos = None
-    if with_exposures:
-        expos = np.where(np.isnan(deaths), np.nan, rng.uniform(100.0, 200.0, deaths.shape))
     return WeeklyPanel(country="AAA", gender="f", ages=ages, years=years,
-                       weeks_in_year={2020: 53, 2021: 52}, deaths=deaths, exposures=expos)
+                       weeks_in_year={2020: 53, 2021: 52}, deaths=deaths)
 
 
 def _rewrite(path, edit):
@@ -354,10 +363,7 @@ def _assert_weekly_equal(a, b):
     assert (a.country, a.gender, a.ages, a.years) == (b.country, b.gender, b.ages, b.years)
     assert a.weeks_in_year == b.weeks_in_year
     np.testing.assert_array_equal(a.deaths, b.deaths)
-    if a.exposures is None:
-        assert b.exposures is None
-    else:
-        np.testing.assert_array_equal(a.exposures, b.exposures)
+    assert a.exposures is None and b.exposures is None
 
 
 def _shuffle_keeping_first_seen(lines, key):
@@ -439,13 +445,11 @@ def test_annual_panel_csv_contract_malformed_rows(tmp_path, edit, message):
         read_annual_panel_csv(str(path))
 
 
-@pytest.mark.parametrize("with_exposures", [True, False])
-def test_weekly_panel_csv_contract_roundtrip(tmp_path, with_exposures):
-    panel = _small_weekly(with_exposures)
+def test_weekly_panel_csv_contract_roundtrip(tmp_path):
+    panel = _small_weekly()
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(panel, str(path))
-    if not with_exposures:
-        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",")
+    assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",")
     _assert_weekly_equal(read_weekly_panel_csv(str(path), "AAA", "f"), panel)
 
 
@@ -485,7 +489,7 @@ def test_weekly_panel_csv_contract_blank_comment_and_shuffled_rows(tmp_path):
 def test_weekly_panel_csv_contract_malformed_week(tmp_path, week):
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(_small_weekly(), str(path))
-    _rewrite(path, lambda ls: ls + [f"10,2021,{week},1,150"])
+    _rewrite(path, lambda ls: ls + [f"10,2021,{week},1,"])
     with pytest.raises(ParseError):
         read_weekly_panel_csv(str(path), "AAA", "f")
 
@@ -494,16 +498,17 @@ def test_weekly_panel_csv_contract_malformed_week(tmp_path, week):
 def test_weekly_panel_csv_contract_malformed_age_label(tmp_path, label):
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(_small_weekly(), str(path))
-    _rewrite(path, lambda ls: ls[:4] + [f"{label},2021,1,1,150"] + ls[4:])
+    _rewrite(path, lambda ls: ls[:4] + [f"{label},2021,1,1,"] + ls[4:])
     with pytest.raises(ParseError, match=re.escape(f"{path}: line 5: bad age label '{label}'")):
         read_weekly_panel_csv(str(path), "AAA", "f")
 
 
-def test_weekly_panel_csv_contract_exposure_on_some_rows_only(tmp_path):
+def test_weekly_panel_csv_contract_refuses_an_exposure(tmp_path):
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(_small_weekly(), str(path))
-    _rewrite(path, lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0] + ","] + ls[6:])
-    with pytest.raises(ParseError, match="line 6: exposure given on some rows only"):
+    _rewrite(path, lambda ls: ls[:5] + [ls[5] + "150.5"] + ls[6:])
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}: line 6: exposure field '150.5' is not empty")):
         read_weekly_panel_csv(str(path), "AAA", "f")
 
 

@@ -46,21 +46,16 @@ def test_disaggregation_preserves_group_totals(annual_panel, pandemic_truth, phi
 def test_cohort_deaths_mass_preserving():
     rng = np.random.default_rng(3)
     d = rng.uniform(0.0, 50.0, (10, 52))
-    c = ex.cohort_deaths(d, 52)
+    c = ex.cohort_deaths(d)
     np.testing.assert_allclose(c.sum(axis=0), d.sum(axis=0), rtol=1e-14)
     # week-1 deaths stay almost entirely with the younger label
     assert c[0, 0] == pytest.approx(d[0, 0] / 52.0)
 
 
-def test_cohort_deaths_shape_check():
-    with pytest.raises(ValidationError):
-        ex.cohort_deaths(np.zeros((5, 52)), 53)
-
-
 @pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite"),
                                           (-1.0, "negative")])
 def test_population_snapshot_rejects_bad_counts(bad, message):
-    snap = ex.PopulationSnapshot((2020, 1, 1), "AAA", "m", np.arange(3), np.array([5.0, bad, 5.0]))
+    snap = ex.PopulationSnapshot((2020, 1, 1), "m", np.arange(3), np.array([5.0, bad, 5.0]))
     with pytest.raises(ValidationError, match=message):
         snap.validate()
 
@@ -68,7 +63,7 @@ def test_population_snapshot_rejects_bad_counts(bad, message):
 def test_project_population_monotone_no_deaths():
     start = np.linspace(1000.0, 500.0, 8)
     c = np.zeros((8, 52))
-    p = ex.project_population(start, c, 52)
+    p = ex.project_population(start, c)
     assert p.shape == (8, 53)
     np.testing.assert_allclose(p[:, 0], start)
     # pure aging: the final column equals the previous-age start population
@@ -81,8 +76,8 @@ def test_project_population_matches_daily_microsim():
     annual_m = 0.01 * np.exp(0.15 * ages)
     daily_m = 1.0 - (1.0 - annual_m) ** (1.0 / 364.0)
     end_pop, deaths = daily_microsim(start, daily_m)
-    c = ex.cohort_deaths(deaths, 52)
-    p = ex.project_population(start, c, 52)
+    c = ex.cohort_deaths(deaths)
+    p = ex.project_population(start, c)
     # open top age uses a different boundary convention, compare interior
     rel = np.abs(p[:-1, -1] - end_pop[:-1]) / end_pop[:-1]
     assert rel.max() < 5e-3
@@ -92,9 +87,9 @@ def test_project_population_clamps_negative(caplog):
     start = np.array([10.0, 10.0])
     deaths = np.zeros((2, 52))
     deaths[1] = 5.0  # far more deaths than people
-    c = ex.cohort_deaths(deaths, 52)
+    c = ex.cohort_deaths(deaths)
     with caplog.at_level("WARNING"):
-        p = ex.project_population(start, c, 52)
+        p = ex.project_population(start, c)
     assert (p >= 0.0).all()
     assert any("clamped" in r.message for r in caplog.records)
 
@@ -113,7 +108,7 @@ def test_monthly_interpolation_constant_population():
     for i in range(14):
         y, m = 2021 + i // 12, i % 12 + 1
         snaps.append(ex.PopulationSnapshot(
-            date=(y, m, 1), country="NLD", gender="m",
+            date=(y, m, 1), gender="m",
             ages=ages, counts=np.full(5, 1000.0),
         ))
     out = ex.weekly_exposures_monthly_interpolation(snaps, [2021])
@@ -124,7 +119,7 @@ def test_monthly_interpolation_constant_population():
 def test_monthly_interpolation_requires_coverage():
     ages = np.arange(3)
     snaps = [
-        ex.PopulationSnapshot((2021, m, 1), "NLD", "m", ages, np.full(3, 10.0))
+        ex.PopulationSnapshot((2021, m, 1), "m", ages, np.full(3, 10.0))
         for m in (1, 2, 3)
     ]
     with pytest.raises(IngestError, match="cover"):
@@ -134,7 +129,7 @@ def test_monthly_interpolation_requires_coverage():
 def test_monthly_interpolation_rejects_gap():
     ages = np.arange(3)
     snaps = [
-        ex.PopulationSnapshot((2021, m, 1), "NLD", "m", ages, np.full(3, 10.0))
+        ex.PopulationSnapshot((2021, m, 1), "m", ages, np.full(3, 10.0))
         for m in (1, 3, 4)
     ]
     with pytest.raises(IngestError, match="gap"):

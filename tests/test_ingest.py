@@ -236,8 +236,8 @@ def test_parse_stmf_short_row(tmp_path):
 def test_parse_stmf_malformed_group_column(tmp_path, column):
     path = tmp_path / "stmf.csv"
     path.write_text(f"CountryCode,Year,Week,Sex,{column}\nXXX,2018,1,m,10\n")
-    with pytest.raises(IngestError, match=re.escape(f"unexpected weekly-deaths column {column!r}")):
-        ig.parse_stmf(str(path), "XXX")
+    _raises_exactly(f"{path}: unexpected weekly-deaths column {column!r}", ig.parse_stmf,
+                    str(path), "XXX")
 
 
 @pytest.mark.parametrize("row", ["2020-01-01,1x,m,100", "2020-01-01,1,m,2e5x",
@@ -340,9 +340,14 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
      "line 2: week 0 of year 1 falls in year 0, outside 1..9999"),
     ("CountryCode,Year,Week,Sex,D0_4\nXXX,10001,1,m,1\nXXX,10001,0,f,1\n",
      "line 3: week 0 of year 10001 falls in year 10000, outside 1..9999"),
+    ("CountryCode,Year,Week,Sex,D0_1,D4_2\nXXX,2018,1,m,1,1\n", "AgeIndex: low 4 > high 2"),
+    ("CountryCode,Year,Week,Sex,D0_1,D3_4\nXXX,2018,1,m,1,1\n",
+     "age groups 0_1 and 3_4 do not tile contiguously"),
+    ("CountryCode,Year,Week,Sex,D0_4,D5p\nXXX,2018,1,m,1,1\n", "AgeIndex: low 5 > high 4"),
 ], ids=["empty", "wrong-header", "sex", "week-54", "value-count", "negative", "duplicate",
         "bad-value-before-duplicate", "duplicate-before-bad-value", "missing-week",
-        "week-0-of-year-1", "week-0-of-year-10001"])
+        "week-0-of-year-1", "week-0-of-year-10001", "reversed-group", "group-gap",
+        "open-group-above-top-age"])
 def test_parse_stmf_errors_name_file_and_line(tmp_path, text, message):
     path = tmp_path / "stmf.csv"
     path.write_text(text)

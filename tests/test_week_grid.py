@@ -140,8 +140,8 @@ def test_project_population_matches_loop(nages, w_t, seed, heavy):
     # heavy: each age loses about three times the largest start population,
     # so some week populations go negative and are clamped
     scale = 6.0 * start.max() / w_t if heavy else 0.05 * start.mean() / w_t
-    cohort = ex.cohort_deaths(rng.uniform(0.0, scale, (nages, w_t)), w_t)
-    got, got_log = _logged(ex.project_population, start, cohort, w_t)
+    cohort = ex.cohort_deaths(rng.uniform(0.0, scale, (nages, w_t)))
+    got, got_log = _logged(ex.project_population, start, cohort)
     want, want_log = _logged(util.loop_project_population, start, cohort, w_t)
     assert _same_bits(got, want)
     assert got_log == want_log

@@ -24,7 +24,6 @@ evaluations form ``eta = b k`` with no offset at all.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
 import numpy as np
 
@@ -239,30 +238,35 @@ def calibrate_baseline(panel, traces=None):
             traces[cg] = trace
             log.info("country stage %s/%s: %d iterations, lnL=%.6f",
                      c, g, trace[-1][0], trace[-1][1])
-    model = BaselineModel(
+    theta, delta, delta_tstat, sigma = fit_time_series(panel.countries, K, kappa)
+    return BaselineModel(
         countries=panel.countries, ages=panel.ages, years=panel.years,
         A=A, B=B, K=K, alpha=alpha, beta=beta, kappa=kappa,
-    )
-    return fit_time_series(model).validate()
+        theta=theta, delta=delta, delta_tstat=delta_tstat, sigma=sigma,
+    ).validate()
 
 
 # ---------------------------------------------------------------------------
 # time-series layer
 
 
-def fit_time_series(model):
-    """Joint random walk with drift for all period effects.
+def fit_time_series(countries, K, kappa):
+    """Joint random walk with drift for all period effects: the common ``K``
+    of each gender and the ``kappa`` of each (country, gender).
 
     Drift is the mean first difference per series; the innovation covariance
     is the MLE (divisor n) of the stacked residuals.  The country-specific
     drifts delta are reported with t-statistics but forced to zero for
     projection, so that countries do not diverge from the common trend.
+    Returns ``(theta, delta, delta_tstat, sigma)``, with ``sigma`` ordered
+    as in `period_series`.
     """
-    if len(model.years) < MIN_YEARS:
-        raise NumericalError(f"time-series fit needs at least {MIN_YEARS} time points")
-    order = period_series(model.countries)
-    diffs = np.stack([np.diff(getattr(model, name)[key]) for name, key in order])  # (nseries, nt-1)
+    order = period_series(countries)
+    effects = {"K": K, "kappa": kappa}
+    diffs = np.stack([np.diff(effects[name][key]) for name, key in order])  # (nseries, nt-1)
     n = diffs.shape[1]
+    if n + 1 < MIN_YEARS:
+        raise NumericalError(f"time-series fit needs at least {MIN_YEARS} time points")
     drift = diffs.mean(axis=1)
     resid = diffs - drift[:, None]
     sigma = resid @ resid.T / n
@@ -271,7 +275,7 @@ def fit_time_series(model):
     theta = {key: d for (name, key), d in zip(order, drift) if name == "K"}
     delta = {key: d for (name, key), d in zip(order, drift) if name == "kappa"}
     delta_tstat = {key: float(t) for (name, key), t in zip(order, tstat) if name == "kappa"}
-    return replace(model, theta=theta, delta=delta, delta_tstat=delta_tstat, sigma=sigma)
+    return theta, delta, delta_tstat, sigma
 
 
 def _start_and_drift(model, series):

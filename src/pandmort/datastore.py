@@ -17,7 +17,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,9 +245,10 @@ class WeeklyPanel:
 class BaselineModel:
     """Two-layer multi-population baseline parameters plus time-series fit.
 
-    Per-gender common parameters A, B, K; per (country, gender) parameters
-    alpha, beta, kappa.  ``sigma`` is the joint innovation covariance of the
-    random walks, ordered as in `period_series`.
+    Per-gender common parameters A, B, K and drift theta; per (country,
+    gender) parameters alpha, beta, kappa and drift delta, with its
+    t-statistic delta_tstat.  ``sigma`` is the joint innovation covariance of
+    the random walks, ordered as in `period_series`.
     """
 
     countries: tuple
@@ -259,17 +260,25 @@ class BaselineModel:
     alpha: dict
     beta: dict
     kappa: dict
-    theta: dict = field(default_factory=dict)
-    delta: dict = field(default_factory=dict)
-    delta_tstat: dict = field(default_factory=dict)
-    sigma: np.ndarray = None
+    theta: dict
+    delta: dict
+    delta_tstat: dict
+    sigma: np.ndarray
 
     def validate(self):
         nx, nt = len(self.ages), len(self.years)
+        cgs = set(itertools.product(self.countries, GENDERS))
+        # each field's keys, and its vectors' length (None for a scalar field)
+        for name, keys, n in (("A", GENDERS, nx), ("B", GENDERS, nx), ("K", GENDERS, nt),
+                              ("theta", GENDERS, None), ("alpha", cgs, nx), ("beta", cgs, nx),
+                              ("kappa", cgs, nt), ("delta", cgs, None), ("delta_tstat", cgs, None)):
+            field = getattr(self, name)
+            if field.keys() != set(keys):
+                raise ValidationError(f"BaselineModel: {name} not keyed by each of its series")
+            for key, vec in field.items():
+                if n is not None and len(vec) != n:
+                    raise ValidationError(f"BaselineModel: {name}[{key}] length != {n}")
         for g in GENDERS:
-            for name, vec, n in (("A", self.A[g], nx), ("B", self.B[g], nx), ("K", self.K[g], nt)):
-                if len(vec) != n:
-                    raise ValidationError(f"BaselineModel: {name}[{g}] length != {n}")
             if abs(np.linalg.norm(self.B[g]) - 1.0) > NORM_TOL:
                 raise ValidationError(f"BaselineModel: norm constraint violated for B[{g}]")
             if abs(self.K[g].sum()) > SUM_TOL:
@@ -281,12 +290,14 @@ class BaselineModel:
                     raise ValidationError(f"BaselineModel: norm constraint violated for beta[{key}]")
                 if abs(self.kappa[key].sum()) > SUM_TOL:
                     raise ValidationError(f"BaselineModel: sum constraint violated for kappa[{key}]")
-        if self.sigma is not None:
-            if not np.allclose(self.sigma, self.sigma.T, atol=1e-12):
-                raise ValidationError("BaselineModel: sigma not symmetric")
-            eig = np.linalg.eigvalsh(self.sigma)
-            if eig.min() < -1e-10 * max(1.0, abs(eig.max())):
-                raise ValidationError("BaselineModel: sigma not positive semidefinite")
+        n = len(period_series(self.countries))
+        if np.shape(self.sigma) != (n, n):
+            raise ValidationError(f"BaselineModel: sigma shape != {(n, n)}")
+        if not np.allclose(self.sigma, self.sigma.T, atol=1e-12):
+            raise ValidationError("BaselineModel: sigma not symmetric")
+        eig = np.linalg.eigvalsh(self.sigma)
+        if eig.min() < -1e-10 * max(1.0, abs(eig.max())):
+            raise ValidationError("BaselineModel: sigma not positive semidefinite")
         return self
 
 
@@ -328,7 +339,8 @@ class CovidLayer:
     """Pandemic age effect B and week effect K of one country and gender.
 
     ``method`` is 1 (no predetermined seasonal effect) or 2 (seasonal effect
-    applied before the fit).  ``K`` has shape (nyears, 53), NaN-padded.
+    applied before the fit).  ``K`` has shape (nyears, 53), NaN after each
+    year's ``weeks_in_year`` weeks.
     """
 
     country: str
@@ -347,6 +359,11 @@ class CovidLayer:
             raise ValidationError("CovidLayer: B length != number of age indices")
         if self.K.shape != (len(self.years), MAX_WEEKS):
             raise ValidationError("CovidLayer: K shape mismatch")
+        weeks = self.weeks_in_year
+        if weeks.keys() != set(self.years) or not all(0 <= w <= MAX_WEEKS for w in weeks.values()):
+            raise ValidationError("CovidLayer: weeks_in_year must give each year 0..53 weeks")
+        if not np.isnan(self.K[~week_mask(self.years, weeks)]).all():
+            raise ValidationError("CovidLayer: K not NaN after a year's last week")
         if abs(np.linalg.norm(self.B) - 1.0) > NORM_TOL:
             raise ValidationError("CovidLayer: norm constraint violated for B")
         if self.B.sum() < -NORM_TOL:

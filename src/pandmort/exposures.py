@@ -45,34 +45,30 @@ class PopulationSnapshot:
         return self
 
 
-def historical_age_shares(panel, country, gender, group, years):
-    """Within-group death shares averaged over historical years (typically
-    2015-2019).  Returns shares aligned with ``group.ages`` summing to 1."""
-    ci = panel.country_index(country)
-    gi = 0 if gender == "m" else 1
-    yi = np.isin(panel.years, np.asarray(years))
-    ages = np.fromiter(group.ages, dtype=int)
-    ai = np.isin(panel.ages, ages)
-    if ai.sum() != len(ages):
-        missing = sorted(set(ages) - set(panel.ages))
-        raise IngestError(f"ages {missing} of group {group.label} missing from historical panel")
-    totals = panel.deaths[ci, gi][ai][:, yi].sum(axis=1)
-    denom = totals.sum()
-    if denom <= 0:
-        raise IngestError(f"historical deaths for group {group.label} sum to zero")
-    return totals / denom
-
-
 def disaggregate_deaths(panel, historical, hist_years):
     """Allocate grouped weekly deaths to individual ages by historical shares.
 
-    Group sums are preserved exactly: the per-age deaths are the group count
-    times fixed within-group shares.  Returns a new WeeklyPanel on individual
-    ages.
+    A group's shares are its ages' deaths in ``historical`` over ``hist_years``
+    (typically 2015-2019).  Group sums are preserved exactly: the per-age
+    deaths are the group count times these fixed shares.  Returns a new
+    WeeklyPanel on individual ages.
     """
+    ci = historical.country_index(panel.country)
+    gi = 0 if panel.gender == "m" else 1
+    yi = np.isin(historical.years, np.asarray(hist_years))
+    totals = historical.deaths[ci, gi][:, yi].sum(axis=1)
     ages, blocks = [], []
     for group, group_deaths in zip(panel.ages, panel.deaths):
-        s = historical_age_shares(historical, panel.country, panel.gender, group, hist_years)
+        group_ages = np.fromiter(group.ages, dtype=int)
+        ai = np.isin(historical.ages, group_ages)
+        if ai.sum() != len(group_ages):
+            missing = sorted(set(group_ages) - set(historical.ages))
+            raise IngestError(
+                f"ages {missing} of group {group.label} missing from historical panel")
+        denom = totals[ai].sum()
+        if denom <= 0:
+            raise IngestError(f"historical deaths for group {group.label} sum to zero")
+        s = totals[ai] / denom
         if not np.all(np.isfinite(s)):
             raise IngestError(f"non-finite historical shares for group {group.label}")
         ages.extend(group.ages)

@@ -709,9 +709,7 @@ def _assert_same_model(a, b):
     assert type(a) is type(b)
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if x is None or y is None:
-            assert x is None and y is None, f.name
-        elif isinstance(x, dict):
+        if isinstance(x, dict):
             assert x.keys() == y.keys(), f.name
             for k in x:
                 np.testing.assert_array_equal(x[k], y[k], err_msg=f"{f.name}[{k!r}]", strict=True)
@@ -728,6 +726,51 @@ def test_model_format_is_pinned(tmp_path, kind, variant):
     save_model(model, str(path))
     assert path.read_text(encoding="utf-8") == MODEL_TEXT[(kind, variant)]
     _assert_same_model(load_model(str(path)), model)
+
+
+# (model, fields replaced, text the ValidationError must hold); each field
+# set is one that `save_model` would write wrongly or not at all
+UNWRITABLE = {
+    "baseline sigma None": (("baseline", "present"), dict(sigma=None),
+                            "BaselineModel: sigma shape != (4, 4)"),
+    "baseline sigma 3x3": (("baseline", "present"), dict(sigma=np.eye(3)),
+                           "BaselineModel: sigma shape != (4, 4)"),
+    "baseline theta empty": (("baseline", "present"), dict(theta={}),
+                             "BaselineModel: theta not keyed by each of its series"),
+    "baseline A has an extra key": (
+        ("baseline", "present"), dict(A={**_tiny_models()["baseline", "present"].A, "x": np.ones(2)}),
+        "BaselineModel: A not keyed by each of its series"),
+    "baseline alpha lacks a series": (
+        ("baseline", "present"), dict(alpha={("AAA", "m"): np.array([0.25, -0.25])}),
+        "BaselineModel: alpha not keyed by each of its series"),
+    "baseline alpha too long": (
+        ("baseline", "present"),
+        dict(alpha={("AAA", "m"): np.zeros(3), ("AAA", "f"): np.array([0.125, 0.0])}),
+        "BaselineModel: alpha[('AAA', 'm')] length != 2"),
+    "baseline delta lacks a series": (
+        ("baseline", "present"), dict(delta={("AAA", "m"): -0.2}),
+        "BaselineModel: delta not keyed by each of its series"),
+    "baseline delta_tstat lacks a series": (
+        ("baseline", "present"), dict(delta_tstat={("AAA", "f"): np.inf}),
+        "BaselineModel: delta_tstat not keyed by each of its series"),
+    "covid weeks lack a year": (("covid", "present"), dict(weeks_in_year={2020: 2}),
+                                "CovidLayer: weeks_in_year must give each year 0..53 weeks"),
+    "covid 54 weeks": (("covid", "present"), dict(weeks_in_year={2020: 2, 2021: 54}),
+                       "CovidLayer: weeks_in_year must give each year 0..53 weeks"),
+    "covid K after the last week": (  # week 53 of years of 2 and 3 weeks
+        ("covid", "present"),
+        dict(K=np.where(np.arange(MAX_WEEKS) == 52, 0.5, _tiny_models()["covid", "present"].K)),
+        "CovidLayer: K not NaN after a year's last week"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_save_model_refuses_a_model_it_cannot_write_whole(tmp_path, case):
+    kind, changes, message = UNWRITABLE[case]
+    path = tmp_path / "model.csv"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        save_model(dataclasses.replace(_tiny_models()[kind], **changes), str(path))
+    assert not path.exists()
 
 
 def _edited(text, old, new):

@@ -4,25 +4,33 @@ import pytest
 import pandmort.covid_layer as cv
 import pandmort.exposures as ex
 import pandmort.ingest as ig
-from pandmort.datastore import AgeIndex
+from pandmort.datastore import MAX_WEEKS, AgeIndex, WeeklyPanel
 from pandmort.errors import IngestError, ValidationError
 from util import daily_microsim
 
 
-def test_historical_age_shares(annual_panel):
-    group = AgeIndex(80, 84)
-    s = ex.historical_age_shares(annual_panel, "AAA", "m", group, range(2015, 2020))
-    assert len(s) == 5
+def _grouped(*groups):
+    """A one-year weekly AAA/m panel with 100 deaths in every week of each group."""
+    return WeeklyPanel(country="AAA", gender="m", ages=groups, years=(2020,), weeks_in_year={2020: 53},
+                       deaths=np.full((len(groups), 1, MAX_WEEKS), 100.0))
+
+
+def test_disaggregation_uses_historical_age_shares(annual_panel):
+    back = ex.disaggregate_deaths(_grouped(AgeIndex(80, 84)), annual_panel, range(2015, 2020))
+    assert back.ages == tuple(AgeIndex(x, x) for x in range(80, 85))
+    s = back.deaths[:, 0, 0] / 100.0
     assert abs(s.sum() - 1.0) < 1e-12
     assert (s > 0).all()
     # mortality rises with age at constant exposure, so shares should too
     assert s[-1] > s[0]
+    hist = annual_panel.deaths[0, 0, 80:85][:, np.isin(annual_panel.years, range(2015, 2020))]
+    np.testing.assert_allclose(s, hist.sum(axis=1) / hist.sum(), rtol=1e-14)
 
 
-def test_historical_age_shares_missing_age(annual_panel):
-    with pytest.raises(IngestError, match="missing"):
-        ex.historical_age_shares(annual_panel, "AAA", "m", AgeIndex(88, 95),
-                                 range(2015, 2020))
+def test_disaggregation_missing_historical_age(annual_panel):
+    with pytest.raises(IngestError, match="of group 88_95 missing from historical panel"):
+        ex.disaggregate_deaths(_grouped(AgeIndex(80, 84), AgeIndex(88, 95)), annual_panel,
+                               range(2015, 2020))
 
 
 def test_disaggregation_preserves_group_totals(annual_panel, pandemic_truth, phi_truth):

@@ -97,11 +97,7 @@ class RunConfig:
     attribute per key of `CONFIG_KEYS`, and ``hash``, the stamp of its text."""
 
     def __init__(self, path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        text = ds.read_text(path, ConfigError)
         self.hash = hashlib.sha256(text.encode()).hexdigest()[:16]
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -144,7 +140,7 @@ class RunConfig:
 
 def _stamped(cfg, path, write):
     """Call ``write()``, which writes ``path``, then append the config stamp;
-    a failed write is a ParseError naming the file, as in `ds.save_model`."""
+    a failed write is a ParseError naming the file."""
     try:
         write()
         with open(path, "a", encoding="utf-8") as fh:

@@ -8,7 +8,8 @@ printed with 17 significant digits so that save/load round-trips are exact.
 Every other table row is formatted by `format_rows` from its file's row
 string, which fixes its float text, and `write_table` writes a header
 followed by one or more such row texts, so a caller can format rows that
-several files share once.
+several files share once; `save_model` writes through it too.  Every input
+file, raw or written by an earlier stage, is read by `read_text`.
 """
 
 from __future__ import annotations
@@ -359,6 +360,8 @@ class CovidLayer:
             raise ValidationError("CovidLayer: B length != number of age indices")
         if self.K.shape != (len(self.years), MAX_WEEKS):
             raise ValidationError("CovidLayer: K shape mismatch")
+        if list(self.years) != sorted(set(self.years)):  # the order a model file keeps
+            raise ValidationError("CovidLayer: years not strictly increasing")
         weeks = self.weeks_in_year
         if weeks.keys() != set(self.years) or not all(0 <= w <= MAX_WEEKS for w in weeks.values()):
             raise ValidationError("CovidLayer: weeks_in_year must give each year 0..53 weeks")
@@ -388,6 +391,8 @@ class AnnualEffects:
     def validate(self):
         if (len(self.V), len(self.X)) != (len(self.ages), len(self.years)):
             raise ValidationError("AnnualEffects: V or X length != number of ages or years")
+        if list(self.years) != sorted(set(self.years)):  # the order a model file keeps
+            raise ValidationError("AnnualEffects: years not strictly increasing")
         if abs(np.linalg.norm(self.V) - 1.0) > NORM_TOL:
             raise ValidationError("AnnualEffects: norm constraint violated for V")
         return self
@@ -648,14 +653,8 @@ def save_model(model, path):
         raise ParseError(f"no serialization schema for {name}")
     model.validate()
     buf = io.StringIO()
-    buf.write(f"#schema:{name} v2\n")
-    buf.write("key,index1,index2,value\n")
     _LAYOUTS[name](_Rows(out=csv.writer(buf, lineterminator="\n")), model)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        raise ParseError(f"cannot write model file {path}: {exc}") from exc
+    write_table(path, f"#schema:{name} v2\nkey,index1,index2,value", buf.getvalue())
 
 
 def load_model(path):
@@ -663,11 +662,7 @@ def load_model(path):
 
     A missing, unparsable or unexpected row is a ParseError naming ``path``.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read model file {path}: {exc}") from exc
+    lines = read_text(path, ParseError).splitlines()
     if not lines or not lines[0].startswith("#schema:"):
         raise ParseError(f"{path}: line 1: missing '#schema:' header")
     schema = lines[0][len("#schema:"):].strip()
@@ -698,7 +693,17 @@ def load_model(path):
 
 
 # ---------------------------------------------------------------------------
-# CSV tables
+# Text files and CSV tables
+
+
+def read_text(path, error):
+    """The text of the UTF-8 file ``path``, with every line ending read as
+    ``\\n``; a file that cannot be read or decoded raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def format_rows(row, *columns):
@@ -742,11 +747,7 @@ def _read_columns(path, header):
     the 1-based file line number of a data row, for error messages.
     """
     nfields = header.count(",") + 1
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path, ParseError).splitlines()
     if not lines or lines[0] != header:
         raise ParseError(f"{path}: line 1: unexpected header")
     rows, lineno = _data_lines(lines, 1)

@@ -62,7 +62,7 @@ def disaggregate_deaths(panel, historical, hist_years):
         group_ages = np.fromiter(group.ages, dtype=int)
         ai = np.isin(historical.ages, group_ages)
         if ai.sum() != len(group_ages):
-            missing = sorted(set(group_ages) - set(historical.ages))
+            missing = sorted(set(group.ages) - set(historical.ages.tolist()))
             raise IngestError(
                 f"ages {missing} of group {group.label} missing from historical panel")
         denom = totals[ai].sum()

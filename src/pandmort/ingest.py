@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import logging
 import os
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .datastore import (
     MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, _check_cells, _data_lines, _finite, _levels,
-    _numbers, check_age_partition,
+    _numbers, check_age_partition, read_text,
 )
 from .errors import IngestError, ValidationError
 from .exposures import PopulationSnapshot
@@ -99,6 +100,16 @@ def _lookup(levels, values):
     return np.where(hit, i, -1)
 
 
+def _csv_rows(path):
+    """The first row of the CSV file ``path`` (None if it has none) and the
+    list of the rows after it; a malformed row is an IngestError naming its line."""
+    reader = csv.reader(io.StringIO(read_text(path, IngestError)))
+    try:
+        return next(reader, None), list(reader)
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_hmd_file(path, years, ages, kind):
     """One 1x1 file's (male, female) values on the ages x years grid, shape
     (2, len(ages), len(years)).
@@ -106,11 +117,7 @@ def _read_hmd_file(path, years, ages, kind):
     Every data row's field count, separators, year and age are checked;
     values are read only for the requested cells.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path, IngestError).splitlines()
     for start, line in enumerate(lines, start=1):
         parts = line.split()
         if parts and parts[0] == "Year":
@@ -215,16 +222,9 @@ def parse_stmf_countries(path, countries, open_group_high=TOP_AGE):
     merged into week w_{t-1} of year t-1 (the two partial calendar weeks
     around New Year are one ISO week); sex 'b' rows are dropped.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestError(f"{path}: empty file") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
+    header, rows = _csv_rows(path)
+    if header is None:
+        raise IngestError(f"{path}: empty file")
     if header[:4] != ["CountryCode", "Year", "Week", "Sex"]:
         raise IngestError(f"{path}: expected columns CountryCode,Year,Week,Sex,...")
     flag_cols = [i for i, n in enumerate(header) if n in ("Split", "Forecast")]
@@ -375,19 +375,13 @@ def parse_population(path, layout="eurostat_annual"):
     """
     if layout not in ("eurostat_annual", "nl_monthly"):
         raise IngestError(f"unknown population layout {layout!r}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
+    header, rows = _csv_rows(path)
     if header != ["date", "age", "sex", "count"]:
         raise IngestError(f"{path}: expected columns date,age,sex,count")
     by_key = {}
     for lineno, row in enumerate(rows, start=2):
-        if not row or row[0].startswith("#"):
-            continue
+        if (len(row) < 2 and not "".join(row).strip()) or row[0].startswith("#"):
+            continue  # a blank line, or a comment
         if len(row) != 4:
             raise IngestError(f"{path}: line {lineno}: expected 4 fields")
         _no_separators(row[:2] + row[3:], path, lineno)

@@ -146,18 +146,14 @@ def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure
     """Poisson-sample a weekly individual-age panel for the pandemic years.
 
     ``mu_annual`` has shape (nages, 2) for 2020/2021; ``exposure_week`` is
-    the weekly exposure per age, either (nages,) constant across years or
-    (nages, 2) per year (defaults to 1e6 people * 7/365).  The sampling
-    intensity is E * mu * phi * exp(B K).
+    the weekly exposure per age and year, shape (nages, 2) (defaults to 1e6
+    people * 7/365).  The sampling intensity is E * mu * phi * exp(B K).
     """
     rng = np.random.default_rng(seed)
     ages = pandemic["ages"]
     nx = len(ages)
-    if exposure_week is None:
-        exposure_week = np.full(nx, 1e6 * 7.0 / 365.0)
-    exposure_week = np.asarray(exposure_week, dtype=float)
-    if exposure_week.ndim == 1:
-        exposure_week = np.tile(exposure_week[:, None], (1, 2))
+    exposure_week = np.broadcast_to(1e6 * 7.0 / 365.0 if exposure_week is None
+                                    else exposure_week, (nx, 2))
     phi = np.ones(MAX_WEEKS) if phi is None else phi
     deaths = np.full((nx, 2, MAX_WEEKS), np.nan)
     expos = np.full((nx, 2, MAX_WEEKS), np.nan)

@@ -382,6 +382,48 @@ def test_short_weekly_row_exits_3(pipeline, tmp_path):
     assert rec["message"] == f"{path}: line {lineno}: expected at least 4 fields, got 2"
 
 
+UNDECODABLE = "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position "
+# (command, the file it fails on, under a copy of the run's data, output and
+# config, the bytes appended to that file, exit code, error, message start)
+READ_FAULTS = {
+    "config": ("ingest", "run.ini", b"\xff", 2, "ConfigError", UNDECODABLE),
+    "hmd deaths": ("ingest", "data/AAA_deaths.txt", b"\xff", 3, "IngestError", UNDECODABLE),
+    "stmf": ("ingest", "data/weekly_deaths.csv", b"\xff", 3, "IngestError", UNDECODABLE),
+    "population": ("ingest", "data/AAA_population.csv", b"\xff", 3, "IngestError", UNDECODABLE),
+    "annual panel": ("calibrate-baseline", "out/annual_panel.csv", b"\xff", 3, "ParseError",
+                     UNDECODABLE),
+    "weekly panel": ("fit-seasonal", "out/weekly_AAA_m.csv", b"\xff", 3, "ParseError",
+                     UNDECODABLE),
+    "model": ("calibrate-covid", "out/baseline_model.csv", b"\xff", 3, "ParseError", UNDECODABLE),
+    "life expectancy": ("report", "out/life_expectancy_completely_incidental_AAA_m.csv",
+                        b"\xff", 3, "ParseError", UNDECODABLE),
+    "stmf oversized field": ("ingest", "data/weekly_deaths.csv",
+                             b"AAA,2018,1,m," + b"9" * 200_000 + b"\n", 3, "IngestError",
+                             "{path}: line {lineno}: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("case", READ_FAULTS)
+def test_unreadable_input_file_exits_with_error_json(pipeline, tmp_path, case):
+    """Any input file, raw, written by a stage or the config, that cannot be
+    decoded or split into rows is a data error (exit 3; the config's is a
+    config error, exit 2) naming the file, and error.json names the stage."""
+    command, name, tail, code, error, message = READ_FAULTS[case]
+    shutil.copytree(pipeline["data"], tmp_path / "data")
+    shutil.copytree(pipeline["out"], tmp_path / "out")
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=tmp_path / "data"))
+    path = tmp_path / name
+    lineno = len(path.read_bytes().splitlines()) + 1
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == code
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == (command, error)
+    assert rec["message"].startswith(message.format(path=path, lineno=lineno))
+
+
 def test_run_all_error_names_failing_stage(pipeline, tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(
@@ -580,8 +622,8 @@ def test_stages_from_disk_match_run_all(pipeline, tmp_path):
 
 
 def test_every_table_goes_through_write_table(pipeline, tmp_path, monkeypatch):
-    """``ds.write_table`` formats every output file but the model files, each
-    once."""
+    """``ds.write_table`` writes every output file, the model files included,
+    each once."""
     written = []
     real = ds.write_table
     monkeypatch.setattr(ds, "write_table",
@@ -589,12 +631,9 @@ def test_every_table_goes_through_write_table(pipeline, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["run-all", "--config", str(pipeline["config"]), "--out", str(out)]) == 0
     cfg = cli.RunConfig(str(pipeline["config"]))
-    models = {"baseline", "seasonal", "covid", "coda", "annual_effects"}
-    tables = set().union(*(_expand(pattern, cfg)
-                           for kind, (pattern, _) in cli.FILES.items() if kind not in models))
-    assert sorted(written) == sorted(tables)
-    assert set(os.listdir(out)) - tables == set().union(
-        *(_expand(cli.FILES[kind][0], cfg) for kind in models))
+    files = set().union(*(_expand(pattern, cfg) for pattern, _ in cli.FILES.values()))
+    assert sorted(written) == sorted(files)
+    assert set(os.listdir(out)) == files
 
 
 @pytest.mark.parametrize("case", ["below_covid_ages", "none", "all"])

@@ -761,6 +761,11 @@ UNWRITABLE = {
         ("covid", "present"),
         dict(K=np.where(np.arange(MAX_WEEKS) == 52, 0.5, _tiny_models()["covid", "present"].K)),
         "CovidLayer: K not NaN after a year's last week"),
+    # a model file lists the years in increasing order, so these would load back reordered
+    "covid years decreasing": (("covid", "present"), dict(years=(2021, 2020)),
+                               "CovidLayer: years not strictly increasing"),
+    "annual years decreasing": (("annual", "present"), dict(years=(2021, 2020)),
+                                "AnnualEffects: years not strictly increasing"),
 }
 
 

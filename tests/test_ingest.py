@@ -371,8 +371,9 @@ def test_parse_stmf_drops_both_sexes_rows_unread(tmp_path):
     ("2020-01-01,1,x,100", "line 3: unknown sex code 'x'"),
     ("2020-01-01,1,m,-100", "line 3: negative population count"),
     ("2020-01-01,0,m,99", "line 3: duplicate row for date 2020-01-01, sex m, age 0"),
+    ("   \n2020-01-01,1,x,100", "line 4: unknown sex code 'x'"),  # a blank line is skipped
 ], ids=["three-fields", "bad-date", "not-first-of-month", "not-january", "sex", "negative",
-        "duplicate"])
+        "duplicate", "after-whitespace-line"])
 def test_parse_population_errors_name_file_and_line(tmp_path, row, message):
     path = tmp_path / "pop.csv"
     path.write_text(f"date,age,sex,count\n2020-01-01,0,m,100\n{row}\n")

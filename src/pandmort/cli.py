@@ -37,7 +37,7 @@ from . import ingest as ig
 from . import seasonal as se
 from . import synthetic
 from .datastore import PANDEMIC_YEARS
-from .errors import ConfigError, IngestError, PandmortError, ParseError
+from .errors import ConfigError, IngestError, PandmortError, ParseError, ValidationError
 
 log = logging.getLogger("pandmort")
 
@@ -204,16 +204,30 @@ def _write(cfg, out, kind, obj, writer, **key):
 
 def _read(out, kind, reader, *args, **key):
     """The object in the ``kind`` file for ``key``: the one this process
-    wrote there, re-validated, or else ``reader(path, *args)``."""
+    wrote there, re-validated, or else ``reader(path, *args)``, whose object
+    failing its checks is a ParseError naming the file."""
     path = _path(out, kind, **key)
     if not os.path.exists(path):
         raise IngestError(f"missing {os.path.basename(path)}: run {FILES[kind][1]} first")
     if path not in _memo:
-        return reader(path, *args)
+        try:
+            return reader(path, *args)
+        except ValidationError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     obj = _memo[path]
     for item in obj if isinstance(obj, list) else (obj,):
         item.validate()
     return obj
+
+
+def _read_baseline(cfg, out):
+    """The baseline model, which must hold every configured country."""
+    model = _read(out, "baseline", ds.load_model)
+    missing = [c for c in cfg.countries if c not in model.countries]
+    if missing:
+        raise ParseError(f"{_path(out, 'baseline')} has no baseline for {', '.join(missing)}: "
+                         "rerun calibrate-baseline")
+    return model
 
 
 def _write_population(snaps, path):
@@ -312,7 +326,7 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
 
 
 def stage_calibrate_covid(cfg, out):
-    model = _read(out, "baseline", ds.load_model)
+    model = _read_baseline(cfg, out)
     historical = _read(out, "annual", ds.read_annual_panel_csv)
     lo, hi = cfg.covid_ages
     for c in cfg.countries:
@@ -343,14 +357,14 @@ def stage_coda(cfg, out):
     for g in ds.GENDERS:
         indiv = _pandemic_deaths(cfg, out, c, g, historical).select_ages(0, 98)
         ages = np.array([a.low for a in indiv.ages])
-        for t in indiv.years:
-            d, _ = indiv.cells(t)
+        for j, t in enumerate(indiv.years):
+            d = indiv.deaths[:, j, :indiv.weeks_in_year[t]]
             fit = coda_mod.coda_fit(d, ages, t, g)
             _write(cfg, out, "coda", fit, ds.save_model, t=t, g=g)
 
 
 def stage_annualize(cfg, out):
-    model = _read(out, "baseline", ds.load_model)
+    model = _read_baseline(cfg, out)
     for c in cfg.countries:
         for g in ds.GENDERS:
             layer = _read(out, "covid", ds.load_model, c=c, g=g)
@@ -394,7 +408,7 @@ def _write_forecasts(cfg, out, fs, c, g):
 
 
 def stage_forecast(cfg, out):
-    model = _read(out, "baseline", ds.load_model)
+    model = _read_baseline(cfg, out)
     for c in cfg.countries:
         for g in ds.GENDERS:
             eff = _read(out, "annual_effects", ds.load_model, c=c, g=g)

@@ -171,42 +171,33 @@ class WeeklyPanel:
     exposures: np.ndarray = None
 
     def validate(self, require_exposures=False):
-        """Check the arrays' shapes, then that every year has 52 or 53 weeks
-        and every cell of those weeks finite non-negative deaths and finite
-        positive exposures.  A failure names the first failing year, in the
-        order of ``years``, and that year's first failing check."""
+        """Check the arrays' shapes, then year by year, in the order of
+        ``years``, that the year has 52 or 53 weeks and every cell of those
+        weeks finite non-negative deaths and finite positive exposures.  A
+        failure names the first failing year and its first failing check."""
         shape = (len(self.ages), len(self.years), MAX_WEEKS)
         if self.deaths.shape != shape:
             raise ValidationError(f"WeeklyPanel: deaths shape != {shape}")
         if self.exposures is not None and self.exposures.shape != shape:
             raise ValidationError(f"WeeklyPanel: exposures shape != {shape}")
-        weeks = np.array([self.weeks_in_year[t] for t in self.years])
-        used = np.arange(MAX_WEEKS) < weeks[:, None]
-        d = self.deaths[:, used]
-        # each check, in the order reported, as where it holds (per year or per
-        # used cell) and its message; a NaN fails the sign checks too, but only
-        # after it has failed the finiteness check before them
-        checks = [((weeks == 52) | (weeks == 53), "weeks in year {t} = {w}"),
-                  (np.isfinite(d), "non-finite deaths in year {t}"),
-                  (d >= 0, "negative deaths in year {t}")]
-        if self.exposures is not None:
-            e = self.exposures[:, used]
-            checks += [(np.isfinite(e), "non-finite exposures in year {t}"),
-                       (e > 0, "non-positive exposure in year {t}")]
-        if not all(ok.all() for ok, _ in checks):
-            year = np.nonzero(used)[0]  # the year index of each used cell's column
-            failed = np.stack([~checks[0][0]] + [
-                np.bincount(year[~ok.all(axis=0)], minlength=len(weeks)) > 0
-                for ok, _ in checks[1:]], axis=1)  # (year, check)
-            j, k = divmod(int(failed.argmax()), len(checks))
-            raise ValidationError("WeeklyPanel: " + checks[k][1].format(t=self.years[j],
-                                                                        w=weeks[j]))
+        for j, t in enumerate(self.years):
+            w = self.weeks_in_year[t]
+            if w not in (52, 53):
+                raise ValidationError(f"WeeklyPanel: weeks in year {t} = {w}")
+            d = self.deaths[:, j, :w]
+            if not np.isfinite(d).all():
+                raise ValidationError(f"WeeklyPanel: non-finite deaths in year {t}")
+            if (d < 0).any():
+                raise ValidationError(f"WeeklyPanel: negative deaths in year {t}")
+            if self.exposures is not None:
+                e = self.exposures[:, j, :w]
+                if not np.isfinite(e).all():
+                    raise ValidationError(f"WeeklyPanel: non-finite exposures in year {t}")
+                if (e <= 0).any():
+                    raise ValidationError(f"WeeklyPanel: non-positive exposure in year {t}")
         if require_exposures and self.exposures is None:
             raise ValidationError("WeeklyPanel: exposures required but missing")
         return self
-
-    def year_index(self, t):
-        return self.years.index(t)
 
     def select_years(self, years):
         wanted = set(years)
@@ -232,14 +223,6 @@ class WeeklyPanel:
             deaths=self.deaths[keep],
             exposures=None if self.exposures is None else self.exposures[keep],
         )
-
-    def cells(self, t):
-        """Deaths (and exposures) for year t, shape (nages, w_t)."""
-        j = self.year_index(t)
-        wt = self.weeks_in_year[t]
-        d = self.deaths[:, j, :wt]
-        e = None if self.exposures is None else self.exposures[:, j, :wt]
-        return d, e
 
 
 @dataclass(frozen=True)
@@ -675,7 +658,10 @@ def load_model(path):
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip() or line.startswith("#"):
             continue
-        parts = next(csv.reader([line]))
+        try:
+            parts = next(csv.reader([line]))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
         if len(parts) != 4:
             raise ParseError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
         key = (parts[0], parts[1], parts[2])

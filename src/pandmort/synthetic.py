@@ -221,18 +221,17 @@ def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
     # exp(0) is 1, so the weeks outside the pandemic need no factor.
     k_pan = pandemic["K"][t_col[pan] - PANDEMIC_YEARS[0], w_col[pan] - 1]
     wave = np.exp(np.outer(k_pan, pandemic["B"]))
-    group_cols = [f"D{lo}_{lo + 4}" for lo in STMF_LOWER[:-1]] + ["D90p"]
-    week_row = "%s,%d,%d,%s," + ",".join(["%d"] * len(STMF_LOWER)) + "\n"
-    with open(raw_path(outdir, "weekly"), "w", encoding="utf-8") as fh:
-        fh.write("CountryCode,Year,Week,Sex," + ",".join(group_cols) + "\n")
-        for c in countries:
-            ci = panel.country_index(c)
-            for gi, g in enumerate(GENDERS):
-                mu_2019 = np.exp(true_ln_mu(truth, c, g)[:, -1])
-                e_week = panel.exposures[ci, gi, :, -1] * 7.0 / 365.0
-                lam = (e_week * mu_2019)[None, :] * phi[w_col - 1, None]
-                lam[pan] *= wave
-                groups = np.add.reduceat(rng.poisson(lam), STMF_LOWER, axis=1)
-                cells = zip(calendar, groups.tolist())
-                fh.write("".join([week_row % (c, t, w, g, *v) for (t, w), v in cells]))
+    group_row = ",".join(["%d"] * len(STMF_LOWER)) + "\n"
+    bodies = []
+    for c in countries:
+        ci = panel.country_index(c)
+        for gi, g in enumerate(GENDERS):
+            mu_2019 = np.exp(true_ln_mu(truth, c, g)[:, -1])
+            e_week = panel.exposures[ci, gi, :, -1] * 7.0 / 365.0
+            lam = (e_week * mu_2019)[None, :] * phi[w_col - 1, None]
+            lam[pan] *= wave
+            groups = np.add.reduceat(rng.poisson(lam), STMF_LOWER, axis=1)
+            bodies.append(format_rows(f"{c},%d,%d,{g}," + group_row, t_col, w_col, *groups.T))
+    write_table(raw_path(outdir, "weekly"), "CountryCode,Year,Week,Sex," + ",".join(
+        [f"D{lo}_{lo + 4}" for lo in STMF_LOWER[:-1]] + ["D90p"]), *bodies)
     return truth, pandemic, phi

@@ -128,7 +128,7 @@ def test_criterion_03_constraint_suite(baseline_model, pandemic_truth, phi_truth
     fitted = se.fit_seasonal_spline(fractions, country="AAA", gender="m")
     assert_seasonal_constraints(fitted)
 
-    d2020, _ = panel.cells(2020)
+    d2020 = panel.deaths[:, panel.years.index(2020), :panel.weeks_in_year[2020]]
     fit = cd.coda_fit(d2020, AGES, 2020, "m")
     assert_coda_constraints(fit)
 

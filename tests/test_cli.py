@@ -400,6 +400,9 @@ READ_FAULTS = {
     "stmf oversized field": ("ingest", "data/weekly_deaths.csv",
                              b"AAA,2018,1,m," + b"9" * 200_000 + b"\n", 3, "IngestError",
                              "{path}: line {lineno}: field larger than field limit (131072)"),
+    "model oversized field": ("calibrate-covid", "out/baseline_model.csv",
+                              b"theta,m,," + b"9" * 200_000 + b"\n", 3, "ParseError",
+                              "{path}: line {lineno}: field larger than field limit (131072)"),
 }
 
 
@@ -422,6 +425,63 @@ def test_unreadable_input_file_exits_with_error_json(pipeline, tmp_path, case):
     rec = json.loads((out / "error.json").read_text())
     assert (rec["stage"], rec["error"]) == (command, error)
     assert rec["message"].startswith(message.format(path=path, lineno=lineno))
+
+
+# (command, the run-directory file it fails on, the edit of that file's text
+# that leaves it parsable but its object invalid, the validation message)
+INVALID_FILES = {
+    "weekly panel short year": (
+        "fit-seasonal", "weekly_AAA_m.csv",
+        lambda text: re.sub(r"^[^,]*,2021,(4\d|5\d),.*\n", "", text, flags=re.M),
+        "WeeklyPanel: weeks in year 2021 = 39"),
+    "annual panel negative deaths": (
+        "calibrate-baseline", "annual_panel.csv",
+        lambda text: re.sub(r"^(AAA,m,0,1970,)\d+,", r"\g<1>-3,", text, flags=re.M),
+        "AnnualPanel: negative deaths or exposures"),
+    "covid layer doubled B": (
+        "annualize", "covid_AAA_m.csv",
+        lambda text: re.sub(r"^B,0,,(.*)$", lambda m: f"B,0,,{2 * float(m[1])!r}", text,
+                            flags=re.M),
+        "CovidLayer: norm constraint violated for B"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_FILES)
+def test_invalid_run_directory_file_exits_3_naming_it(pipeline, tmp_path, case):
+    """A run-directory file that parses but whose object fails its checks is
+    a data error (exit 3) naming the file, not a bare ValidationError."""
+    command, name, edit, message = INVALID_FILES[case]
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    path = out / name
+    text = path.read_text(encoding="utf-8")
+    path.write_text(edit(text), encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
+    assert cli.main([command, "--config", str(pipeline["config"]), "--out", str(out)]) == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"], rec["message"]) == (command, "ParseError",
+                                                            f"{path}: {message}")
+
+
+def test_baseline_without_a_configured_country_exits_3(pipeline, tmp_path):
+    """A baseline calibrated for fewer countries than the config names is
+    refused by every stage that reads it, naming the file and the country."""
+    only_aaa = tmp_path / "aaa.ini"
+    only_aaa.write_text(CONFIG.format(datadir=pipeline["data"]).replace(
+        "countries = AAA,BBB", "countries = AAA"))
+    out = tmp_path / "out"
+    for config, stage in [(only_aaa, "ingest"), (only_aaa, "calibrate-baseline"),
+                          (pipeline["config"], "ingest"), (pipeline["config"], "fit-seasonal")]:
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
+    done = tmp_path / "done"  # a finished run whose baseline file is the stale one
+    shutil.copytree(pipeline["out"], done)
+    shutil.copy(out / "baseline_model.csv", done)
+    for run, stage in [(out, "calibrate-covid"), (done, "annualize"), (done, "forecast")]:
+        assert cli.main([stage, "--config", str(pipeline["config"]), "--out", str(run)]) == 3
+        rec = json.loads((run / "error.json").read_text())
+        assert (rec["stage"], rec["error"], rec["message"]) == (
+            stage, "ParseError",
+            f"{run / 'baseline_model.csv'} has no baseline for BBB: rerun calibrate-baseline")
 
 
 def test_run_all_error_names_failing_stage(pipeline, tmp_path):

@@ -251,7 +251,7 @@ def test_covid_layer_roundtrip(pandemic_truth, phi_truth, tmp_path):
 
 def test_coda_roundtrip(pandemic_truth, phi_truth, tmp_path):
     wp = _weekly(pandemic_truth, phi_truth)
-    d, _ = wp.cells(2020)
+    d = wp.deaths[:, wp.years.index(2020), :wp.weeks_in_year[2020]]
     fit = coda_mod.coda_fit(d, np.arange(91), 2020, "m")
     path = tmp_path / "coda.csv"
     save_model(fit, str(path))

@@ -33,3 +33,15 @@ def test_block_writer_matches_rowwise(seed, countries):
         assert tree_bytes(new) == tree_bytes(old)
     for g, w in zip(got, want):
         np.testing.assert_equal(g, w)
+
+
+def test_every_raw_file_goes_through_write_table(tmp_path, monkeypatch):
+    """``write_table`` writes each of the seven raw files once: the HMD
+    deaths, exposures and population of each country, and the STMF file."""
+    written = []
+    real = sy.write_table
+    monkeypatch.setattr(sy, "write_table",
+                        lambda path, *a: written.append(os.path.basename(path)) or real(path, *a))
+    sy.write_synthetic_dataset(str(tmp_path), seed=5)
+    assert len(written) == 7
+    assert sorted(written) == sorted(os.listdir(tmp_path))

@@ -157,8 +157,8 @@ def loop_weekly_fractions(panel):
     if len(panel.years) < 2:
         raise ValidationError("weekly fractions need at least 2 years of data")
     out = {}
-    for t in panel.years:
-        d, _ = panel.cells(t)
+    for j, t in enumerate(panel.years):
+        d = panel.deaths[:, j, :panel.weeks_in_year[t]]
         totals = d.sum(axis=0)
         year_total = totals.sum()
         if year_total <= 0:

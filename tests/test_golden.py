@@ -1,5 +1,5 @@
 """Golden digests of the raw dataset, the ``run-all`` output directory and
-the fits.
+the fits, and golden values of the ``run-all`` outputs.
 
 The synth digest pins every raw file ``synth --seed 1234`` writes, byte for
 byte.  The run-all digest pins every output file, so a rewrite of the
@@ -8,12 +8,23 @@ digest pins, bit for bit, the baseline and pandemic-layer fits on a sampled
 panel with parts that ``run-all`` never runs: Method 1, individual ages above
 90, and an open age group clipped to 90-110.  The masked-fit digest pins the
 fit kernel, `loglik` and `score` on panels with unusable cells, which no
-other digest has.  Changing a digest needs a stated reason: an intended
+other digest has.  The digests bind only under the NumPy build they were
+taken with.
+
+The values test binds under every NumPy build.  ``golden_values/`` holds
+``report.csv`` and the model files (``baseline_model.csv``, ``seasonal_*``,
+``covid_*``, ``annual_effects_*``) of the run-all digest's run, and a fresh
+run must match every number in them within ``1e-10 * max(|x|, |y|) +
+1e-12``, the bound of `util.compare_runs`.  A kernel may move last bits
+within that bound; then only the digests it moves are re-recorded.  A
+change beyond it re-records those files too, copied from a fresh run.
+Changing a digest or a golden file needs a stated reason: an intended
 change of an output format or of a model result.
 """
 
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -22,6 +33,7 @@ import pandmort.cli as cli
 import pandmort.synthetic as sy
 from pandmort import baseline, covid_layer
 from pandmort.datastore import GENDERS, SeasonalEffect
+from util import compare_runs
 
 # Outputs may legitimately differ in the last bits under other NumPy builds,
 # so the digest is only binding for the version it was taken with.  The
@@ -31,6 +43,8 @@ SYNTH_SHA256 = "892c435e313605970b88153d788366462dffaca7b25a14af127df8309ce5d421
 GOLDEN_SHA256 = "6353e5629627121c8f1b315cc815707f20bc2afa8d9979ddd6e14d1922fdaa15"
 FIT_SHA256 = "6cf377e640e9774613d390f8cfe1c1782183e1555bc222a5a1c5aa6439eef2ab"
 MASKED_FIT_SHA256 = "ed59dec606bbbd2eebfcb15519cdcc615e056d6730849ec7be9ef21268ade13d"
+GOLDEN_VALUES = os.path.join(os.path.dirname(__file__), "golden_values")
+VALUES_RTOL, VALUES_ATOL = 1e-10, 1e-12
 
 CONFIG = """\
 [data]
@@ -137,15 +151,30 @@ def test_synth_golden_digest(tmp_path):
     assert tree_digest(tmp_path) == SYNTH_SHA256
 
 
-def test_run_all_golden_digest(tmp_path, monkeypatch):
-    skip_unless_golden_versions()
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The output directory of ``run-all`` under CONFIG on ``synth --seed
+    1234`` data."""
+    root = tmp_path_factory.mktemp("golden")
     # A relative data directory keeps the config text, and so its hash
     # stamped into every output, independent of where the test runs.
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["synth", "--out", "data", "--seed", "1234"]) == 0
-    (tmp_path / "run.ini").write_text(CONFIG)
-    assert cli.main(["run-all", "--config", "run.ini", "--out", "out"]) == 0
-    assert tree_digest("out") == GOLDEN_SHA256
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        assert cli.main(["synth", "--out", "data", "--seed", "1234"]) == 0
+        (root / "run.ini").write_text(CONFIG)
+        assert cli.main(["run-all", "--config", "run.ini", "--out", "out"]) == 0
+    return root / "out"
+
+
+def test_run_all_golden_digest(golden_run):
+    skip_unless_golden_versions()
+    assert tree_digest(golden_run) == GOLDEN_SHA256
+
+
+def test_run_all_golden_values(golden_run, tmp_path):
+    for name in os.listdir(GOLDEN_VALUES):
+        shutil.copy(golden_run / name, tmp_path)
+    compare_runs(GOLDEN_VALUES, tmp_path, VALUES_RTOL, VALUES_ATOL)
 
 
 def test_fit_golden_digest():

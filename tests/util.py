@@ -5,9 +5,11 @@ per-year and per-week loop forms of four weekly-grid functions, kept as
 oracles for their array forms, the per-scenario form of a forecast table,
 kept as the oracle for the writer that shares rows across scenarios, and
 the sweep of the bilinear Poisson fit as it was before it dropped the work
-that its results do not need, kept as the bit-exact oracle of the fit."""
+that its results do not need, kept as the bit-exact oracle of the fit, and `compare_runs`, which checks
+two run directories against each other within a tolerance."""
 
 import logging
+import os
 
 import numpy as np
 
@@ -21,6 +23,39 @@ log = logging.getLogger(__name__)
 NORM_TOL = 1e-10
 SUM_TOL = 1e-8
 CODA_SUM_TOL = 1e-9
+
+
+def compare_runs(a, b, rtol, atol):
+    """Check that run directories ``a`` and ``b`` hold the same file names,
+    the same number of rows per file and the same text fields, and that
+    every pair of numbers x, y in the same field is within
+    ``rtol * max(|x|, |y|) + atol``.  Returns the largest difference as a
+    fraction of that bound; a failed check is an AssertionError naming the
+    file and line."""
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b)), f"file names differ: {names} against {sorted(os.listdir(b))}"
+    worst = 0.0
+    for name in names:
+        lines = []
+        for d in (a, b):
+            with open(os.path.join(d, name), encoding="utf-8") as fh:
+                lines.append(fh.read().splitlines())
+        assert len(lines[0]) == len(lines[1]), f"{name}: {len(lines[0])} rows against {len(lines[1])}"
+        for lineno, (la, lb) in enumerate(zip(*lines), 1):
+            fa, fb = la.split(","), lb.split(",")
+            assert len(fa) == len(fb), f"{name}: line {lineno}: {la!r} against {lb!r}"
+            for x, y in zip(fa, fb):
+                if x == y:
+                    continue
+                try:
+                    fx, fy = float(x), float(y)
+                except ValueError:
+                    raise AssertionError(f"{name}: line {lineno}: {x!r} against {y!r}") from None
+                frac = abs(fx - fy) / (rtol * max(abs(fx), abs(fy)) + atol)
+                assert frac <= 1.0, (f"{name}: line {lineno}: {x} against {y}, "
+                                     f"{frac:.3g} times the bound")
+                worst = max(worst, frac)
+    return worst
 
 
 def assert_baseline_constraints(model):

@@ -4,14 +4,13 @@ forecasts.
 
 The annual effects (V, X) are defined by matching the annual survival
 probability to the product of weekly survival probabilities.  X has a closed
-form under a temporary sum-one convention on V; V then solves a monotone
-scalar equation per age, and both are renormalized to ||V|| = 1 at the end,
-which leaves every product V_x * X_t unchanged.
+form under a temporary sum-one convention on V; V then solves a convex
+scalar equation per age, with one sign change on the bracket, and both are
+renormalized to ||V|| = 1 at the end, which leaves every product V_x * X_t
+unchanged.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .errors import NumericalError, ValidationError
 
 BRACKET = 10.0
 ROOT_TOL = 1e-12
+ROOT_MAX_ITER = 100
 DEGENERATE_TOL = 1e-12
 MAX_AGE = 120  # forecast tables close at this age
 LE_AGES = (0, 65, 85)  # ages of the forecast life expectancies
@@ -35,66 +35,47 @@ def weekly_mean_factor(layer, phi):
     return terms.sum(axis=-1) / used.sum(axis=-1)
 
 
-def _brentq(f, xa, xb, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
-    """Root of ``f`` in [xa, xb] by Brent's (1973) method.
+def _gap_roots(mu, m, X):
+    """Root v_i on [-BRACKET, BRACKET] of g_i(v) = sum_t mu[i, t] (exp(v X_t)
+    - m[i, t]) for every row i at once, by Newton steps inside a bracket on
+    which g_i changes sign.  g_i is convex, so the sign change marks its one
+    root there; a step that would leave the bracket bisects it instead,
+    which keeps an X of mixed signs safe.  Failures raise NumericalError
+    naming the row as the age index."""
 
-    An operation-for-operation port of SciPy's C ``brentq``: the same
-    contrapoint bookkeeping, sign tests and step choice between inverse
-    quadratic interpolation, secant and bisection, and the same stopping
-    rule, so it returns the same double as ``scipy.optimize.brentq`` for the
-    same arguments.  f(xa) and f(xb) must differ in sign.
-    """
+    def gap(v):
+        e = np.exp(v[:, None] * X)
+        g = (mu * (e - m)).sum(axis=1)
+        if np.isnan(g).any():
+            raise NumericalError(f"annualize: age index {np.argmax(np.isnan(g))}: the gap is NaN")
+        return g, (mu * X * e).sum(axis=1)
 
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericalError(f"brentq: function value at {x!r} is NaN")
-        return fx
-
-    xtol, rtol = float(xtol), float(rtol)
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NumericalError(f"brentq: f(xa)={fpre:.3g} and f(xb)={fcur:.3g} must differ in sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)  # inverse quadratic
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise NumericalError(f"brentq: no convergence in {maxiter} iterations (last x={xcur!r})")
+    lo, hi = np.full(len(mu), -BRACKET), np.full(len(mu), BRACKET)
+    g_lo, g_hi = gap(lo)[0], gap(hi)[0]
+    one_sign = np.sign(g_lo) * np.sign(g_hi) > 0
+    if one_sign.any():
+        raise NumericalError(f"annualize: age index {np.argmax(one_sign)}: the gap does not change "
+                             f"sign on [-{BRACKET:g}, {BRACKET:g}]")
+    rising = g_hi > 0
+    v, active = np.zeros(len(mu)), np.ones(len(mu), dtype=bool)
+    last = before = hi - lo  # the lengths of the last two steps
+    for _ in range(ROOT_MAX_ITER):
+        g, dg = gap(v)
+        above = (g > 0) == rising
+        lo, hi = np.where(above, lo, v), np.where(above, v, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = v - g / dg
+        dist = np.abs(newton - v)
+        # Newton unless it leaves the bracket or fails to halve the step before last.
+        take = (dist <= ROOT_TOL) | ((lo < newton) & (newton < hi) & (2 * dist < before))
+        step = np.where(take, newton, (lo + hi) / 2)
+        moving = active & (g != 0)
+        before, last = last, np.abs(step - v)
+        v, active = np.where(moving, step, v), moving & (last > ROOT_TOL)
+        if not active.any():
+            return v
+    raise NumericalError(f"annualize: age index {np.argmax(active)}: no convergence in "
+                         f"{ROOT_MAX_ITER} iterations")
 
 
 def annualize(layer, phi, mu):
@@ -117,19 +98,7 @@ def annualize(layer, phi, mu):
         return AnnualEffects(**owner, V=np.full(n, 1.0 / np.sqrt(n)), X=np.zeros_like(X),
                              degenerate=True)
 
-    V = np.empty(len(layer.ages))
-    for i in range(len(layer.ages)):
-        mu_i = mu[i]
-        m_i = m[i]
-
-        def gap(v):
-            return float((mu_i * (np.exp(v * X) - m_i)).sum())
-
-        try:
-            V[i] = _brentq(gap, -BRACKET, BRACKET, xtol=ROOT_TOL)
-        except NumericalError as exc:
-            raise NumericalError(f"annualize: age index {i}: {exc}") from None
-
+    V = _gap_roots(mu, m, X)
     norm = np.linalg.norm(V)
     if norm == 0:
         raise NumericalError("annualize: zero age-effect vector")
@@ -193,14 +162,13 @@ def extended_baseline_mu(model, country, gender, years):
     lo, hi = EXTRAP_AGES
     sel = (model.ages >= lo) & (model.ages <= hi)
     xs = model.ages[sel].astype(float)
-    lnmu = np.log(base[sel])
-    out = np.empty((MAX_AGE - int(model.ages[0]) + 1, len(years)))
-    out[: len(model.ages)] = base
-    extra = np.arange(int(model.ages[-1]) + 1, MAX_AGE + 1, dtype=float)
-    for j in range(len(years)):
-        slope, intercept = np.polyfit(xs, lnmu[:, j], 1)
-        out[len(model.ages) :, j] = np.exp(intercept + slope * extra)
-    return out
+    # Least squares for all years at once, one contiguous row per year, so
+    # that each year's sums, and so its fit, do not depend on the other years.
+    lnmu = np.log(base[sel]).T.copy()
+    dx = xs - xs.mean()
+    slope = (lnmu * dx).sum(axis=1) / (dx @ dx)
+    extra = np.arange(int(model.ages[-1]) + 1, MAX_AGE + 1) - xs.mean()
+    return np.vstack([base, np.exp(lnmu.mean(axis=1) + np.outer(extra, slope))])
 
 
 def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=MAX_AGE):

@@ -37,52 +37,21 @@ def weekly_fractions(panel):
     return dict(zip(panel.years, np.split(fractions[used], np.cumsum(weeks)[:-1])))
 
 
-def _basis_knots(k):
-    h = PERIOD / k
-    return np.arange(-3, k + 4) * h
-
-
-def _bspline_basis(x, t, k):
-    """Dense (len(x), len(t) - k - 1) matrix of the degree-k B-spline basis on
-    knots ``t`` at the points ``x``.
-
-    Vectorised form of de Boor's recurrence as SciPy's ``_deBoor_D`` runs it,
-    in the same order of operations, so the entries equal SciPy's ``BSpline``
-    ones bit for bit.  Points outside [t[k], t[-k-1]] use the end polynomial
-    pieces.  The knots must be strictly increasing, as `_basis_knots` makes
-    them.
-    """
-    n_basis = len(t) - k - 1
-    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n_basis - 1)
-    h = np.zeros((len(x), k + 1))
-    h[:, 0] = 1.0
-    for j in range(1, k + 1):
-        hh = h[:, :j].copy()
-        h[:, 0] = 0.0
-        for n in range(1, j + 1):
-            xb = t[ell + n]
-            xa = t[ell + n - j]
-            w = hh[:, n - 1] / (xb - xa)
-            h[:, n - 1] += w * (xb - x)
-            h[:, n] = w * (x - xa)
-    out = np.zeros((len(x), n_basis))
-    out[np.arange(len(x))[:, None], ell[:, None] + np.arange(-k, 1)] = h
-    return out
-
-
 def cyclic_design_matrix(x, k):
     """Design matrix of the k-coefficient periodic cubic spline basis at x.
 
-    Built from an ordinary cubic B-spline basis on [0, 52] whose columns are
-    folded modulo k, which enforces periodic continuity up to the second
-    derivative.
+    The uniform cubic B-spline on knots 52/k weeks apart: a point in knot
+    interval i at fraction f of it has four nonzero weights, placed in
+    columns i..i+3 modulo k, which makes the curve periodic up to the
+    second derivative.
     """
-    x = np.mod(np.asarray(x, dtype=float), PERIOD)
-    spl = _bspline_basis(x, _basis_knots(k), 3)
-    folded = np.zeros((len(x), k))
-    for j in range(spl.shape[1]):
-        folded[:, j % k] += spl[:, j]
-    return folded
+    u = np.mod(np.asarray(x, dtype=float), PERIOD) / (PERIOD / k)
+    i = np.floor(u)
+    f, g = u - i, 1.0 - (u - i)
+    weights = np.stack([g**3, 3 * f**3 - 6 * f**2 + 4, 3 * g**3 - 6 * g**2 + 4, f**3], axis=1) / 6
+    out = np.zeros((len(u), k))
+    out[np.arange(len(u))[:, None], (i.astype(int)[:, None] + np.arange(4)) % k] = weights
+    return out
 
 
 def fit_seasonal_spline(fractions, country="", gender="", knots=DEFAULT_KNOTS):

@@ -59,58 +59,57 @@ def test_annualize_renormalization_preserves_products(annualized):
     )
 
 
-def random_gap(rng):
-    """A gap function of the form `annualize` solves, v -> sum_t mu_t
-    (exp(v X_t) - m_t), with all X_t of one sign so that it is monotone."""
-    n = rng.integers(1, 4)
-    X = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0, n) * rng.choice((1e-3, 0.1, 1.0, 3.0))
-    mu = rng.uniform(1e-4, 0.2, n)
-    m = np.exp(rng.uniform(-9.5, 9.5) * X + rng.normal(0.0, 1e-3, n))
-
-    def gap(v):
-        return float((mu * (np.exp(v * X) - m)).sum())
-
-    return gap
-
-
-def assert_brentq_matches_scipy(gap, xtol):
-    """Compare on the bracket `annualize` uses; False if ``gap`` has no sign
-    change there and nothing was compared."""
-    from scipy.optimize import brentq
-
-    if np.sign(gap(-af.BRACKET)) == np.sign(gap(af.BRACKET)):
-        return False
-    expected = brentq(gap, -af.BRACKET, af.BRACKET, xtol=xtol)
-    assert af._brentq(gap, -af.BRACKET, af.BRACKET, xtol=xtol) == expected
-    return True
+def random_gaps(rng, mixed):
+    """Arrays (mu, m, X) of 8 gaps of the form `annualize` solves, g_i(v) =
+    sum_t mu[i, t] (exp(v X_t) - m[i, t]), sharing X as the ages of a layer
+    do.  With all X_t of one sign each g_i is monotone; with ``mixed`` signs
+    it is only convex, and may have no root or two on the bracket."""
+    n = rng.integers(2 if mixed else 1, 4)
+    sign = rng.choice((-1.0, 1.0), n)
+    sign[1:] = -sign[0] if mixed else sign[0]
+    X = sign * rng.uniform(0.05, 1.0, n) * rng.choice((1e-3, 0.1, 1.0, 3.0))
+    mu = rng.uniform(1e-4, 0.2, (8, n))
+    m = np.exp(rng.uniform(-9.5, 9.5, (8, 1)) * X + rng.normal(0.0, 1e-3, (8, n)))
+    return mu, m, X
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_brentq_matches_scipy_exactly(seed):
-    assume(assert_brentq_matches_scipy(random_gap(np.random.default_rng(seed)), af.ROOT_TOL))
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_gap_roots_match_scipy_brentq(seed, mixed):
+    """On every gap that changes sign on the bracket, each root is within
+    2 ROOT_TOL of `scipy.optimize.brentq`'s, plus the width of the band of v
+    in which rounding the gap's terms, 8 ulps of their sum, can flip its
+    sign."""
+    from scipy.optimize import brentq
+
+    mu, m, X = random_gaps(np.random.default_rng(seed), mixed)
+
+    def gap(i, v):
+        return float((mu[i] * (np.exp(v * X) - m[i])).sum())
+
+    rows = [i for i in range(len(mu))
+            if np.sign(gap(i, -af.BRACKET)) * np.sign(gap(i, af.BRACKET)) <= 0]
+    assume(rows)
+    for i, v in zip(rows, af._gap_roots(mu[rows], m[rows], X)):
+        expected = brentq(lambda x: gap(i, x), -af.BRACKET, af.BRACKET, xtol=af.ROOT_TOL)
+        e = np.exp(expected * X)
+        band = 8 * np.finfo(float).eps * (mu[i] * (e + m[i])).sum() / abs((mu[i] * X * e).sum())
+        assert abs(v - expected) <= 2 * af.ROOT_TOL + band
 
 
-def test_brentq_matches_scipy_at_loose_tolerances():
-    # A wide stopping band exercises the step-acceptance test near convergence,
-    # which tight tolerances rarely reach.
-    rng = np.random.default_rng(2024)
-    for xtol in (0.1, 0.5, 1.0):
-        for _ in range(500):
-            assert_brentq_matches_scipy(random_gap(rng), xtol)
+def test_annualize_names_the_age_with_a_nan_gap(annualized):
+    layer, _, phi, mu = annualized
+    mu = mu.copy()
+    mu[3, 1] = np.nan
+    with pytest.raises(NumericalError, match=r"^annualize: age index 3: the gap is NaN$"):
+        af.annualize(layer, phi, mu)
 
 
-def test_brentq_raises_when_iterations_run_out():
-    with pytest.raises(NumericalError, match="no convergence in 3 iterations"):
-        af._brentq(lambda v: v**3 - 2.0, 0.0, 5.0, xtol=1e-12, maxiter=3)
-    assert af._brentq(lambda v: v**3 - 2.0, 0.0, 5.0, xtol=1e-12) == pytest.approx(2 ** (1 / 3))
-
-
-def test_brentq_rejects_bad_bracket_and_nan():
-    with pytest.raises(NumericalError, match="differ in sign"):
-        af._brentq(lambda v: v * v + 1.0, -1.0, 1.0, xtol=1e-12)
-    with pytest.raises(NumericalError, match="NaN"):
-        af._brentq(lambda v: np.nan if v > 0 else -1.0, -1.0, 1.0, xtol=1e-12)
+def test_annualize_raises_when_root_iterations_run_out(annualized, monkeypatch):
+    layer, _, phi, mu = annualized
+    monkeypatch.setattr(af, "ROOT_MAX_ITER", 2)
+    with pytest.raises(NumericalError, match=r"annualize: age index \d+: no convergence in 2 "):
+        af.annualize(layer, phi, mu)
 
 
 def test_annualize_names_the_age_without_a_sign_change(annualized, monkeypatch):
@@ -172,14 +171,19 @@ def test_extend_age_effect():
 
 
 def test_extended_baseline_mu_loglinear_tail(baseline_model):
-    years = np.arange(2022, 2025)
+    # the tail continues each year's least-squares line through ln(mu) at 80..90
+    years = np.arange(2022, 2072)
     mu = af.extended_baseline_mu(baseline_model, "AAA", "m", years)
-    assert mu.shape == (121, 3)
-    # the extrapolated tail continues the 80..90 log-linear trend
-    lnmu = np.log(mu[:, 0])
-    slope = np.polyfit(np.arange(80, 91, dtype=float), lnmu[80:91], 1)[0]
-    tail_slopes = np.diff(lnmu[91:])
-    np.testing.assert_allclose(tail_slopes, slope, rtol=1e-8)
+    assert mu.shape == (121, 50)
+    lnmu = np.log(mu)
+    lo, hi = af.EXTRAP_AGES
+    for j in range(len(years)):
+        slope, intercept = np.polyfit(np.arange(lo, hi + 1.0), lnmu[lo : hi + 1, j], 1)
+        np.testing.assert_allclose(lnmu[91:, j], intercept + slope * np.arange(91.0, 121.0),
+                                   rtol=1e-13, atol=1e-13)
+    # each year's fit is its own: asking for one year gives its column bit for bit
+    one = af.extended_baseline_mu(baseline_model, "AAA", "m", years[7:8])
+    assert one[:, 0].tobytes() == mu[:, 7].tobytes()
 
 
 def test_life_expectancy_flat_rates():

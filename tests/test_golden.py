@@ -14,16 +14,18 @@ taken with.
 The values test binds under every NumPy build.  ``golden_values/`` holds
 ``report.csv`` and the model files (``baseline_model.csv``, ``seasonal_*``,
 ``covid_*``, ``annual_effects_*``) of the run-all digest's run, and a fresh
-run must match every number in them within ``1e-10 * max(|x|, |y|) +
-1e-12``, the bound of `util.compare_runs`.  A kernel may move last bits
-within that bound; then only the digests it moves are re-recorded.  A
-change beyond it re-records those files too, copied from a fresh run.
+run must match every number in them, by `util.compare_runs`, within
+``1e-10 * max(|x|, |y|) + 1e-12`` (``VALUES_RTOL``, ``VALUES_ATOL``).  A
+kernel may move last bits within that bound; then only the digests it
+moves are re-recorded.  A change beyond it re-records those files too,
+copied from a fresh run.
 Changing a digest or a golden file needs a stated reason: an intended
 change of an output format or of a model result.
 """
 
 import hashlib
 import os
+import re
 import shutil
 
 import numpy as np
@@ -40,7 +42,7 @@ from util import compare_runs
 # pipeline imports no SciPy, so SciPy's version does not enter the outputs.
 GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 SYNTH_SHA256 = "892c435e313605970b88153d788366462dffaca7b25a14af127df8309ce5d421"
-GOLDEN_SHA256 = "6353e5629627121c8f1b315cc815707f20bc2afa8d9979ddd6e14d1922fdaa15"
+GOLDEN_SHA256 = "75e713301397e5cb1c8473e11f336ba4eef311d0d38dca6310aa2b65384c6647"
 FIT_SHA256 = "6cf377e640e9774613d390f8cfe1c1782183e1555bc222a5a1c5aa6439eef2ab"
 MASKED_FIT_SHA256 = "ed59dec606bbbd2eebfcb15519cdcc615e056d6730849ec7be9ef21268ade13d"
 GOLDEN_VALUES = os.path.join(os.path.dirname(__file__), "golden_values")
@@ -175,6 +177,26 @@ def test_run_all_golden_values(golden_run, tmp_path):
     for name in os.listdir(GOLDEN_VALUES):
         shutil.copy(golden_run / name, tmp_path)
     compare_runs(GOLDEN_VALUES, tmp_path, VALUES_RTOL, VALUES_ATOL)
+
+
+def test_compare_runs_names_what_differs(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, text in ((a, "key,1.0,AAA\n"), (b, "key,1.00000000005,AAA\n")):
+        d.mkdir()
+        (d / "f.csv").write_text(text)
+    assert compare_runs(a, b, 1e-10, 0.0) == pytest.approx(0.5, rel=1e-3)
+    for text, message in [("key,1.0,BBB\n", "f.csv: line 1: 'AAA' against 'BBB'"),
+                          ("key,1.0,AAA\nkey,2.0,AAA\n", "f.csv: 1 rows against 2"),
+                          ("key,1.0\n", "f.csv: line 1: "),
+                          ("key,nan,AAA\n", "1.0 against nan, nan times the bound"),
+                          ("key,1.0000000002,AAA\n", "2 times the bound")]:
+        (b / "f.csv").write_text(text)
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            compare_runs(a, b, 1e-10, 0.0)
+    (b / "f.csv").write_text("key,1.0,AAA\n")
+    (b / "g.csv").write_text("")
+    with pytest.raises(AssertionError, match="file names differ"):
+        compare_runs(a, b, 1e-10, 0.0)
 
 
 def test_fit_golden_digest():

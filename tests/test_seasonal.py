@@ -49,17 +49,25 @@ def test_cyclic_design_matrix_partition_of_unity():
     assert X.shape == (200, 12)
 
 
+def periodic_knots(k):
+    """Knots 52/k weeks apart, from 3 spacings below week 0 to 3 above week
+    52: an ordinary cubic B-spline basis on them, with column j added into
+    column j % k, is the periodic basis."""
+    return np.arange(-3, k + 4) * (se.PERIOD / k)
+
+
 @pytest.mark.parametrize("knots", [4, 12, 20])
-def test_bspline_basis_matches_scipy_exactly(knots):
+def test_cyclic_design_matrix_matches_scipy_bspline(knots):
     from scipy.interpolate import BSpline
 
-    t = se._basis_knots(knots)
+    fold = np.arange(knots + 3)[:, None] % knots == np.arange(knots)
     rng = np.random.default_rng(11)
     grids = (np.arange(1.0, 53.0), np.linspace(0.0, 52.0, 1041),
-             rng.uniform(0.0, 52.0, 2000), rng.uniform(-5.0, 57.0, 200))
+             rng.uniform(0.0, 52.0, 2000), rng.uniform(-60.0, 120.0, 500))
     for x in grids:
-        expected = BSpline.design_matrix(x, t, 3, extrapolate=True).toarray()
-        assert np.array_equal(se._bspline_basis(x, t, 3), expected)
+        basis = BSpline.design_matrix(np.mod(x, se.PERIOD), periodic_knots(knots), 3).toarray()
+        np.testing.assert_allclose(se.cyclic_design_matrix(x, knots), basis @ fold,
+                                   rtol=0, atol=1e-14)
 
 
 def test_cyclic_spline_periodic_to_second_derivative():
@@ -67,8 +75,8 @@ def test_cyclic_spline_periodic_to_second_derivative():
 
     k = 12
     coeffs = np.random.default_rng(7).normal(1.0, 0.2, k)
-    # The folded basis is the ordinary one with coefficient j % k on column j.
-    spline = BSpline(se._basis_knots(k), coeffs[np.arange(k + 3) % k], 3)
+    # The periodic basis is the ordinary one with coefficient j % k on column j.
+    spline = BSpline(periodic_knots(k), coeffs[np.arange(k + 3) % k], 3)
     x = np.linspace(0.0, 52.0, 1041)
     np.testing.assert_allclose(spline(x), se.cyclic_design_matrix(x, k) @ coeffs,
                                rtol=1e-13, atol=1e-13)

@@ -5,8 +5,9 @@ per-year and per-week loop forms of four weekly-grid functions, kept as
 oracles for their array forms, the per-scenario form of a forecast table,
 kept as the oracle for the writer that shares rows across scenarios, and
 the sweep of the bilinear Poisson fit as it was before it dropped the work
-that its results do not need, kept as the bit-exact oracle of the fit, and `compare_runs`, which checks
-two run directories against each other within a tolerance."""
+that its results do not need, kept as the bit-exact oracle of the fit, and
+`compare_runs`, which checks two run directories against each other within
+a tolerance."""
 
 import logging
 import os
@@ -32,16 +33,17 @@ def compare_runs(a, b, rtol, atol):
     ``rtol * max(|x|, |y|) + atol``.  Returns the largest difference as a
     fraction of that bound; a failed check is an AssertionError naming the
     file and line."""
-    names = sorted(os.listdir(a))
-    assert names == sorted(os.listdir(b)), f"file names differ: {names} against {sorted(os.listdir(b))}"
+    names, others = sorted(os.listdir(a)), sorted(os.listdir(b))
+    assert names == others, f"file names differ: {names} against {others}"
     worst = 0.0
     for name in names:
         lines = []
         for d in (a, b):
             with open(os.path.join(d, name), encoding="utf-8") as fh:
                 lines.append(fh.read().splitlines())
-        assert len(lines[0]) == len(lines[1]), f"{name}: {len(lines[0])} rows against {len(lines[1])}"
-        for lineno, (la, lb) in enumerate(zip(*lines), 1):
+        rows_a, rows_b = lines
+        assert len(rows_a) == len(rows_b), f"{name}: {len(rows_a)} rows against {len(rows_b)}"
+        for lineno, (la, lb) in enumerate(zip(rows_a, rows_b), 1):
             fa, fb = la.split(","), lb.split(",")
             assert len(fa) == len(fb), f"{name}: line {lineno}: {la!r} against {lb!r}"
             for x, y in zip(fa, fb):

@@ -29,7 +29,7 @@ EXTRAP_AGES = (80, 90)  # ln(mu) above the calibrated ages is extrapolated from 
 
 def weekly_mean_factor(layer, phi):
     """m[x, t] = (1/w_t) sum_w phi_w exp(B_x K_{t,w}) for the fitted years."""
-    used = week_mask(layer.years, layer.weeks_in_year)
+    used = week_mask(layer.years)
     terms = np.where(used, phi * np.exp(layer.B[:, None, None] * layer.K), 0.0)
     # NumPy sums <= 53 values in blocks of 8, then the rest in order: a 52-week pad adds +0.0 last.
     return terms.sum(axis=-1) / used.sum(axis=-1)

@@ -230,6 +230,35 @@ def _read_baseline(cfg, out):
     return model
 
 
+def _read_annual(cfg, out):
+    """The annual panel, which must hold every configured country, age and
+    year; a refusal names each missing country and the first missing age and
+    year."""
+    panel = _read(out, "annual", ds.read_annual_panel_csv)
+    (a0, a1), (y0, y1) = cfg.ages, cfg.years
+    ages, years = set(panel.ages.tolist()), set(panel.years.tolist())
+    lacks = ([f"country {c}" for c in cfg.countries if c not in panel.countries]
+             + [f"age {x}" for x in range(a0, a1 + 1) if x not in ages][:1]
+             + [f"year {t}" for t in range(y0, y1 + 1) if t not in years][:1])
+    if lacks:
+        raise ParseError(f"{_path(out, 'annual')} has no data for {', '.join(lacks)}: "
+                         "rerun ingest")
+    return panel
+
+
+def _read_pandemic(cfg, out, kind, c, g):
+    """The covid layer or annual effects (``kind``) of ``c``/``g``, which
+    must hold the pandemic years and the configured covid_ages."""
+    model = _read(out, kind, ds.load_model, c=c, g=g)
+    lo, hi = cfg.covid_ages
+    if (model.years, model.ages) != (
+            PANDEMIC_YEARS, tuple(ds.AgeIndex(x, x) for x in range(lo, hi + 1))):
+        raise ParseError(f"{_path(out, kind, c=c, g=g)} does not hold the pandemic years "
+                         f"{PANDEMIC_YEARS[0]}:{PANDEMIC_YEARS[-1]} and covid_ages {lo}:{hi}: "
+                         f"rerun {FILES[kind][1]}")
+    return model
+
+
 def _write_population(snaps, path):
     sizes = [len(s.ages) for s in snaps]
     ds.write_table(path, "date,age,sex,count", ds.format_rows(
@@ -266,8 +295,7 @@ def stage_ingest(cfg, out):
 
 
 def stage_calibrate_baseline(cfg, out):
-    panel = _read(out, "annual", ds.read_annual_panel_csv)
-    panel = panel.select(
+    panel = _read_annual(cfg, out).select(
         ages=np.arange(cfg.ages[0], cfg.ages[1] + 1),
         years=np.arange(cfg.years[0], cfg.years[1] + 1),
     )
@@ -318,7 +346,7 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
     pop = start.counts
     expos = np.full_like(indiv.deaths, np.nan)
     for j, t in enumerate(indiv.years):
-        wt = indiv.weeks_in_year[t]
+        wt = ds.weeks_in_iso_year(t)
         proj = ex.project_population(pop, ex.cohort_deaths(indiv.deaths[:, j, :wt]))
         expos[:, j, :wt] = ex.weekly_exposures_from_projection(proj, wt)
         pop = proj[:, -1]
@@ -327,7 +355,7 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
 
 def stage_calibrate_covid(cfg, out):
     model = _read_baseline(cfg, out)
-    historical = _read(out, "annual", ds.read_annual_panel_csv)
+    historical = _read_annual(cfg, out)
     lo, hi = cfg.covid_ages
     for c in cfg.countries:
         for g in ds.GENDERS:
@@ -341,7 +369,7 @@ def stage_calibrate_covid(cfg, out):
             layer = cl.calibrate_covid(work, pred, cfg.method)
             _write(cfg, out, "covid", layer, ds.save_model, c=c, g=g)
             # (year, week) rows in file order, ages along the last axis
-            used = ds.week_mask(work.years, work.weeks_in_year)
+            used = ds.week_mask(work.years)
             obs = np.moveaxis(work.deaths, 0, -1)[used]
             base = np.moveaxis(pred, 0, -1)[used]
             fitted = base * np.exp(layer.B * layer.K[used][:, None])
@@ -352,13 +380,13 @@ def stage_calibrate_covid(cfg, out):
 
 
 def stage_coda(cfg, out):
-    historical = _read(out, "annual", ds.read_annual_panel_csv)
+    historical = _read_annual(cfg, out)
     c = cfg.countries[0]
     for g in ds.GENDERS:
         indiv = _pandemic_deaths(cfg, out, c, g, historical).select_ages(0, 98)
         ages = np.array([a.low for a in indiv.ages])
         for j, t in enumerate(indiv.years):
-            d = indiv.deaths[:, j, :indiv.weeks_in_year[t]]
+            d = indiv.deaths[:, j, :ds.weeks_in_iso_year(t)]
             fit = coda_mod.coda_fit(d, ages, t, g)
             _write(cfg, out, "coda", fit, ds.save_model, t=t, g=g)
 
@@ -367,7 +395,7 @@ def stage_annualize(cfg, out):
     model = _read_baseline(cfg, out)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = _read(out, "covid", ds.load_model, c=c, g=g)
+            layer = _read_pandemic(cfg, out, "covid", c, g)
             phi = (_read(out, "seasonal", ds.load_model, c=c, g=g).phi if layer.method == 2
                    else np.ones(ds.MAX_WEEKS))
             mu = cl.group_baseline_mu(model, c, g, layer.ages, layer.years)
@@ -411,7 +439,7 @@ def stage_forecast(cfg, out):
     model = _read_baseline(cfg, out)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            eff = _read(out, "annual_effects", ds.load_model, c=c, g=g)
+            eff = _read_pandemic(cfg, out, "annual_effects", c, g)
             scenarios = af.standard_scenarios(float(eff.X[-1]), eta=cfg.eta)
             calib_ages = np.array([a.low for a in eff.ages])
             fs = af.forecast_scenarios(model, c, g, eff.V, calib_ages, scenarios,
@@ -443,12 +471,11 @@ def stage_report(cfg, out):
     rows = []
     for c in cfg.countries:
         for g in ds.GENDERS:
-            eff = _read(out, "annual_effects", ds.load_model, c=c, g=g)
+            eff = _read_pandemic(cfg, out, "annual_effects", c, g)
             final_year = eff.years[-1] + cfg.horizon
             le = {n: _read(out, "life_expectancy", _le_at_birth, final_year, name=n, c=c, g=g)
                   for n in names}
-            x = dict(zip(eff.years, eff.X))
-            rows.append((c, g, *(x.get(t, np.nan) for t in PANDEMIC_YEARS),
+            rows.append((c, g, *eff.X,
                          *(le[n] - le["completely_incidental"] for n in names)))
     _write_table(cfg, out, "report",
                  ",".join(["country,gender", *(f"X_{t}" for t in PANDEMIC_YEARS),

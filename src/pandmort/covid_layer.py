@@ -56,7 +56,7 @@ def predicted_deaths(panel, mu, seasonal=None, method=2):
     if mu.shape != (len(panel.ages), len(panel.years)):
         raise ValidationError("predicted_deaths: mu shape does not match the panel")
     phi = np.ones(MAX_WEEKS) if method == 1 else seasonal.phi
-    used = week_mask(panel.years, panel.weeks_in_year)
+    used = week_mask(panel.years)
     return np.where(used, panel.exposures * mu[:, :, None] * phi, np.nan)
 
 
@@ -67,7 +67,7 @@ def calibrate_covid(panel, pred, method):
     and sum(B) >= 0; K is free per (year, week).  Returns a CovidLayer.
     """
     nages = len(panel.ages)
-    used = week_mask(panel.years, panel.weeks_in_year)
+    used = week_mask(panel.years)
     D = np.ascontiguousarray(panel.deaths[:, used])
     P = np.ascontiguousarray(pred[:, used])
     if not np.isfinite(D).all() or not np.isfinite(P).all():
@@ -93,8 +93,7 @@ def calibrate_covid(panel, pred, method):
     K[used] = k
     return CovidLayer(
         country=panel.country, gender=panel.gender, ages=panel.ages,
-        years=panel.years, weeks_in_year=dict(panel.weeks_in_year),
-        method=method, B=b, K=K,
+        years=panel.years, method=method, B=b, K=K,
     ).validate()
 
 
@@ -105,7 +104,7 @@ def score_covid(b, k, D, P):
 
 def flatten_weeks(layer_or_panel, array):
     """Flatten a (nyears, 53) NaN-padded week array to the used columns."""
-    return array[week_mask(layer_or_panel.years, layer_or_panel.weeks_in_year)]
+    return array[week_mask(layer_or_panel.years)]
 
 
 # The last group of each level is open-ended; aggregation clips it to the
@@ -145,8 +144,7 @@ def aggregate_to_groups(panel, bounds):
         )
     return WeeklyPanel(
         country=panel.country, gender=panel.gender, ages=tuple(groups),
-        years=panel.years, weeks_in_year=dict(panel.weeks_in_year),
-        deaths=deaths, exposures=expo,
+        years=panel.years, deaths=deaths, exposures=expo,
     )
 
 

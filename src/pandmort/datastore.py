@@ -15,6 +15,7 @@ file, raw or written by an earlier stage, is read by `read_text`.
 from __future__ import annotations
 
 import csv
+import datetime
 import io
 import itertools
 import math
@@ -149,41 +150,45 @@ class AnnualPanel:
 MAX_WEEKS = 53
 
 
-def week_mask(years, weeks_in_year):
+def weeks_in_iso_year(year):
+    """Number of ISO-8601 weeks (52 or 53) in a calendar year."""
+    return datetime.date(year, 12, 28).isocalendar()[1]
+
+
+def week_mask(years):
     """The (nyears, 53) mask of the weeks that exist, in (year, week) order."""
-    return np.arange(MAX_WEEKS) < np.array([weeks_in_year[t] for t in years])[:, None]
+    return np.arange(MAX_WEEKS) < np.array([weeks_in_iso_year(t) for t in years])[:, None]
 
 
 @dataclass(frozen=True)
 class WeeklyPanel:
     """Weekly deaths (and optionally exposures) for one country and gender.
 
-    Deaths and exposures have shape (nages, nyears, 53); weeks beyond
-    ``weeks_in_year[t]`` are NaN-padded.
+    Deaths and exposures have shape (nages, nyears, 53); weeks beyond year
+    t's `weeks_in_iso_year` are NaN-padded.
     """
 
     country: str
     gender: str
     ages: tuple
     years: tuple
-    weeks_in_year: dict
     deaths: np.ndarray
     exposures: np.ndarray = None
 
+    weeks_in_year = property(lambda self: {t: weeks_in_iso_year(t) for t in self.years})
+
     def validate(self, require_exposures=False):
         """Check the arrays' shapes, then year by year, in the order of
-        ``years``, that the year has 52 or 53 weeks and every cell of those
-        weeks finite non-negative deaths and finite positive exposures.  A
-        failure names the first failing year and its first failing check."""
+        ``years``, that every cell of the year's ISO weeks holds finite
+        non-negative deaths and finite positive exposures.  A failure names
+        the first failing year and its first failing check."""
         shape = (len(self.ages), len(self.years), MAX_WEEKS)
         if self.deaths.shape != shape:
             raise ValidationError(f"WeeklyPanel: deaths shape != {shape}")
         if self.exposures is not None and self.exposures.shape != shape:
             raise ValidationError(f"WeeklyPanel: exposures shape != {shape}")
         for j, t in enumerate(self.years):
-            w = self.weeks_in_year[t]
-            if w not in (52, 53):
-                raise ValidationError(f"WeeklyPanel: weeks in year {t} = {w}")
+            w = weeks_in_iso_year(t)
             d = self.deaths[:, j, :w]
             if not np.isfinite(d).all():
                 raise ValidationError(f"WeeklyPanel: non-finite deaths in year {t}")
@@ -207,7 +212,6 @@ class WeeklyPanel:
         return replace(
             self,
             years=tuple(self.years[j] for j in keep),
-            weeks_in_year={self.years[j]: self.weeks_in_year[self.years[j]] for j in keep},
             deaths=self.deaths[:, keep],
             exposures=None if self.exposures is None else self.exposures[:, keep],
         )
@@ -324,14 +328,13 @@ class CovidLayer:
 
     ``method`` is 1 (no predetermined seasonal effect) or 2 (seasonal effect
     applied before the fit).  ``K`` has shape (nyears, 53), NaN after each
-    year's ``weeks_in_year`` weeks.
+    year's `weeks_in_iso_year` weeks.
     """
 
     country: str
     gender: str
     ages: tuple
     years: tuple
-    weeks_in_year: dict
     method: int
     B: np.ndarray
     K: np.ndarray
@@ -345,10 +348,7 @@ class CovidLayer:
             raise ValidationError("CovidLayer: K shape mismatch")
         if list(self.years) != sorted(set(self.years)):  # the order a model file keeps
             raise ValidationError("CovidLayer: years not strictly increasing")
-        weeks = self.weeks_in_year
-        if weeks.keys() != set(self.years) or not all(0 <= w <= MAX_WEEKS for w in weeks.values()):
-            raise ValidationError("CovidLayer: weeks_in_year must give each year 0..53 weeks")
-        if not np.isnan(self.K[~week_mask(self.years, weeks)]).all():
+        if not np.isnan(self.K[~week_mask(self.years)]).all():
             raise ValidationError("CovidLayer: K not NaN after a year's last week")
         if abs(np.linalg.norm(self.B) - 1.0) > NORM_TOL:
             raise ValidationError("CovidLayer: norm constraint violated for B")
@@ -458,18 +458,10 @@ def _span(text):
     return np.arange(lo, hi + 1)
 
 
-def _week_count(text):
-    n = int(text)
-    if not 0 <= n <= MAX_WEEKS:
-        raise ValueError(f"week count outside 0..{MAX_WEEKS}")
-    return n
-
-
 # How a row's value is parsed from, and formatted to, its text.
 _REAL = (float, lambda v: "%.17g" % float(v))
 _TEXT = (str, str)
 _INT = (int, str)
-_WEEKS = (_week_count, str)
 _FLAG = (lambda text: bool(int(text)), lambda v: str(int(v)))
 _SPAN = (_span, lambda v: f"{v[0]};{v[-1]}")
 _AGE = (AgeIndex.from_label, lambda a: a.label)
@@ -588,12 +580,15 @@ def _covid_layout(r, m):
     owner, B = _age_effect(r, m, "B")
     method = r.row(m and m.method, "method", codec=_INT)
     years = r.indices(m and m.years, "weeks")
-    weeks = {t: r.row(m and m.weeks_in_year[t], "weeks", t, codec=_WEEKS) for t in years}
+    weeks = [_parsed(weeks_in_iso_year, t, f"row weeks,{t},") for t in years]
+    for t, n in zip(years, weeks):  # each file row repeats its year's ISO week count
+        if r.row(n, "weeks", t, codec=_INT) != n:
+            raise ParseError(f"row weeks,{t},: ISO year {t} has {n} weeks")
     K = np.full((len(years), MAX_WEEKS), np.nan)
-    for j, t in enumerate(years):
-        for w in range(1, weeks[t] + 1):
+    for j, (t, n) in enumerate(zip(years, weeks)):
+        for w in range(1, n + 1):
             K[j, w - 1] = r.row(m and m.K[j, w - 1], "K", t, w)
-    return CovidLayer(**owner, years=years, weeks_in_year=weeks, method=method, B=B, K=K)
+    return CovidLayer(**owner, years=years, method=method, B=B, K=K)
 
 
 def _annual_layout(r, m):
@@ -788,6 +783,22 @@ def _levels(path, col, lineno, convert=None, error=ParseError):
     return np.array(levels, dtype=parsed.dtype), remap[index]
 
 
+def _check_weeks(path, year, week, lineno, error=ParseError):
+    """Raise ``error`` naming the first row whose ``year`` `datetime` cannot
+    represent, or else whose ``week`` is not one of the year's ISO weeks."""
+    unknown = (year < 1) | (year > 9999)
+    if unknown.any():
+        k = int(np.argmax(unknown))
+        raise error(f"{path}: line {lineno(k)}: year {year[k]} outside 1..9999")
+    levels, index = np.unique(year, return_inverse=True)
+    last = np.array([weeks_in_iso_year(t) for t in levels.tolist()], dtype=np.int64)[index]
+    bad = (week < 1) | (week > last)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise error(f"{path}: line {lineno(k)}: week {week[k]} outside 1..{last[k]}, "
+                    f"the weeks of ISO year {year[k]}")
+
+
 def _check_cells(path, flat, expected, describe, error=ParseError):
     """Raise ``error`` unless the rows' flat cell indices hit every expected
     cell exactly once; ``describe`` names a cell from its array index."""
@@ -829,7 +840,7 @@ def read_annual_panel_csv(path):
 
 def write_weekly_panel_csv(panel, path):
     """Write a panel's deaths; exposures are rebuilt from snapshots, so their field stays empty."""
-    used = np.broadcast_to(week_mask(panel.years, panel.weeks_in_year), panel.deaths.shape)
+    used = np.broadcast_to(week_mask(panel.years), panel.deaths.shape)
     a, t, w = np.nonzero(used)
     labels, years = np.array([x.label for x in panel.ages]), np.asarray(panel.years)
     write_table(path, _WEEKLY_HEADER, format_rows("%s,%s,%s,%.17g,\n", labels[a], years[t],
@@ -848,24 +859,16 @@ def read_weekly_panel_csv(path, country, gender):
             raise ParseError(f"{path}: line {lineno(k)}: bad age label {label!r}") from None
     years, ti = _levels(path, t_col, lineno, int)
     week_levels, wi = _levels(path, w_col, lineno, int)
-    week = week_levels[wi]
-    bad = (week < 1) | (week > MAX_WEEKS)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ParseError(f"{path}: line {lineno(k)}: week {week[k]} outside 1..{MAX_WEEKS}")
+    _check_weeks(path, years[ti], week_levels[wi], lineno)
     if any(e_col):
         k = next(k for k, e in enumerate(e_col) if e)
         raise ParseError(f"{path}: line {lineno(k)}: exposure field {e_col[k]!r} is not empty")
-    last_week = np.zeros(len(years), dtype=np.int64)
-    np.maximum.at(last_week, ti, week)
+    years = tuple(years.tolist())
     shape = (len(labels), len(years), MAX_WEEKS)
-    flat = np.ravel_multi_index((ai, ti, week - 1), shape)
-    expected = np.broadcast_to(np.arange(MAX_WEEKS) < last_week[:, None], shape)
-    _check_cells(path, flat, expected,
+    flat = np.ravel_multi_index((ai, ti, week_levels[wi] - 1), shape)
+    _check_cells(path, flat, np.broadcast_to(week_mask(years), shape),
                  lambda i, j, w: f"cell age {labels[i]}, year {years[j]}, week {w + 1}")
     deaths = np.full(shape, np.nan)
     deaths.flat[flat] = _numbers(path, d_col, float, lineno)
-    years = years.tolist()
-    return WeeklyPanel(country=country, gender=gender, ages=tuple(ages), years=tuple(years),
-                       weeks_in_year=dict(zip(years, last_week.tolist())),
+    return WeeklyPanel(country=country, gender=gender, ages=tuple(ages), years=years,
                        deaths=deaths).validate()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datastore import AgeIndex, WeeklyPanel
+from .datastore import AgeIndex, WeeklyPanel, weeks_in_iso_year
 from .errors import IngestError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -78,7 +78,6 @@ def disaggregate_deaths(panel, historical, hist_years):
         gender=panel.gender,
         ages=tuple(AgeIndex(a, a) for a in ages),
         years=panel.years,
-        weeks_in_year=dict(panel.weeks_in_year),
         deaths=np.concatenate(blocks),
     )
 
@@ -180,8 +179,6 @@ def weekly_exposures_monthly_interpolation(snapshots, years):
     out = {}
     year_offset = 0
     for t in years:
-        from .ingest import weeks_in_iso_year
-
         w_t = weeks_in_iso_year(t)
         if year_offset + YEAR_DAYS > total_days:
             raise IngestError(f"snapshots do not cover year {t}")

@@ -20,7 +20,8 @@ Which rows get which checks:
 * weekly files: rows of other countries get no check.  Rows of the
   requested countries get their field count, separators, year and week
   checked; sex ``b`` rows are then dropped, and every other row gets the
-  sex, week range, duplicate, group-count and value checks.
+  sex, week range, duplicate, group-count and value checks; after the week-0
+  merge, a year's rows must be its ISO weeks, a long year's week 53 too.
 * population files: every row gets every check, and no (date, sex, age)
   may repeat.
 
@@ -34,7 +35,6 @@ fault reported may not be on the first bad line.
 from __future__ import annotations
 
 import csv
-import datetime
 import io
 import logging
 import os
@@ -42,8 +42,8 @@ import os
 import numpy as np
 
 from .datastore import (
-    MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, _check_cells, _data_lines, _finite, _levels,
-    _numbers, check_age_partition, read_text,
+    MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, _check_cells, _check_weeks, _data_lines,
+    _finite, _levels, _numbers, check_age_partition, read_text, week_mask, weeks_in_iso_year,
 )
 from .errors import IngestError, ValidationError
 from .exposures import PopulationSnapshot
@@ -64,11 +64,6 @@ RAW_FILES = {
 def raw_path(data_dir, kind, c=None):
     """The path of the raw ``kind`` file of country ``c`` in ``data_dir``."""
     return os.path.join(data_dir, RAW_FILES[kind].format(c=c))
-
-
-def weeks_in_iso_year(year):
-    """Number of ISO-8601 weeks (52 or 53) in a calendar year."""
-    return datetime.date(year, 12, 28).isocalendar()[1]
 
 
 def _number(convert, text, path, lineno):
@@ -325,6 +320,7 @@ def parse_stmf_countries(path, countries, open_group_high=TOP_AGE):
             last[j] = weeks_in_iso_year(prior)
         week = np.where(merged, last[yi], week)
         year = year - merged
+    _check_weeks(path, year, week, lineno, IngestError)
     panels = {}
     for c, name in enumerate(code):
         mine = country == c
@@ -340,19 +336,16 @@ def _weekly_panels(path, country, ages, sex, year, week, merged, counts):
     ISO week after the week-0 merge, and ``merged`` marks the rows that came
     from week 0: each one's counts are added to those of the row it joins,
     if there is one."""
-    years = np.array(sorted(set(year.tolist())))
+    years = sorted(set(year.tolist()))
     yj, wk = np.searchsorted(years, year), week - 1
     have = np.zeros((2, len(years), MAX_WEEKS), dtype=bool)
     have[sex[~merged], yj[~merged], wk[~merged]] = True
     joins = merged.copy()
     joins[merged] = have[sex[merged], yj[merged], wk[merged]]
     have[sex, yj, wk] = True
-    weeks = np.where(have[:, :, -1].any(axis=0), 53, 52)
-    _check_cells(path, np.flatnonzero(have),
-                 np.broadcast_to(np.arange(MAX_WEEKS) < weeks[:, None], have.shape),
+    _check_cells(path, np.flatnonzero(have), np.broadcast_to(week_mask(years), have.shape),
                  lambda g, j, w: f"row for year {years[j]}, week {w + 1}, sex {'mf'[g]}",
                  IngestError)
-    years = years.tolist()
     panels = {}
     for g, gender in enumerate(("m", "f")):
         deaths = np.full((len(ages), len(years), MAX_WEEKS), np.nan)
@@ -360,8 +353,7 @@ def _weekly_panels(path, country, ages, sex, year, week, merged, counts):
         deaths[:, yj[plain], wk[plain]] = counts[:, plain]
         deaths[:, yj[joined], wk[joined]] += counts[:, joined]
         panels[gender] = WeeklyPanel(
-            country=country, gender=gender, ages=ages, years=tuple(years),
-            weeks_in_year=dict(zip(years, weeks.tolist())), deaths=deaths,
+            country=country, gender=gender, ages=ages, years=tuple(years), deaths=deaths,
         ).validate()
     return panels
 

@@ -26,7 +26,7 @@ def weekly_fractions(panel):
     """
     if len(panel.years) < 2:
         raise ValidationError("weekly fractions need at least 2 years of data")
-    used = week_mask(panel.years, panel.weeks_in_year)
+    used = week_mask(panel.years)
     totals = np.where(used, panel.deaths, 0.0).sum(axis=0)
     year_totals = totals.sum(axis=1)  # the zero pad adds +0.0 last: see `weekly_mean_factor`
     empty = year_totals <= 0

@@ -15,11 +15,9 @@ import numpy as np
 
 from .datastore import (
     GENDERS, MAX_WEEKS, PANDEMIC_YEARS, AgeIndex, AnnualPanel, WeeklyPanel, format_rows,
-    write_table,
+    weeks_in_iso_year, write_table,
 )
-from .ingest import TOP_AGE, raw_path, weeks_in_iso_year
-
-PANDEMIC_WEEKS = {t: weeks_in_iso_year(t) for t in PANDEMIC_YEARS}
+from .ingest import TOP_AGE, raw_path
 
 
 def _smooth_noise(n, rng, scale, width=7):
@@ -158,7 +156,7 @@ def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure
     deaths = np.full((nx, 2, MAX_WEEKS), np.nan)
     expos = np.full((nx, 2, MAX_WEEKS), np.nan)
     for j, t in enumerate(PANDEMIC_YEARS):
-        wt = PANDEMIC_WEEKS[t]
+        wt = weeks_in_iso_year(t)
         bk = np.outer(pandemic["B"], pandemic["K"][j, :wt]) if pandemic_on else 0.0
         lam = exposure_week[:, j : j + 1] * mu_annual[:, j : j + 1] * phi[None, :wt] * np.exp(bk)
         deaths[:, j, :wt] = rng.poisson(lam)
@@ -166,8 +164,7 @@ def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure
     return WeeklyPanel(
         country=country, gender=gender,
         ages=tuple(AgeIndex(a, a) for a in ages),
-        years=PANDEMIC_YEARS, weeks_in_year=dict(PANDEMIC_WEEKS),
-        deaths=deaths, exposures=expos,
+        years=PANDEMIC_YEARS, deaths=deaths, exposures=expos,
     ).validate()
 
 

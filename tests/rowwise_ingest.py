@@ -1,17 +1,21 @@
 """The row-wise HMD and STMF parsers that `pandmort.ingest` replaced with
-column-wise ones, kept verbatim as the reference the equivalence tests in
+column-wise ones, kept as the reference the equivalence tests in
 ``test_ingest_equivalence.py`` compare against.  They accept ``nan``/``inf``
 counts and fail on ``#`` lines after the HMD header, where `pandmort.ingest`
-now rejects and skips them."""
+now rejects and skips them.  Their one change since is the ISO rule: a
+year's weeks are its ISO weeks, not the ones its rows hold, so a week past
+them is an error naming its line, and a missing week 53 a missing row."""
 
 import csv
 import logging
 
 import numpy as np
 
-from pandmort.datastore import MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, check_age_partition
+from pandmort.datastore import (
+    MAX_WEEKS, AgeIndex, AnnualPanel, WeeklyPanel, check_age_partition, weeks_in_iso_year,
+)
 from pandmort.errors import IngestError
-from pandmort.ingest import _parse_group_columns, weeks_in_iso_year
+from pandmort.ingest import _parse_group_columns
 
 log = logging.getLogger(__name__)
 
@@ -141,6 +145,11 @@ def parse_stmf_countries(path, countries, open_group_high=110):
             raise IngestError(f"{path}: line {lineno}: unknown sex code {sex!r}")
         if not (0 <= week <= MAX_WEEKS):
             raise IngestError(f"{path}: line {lineno}: week {week} out of range")
+        if week and not (0 < year < 10000):
+            raise IngestError(f"{path}: line {lineno}: year {year} outside 1..9999")
+        if week > weeks_in_iso_year(year):
+            raise IngestError(f"{path}: line {lineno}: week {week} outside "
+                              f"1..{weeks_in_iso_year(year)}, the weeks of ISO year {year}")
         if (year, week, sex) in data:
             raise IngestError(f"{path}: duplicate row for year {year}, week {week}, sex {sex}")
         vals = [v for i, v in enumerate(row[4:], start=4) if i not in flag_cols]
@@ -172,22 +181,16 @@ def _weekly_panels(path, country, ages, data):
     years = tuple(sorted({y for (y, _, _) in data}))
     if not years:
         raise IngestError(f"{path}: no usable rows for country {country}")
-    weeks_in_year = {}
-    for t in years:
-        observed = max(w for (y, w, _) in data if y == t)
-        weeks_in_year[t] = 53 if observed == 53 else 52
-
     panels = {}
     for sex in ("m", "f"):
         deaths = np.full((len(ages), len(years), MAX_WEEKS), np.nan)
         for j, t in enumerate(years):
-            for w in range(1, weeks_in_year[t] + 1):
+            for w in range(1, weeks_in_iso_year(t) + 1):
                 key = (t, w, sex)
                 if key not in data:
                     raise IngestError(f"{path}: missing row for year {t}, week {w}, sex {sex}")
                 deaths[:, j, w - 1] = data[key]
         panels[sex] = WeeklyPanel(
-            country=country, gender=sex, ages=ages, years=years,
-            weeks_in_year=weeks_in_year, deaths=deaths,
+            country=country, gender=sex, ages=ages, years=years, deaths=deaths,
         ).validate()
     return panels

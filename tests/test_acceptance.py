@@ -19,7 +19,9 @@ import pandmort.covid_layer as cv
 import pandmort.exposures as ex
 import pandmort.seasonal as se
 import pandmort.synthetic as sy
-from pandmort.datastore import MAX_WEEKS, CovidLayer, ScenarioSpec, SeasonalEffect
+from pandmort.datastore import (
+    MAX_WEEKS, CovidLayer, ScenarioSpec, SeasonalEffect, weeks_in_iso_year,
+)
 from util import (
     annual_survival_gap,
     assert_annual_constraints,
@@ -128,7 +130,7 @@ def test_criterion_03_constraint_suite(baseline_model, pandemic_truth, phi_truth
     fitted = se.fit_seasonal_spline(fractions, country="AAA", gender="m")
     assert_seasonal_constraints(fitted)
 
-    d2020 = panel.deaths[:, panel.years.index(2020), :panel.weeks_in_year[2020]]
+    d2020 = panel.deaths[:, panel.years.index(2020), :weeks_in_iso_year(2020)]
     fit = cd.coda_fit(d2020, AGES, 2020, "m")
     assert_coda_constraints(fit)
 
@@ -138,8 +140,7 @@ def test_criterion_04_annualization_identity():
         ages = np.arange(35, 91)
         pand = sy.make_pandemic_truth(ages, seed=seed, amplitude=0.35)
         layer = CovidLayer(
-            country="AAA", gender="m", ages=tuple(ages), years=(2020, 2021),
-            weeks_in_year={2020: 53, 2021: 52}, method=2,
+            country="AAA", gender="m", ages=tuple(ages), years=(2020, 2021), method=2,
             B=pand["B"], K=pand["K"],
         )
         phi = sy.seasonal_phi(0.2)

@@ -13,8 +13,7 @@ from util import annual_survival_gap, assert_annual_constraints
 def make_layer(ages, seed=3, amplitude=0.35):
     pand = sy.make_pandemic_truth(ages, seed=seed, amplitude=amplitude)
     return CovidLayer(
-        country="AAA", gender="m", ages=tuple(ages), years=(2020, 2021),
-        weeks_in_year={2020: 53, 2021: 52}, method=2,
+        country="AAA", gender="m", ages=tuple(ages), years=(2020, 2021), method=2,
         B=pand["B"], K=pand["K"],
     )
 
@@ -124,8 +123,7 @@ def test_annualize_degenerate_zero_effect():
     ages = np.arange(40, 60)
     layer = make_layer(ages)
     layer = CovidLayer(
-        country="AAA", gender="m", ages=layer.ages, years=layer.years,
-        weeks_in_year=layer.weeks_in_year, method=2, B=layer.B,
+        country="AAA", gender="m", ages=layer.ages, years=layer.years, method=2, B=layer.B,
         K=np.where(np.isnan(layer.K), np.nan, 0.0),
     )
     mu = np.full((20, 2), 0.01)

@@ -428,12 +428,13 @@ def test_unreadable_input_file_exits_with_error_json(pipeline, tmp_path, case):
 
 
 # (command, the run-directory file it fails on, the edit of that file's text
-# that leaves it parsable but its object invalid, the validation message)
+# that leaves it parsable but its object invalid, the validation message; a
+# year short of its ISO weeks is a missing cell instead)
 INVALID_FILES = {
     "weekly panel short year": (
         "fit-seasonal", "weekly_AAA_m.csv",
         lambda text: re.sub(r"^[^,]*,2021,(4\d|5\d),.*\n", "", text, flags=re.M),
-        "WeeklyPanel: weeks in year 2021 = 39"),
+        "missing cell age 0_4, year 2021, week 40"),
     "annual panel negative deaths": (
         "calibrate-baseline", "annual_panel.csv",
         lambda text: re.sub(r"^(AAA,m,0,1970,)\d+,", r"\g<1>-3,", text, flags=re.M),
@@ -461,6 +462,114 @@ def test_invalid_run_directory_file_exits_3_naming_it(pipeline, tmp_path, case):
     rec = json.loads((out / "error.json").read_text())
     assert (rec["stage"], rec["error"], rec["message"]) == (command, "ParseError",
                                                             f"{path}: {message}")
+
+
+# (command, the file it fails on, under a copy of the run's data and output,
+# the edit of that file's text, the error, the message after the file's path)
+OFF_THE_ISO_CALENDAR = {
+    "raw 2020 without week 53": (
+        "ingest", "data/weekly_deaths.csv",
+        lambda text: re.sub(r"^AAA,2020,53,.*\n", "", text, flags=re.M),
+        "IngestError", "missing row for year 2020, week 53, sex m"),
+    "raw week 53 of 2021": (
+        "ingest", "data/weekly_deaths.csv",
+        lambda text: text + "AAA,2021,53,f" + ",1" * 19 + "\n",
+        "IngestError", "line {lineno}: week 53 outside 1..52, the weeks of ISO year 2021"),
+    "run directory 2020 without week 53": (
+        "calibrate-covid", "out/weekly_AAA_m.csv",
+        lambda text: re.sub(r"^[^,]*,2020,53,.*\n", "", text, flags=re.M),
+        "ParseError", "missing cell age 0_4, year 2020, week 53"),
+    "covid layer of a 52-week 2020": (
+        "annualize", "out/covid_AAA_m.csv",
+        lambda text: re.sub(r"^K,2020,53,.*\n", "", text, flags=re.M).replace(
+            "weeks,2020,,53\n", "weeks,2020,,52\n"),
+        "ParseError", "row weeks,2020,: ISO year 2020 has 53 weeks"),
+}
+
+
+@pytest.mark.parametrize("case", OFF_THE_ISO_CALENDAR)
+def test_weeks_off_the_iso_calendar_exit_3(pipeline, tmp_path, case):
+    """STMF counts deaths in ISO weeks, so 2020 has 53 of them: a file that
+    holds a year's weeks otherwise is a data error naming it, never a year of
+    the weeks it happens to hold."""
+    command, name, edit, error, message = OFF_THE_ISO_CALENDAR[case]
+    shutil.copytree(pipeline["data"], tmp_path / "data")
+    shutil.copytree(pipeline["out"], tmp_path / "out")
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=tmp_path / "data"))
+    path = tmp_path / name
+    text = path.read_text(encoding="utf-8")
+    path.write_text(edit(text), encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 3
+    rec = json.loads((out / "error.json").read_text())
+    lineno = len(text.splitlines()) + 1
+    assert (rec["stage"], rec["error"], rec["message"]) == (
+        command, error, f"{path}: {message.format(lineno=lineno)}")
+
+
+def _without(pattern):
+    """An edit of a file's text that deletes the lines matching ``pattern``."""
+    return lambda text: re.sub(f"^{pattern}.*\n", "", text, flags=re.M)
+
+
+PANDEMIC_MISMATCH = ("does not hold the pandemic years 2020:2021 and covid_ages {covid_ages}: "
+                     "rerun {rerun}")
+# (command, the config's edit or None, the run-directory file it fails on, the
+# edit of that file's text or None, the message after the file's path): a
+# file that parses but does not cover what the config asks for
+SHORT_OF_THE_CONFIG = {
+    "annual panel from a later year": (
+        "calibrate-baseline", ("years = 1970:2019", "years = 1960:2019"), "annual_panel.csv",
+        None, "has no data for year 1960: rerun ingest"),
+    "annual panel short of an age": (
+        "calibrate-baseline", ("ages = 0:90", "ages = 0:100"), "annual_panel.csv",
+        _without(r"[^,]*,[mf],1\d\d,"), "has no data for age 100: rerun ingest"),
+    "annual panel without a country, baseline": (
+        "calibrate-baseline", None, "annual_panel.csv", _without("BBB,"),
+        "has no data for country BBB: rerun ingest"),
+    "annual panel without a country, covid": (
+        "calibrate-covid", None, "annual_panel.csv", _without("BBB,"),
+        "has no data for country BBB: rerun ingest"),
+    "covid layer of other covid_ages": (
+        "annualize", ("covid_ages = 40:90", "covid_ages = 40:89"), "covid_AAA_m.csv", None,
+        PANDEMIC_MISMATCH.format(covid_ages="40:89", rerun="calibrate-covid")),
+    "covid layer without 2021": (
+        "annualize", None, "covid_AAA_m.csv", _without("(weeks|K),2021,"),
+        PANDEMIC_MISMATCH.format(covid_ages="40:90", rerun="calibrate-covid")),
+    "annual effects without X_2021, forecast": (
+        "forecast", None, "annual_effects_AAA_m.csv", _without("X,2021,"),
+        PANDEMIC_MISMATCH.format(covid_ages="40:90", rerun="annualize")),
+    "annual effects without X_2021, report": (
+        "report", None, "annual_effects_AAA_m.csv", _without("X,2021,"),
+        PANDEMIC_MISMATCH.format(covid_ages="40:90", rerun="annualize")),
+    "annual effects of other covid_ages": (
+        "forecast", ("covid_ages = 40:90", "covid_ages = 50:90"), "annual_effects_AAA_m.csv",
+        None, PANDEMIC_MISMATCH.format(covid_ages="50:90", rerun="annualize")),
+}
+
+
+@pytest.mark.parametrize("case", SHORT_OF_THE_CONFIG)
+def test_input_short_of_the_config_exits_3(pipeline, tmp_path, case):
+    """A stage refuses a run-directory file that lacks a configured country,
+    age or year, or a pandemic model file that does not hold the pandemic
+    years and the configured covid_ages, naming the file and the stage to
+    rerun; it never runs on what the file happens to hold."""
+    command, config_edit, name, edit, message = SHORT_OF_THE_CONFIG[case]
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(*(config_edit or ("", ""))))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    path = out / name
+    if edit is not None:
+        text = path.read_text(encoding="utf-8")
+        path.write_text(edit(text), encoding="utf-8")
+        assert path.read_text(encoding="utf-8") != text
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"], rec["message"]) == (command, "ParseError",
+                                                            f"{path} {message}")
 
 
 def test_baseline_without_a_configured_country_exits_3(pipeline, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import pandmort.coda as cd
 import pandmort.synthetic as sy
+from pandmort.datastore import weeks_in_iso_year
 from pandmort.errors import ValidationError
 from util import assert_coda_constraints
 
@@ -50,7 +51,7 @@ def test_rank1_recovery_exact():
 def test_coda_fit_on_sampled_weekly_deaths(pandemic_truth, phi_truth):
     mu = np.tile(np.exp(-5.0 + 0.05 * np.arange(91))[:, None], (1, 2))
     wp = sy.sample_weekly_panel("AAA", "m", pandemic_truth, mu, phi=phi_truth, seed=9)
-    d = wp.deaths[:, wp.years.index(2020), :wp.weeks_in_year[2020]]
+    d = wp.deaths[:, wp.years.index(2020), :weeks_in_iso_year(2020)]
     fit = cd.coda_fit(d, np.arange(91), 2020, "m")
     assert_coda_constraints(fit)
     assert 0.0 < fit.explained_variance <= 1.0

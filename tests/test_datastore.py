@@ -27,6 +27,7 @@ from pandmort.datastore import (
     read_weekly_panel_csv,
     save_model,
     week_mask,
+    weeks_in_iso_year,
     write_annual_panel_csv,
     write_table,
     write_weekly_panel_csv,
@@ -111,20 +112,13 @@ def test_weekly_panel_validate_requires_exposures(pandemic_truth, phi_truth):
 def _valid_weekly_panel():
     """Two ages over 2019 (52 weeks), 2020 (53) and 2021 (52), with exposures,
     and a negative death count in the week that 2019 does not have."""
-    years, weeks = (2019, 2020, 2021), {2019: 52, 2020: 53, 2021: 52}
-    used = np.broadcast_to(week_mask(years, weeks), (2, 3, MAX_WEEKS))
+    years = (2019, 2020, 2021)
+    used = np.broadcast_to(week_mask(years), (2, 3, MAX_WEEKS))
     deaths = np.where(used, 5.0, np.nan)
     deaths[0, 0, 52] = -1.0
     return WeeklyPanel(country="AAA", gender="m", ages=(AgeIndex(40, 40), AgeIndex(41, 41)),
-                       years=years, weeks_in_year=weeks, deaths=deaths,
+                       years=years, deaths=deaths,
                        exposures=np.where(used, 1e3, np.nan))
-
-
-def _with_weeks(wt):
-    def corrupt(panel, j):
-        return dataclasses.replace(panel, weeks_in_year={**panel.weeks_in_year,
-                                                         panel.years[j]: wt})
-    return corrupt
 
 
 def _with_cell(name, value):
@@ -137,8 +131,6 @@ def _with_cell(name, value):
 
 # Each way a year can fail `WeeklyPanel.validate`, in the order it checks them.
 VALIDATE_FAILURES = {
-    "weeks 51": (_with_weeks(51), "weeks in year {} = 51"),
-    "weeks 54": (_with_weeks(54), "weeks in year {} = 54"),
     "non-finite deaths": (_with_cell("deaths", np.nan), "non-finite deaths in year {}"),
     "negative deaths": (_with_cell("deaths", -1.0), "negative deaths in year {}"),
     "non-finite exposures": (_with_cell("exposures", np.inf), "non-finite exposures in year {}"),
@@ -246,12 +238,12 @@ def test_covid_layer_roundtrip(pandemic_truth, phi_truth, tmp_path):
     np.testing.assert_array_equal(back.K[~np.isnan(layer.K)], layer.K[~np.isnan(layer.K)])
     assert back.method == layer.method
     assert back.ages == layer.ages
-    assert back.weeks_in_year == layer.weeks_in_year
+    assert back.years == layer.years
 
 
 def test_coda_roundtrip(pandemic_truth, phi_truth, tmp_path):
     wp = _weekly(pandemic_truth, phi_truth)
-    d = wp.deaths[:, wp.years.index(2020), :wp.weeks_in_year[2020]]
+    d = wp.deaths[:, wp.years.index(2020), :weeks_in_iso_year(2020)]
     fit = coda_mod.coda_fit(d, np.arange(91), 2020, "m")
     path = tmp_path / "coda.csv"
     save_model(fit, str(path))
@@ -323,7 +315,7 @@ def test_weekly_panel_csv_roundtrip(pandemic_truth, phi_truth, tmp_path):
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(wp, str(path))
     back = read_weekly_panel_csv(str(path), "AAA", "m")
-    assert back.weeks_in_year == wp.weeks_in_year
+    assert back.years == wp.years
     used = ~np.isnan(wp.deaths)
     np.testing.assert_array_equal(back.deaths[used], wp.deaths[used])
     assert back.exposures is None
@@ -350,8 +342,7 @@ def _small_weekly():
     deaths = np.full((3, 2, 53), np.nan)
     deaths[:, 0, :53] = rng.integers(0, 30, (3, 53))
     deaths[:, 1, :52] = rng.integers(0, 30, (3, 52))
-    return WeeklyPanel(country="AAA", gender="f", ages=ages, years=years,
-                       weeks_in_year={2020: 53, 2021: 52}, deaths=deaths)
+    return WeeklyPanel(country="AAA", gender="f", ages=ages, years=years, deaths=deaths)
 
 
 def _rewrite(path, edit):
@@ -361,7 +352,6 @@ def _rewrite(path, edit):
 
 def _assert_weekly_equal(a, b):
     assert (a.country, a.gender, a.ages, a.years) == (b.country, b.gender, b.ages, b.years)
-    assert a.weeks_in_year == b.weeks_in_year
     np.testing.assert_array_equal(a.deaths, b.deaths)
     assert a.exposures is None and b.exposures is None
 
@@ -485,12 +475,17 @@ def test_weekly_panel_csv_contract_blank_comment_and_shuffled_rows(tmp_path):
     _assert_weekly_equal(back, panel)
 
 
-@pytest.mark.parametrize("week", ["0", "54", "x"])
+@pytest.mark.parametrize("week", ["0", "54", "x", "53"])
 def test_weekly_panel_csv_contract_malformed_week(tmp_path, week):
+    """A week that is not a number, or not one of the ISO weeks of its year
+    (2021 has 52), is an error naming its line."""
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(_small_weekly(), str(path))
+    lineno = len(path.read_text(encoding="utf-8").splitlines()) + 1
     _rewrite(path, lambda ls: ls + [f"10,2021,{week},1,"])
-    with pytest.raises(ParseError):
+    message = ("bad number" if week == "x"
+               else f"week {week} outside 1..52, the weeks of ISO year 2021")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line {lineno}: {message}")):
         read_weekly_panel_csv(str(path), "AAA", "f")
 
 
@@ -536,7 +531,7 @@ def _tiny_models():
     sigma[0, 1] = sigma[1, 0] = 0.125
     phi = np.ones(MAX_WEEKS)
     phi[0], phi[51], phi[52] = 1.25, 0.75, 0.75
-    K = np.full((2, MAX_WEEKS), np.nan)
+    K = np.where(week_mask((2020, 2021)), 0.0, np.nan)
     K[0, :2] = [0.5, -0.5]
     K[1, :3] = [1.0, 2.0, 5e-324]
     owner = dict(country="BBB", gender="m", ages=(AgeIndex(40, 64), AgeIndex(65, 65)),
@@ -552,10 +547,8 @@ def _tiny_models():
             sigma=sigma),
         ("seasonal", "present"): SeasonalEffect(country="AAA", gender="f", phi=phi, knots=4,
                                                 coeffs=np.array([1.5, 0.5, 1.0, 1.0 / 3])),
-        ("covid", "absent"): CovidLayer(**owner, weeks_in_year={2020: 2, 2021: 3}, method=1,
-                                        B=np.array([0.6, 0.8]), K=K),
-        ("covid", "present"): CovidLayer(**owner, weeks_in_year={2020: 2, 2021: 3}, method=2,
-                                         B=np.array([0.6, 0.8]), K=K),
+        ("covid", "absent"): CovidLayer(**owner, method=1, B=np.array([0.6, 0.8]), K=K),
+        ("covid", "present"): CovidLayer(**owner, method=2, B=np.array([0.6, 0.8]), K=K),
         ("annual", "present"): AnnualEffects(**owner, V=np.array([0.8, 0.6]),
                                              X=np.array([0.3, -0.1])),
         ("coda", "absent"): CodaFit(**coda, degenerate=True),
@@ -650,14 +643,15 @@ B,0,,0.59999999999999998
 age,1,,65
 B,1,,0.80000000000000004
 method,,,2
-weeks,2020,,2
-weeks,2021,,3
+weeks,2020,,53
+weeks,2021,,52
 K,2020,1,0.5
 K,2020,2,-0.5
+""" + "".join(f"K,2020,{w},0\n" for w in range(3, 54)) + """\
 K,2021,1,1
 K,2021,2,2
 K,2021,3,4.9406564584124654e-324
-"""
+""" + "".join(f"K,2021,{w},0\n" for w in range(4, 53))
 
 COVID_ABSENT = COVID_PRESENT.replace("method,,,2", "method,,,1")
 
@@ -753,11 +747,7 @@ UNWRITABLE = {
     "baseline delta_tstat lacks a series": (
         ("baseline", "present"), dict(delta_tstat={("AAA", "f"): np.inf}),
         "BaselineModel: delta_tstat not keyed by each of its series"),
-    "covid weeks lack a year": (("covid", "present"), dict(weeks_in_year={2020: 2}),
-                                "CovidLayer: weeks_in_year must give each year 0..53 weeks"),
-    "covid 54 weeks": (("covid", "present"), dict(weeks_in_year={2020: 2, 2021: 54}),
-                       "CovidLayer: weeks_in_year must give each year 0..53 weeks"),
-    "covid K after the last week": (  # week 53 of years of 2 and 3 weeks
+    "covid K after the last week": (  # week 53 of 2021, a year of 52 ISO weeks
         ("covid", "present"),
         dict(K=np.where(np.arange(MAX_WEEKS) == 52, 0.5, _tiny_models()["covid", "present"].K)),
         "CovidLayer: K not NaN after a year's last week"),
@@ -810,8 +800,16 @@ CORRUPTIONS = {
     "covid inverted age group": (COVID_PRESENT, ("age,0,,40_64", "age,0,,64_40"), "row age,0,"),
     "covid three-part age label": (COVID_PRESENT, ("age,0,,40_64", "age,0,,40_64_70"),
                                    "row age,0,"),
-    "covid too many weeks": (COVID_PRESENT, ("weeks,2021,,3", "weeks,2021,,54"), "row weeks,2021,"),
-    "covid bad year": (COVID_PRESENT, ("weeks,2020,,2", "weeks,20x0,,2"), "row weeks,20x0"),
+    "covid too many weeks": (COVID_PRESENT, ("weeks,2021,,52", "weeks,2021,,54"),
+                             "row weeks,2021,: ISO year 2021 has 52 weeks"),
+    # a file that holds 52 weeks of 2020 whole, as the reader once accepted
+    "covid 2020 without week 53": (COVID_PRESENT, ("weeks,2020,,53\n", "weeks,2020,,52\n"),
+                                   "row weeks,2020,: ISO year 2020 has 53 weeks",
+                                   ("K,2020,53,0\n", "")),
+    "covid bad year": (COVID_PRESENT, ("weeks,2020,,53", "weeks,20x0,,53"), "row weeks,20x0"),
+    "covid year datetime lacks": (COVID_PRESENT, ("weeks,2021,,52", "weeks,10000,,52"),
+                                  "row weeks,10000,: bad value 10000",
+                                  *((f"K,2021,{w},", f"K,10000,{w},") for w in range(1, 53))),
     "annual missing V": (ANNUAL_PRESENT, ("V,0,,0.80000000000000004\n", ""), "missing row V,0,"),
     "annual bad degenerate flag": (ANNUAL_PRESENT, ("degenerate,,,0", "degenerate,,,no"),
                                    "row degenerate,,"),
@@ -831,7 +829,9 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_malformed_model_file_is_a_parse_error(tmp_path, case):
-    text, (old, new), names = CORRUPTIONS[case]
+    text, (old, new), names, *more = CORRUPTIONS[case]
+    for old_row, new_row in more:
+        text = _edited(text, old_row, new_row)
     path = tmp_path / "model.csv"
     path.write_text(_edited(text, old, new), encoding="utf-8")
     with pytest.raises(ParseError) as err:
@@ -916,11 +916,10 @@ def _owner(draw):
 @st.composite
 def covid_layers(draw):
     owner = _owner(draw)
-    weeks = {t: draw(st.integers(0, MAX_WEEKS)) for t in owner["years"]}
-    K = np.full((len(weeks), MAX_WEEKS), np.nan)
+    K = np.full((len(owner["years"]), MAX_WEEKS), np.nan)
     for j, t in enumerate(owner["years"]):
-        K[j, :weeks[t]] = _floats(draw, weeks[t])
-    return CovidLayer(**owner, weeks_in_year=weeks, method=draw(st.sampled_from((1, 2))),
+        K[j, :weeks_in_iso_year(t)] = _floats(draw, weeks_in_iso_year(t))
+    return CovidLayer(**owner, method=draw(st.sampled_from((1, 2))),
                       B=_unit(draw, len(owner["ages"]), True), K=K)
 
 

@@ -11,7 +11,7 @@ from util import daily_microsim
 
 def _grouped(*groups):
     """A one-year weekly AAA/m panel with 100 deaths in every week of each group."""
-    return WeeklyPanel(country="AAA", gender="m", ages=groups, years=(2020,), weeks_in_year={2020: 53},
+    return WeeklyPanel(country="AAA", gender="m", ages=groups, years=(2020,),
                        deaths=np.full((len(groups), 1, MAX_WEEKS), 100.0))
 
 

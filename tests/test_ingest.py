@@ -72,9 +72,9 @@ def test_parse_stmf(synthetic_dataset):
     assert wp.ages[0] == AgeIndex(0, 4)
     assert wp.ages[-1] == AgeIndex(90, 110)
     assert wp.years == tuple(range(2010, 2022))
-    assert wp.weeks_in_year[2015] == 53
-    assert wp.weeks_in_year[2020] == 53
-    assert wp.weeks_in_year[2021] == 52
+    # 2015 and 2020 are long ISO years, so only 2021's week 53 is padding
+    week53 = wp.deaths[:, [wp.years.index(t) for t in (2015, 2020, 2021)], 52]
+    assert not np.isnan(week53[:, :2]).any() and np.isnan(week53[:, 2]).all()
     used = ~np.isnan(wp.deaths)
     assert (wp.deaths[used] >= 0).all()
 
@@ -94,7 +94,6 @@ def test_parse_stmf_countries_matches_single_country_parses(synthetic_dataset):
         for g in ("m", "f"):
             assert both[c][g].country == c
             assert both[c][g].years == single[g].years
-            assert both[c][g].weeks_in_year == single[g].weeks_in_year
             np.testing.assert_array_equal(both[c][g].deaths, single[g].deaths)
 
 
@@ -336,6 +335,11 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
      "duplicate row for year 2018, week 1, sex m"),
     ("CountryCode,Year,Week,Sex,D0_4\n" + "".join(_stmf_year(skip={(7, "f")})),
      "missing row for year 2018, week 7, sex f"),
+    ("CountryCode,Year,Week,Sex,D0_4\n" + "".join(_stmf_year(year=2020)),
+     "missing row for year 2020, week 53, sex m"),
+    ("CountryCode,Year,Week,Sex,D0_4\n" + "".join(_stmf_year(year=2021)) + "XXX,2021,53,f,10\n",
+     "line 106: week 53 outside 1..52, the weeks of ISO year 2021"),
+    ("CountryCode,Year,Week,Sex,D0_4\nXXX,10000,1,m,1\n", "line 2: year 10000 outside 1..9999"),
     ("CountryCode,Year,Week,Sex,D0_4\nXXX,1,0,m,1\nXXX,1,0,f,1\n",
      "line 2: week 0 of year 1 falls in year 0, outside 1..9999"),
     ("CountryCode,Year,Week,Sex,D0_4\nXXX,10001,1,m,1\nXXX,10001,0,f,1\n",
@@ -346,6 +350,7 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
     ("CountryCode,Year,Week,Sex,D0_4,D5p\nXXX,2018,1,m,1,1\n", "AgeIndex: low 5 > high 4"),
 ], ids=["empty", "wrong-header", "sex", "week-54", "value-count", "negative", "duplicate",
         "bad-value-before-duplicate", "duplicate-before-bad-value", "missing-week",
+        "2020-without-week-53", "week-53-of-2021", "year-10000",
         "week-0-of-year-1", "week-0-of-year-10001", "reversed-group", "group-gap",
         "open-group-above-top-age"])
 def test_parse_stmf_errors_name_file_and_line(tmp_path, text, message):

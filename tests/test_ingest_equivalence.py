@@ -163,7 +163,7 @@ def test_parse_stmf_countries_matches_rowwise(case):
         assert list(got[c]) == list(want[c])
         for g, panel in want[c].items():
             mine = got[c][g]
-            assert (mine.country, mine.gender, mine.ages, mine.years, mine.weeks_in_year) == (
-                panel.country, panel.gender, panel.ages, panel.years, panel.weeks_in_year)
+            assert (mine.country, mine.gender, mine.ages, mine.years) == (
+                panel.country, panel.gender, panel.ages, panel.years)
             np.testing.assert_array_equal(mine.deaths, panel.deaths)
             assert mine.exposures is None and panel.exposures is None

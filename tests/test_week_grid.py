@@ -1,7 +1,7 @@
 """The array forms of four weekly-grid functions return what their per-year
 and per-week loop forms in ``util`` returned, bit for bit, or raise the same
-error, on random grids that mix 52- and 53-week years and whose age counts
-are not multiples of 8."""
+error, on random grids whose years mix 52- and 53-week ISO years and whose
+age counts are not multiples of 8."""
 
 import logging
 
@@ -14,12 +14,15 @@ import pandmort.covid_layer as cv
 import pandmort.exposures as ex
 import pandmort.seasonal as se
 import util
-from pandmort.datastore import MAX_WEEKS, AgeIndex, CovidLayer, SeasonalEffect, WeeklyPanel, week_mask
+from pandmort.datastore import (
+    MAX_WEEKS, AgeIndex, CovidLayer, SeasonalEffect, WeeklyPanel, week_mask, weeks_in_iso_year,
+)
 from pandmort.errors import PandmortError
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 AGE_COUNTS = st.integers(1, 21).filter(lambda n: n % 8)
+YEARS = st.integers(2004, 2027)  # 2004, 2009, 2015, 2020 and 2026 have 53 ISO weeks
 
 
 def _same_bits(a, b):
@@ -56,19 +59,18 @@ def _logged(fn, *args):
 
 @st.composite
 def grids(draw):
-    """A seeded generator, the number of ages, the years and their week counts.
-    Every grid holds a 52-week and a 53-week year."""
-    weeks = draw(st.permutations(
-        [52, 53] + draw(st.lists(st.sampled_from((52, 53)), max_size=3))))
-    years = tuple(range(2015, 2015 + len(weeks)))
+    """A seeded generator, the number of ages and increasing years, among
+    them a long year such as 2015 or 2020 and a 52-week one."""
+    long_year = draw(YEARS.filter(lambda t: weeks_in_iso_year(t) == 53))
+    short_year = draw(YEARS.filter(lambda t: weeks_in_iso_year(t) == 52))
+    years = tuple(sorted({long_year, short_year, *draw(st.lists(YEARS, max_size=3))}))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng, draw(AGE_COUNTS), years, dict(zip(years, weeks))
+    return rng, draw(AGE_COUNTS), years
 
 
-def _padded(rng, nages, years, weeks_in_year, values):
+def _padded(rng, nages, years, values):
     """``values`` of shape (nages, nyears, 53), NaN outside the weeks that exist."""
-    used = week_mask(years, weeks_in_year)
-    return np.where(used, values(rng, (nages, len(years), MAX_WEEKS)), np.nan)
+    return np.where(week_mask(years), values(rng, (nages, len(years), MAX_WEEKS)), np.nan)
 
 
 def _counts(rng, shape, zeros=0.2):
@@ -77,13 +79,11 @@ def _counts(rng, shape, zeros=0.2):
     return np.where(rng.random(shape) < zeros, 0.0, counts)
 
 
-def _panel(rng, nages, years, weeks_in_year):
+def _panel(rng, nages, years):
     return WeeklyPanel(
         country="AAA", gender="f", ages=tuple(AgeIndex(x, x) for x in range(nages)),
-        years=years, weeks_in_year=weeks_in_year,
-        deaths=_padded(rng, nages, years, weeks_in_year, _counts),
-        exposures=_padded(rng, nages, years, weeks_in_year,
-                          lambda rng, shape: _counts(rng, shape, zeros=0.0)),
+        years=years, deaths=_padded(rng, nages, years, _counts),
+        exposures=_padded(rng, nages, years, lambda rng, shape: _counts(rng, shape, zeros=0.0)),
     )
 
 
@@ -94,8 +94,8 @@ def _phi(rng):
 @SETTINGS
 @given(grids(), st.sampled_from((1, 2)))
 def test_predicted_deaths_matches_loop(grid, method):
-    rng, nages, years, weeks_in_year = grid
-    panel = _panel(rng, nages, years, weeks_in_year)
+    rng, nages, years = grid
+    panel = _panel(rng, nages, years)
     mu = 10.0 ** rng.uniform(-5, 0, (nages, len(years)))
     seasonal = SeasonalEffect(country="AAA", gender="f", phi=_phi(rng), knots=12)
     want = util.loop_predicted_deaths(panel, mu, seasonal=seasonal, method=method)
@@ -105,13 +105,12 @@ def test_predicted_deaths_matches_loop(grid, method):
 @SETTINGS
 @given(grids(), st.floats(0.1, 20.0))
 def test_weekly_mean_factor_matches_loop(grid, spread):
-    rng, nages, years, weeks_in_year = grid
+    rng, nages, years = grid
     B = rng.normal(size=nages)
     layer = CovidLayer(
         country="AAA", gender="f", ages=tuple(AgeIndex(x, x) for x in range(nages)),
-        years=years, weeks_in_year=weeks_in_year, method=2, B=B / np.linalg.norm(B),
-        K=_padded(rng, 1, years, weeks_in_year,
-                  lambda rng, shape: rng.normal(0.0, spread, shape))[0],
+        years=years, method=2, B=B / np.linalg.norm(B),
+        K=_padded(rng, 1, years, lambda rng, shape: rng.normal(0.0, spread, shape))[0],
     )
     phi = _phi(rng)
     assert _same_bits(af.weekly_mean_factor(layer, phi), util.loop_weekly_mean_factor(layer, phi))
@@ -120,8 +119,8 @@ def test_weekly_mean_factor_matches_loop(grid, spread):
 @SETTINGS
 @given(grids(), st.booleans())
 def test_weekly_fractions_matches_loop(grid, empty_year):
-    rng, nages, years, weeks_in_year = grid
-    panel = _panel(rng, nages, years, weeks_in_year)
+    rng, nages, years = grid
+    panel = _panel(rng, nages, years)
     if empty_year:  # a year without deaths is an error, in either form
         panel.deaths[:, rng.integers(len(years))] *= 0.0
     got, want = _outcome(se.weekly_fractions, panel), _outcome(util.loop_weekly_fractions, panel)

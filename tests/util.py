@@ -16,7 +16,7 @@ import numpy as np
 
 from pandmort.annualize_forecast import weekly_mean_factor
 from pandmort.baseline import MAX_ITER, REL_TOL, _usable
-from pandmort.datastore import GENDERS, MAX_WEEKS
+from pandmort.datastore import GENDERS, MAX_WEEKS, weeks_in_iso_year
 from pandmort.errors import NumericalError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -176,7 +176,7 @@ def loop_predicted_deaths(panel, mu, seasonal=None, method=2):
     phi = np.ones(MAX_WEEKS) if method == 1 else seasonal.phi
     pred = np.full_like(panel.deaths, np.nan)
     for j, t in enumerate(panel.years):
-        wt = panel.weeks_in_year[t]
+        wt = weeks_in_iso_year(t)
         pred[:, j, :wt] = panel.exposures[:, j, :wt] * mu[:, j : j + 1] * phi[None, :wt]
     return pred
 
@@ -184,7 +184,7 @@ def loop_predicted_deaths(panel, mu, seasonal=None, method=2):
 def loop_weekly_mean_factor(layer, phi):
     m = np.empty((len(layer.ages), len(layer.years)))
     for j, t in enumerate(layer.years):
-        wt = layer.weeks_in_year[t]
+        wt = weeks_in_iso_year(t)
         k = layer.K[j, :wt]
         m[:, j] = (phi[None, :wt] * np.exp(np.outer(layer.B, k))).mean(axis=1)
     return m
@@ -195,12 +195,12 @@ def loop_weekly_fractions(panel):
         raise ValidationError("weekly fractions need at least 2 years of data")
     out = {}
     for j, t in enumerate(panel.years):
-        d = panel.deaths[:, j, :panel.weeks_in_year[t]]
+        d = panel.deaths[:, j, :weeks_in_iso_year(t)]
         totals = d.sum(axis=0)
         year_total = totals.sum()
         if year_total <= 0:
             raise ValidationError(f"year {t} has zero total deaths")
-        out[t] = totals / year_total * panel.weeks_in_year[t]
+        out[t] = totals / year_total * weeks_in_iso_year(t)
     return out
 
 

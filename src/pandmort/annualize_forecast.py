@@ -130,18 +130,13 @@ def standard_scenarios(x_final, eta=0.5):
 
 
 def extend_age_effect(V, calib_ages, full_ages):
-    """Extend the annual age effect to a full age range: zero below the
-    calibrated range, constant at the top calibrated value above it."""
-    calib_ages = np.asarray(calib_ages)
-    full_ages = np.asarray(full_ages)
-    lo, hi = calib_ages.min(), calib_ages.max()
-    dense, have = np.zeros(hi - lo + 1), np.zeros(hi - lo + 1, dtype=bool)
-    dense[calib_ages - lo], have[calib_ages - lo] = V, True
-    at = np.clip(full_ages, lo, hi) - lo
-    if not have[at].all():
-        raise ValidationError(
-            f"extend_age_effect: age {full_ages[np.argmin(have[at])]} missing from calibrated range")
-    return np.where(full_ages < lo, 0.0, dense[at])
+    """Extend the annual age effect ``V`` of ``calib_ages``, one ascending range
+    as long as ``V``, to ``full_ages``: zero below that range, constant above it."""
+    V, calib_ages, full_ages = np.asarray(V), np.asarray(calib_ages), np.asarray(full_ages)
+    if len(V) == 0 or len(calib_ages) != len(V) or (np.diff(calib_ages) != 1).any():
+        raise ValidationError("extend_age_effect: calib_ages not one ascending range as long as V")
+    lo, hi = calib_ages[0], calib_ages[-1]
+    return np.where(full_ages < lo, 0.0, V[np.clip(full_ages, lo, hi) - lo])
 
 
 def scenario_mu(mu_pre, V_ext, x_path):

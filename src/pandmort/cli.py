@@ -74,12 +74,23 @@ CONFIG_KEYS = {
         "countries": (None, lambda text: tuple(c.strip() for c in text.split(",")),
                       (lambda v: "" not in v and len(set(v)) == len(v),
                        "countries must be distinct non-empty codes, got {text!r}")),
-        "years": ("1970:2019", _range, _ORDERED),
+        "years": ("1970:2019", _range, _ORDERED,
+                  (lambda v: v[1] - v[0] + 1 >= bl.MIN_YEARS,
+                   f"years must span at least {bl.MIN_YEARS} years, got {{v[0]}}:{{v[1]}}")),
         "ages": ("0:90", _range, _ORDERED,
                  (lambda v: v[0] == 0, "ages must start at 0, got {v[0]}: the forecast and "
-                                       "report need life expectancy at birth")),
+                                       "report need life expectancy at birth"),
+                 (lambda v: v[1] <= ig.TOP_AGE,
+                  f"ages must end at {ig.TOP_AGE} or below, got {{v[1]}}"),
+                 (lambda v: v[1] > af.EXTRAP_AGES[0],
+                  "ages must end above {0}, got {{v[1]}}: the forecast extrapolates ln(mu) "
+                  "to older ages from the ages {0}:{1}".format(*af.EXTRAP_AGES))),
         "covid_ages": ("40:90", _range, _ORDERED),
-        "seasonal_years": ("2010:2019", _range, _ORDERED),
+        "seasonal_years": ("2010:2019", _range, _ORDERED,
+                           (lambda v: v[0] > PANDEMIC_YEARS[-1] or v[1] < PANDEMIC_YEARS[0],
+                            "seasonal_years {v[0]}:{v[1]} overlaps the pandemic years "
+                            f"{PANDEMIC_YEARS[0]}:{PANDEMIC_YEARS[-1]}, whose waves would "
+                            "enter the seasonal curve")),
         "hist_years": ("2015:2019", _range, _ORDERED),
         "method": ("2", int, (lambda v: v in (1, 2), "method must be 1 or 2, got {v}")),
         "knots": (str(se.DEFAULT_KNOTS), int,  # spline coefficients fitted to the weekly averages
@@ -119,23 +130,11 @@ class RunConfig:
                     setattr(self, key if name == "run" else f"{name}_{key}", value)
         except (KeyError, ValueError, configparser.Error) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
-        if self.ages[1] > ig.TOP_AGE:
-            raise ConfigError(f"ages must end at {ig.TOP_AGE} or below, got {self.ages[1]}")
-        lo, hi = af.EXTRAP_AGES
-        if self.ages[1] <= lo:
-            raise ConfigError(f"ages must end above {lo}, got {self.ages[1]}: the forecast "
-                              f"extrapolates ln(mu) to older ages from the ages {lo}:{hi}")
         if not (self.ages[0] <= self.covid_ages[0] <= self.covid_ages[1] <= self.ages[1]):
             raise ConfigError("covid_ages must lie inside the baseline age range")
         (h0, h1), (y0, y1) = self.hist_years, self.years
-        if y1 - y0 + 1 < bl.MIN_YEARS:
-            raise ConfigError(f"years must span at least {bl.MIN_YEARS} years, got {y0}:{y1}")
         if h1 < y0 or h0 > y1:
             raise ConfigError(f"hist_years {h0}:{h1} shares no year with years {y0}:{y1}")
-        (s0, s1), p0, p1 = self.seasonal_years, min(PANDEMIC_YEARS), max(PANDEMIC_YEARS)
-        if s0 <= p1 and s1 >= p0:
-            raise ConfigError(f"seasonal_years {s0}:{s1} overlaps the pandemic years {p0}:{p1}, "
-                              "whose waves would enter the seasonal curve")
 
 
 def _stamped(cfg, path, write):
@@ -231,14 +230,15 @@ def _read_baseline(cfg, out):
 
 
 def _read_annual(cfg, out):
-    """The annual panel, which must hold every configured country, age and
-    year; a refusal names each missing country and the first missing age and
-    year."""
+    """The annual panel, which must hold every configured country and year
+    and every age ingest writes, 0 to ``ig.TOP_AGE``, as disaggregating the
+    oldest weekly age group needs; a refusal names each missing country and
+    the first missing age and year."""
     panel = _read(out, "annual", ds.read_annual_panel_csv)
-    (a0, a1), (y0, y1) = cfg.ages, cfg.years
+    y0, y1 = cfg.years
     ages, years = set(panel.ages.tolist()), set(panel.years.tolist())
     lacks = ([f"country {c}" for c in cfg.countries if c not in panel.countries]
-             + [f"age {x}" for x in range(a0, a1 + 1) if x not in ages][:1]
+             + [f"age {x}" for x in range(ig.TOP_AGE + 1) if x not in ages][:1]
              + [f"year {t}" for t in range(y0, y1 + 1) if t not in years][:1])
     if lacks:
         raise ParseError(f"{_path(out, 'annual')} has no data for {', '.join(lacks)}: "
@@ -326,6 +326,10 @@ def _pandemic_deaths(cfg, out, c, g, historical):
     """The weekly deaths of ``c``/``g`` in the pandemic years, disaggregated
     to individual ages with the age shares of ``hist_years``."""
     wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
+    lacks = [t for t in PANDEMIC_YEARS if t not in wp.years]
+    if lacks:
+        raise ParseError(f"{_path(out, 'weekly', c=c, g=g)} has no data for year {lacks[0]}: "
+                         "rerun ingest")
     return ex.disaggregate_deaths(wp.select_years(PANDEMIC_YEARS), historical,
                                   range(cfg.hist_years[0], cfg.hist_years[1] + 1))
 
@@ -337,12 +341,11 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
     date = (PANDEMIC_YEARS[0], 1, 1)
     start = next((s for s in _read(out, "population", ig.parse_population, c=c)
                   if s.gender == g and s.date == date), None)
+    path = _path(out, "population", c=c)
     if start is None:
-        raise IngestError(f"{FILES['population'][0].format(c=c)}: no {date[0]}-01-01 "
-                          f"population snapshot for sex {g}")
-    panel_ages = np.array([a.low for a in indiv.ages])
-    if not np.array_equal(start.ages, panel_ages):
-        raise IngestError(f"population ages do not match weekly panel ages for {c}/{g}")
+        raise IngestError(f"{path}: no {date[0]}-01-01 population snapshot for sex {g}")
+    if not np.array_equal(start.ages, [a.low for a in indiv.ages]):
+        raise IngestError(f"{path}: population ages do not match weekly panel ages for {c}/{g}")
     pop = start.counts
     expos = np.full_like(indiv.deaths, np.nan)
     for j, t in enumerate(indiv.years):

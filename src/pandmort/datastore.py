@@ -256,28 +256,24 @@ class BaselineModel:
     def validate(self):
         nx, nt = len(self.ages), len(self.years)
         cgs = set(itertools.product(self.countries, GENDERS))
-        # each field's keys, and its vectors' length (None for a scalar field)
-        for name, keys, n in (("A", GENDERS, nx), ("B", GENDERS, nx), ("K", GENDERS, nt),
-                              ("theta", GENDERS, None), ("alpha", cgs, nx), ("beta", cgs, nx),
-                              ("kappa", cgs, nt), ("delta", cgs, None), ("delta_tstat", cgs, None)):
+        broken = {"norm": lambda v: abs(np.linalg.norm(v) - 1.0) > NORM_TOL,
+                  "sum": lambda v: abs(v.sum()) > SUM_TOL}
+        # each field's keys, its vectors' length (None for a scalar field) and the
+        # identification constraint each vector keeps (None, or a key of ``broken``)
+        for name, keys, n, rule in (
+                ("A", GENDERS, nx, None), ("B", GENDERS, nx, "norm"), ("K", GENDERS, nt, "sum"),
+                ("theta", GENDERS, None, None), ("alpha", cgs, nx, None), ("beta", cgs, nx, "norm"),
+                ("kappa", cgs, nt, "sum"), ("delta", cgs, None, None),
+                ("delta_tstat", cgs, None, None)):
             field = getattr(self, name)
             if field.keys() != set(keys):
                 raise ValidationError(f"BaselineModel: {name} not keyed by each of its series")
             for key, vec in field.items():
                 if n is not None and len(vec) != n:
                     raise ValidationError(f"BaselineModel: {name}[{key}] length != {n}")
-        for g in GENDERS:
-            if abs(np.linalg.norm(self.B[g]) - 1.0) > NORM_TOL:
-                raise ValidationError(f"BaselineModel: norm constraint violated for B[{g}]")
-            if abs(self.K[g].sum()) > SUM_TOL:
-                raise ValidationError(f"BaselineModel: sum constraint violated for K[{g}]")
-        for c in self.countries:
-            for g in GENDERS:
-                key = (c, g)
-                if abs(np.linalg.norm(self.beta[key]) - 1.0) > NORM_TOL:
-                    raise ValidationError(f"BaselineModel: norm constraint violated for beta[{key}]")
-                if abs(self.kappa[key].sum()) > SUM_TOL:
-                    raise ValidationError(f"BaselineModel: sum constraint violated for kappa[{key}]")
+                if rule is not None and broken[rule](vec):
+                    raise ValidationError(
+                        f"BaselineModel: {rule} constraint violated for {name}[{key}]")
         n = len(period_series(self.countries))
         if np.shape(self.sigma) != (n, n):
             raise ValidationError(f"BaselineModel: sigma shape != {(n, n)}")

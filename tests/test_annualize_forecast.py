@@ -164,8 +164,13 @@ def test_extend_age_effect():
     V = np.array([0.5, 0.6, 0.7])
     ext = af.extend_age_effect(V, np.array([40, 41, 42]), np.arange(38, 46))
     np.testing.assert_allclose(ext, [0.0, 0.0, 0.5, 0.6, 0.7, 0.7, 0.7, 0.7])
-    with pytest.raises(ValidationError):
-        af.extend_age_effect(V, np.array([40, 41, 43]), np.arange(40, 44))
+    # the calibrated ages must be one ascending range, even where a gap or the
+    # order would not show in the requested ages
+    for calib_ages, full_ages in [([40, 41, 43], np.arange(40, 44)),
+                                  ([40, 41, 43], np.arange(38, 42)),
+                                  ([42, 41, 40], np.arange(38, 46))]:
+        with pytest.raises(ValidationError):
+            af.extend_age_effect(V, np.array(calib_ages), full_ages)
 
 
 def test_extended_baseline_mu_loglinear_tail(baseline_model):

@@ -80,6 +80,9 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
         ("years = 1970:2019", "years = 2019:1970", "years must run from low to high, got 2019:1970"),
         ("years = 1970:2019", "years = 2017:2019", None),  # the shortest range
         ("years = 1970:2019", "years = 2018:2019", "years must span at least 3 years, got 2018:2019"),
+        # two faulty keys: the first in CONFIG_KEYS order is named
+        ("years = 1970:2019\nages = 0:90", "years = 2018:2019\nages = 0:120",
+         "years must span at least 3 years, got 2018:2019"),
         ("seasonal_years = 2010:2019", "seasonal_years = 2019:2010",
          "seasonal_years must run from low to high, got 2019:2010"),
         ("hist_years = 2015:2019", "hist_years = 2019:2015",
@@ -532,6 +535,25 @@ SHORT_OF_THE_CONFIG = {
     "annual panel without a country, covid": (
         "calibrate-covid", None, "annual_panel.csv", _without("BBB,"),
         "has no data for country BBB: rerun ingest"),
+    # the pandemic stages disaggregate the weekly 90_110 group over ages 90 to 110
+    "annual panel without ages 100-110, covid": (
+        "calibrate-covid", None, "annual_panel.csv", _without(r"[^,]*,[mf],1\d\d,"),
+        "has no data for age 100: rerun ingest"),
+    "annual panel without ages 100-110, coda": (
+        "coda", None, "annual_panel.csv", _without(r"[^,]*,[mf],1\d\d,"),
+        "has no data for age 100: rerun ingest"),
+    "annual panel without ages 100-110, baseline": (
+        "calibrate-baseline", None, "annual_panel.csv", _without(r"[^,]*,[mf],1\d\d,"),
+        "has no data for age 100: rerun ingest"),
+    "weekly panel without 2021, covid": (
+        "calibrate-covid", None, "weekly_AAA_m.csv", _without(r"[^,]*,2021,"),
+        "has no data for year 2021: rerun ingest"),
+    "weekly panel without 2021, coda": (
+        "coda", None, "weekly_AAA_m.csv", _without(r"[^,]*,2021,"),
+        "has no data for year 2021: rerun ingest"),
+    "weekly panel without 2020 and 2021, covid": (
+        "calibrate-covid", None, "weekly_AAA_m.csv", _without(r"[^,]*,202[01],"),
+        "has no data for year 2020: rerun ingest"),
     "covid layer of other covid_ages": (
         "annualize", ("covid_ages = 40:90", "covid_ages = 40:89"), "covid_AAA_m.csv", None,
         PANDEMIC_MISMATCH.format(covid_ages="40:89", rerun="calibrate-covid")),
@@ -553,9 +575,10 @@ SHORT_OF_THE_CONFIG = {
 @pytest.mark.parametrize("case", SHORT_OF_THE_CONFIG)
 def test_input_short_of_the_config_exits_3(pipeline, tmp_path, case):
     """A stage refuses a run-directory file that lacks a configured country,
-    age or year, or a pandemic model file that does not hold the pandemic
-    years and the configured covid_ages, naming the file and the stage to
-    rerun; it never runs on what the file happens to hold."""
+    year or an age ingest writes, a weekly panel without a pandemic year, or
+    a pandemic model file that does not hold the pandemic years and the
+    configured covid_ages, naming the file and the stage to rerun; it never
+    runs on what the file happens to hold."""
     command, config_edit, name, edit, message = SHORT_OF_THE_CONFIG[case]
     config = tmp_path / "run.ini"
     config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(*(config_edit or ("", ""))))
@@ -722,7 +745,18 @@ def test_population_without_the_first_pandemic_year_snapshot_exits_3(pipeline, t
     rec = json.loads((out / "error.json").read_text())
     assert rec["stage"] == "calibrate-covid"
     assert rec["error"] == "IngestError"
-    assert rec["message"] == "population_AAA.csv: no 2020-01-01 population snapshot for sex m"
+    assert rec["message"] == (f"{out / 'population_AAA.csv'}: no 2020-01-01 population "
+                              "snapshot for sex m")
+
+
+def test_population_of_other_ages_exits_3(pipeline, tmp_path):
+    rc, out = _run_on_population(
+        pipeline, tmp_path, lambda lines: [line for line in lines if ",110," not in line])
+    assert rc == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"], rec["message"]) == (
+        "calibrate-covid", "IngestError",
+        f"{out / 'population_AAA.csv'}: population ages do not match weekly panel ages for AAA/m")
 
 
 @pytest.mark.parametrize("row, message", [

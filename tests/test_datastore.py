@@ -768,6 +768,23 @@ def test_save_model_refuses_a_model_it_cannot_write_whole(tmp_path, case):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name, key, message", [
+    ("B", "m", "norm constraint violated for B[m]"),
+    ("K", "f", "sum constraint violated for K[f]"),
+    ("beta", ("AAA", "m"), "norm constraint violated for beta[('AAA', 'm')]"),
+    ("kappa", ("AAA", "f"), "sum constraint violated for kappa[('AAA', 'f')]"),
+])
+def test_baseline_model_validate_names_the_broken_constraint(name, key, message):
+    """The identification constraints, unit-norm age effects and zero-sum
+    period effects, hold for the common and every country series."""
+    model = _tiny_models()["baseline", "present"]
+    field = getattr(model, name)
+    broken = dataclasses.replace(model, **{name: {**field, key: field[key] + 0.01}})
+    with pytest.raises(ValidationError) as err:
+        broken.validate()
+    assert str(err.value) == f"BaselineModel: {message}"
+
+
 def _edited(text, old, new):
     assert text.count(old) == 1, old
     return text.replace(old, new)

@@ -148,23 +148,60 @@ def _stamped(cfg, path, write):
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
+def _has_no(what, missing):
+    """The phrase naming the ``missing`` items of ``what``, or None."""
+    return f"has no {what} for {', '.join(missing)}" if missing else None
+
+
+def _annual_lacks(cfg, panel):
+    """Each configured country the annual panel lacks, then its first missing
+    age 0 to ``ig.TOP_AGE`` (disaggregating the weekly 90_110 group needs
+    them all) and its first missing configured year."""
+    ages, years = set(panel.ages.tolist()), set(panel.years.tolist())
+    return _has_no("data", [f"country {c}" for c in cfg.countries if c not in panel.countries]
+                   + [f"age {x}" for x in range(ig.TOP_AGE + 1) if x not in ages][:1]
+                   + [f"year {t}" for t in range(cfg.years[0], cfg.years[1] + 1)
+                      if t not in years][:1])
+
+
+def _pandemic_lacks(cfg, model):
+    """Unless the covid layer or annual effects hold exactly the pandemic
+    years and the configured covid_ages, the phrase saying so."""
+    lo, hi = cfg.covid_ages
+    if (model.years, model.ages) != (
+            PANDEMIC_YEARS, tuple(ds.AgeIndex(x, x) for x in range(lo, hi + 1))):
+        return (f"does not hold the pandemic years {PANDEMIC_YEARS[0]}:{PANDEMIC_YEARS[-1]} "
+                f"and covid_ages {lo}:{hi}")
+
+
+def _population_lacks(cfg, snaps):
+    """Each sex without the snapshot the weekly exposures are projected from."""
+    held = {s.gender for s in snaps if s.date == (PANDEMIC_YEARS[0], 1, 1)}
+    return _has_no(f"{PANDEMIC_YEARS[0]}-01-01 population snapshot",
+                   [f"sex {g}" for g in ds.GENDERS if g not in held])
+
+
 # Every file the stages write to the run directory, by kind: its name pattern
 # over the fields country ``c``, gender ``g``, year ``t`` and scenario
-# ``name``, and the one stage that writes it.
+# ``name``, the one stage that writes it, and None or the rule ``(cfg, obj)
+# -> phrase or None`` naming what its object lacks for the config.
 FILES = {
-    "annual": ("annual_panel.csv", "ingest"),
-    "weekly": ("weekly_{c}_{g}.csv", "ingest"),
-    "population": ("population_{c}.csv", "ingest"),
-    "baseline": ("baseline_model.csv", "calibrate-baseline"),
-    "iterations": ("baseline_iterations.csv", "calibrate-baseline"),
-    "seasonal": ("seasonal_{c}_{g}.csv", "fit-seasonal"),
-    "covid": ("covid_{c}_{g}.csv", "calibrate-covid"),
-    "covid_fit": ("covid_fit_{c}_{g}.csv", "calibrate-covid"),
-    "coda": ("coda_{t}_{g}.csv", "coda"),
-    "annual_effects": ("annual_effects_{c}_{g}.csv", "annualize"),
-    "forecast": ("forecast_{name}_{c}_{g}.csv", "forecast"),
-    "life_expectancy": ("life_expectancy_{name}_{c}_{g}.csv", "forecast"),
-    "report": ("report.csv", "report"),
+    "annual": ("annual_panel.csv", "ingest", _annual_lacks),
+    "weekly": ("weekly_{c}_{g}.csv", "ingest", lambda cfg, wp: _has_no(
+        "data", [f"year {t}" for t in PANDEMIC_YEARS if t not in wp.years][:1])),
+    "population": ("population_{c}.csv", "ingest", _population_lacks),
+    "baseline": ("baseline_model.csv", "calibrate-baseline", lambda cfg, model: _has_no(
+        "baseline", [c for c in cfg.countries if c not in model.countries])),
+    "iterations": ("baseline_iterations.csv", "calibrate-baseline", None),
+    "seasonal": ("seasonal_{c}_{g}.csv", "fit-seasonal", None),
+    "covid": ("covid_{c}_{g}.csv", "calibrate-covid", _pandemic_lacks),
+    "covid_fit": ("covid_fit_{c}_{g}.csv", "calibrate-covid", None),
+    "coda": ("coda_{t}_{g}.csv", "coda", None),
+    "annual_effects": ("annual_effects_{c}_{g}.csv", "annualize", _pandemic_lacks),
+    "forecast": ("forecast_{name}_{c}_{g}.csv", "forecast", None),
+    "life_expectancy": ("life_expectancy_{name}_{c}_{g}.csv", "forecast", lambda cfg, le: _has_no(
+        "data", [f"year {t}" for t in [PANDEMIC_YEARS[-1] + cfg.horizon] if t not in le])),
+    "report": ("report.csv", "report", None),
 }
 
 
@@ -201,62 +238,28 @@ def _write(cfg, out, kind, obj, writer, **key):
     _memo[path] = obj
 
 
-def _read(out, kind, reader, *args, **key):
+def _read(cfg, out, kind, reader, *args, **key):
     """The object in the ``kind`` file for ``key``: the one this process
     wrote there, re-validated, or else ``reader(path, *args)``, whose object
-    failing its checks is a ParseError naming the file."""
+    failing its checks is a ParseError naming the file, as is one that lacks
+    what the file's rule in `FILES` asks of it for ``cfg``."""
     path = _path(out, kind, **key)
     if not os.path.exists(path):
         raise IngestError(f"missing {os.path.basename(path)}: run {FILES[kind][1]} first")
-    if path not in _memo:
+    if path in _memo:
+        obj = _memo[path]
+        for item in obj if isinstance(obj, list) else (obj,):
+            item.validate()
+    else:
         try:
-            return reader(path, *args)
+            obj = reader(path, *args)
         except ValidationError as exc:
             raise ParseError(f"{path}: {exc}") from None
-    obj = _memo[path]
-    for item in obj if isinstance(obj, list) else (obj,):
-        item.validate()
+    _, stage, rule = FILES[kind]
+    phrase = rule and rule(cfg, obj)
+    if phrase:
+        raise ParseError(f"{path} {phrase}: rerun {stage}")
     return obj
-
-
-def _read_baseline(cfg, out):
-    """The baseline model, which must hold every configured country."""
-    model = _read(out, "baseline", ds.load_model)
-    missing = [c for c in cfg.countries if c not in model.countries]
-    if missing:
-        raise ParseError(f"{_path(out, 'baseline')} has no baseline for {', '.join(missing)}: "
-                         "rerun calibrate-baseline")
-    return model
-
-
-def _read_annual(cfg, out):
-    """The annual panel, which must hold every configured country and year
-    and every age ingest writes, 0 to ``ig.TOP_AGE``, as disaggregating the
-    oldest weekly age group needs; a refusal names each missing country and
-    the first missing age and year."""
-    panel = _read(out, "annual", ds.read_annual_panel_csv)
-    y0, y1 = cfg.years
-    ages, years = set(panel.ages.tolist()), set(panel.years.tolist())
-    lacks = ([f"country {c}" for c in cfg.countries if c not in panel.countries]
-             + [f"age {x}" for x in range(ig.TOP_AGE + 1) if x not in ages][:1]
-             + [f"year {t}" for t in range(y0, y1 + 1) if t not in years][:1])
-    if lacks:
-        raise ParseError(f"{_path(out, 'annual')} has no data for {', '.join(lacks)}: "
-                         "rerun ingest")
-    return panel
-
-
-def _read_pandemic(cfg, out, kind, c, g):
-    """The covid layer or annual effects (``kind``) of ``c``/``g``, which
-    must hold the pandemic years and the configured covid_ages."""
-    model = _read(out, kind, ds.load_model, c=c, g=g)
-    lo, hi = cfg.covid_ages
-    if (model.years, model.ages) != (
-            PANDEMIC_YEARS, tuple(ds.AgeIndex(x, x) for x in range(lo, hi + 1))):
-        raise ParseError(f"{_path(out, kind, c=c, g=g)} does not hold the pandemic years "
-                         f"{PANDEMIC_YEARS[0]}:{PANDEMIC_YEARS[-1]} and covid_ages {lo}:{hi}: "
-                         f"rerun {FILES[kind][1]}")
-    return model
 
 
 def _write_population(snaps, path):
@@ -270,32 +273,37 @@ def _write_population(snaps, path):
     ))
 
 
+def _refuse_raw(cfg, kind, obj, raw, of):
+    """An IngestError naming the raw file ``raw`` if ``obj``, parsed from it
+    for ``of``, lacks what the rule of the ``kind`` file asks of it."""
+    phrase = FILES[kind][2](cfg, obj)
+    if phrase:
+        raise IngestError(f"{raw}: {of} {phrase}")
+
+
 def stage_ingest(cfg, out):
-    panels = []
-    for c in cfg.countries:
-        panels.append(
-            ig.parse_hmd_annual(
-                ig.raw_path(cfg.data_dir, "deaths", c),
-                ig.raw_path(cfg.data_dir, "exposures", c),
-                c,
-                range(cfg.years[0], cfg.years[1] + 1),
-                range(0, ig.TOP_AGE + 1),
-            )
-        )
+    panels = [ig.parse_hmd_annual(ig.raw_path(cfg.data_dir, "deaths", c),
+                                  ig.raw_path(cfg.data_dir, "exposures", c), c,
+                                  range(cfg.years[0], cfg.years[1] + 1), range(0, ig.TOP_AGE + 1))
+              for c in cfg.countries]
     _write(cfg, out, "annual", ds.AnnualPanel.merge(panels), ds.write_annual_panel_csv)
 
-    weekly = ig.parse_stmf_countries(ig.raw_path(cfg.data_dir, "weekly"), cfg.countries)
+    raw = ig.raw_path(cfg.data_dir, "weekly")
+    weekly = ig.parse_stmf_countries(raw, cfg.countries)
     for c, per_gender in weekly.items():
         for g, wp in per_gender.items():
+            _refuse_raw(cfg, "weekly", wp, raw, f"{c}/{g}")
             _write(cfg, out, "weekly", wp, ds.write_weekly_panel_csv, c=c, g=g)
     for c in cfg.countries:
-        snaps = ig.parse_population(ig.raw_path(cfg.data_dir, "population", c))
+        raw = ig.raw_path(cfg.data_dir, "population", c)
+        snaps = ig.parse_population(raw)
+        _refuse_raw(cfg, "population", snaps, raw, c)
         _write(cfg, out, "population", snaps, _write_population, c=c)
     log.info("ingest: wrote panels for %s", ", ".join(cfg.countries))
 
 
 def stage_calibrate_baseline(cfg, out):
-    panel = _read_annual(cfg, out).select(
+    panel = _read(cfg, out, "annual", ds.read_annual_panel_csv).select(
         ages=np.arange(cfg.ages[0], cfg.ages[1] + 1),
         years=np.arange(cfg.years[0], cfg.years[1] + 1),
     )
@@ -311,7 +319,7 @@ def stage_fit_seasonal(cfg, out):
     y0, y1 = cfg.seasonal_years
     for c in cfg.countries:
         for g in ds.GENDERS:
-            wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
+            wp = _read(cfg, out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
             shared = sum(y0 <= t <= y1 for t in wp.years)
             if shared < 2:
                 have = "no year" if shared == 0 else "only 1 of the 2 years it needs"
@@ -325,11 +333,7 @@ def stage_fit_seasonal(cfg, out):
 def _pandemic_deaths(cfg, out, c, g, historical):
     """The weekly deaths of ``c``/``g`` in the pandemic years, disaggregated
     to individual ages with the age shares of ``hist_years``."""
-    wp = _read(out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
-    lacks = [t for t in PANDEMIC_YEARS if t not in wp.years]
-    if lacks:
-        raise ParseError(f"{_path(out, 'weekly', c=c, g=g)} has no data for year {lacks[0]}: "
-                         "rerun ingest")
+    wp = _read(cfg, out, "weekly", ds.read_weekly_panel_csv, c, g, c=c, g=g)
     return ex.disaggregate_deaths(wp.select_years(PANDEMIC_YEARS), historical,
                                   range(cfg.hist_years[0], cfg.hist_years[1] + 1))
 
@@ -338,14 +342,11 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
     """Disaggregated pandemic-year deaths plus weekly exposures projected
     from the 1 January snapshot of the first pandemic year."""
     indiv = _pandemic_deaths(cfg, out, c, g, historical)
-    date = (PANDEMIC_YEARS[0], 1, 1)
-    start = next((s for s in _read(out, "population", ig.parse_population, c=c)
-                  if s.gender == g and s.date == date), None)
-    path = _path(out, "population", c=c)
-    if start is None:
-        raise IngestError(f"{path}: no {date[0]}-01-01 population snapshot for sex {g}")
+    start = next(s for s in _read(cfg, out, "population", ig.parse_population, c=c)
+                 if s.gender == g and s.date == (PANDEMIC_YEARS[0], 1, 1))
     if not np.array_equal(start.ages, [a.low for a in indiv.ages]):
-        raise IngestError(f"{path}: population ages do not match weekly panel ages for {c}/{g}")
+        raise IngestError(f"{_path(out, 'population', c=c)}: population ages do not match "
+                          f"weekly panel ages for {c}/{g}")
     pop = start.counts
     expos = np.full_like(indiv.deaths, np.nan)
     for j, t in enumerate(indiv.years):
@@ -357,14 +358,14 @@ def _reconstruct_weekly(cfg, out, c, g, historical):
 
 
 def stage_calibrate_covid(cfg, out):
-    model = _read_baseline(cfg, out)
-    historical = _read_annual(cfg, out)
+    model = _read(cfg, out, "baseline", ds.load_model)
+    historical = _read(cfg, out, "annual", ds.read_annual_panel_csv)
     lo, hi = cfg.covid_ages
     for c in cfg.countries:
         for g in ds.GENDERS:
             seasonal = None
             if cfg.method == 2:
-                seasonal = _read(out, "seasonal", ds.load_model, c=c, g=g)
+                seasonal = _read(cfg, out, "seasonal", ds.load_model, c=c, g=g)
             full = _reconstruct_weekly(cfg, out, c, g, historical)
             work = full.select_ages(lo, hi)
             mu = cl.group_baseline_mu(model, c, g, work.ages, work.years)
@@ -383,7 +384,7 @@ def stage_calibrate_covid(cfg, out):
 
 
 def stage_coda(cfg, out):
-    historical = _read_annual(cfg, out)
+    historical = _read(cfg, out, "annual", ds.read_annual_panel_csv)
     c = cfg.countries[0]
     for g in ds.GENDERS:
         indiv = _pandemic_deaths(cfg, out, c, g, historical).select_ages(0, 98)
@@ -395,11 +396,11 @@ def stage_coda(cfg, out):
 
 
 def stage_annualize(cfg, out):
-    model = _read_baseline(cfg, out)
+    model = _read(cfg, out, "baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            layer = _read_pandemic(cfg, out, "covid", c, g)
-            phi = (_read(out, "seasonal", ds.load_model, c=c, g=g).phi if layer.method == 2
+            layer = _read(cfg, out, "covid", ds.load_model, c=c, g=g)
+            phi = (_read(cfg, out, "seasonal", ds.load_model, c=c, g=g).phi if layer.method == 2
                    else np.ones(ds.MAX_WEEKS))
             mu = cl.group_baseline_mu(model, c, g, layer.ages, layer.years)
             _write(cfg, out, "annual_effects", af.annualize(layer, phi, mu), ds.save_model,
@@ -439,10 +440,10 @@ def _write_forecasts(cfg, out, fs, c, g):
 
 
 def stage_forecast(cfg, out):
-    model = _read_baseline(cfg, out)
+    model = _read(cfg, out, "baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
-            eff = _read_pandemic(cfg, out, "annual_effects", c, g)
+            eff = _read(cfg, out, "annual_effects", ds.load_model, c=c, g=g)
             scenarios = af.standard_scenarios(float(eff.X[-1]), eta=cfg.eta)
             calib_ages = np.array([a.low for a in eff.ages])
             fs = af.forecast_scenarios(model, c, g, eff.V, calib_ages, scenarios,
@@ -458,15 +459,13 @@ def stage_forecast(cfg, out):
                              name=name, c=c, g=g)
 
 
-def _le_at_birth(path, year):
-    """Period life expectancy at birth in ``year`` from the
+def _le_at_birth(path):
+    """Period life expectancy at birth by year from the
     ``life_expectancy_*`` file at ``path``."""
-    (kind, age, years, value), lineno = ds._read_columns(path, "kind,age,year,value")
-    value = ds._numbers(path, value, float, lineno)
-    for k, row in enumerate(zip(kind, age, years)):
-        if row == ("period", "0", str(year)):
-            return value[k]
-    raise IngestError(f"{path}: no period life expectancy at birth for {year}")
+    (kind, age, year, value), lineno = ds._read_columns(path, "kind,age,year,value")
+    year, value = ds._numbers(path, year, int, lineno), ds._numbers(path, value, float, lineno)
+    return {t: v for k, x, t, v in zip(kind, age, year.tolist(), value)
+            if (k, x) == ("period", "0")}
 
 
 def stage_report(cfg, out):
@@ -474,9 +473,9 @@ def stage_report(cfg, out):
     rows = []
     for c in cfg.countries:
         for g in ds.GENDERS:
-            eff = _read_pandemic(cfg, out, "annual_effects", c, g)
+            eff = _read(cfg, out, "annual_effects", ds.load_model, c=c, g=g)
             final_year = eff.years[-1] + cfg.horizon
-            le = {n: _read(out, "life_expectancy", _le_at_birth, final_year, name=n, c=c, g=g)
+            le = {n: _read(cfg, out, "life_expectancy", _le_at_birth, name=n, c=c, g=g)[final_year]
                   for n in names}
             rows.append((c, g, *eff.X,
                          *(le[n] - le["completely_incidental"] for n in names)))

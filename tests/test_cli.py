@@ -7,9 +7,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pandmort.annualize_forecast as af
 import pandmort.baseline as bl
@@ -467,6 +470,60 @@ def test_invalid_run_directory_file_exits_3_naming_it(pipeline, tmp_path, case):
                                                             f"{path}: {message}")
 
 
+# A run-directory file of each kind some stage reads, and one stage that reads it.
+READ_BY = [("annual_panel.csv", "calibrate-baseline"), ("weekly_AAA_m.csv", "fit-seasonal"),
+           ("population_BBB.csv", "calibrate-covid"), ("baseline_model.csv", "annualize"),
+           ("seasonal_AAA_f.csv", "annualize"), ("covid_BBB_m.csv", "annualize"),
+           ("annual_effects_AAA_m.csv", "report"),
+           ("life_expectancy_new_normal_BBB_f.csv", "report")]
+
+
+@st.composite
+def _damaged(draw, lines):
+    """``lines`` with one of them, not the first (a header or schema line) or
+    the last (the config stamp), deleted, duplicated, swapped with another,
+    cut short, or with one of its fields replaced."""
+    lines = list(lines)
+    i, j = draw(st.integers(1, len(lines) - 2)), draw(st.integers(1, len(lines) - 2))
+    how = draw(st.sampled_from(["delete", "duplicate", "swap", "truncate", "field", "field"]))
+    if how == "delete":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "truncate":
+        lines[i] = lines[i][:draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+    else:
+        fields = lines[i].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(
+            st.sampled_from(["", "x", "nan", "inf", "-1", "0", "1e308", "2020", "AAA", "m"])
+            | st.text(max_size=3))
+        lines[i] = ",".join(fields)
+    return lines
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_run_directory_file_keeps_the_error_contract(pipeline, data):
+    """A stage run on a finished run directory with one file it reads
+    damaged exits 0, 2, 3 or 4, and a failure leaves an ``error.json`` that
+    names the stage; it never ends in a traceback."""
+    name, command = data.draw(st.sampled_from(READ_BY))
+    lines = (pipeline["out"] / name).read_text(encoding="utf-8").splitlines()
+    damaged = data.draw(_damaged(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        shutil.copytree(pipeline["out"], out)
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in damaged))
+        rc = cli.main([command, "--config", str(pipeline["config"]), "--out", out])
+        assert rc in (0, 2, 3, 4)
+        if rc:
+            with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
+                assert json.load(fh)["stage"] == command
+
+
 # (command, the file it fails on, under a copy of the run's data and output,
 # the edit of that file's text, the error, the message after the file's path)
 OFF_THE_ISO_CALENDAR = {
@@ -554,6 +611,16 @@ SHORT_OF_THE_CONFIG = {
     "weekly panel without 2020 and 2021, covid": (
         "calibrate-covid", None, "weekly_AAA_m.csv", _without(r"[^,]*,202[01],"),
         "has no data for year 2020: rerun ingest"),
+    "weekly panel without 2021, seasonal": (
+        "fit-seasonal", None, "weekly_AAA_m.csv", _without(r"[^,]*,2021,"),
+        "has no data for year 2021: rerun ingest"),
+    "population without its 2020-01-01 snapshot": (
+        "calibrate-covid", None, "population_AAA.csv",
+        lambda text: text.replace("2020-01-01,", "2021-01-01,"),
+        "has no 2020-01-01 population snapshot for sex m, sex f: rerun ingest"),
+    "baseline without a configured country": (
+        "annualize", ("countries = AAA,BBB", "countries = AAA,BBB,CCC"), "baseline_model.csv",
+        None, "has no baseline for CCC: rerun calibrate-baseline"),
     "covid layer of other covid_ages": (
         "annualize", ("covid_ages = 40:90", "covid_ages = 40:89"), "covid_AAA_m.csv", None,
         PANDEMIC_MISMATCH.format(covid_ages="40:89", rerun="calibrate-covid")),
@@ -569,16 +636,30 @@ SHORT_OF_THE_CONFIG = {
     "annual effects of other covid_ages": (
         "forecast", ("covid_ages = 40:90", "covid_ages = 50:90"), "annual_effects_AAA_m.csv",
         None, PANDEMIC_MISMATCH.format(covid_ages="50:90", rerun="annualize")),
+    "life expectancy short of a raised horizon": (
+        "report", ("horizon = 10", "horizon = 20"),
+        "life_expectancy_completely_incidental_AAA_m.csv", None,
+        "has no data for year 2041: rerun forecast"),
 }
+
+
+def test_every_rule_has_a_short_of_the_config_case(pipeline):
+    """Each kind of run-directory file whose `cli.FILES` entry has a rule is
+    refused, in some case of `SHORT_OF_THE_CONFIG`, for lacking what it asks."""
+    cfg = cli.RunConfig(str(pipeline["config"]))
+    names = {name for _, _, name, _, _ in SHORT_OF_THE_CONFIG.values()}
+    covered = {kind for kind, (pattern, _, _) in cli.FILES.items() if names & _expand(pattern, cfg)}
+    assert covered == {kind for kind, (_, _, rule) in cli.FILES.items() if rule is not None}
 
 
 @pytest.mark.parametrize("case", SHORT_OF_THE_CONFIG)
 def test_input_short_of_the_config_exits_3(pipeline, tmp_path, case):
-    """A stage refuses a run-directory file that lacks a configured country,
-    year or an age ingest writes, a weekly panel without a pandemic year, or
-    a pandemic model file that does not hold the pandemic years and the
-    configured covid_ages, naming the file and the stage to rerun; it never
-    runs on what the file happens to hold."""
+    """A stage refuses a run-directory file that lacks what its rule in
+    `cli.FILES` asks for the config (a configured country, year or an age
+    ingest writes, a pandemic year, the 1 January 2020 population snapshot,
+    the pandemic years and covid_ages of a pandemic model file, the final
+    report year), naming the file and the stage to rerun; it never runs on
+    what the file happens to hold."""
     command, config_edit, name, edit, message = SHORT_OF_THE_CONFIG[case]
     config = tmp_path / "run.ini"
     config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(*(config_edit or ("", ""))))
@@ -738,15 +819,34 @@ def test_projection_starts_from_the_first_pandemic_year_snapshot(pipeline, tmp_p
 
 
 def test_population_without_the_first_pandemic_year_snapshot_exits_3(pipeline, tmp_path):
+    """Ingest refuses a raw population file without the 1 January 2020
+    snapshot, which the pandemic exposures are projected from."""
     rc, out = _run_on_population(
         pipeline, tmp_path, lambda lines: [line.replace("2020-01-01,", "2023-01-01,")
                                            for line in lines])
     assert rc == 3
     rec = json.loads((out / "error.json").read_text())
-    assert rec["stage"] == "calibrate-covid"
-    assert rec["error"] == "IngestError"
-    assert rec["message"] == (f"{out / 'population_AAA.csv'}: no 2020-01-01 population "
-                              "snapshot for sex m")
+    assert (rec["stage"], rec["error"], rec["message"]) == (
+        "ingest", "IngestError", f"{tmp_path / 'data' / 'AAA_population.csv'}: AAA has no "
+        "2020-01-01 population snapshot for sex m, sex f")
+
+
+def test_raw_weekly_without_a_pandemic_year_exits_3(pipeline, tmp_path):
+    """Ingest refuses a raw weekly file without a pandemic year of a
+    configured country and sex, before it writes that panel."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "weekly_deaths.csv"
+    path.write_text(_without("BBB,2021,")(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=data))
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "--config", str(config), "--out", str(out)]) == 3
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"], rec["message"]) == (
+        "ingest", "IngestError", f"{path}: BBB/m has no data for year 2021")
+    assert not (out / "weekly_BBB_m.csv").exists()
 
 
 def test_population_of_other_ages_exits_3(pipeline, tmp_path):
@@ -805,7 +905,7 @@ def test_stages_from_disk_match_run_all(pipeline, tmp_path):
     memory.  Each stage creates exactly the files ``FILES`` assigns to it,
     and leaves the files of the stages before it as they were."""
     cfg = cli.RunConfig(str(pipeline["config"]))
-    expanded = {kind: _expand(pattern, cfg) for kind, (pattern, _) in cli.FILES.items()}
+    expanded = {kind: _expand(pattern, cfg) for kind, (pattern, *_) in cli.FILES.items()}
     out = tmp_path / "staged"
     before = {}
     for stage in cli.STAGES:
@@ -813,7 +913,7 @@ def test_stages_from_disk_match_run_all(pipeline, tmp_path):
         assert not cli._memo
         after = {name: (out / name).read_bytes() for name in os.listdir(out)}
         assert after.keys() - before.keys() == set().union(
-            *(expanded[kind] for kind, (_, by) in cli.FILES.items() if by == stage)), stage
+            *(expanded[kind] for kind, (_, by, _) in cli.FILES.items() if by == stage)), stage
         assert {name: after[name] for name in before} == before, stage
         before = after
     names = sorted(os.listdir(out))
@@ -834,7 +934,7 @@ def test_every_table_goes_through_write_table(pipeline, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["run-all", "--config", str(pipeline["config"]), "--out", str(out)]) == 0
     cfg = cli.RunConfig(str(pipeline["config"]))
-    files = set().union(*(_expand(pattern, cfg) for pattern, _ in cli.FILES.values()))
+    files = set().union(*(_expand(pattern, cfg) for pattern, *_ in cli.FILES.values()))
     assert sorted(written) == sorted(files)
     assert set(os.listdir(out)) == files
 
@@ -926,7 +1026,7 @@ def test_memo_hit_is_validated(tmp_path, monkeypatch):
     bad = ds.SeasonalEffect(country="AAA", gender="m", phi=np.zeros(ds.MAX_WEEKS), knots=12)
     monkeypatch.setitem(cli._memo, path, bad)
     with pytest.raises(ValidationError, match="strictly positive"):
-        cli._read(str(tmp_path), "seasonal", ds.load_model, c="AAA", g="m")
+        cli._read(None, str(tmp_path), "seasonal", ds.load_model, c="AAA", g="m")
 
 
 def test_failed_write_leaves_no_memo_entry(tmp_path, monkeypatch):

@@ -84,8 +84,8 @@ def annualize(layer, phi, mu):
     ``phi`` is the length-53 seasonal vector used in the fit (ones under
     Method 1) and ``mu`` the annual baseline forces, shape (nages, nyears) on
     the layer's age indices and years.  Returns the layer's AnnualEffects.
-    If X vanishes in every year the age effect is unidentifiable and a
-    flagged uniform vector is returned instead of failing.
+    If X vanishes in every year the age effect is unidentifiable, and the
+    uniform unit vector is returned with an all-zero X instead of failing.
     """
     if mu.shape != (len(layer.ages), len(layer.years)):
         raise ValidationError("annualize: mu shape does not match the layer")
@@ -95,8 +95,7 @@ def annualize(layer, phi, mu):
 
     if np.abs(X).max() < DEGENERATE_TOL:
         n = len(layer.ages)
-        return AnnualEffects(**owner, V=np.full(n, 1.0 / np.sqrt(n)), X=np.zeros_like(X),
-                             degenerate=True)
+        return AnnualEffects(**owner, V=np.full(n, 1.0 / np.sqrt(n)), X=np.zeros_like(X))
 
     V = _gap_roots(mu, m, X)
     norm = np.linalg.norm(V)
@@ -261,12 +260,11 @@ def forecast_scenarios(model, country, gender, V, calib_ages, scenarios, first_y
     V_ext = extend_age_effect(V, calib_ages, ages_full)
     report = np.arange(first_year, first_year + report_years)
 
-    mu_out, q_out, ep_out, ec_out = {}, {}, {}, {}
+    mu_out, ep_out, ec_out = {}, {}, {}
     for spec in scenarios:
         x_path = build_scenario(spec, full_horizon)
         mu, q = scenario_mu(mu_pre, V_ext, x_path)
         mu_out[spec.name] = mu[:, :report_years]
-        q_out[spec.name] = q[:, :report_years]
         for kind, e_out in (("period", ep_out), ("cohort", ec_out)):
             e_out[spec.name] = np.stack([
                 life_expectancy_by_year(q, ages_full, years_full, x0, report, kind)
@@ -274,5 +272,5 @@ def forecast_scenarios(model, country, gender, V, calib_ages, scenarios, first_y
             ])
     return ForecastSet(
         ages=ages_full, years=report, le_ages=LE_AGES,
-        mu=mu_out, q=q_out, e_period=ep_out, e_cohort=ec_out,
+        mu=mu_out, e_period=ep_out, e_cohort=ec_out,
     ).validate()

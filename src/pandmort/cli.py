@@ -416,18 +416,18 @@ def _same_bits(arrays):
 
 
 def _write_forecasts(cfg, out, fs, c, g):
-    """Write the ``forecast`` table of each scenario of ``fs``.
+    """Write each scenario's ``forecast`` table of mu and q = 1 - exp(-mu).
 
-    The ``age,year,`` key of every row, and the leading rows whose mu and q
-    have the same bits in all scenarios (the ages below the pandemic layer's),
-    are formatted once; each file is written from that text and its own rows.
+    The ``age,year,`` key of every row, and the leading rows whose mu has the
+    same bits in all scenarios (the ages below the pandemic layer's), are
+    formatted once; each file is written from that text and its own rows.
     """
     nx, nt = len(fs.ages), len(fs.years)
     keys = np.array(["%s,%s," % k for k in zip(np.repeat(fs.ages, nt).tolist(),
                                                np.tile(fs.years, nx).tolist())])
     mu = {name: m.ravel() for name, m in fs.mu.items()}
-    q = {name: v.ravel() for name, v in fs.q.items()}
-    shared = _same_bits(mu.values()) & _same_bits(q.values())
+    q = {name: 1.0 - np.exp(-m) for name, m in mu.items()}
+    shared = _same_bits(mu.values())
     n = nx * nt if shared.all() else int(shared.argmin())  # rows [0, n) are shared
 
     def rows(name, part):
@@ -460,12 +460,21 @@ def stage_forecast(cfg, out):
 
 
 def _le_at_birth(path):
-    """Period life expectancy at birth by year from the
-    ``life_expectancy_*`` file at ``path``."""
+    """Period life expectancy at birth by year from the ``life_expectancy_*``
+    file at ``path``, whose rows are distinct (kind, age, year) of a known kind."""
     (kind, age, year, value), lineno = ds._read_columns(path, "kind,age,year,value")
-    year, value = ds._numbers(path, year, int, lineno), ds._numbers(path, value, float, lineno)
-    return {t: v for k, x, t, v in zip(kind, age, year.tolist(), value)
-            if (k, x) == ("period", "0")}
+    kinds, ki = ds._levels(path, kind, lineno)
+    unknown = [k for k in kinds if k not in ("period", "cohort")]
+    if unknown:
+        raise ParseError(f"{path}: line {lineno(kind.index(unknown[0]))}: "
+                         f"unknown kind {unknown[0]!r}")
+    (ages, ai), (years, ti) = (ds._levels(path, col, lineno, int) for col in (age, year))
+    value = ds._numbers(path, value, float, lineno)
+    shape = (len(kinds), len(ages), len(years))
+    ds._check_cells(path, np.ravel_multi_index((ki, ai, ti), shape), np.zeros(shape, bool),
+                    lambda k, x, t: f"row {kinds[k]},{ages[x]},{years[t]}")
+    at_birth = (np.array(kinds)[ki] == "period") & (ages[ai] == 0)
+    return dict(zip(years[ti][at_birth].tolist(), value[at_birth].tolist()))
 
 
 def stage_report(cfg, out):

@@ -63,15 +63,13 @@ def coda_fit(deaths_xw, ages, year, gender, perturb=True):
         beta[0], beta[-1] = 1.0 / np.sqrt(2), -1.0 / np.sqrt(2)
         beta -= beta.mean()
         beta /= np.linalg.norm(beta)
-        return CodaFit(
-            year=year, gender=gender, ages=ages, alpha=alpha, beta=beta,
-            kappa=np.zeros(counts.shape[0]), explained_variance=0.0, degenerate=True,
-        ).validate()
-    beta = Vt[0]
-    kappa = s[0] * U[:, 0]
-    if beta[ages >= 80].sum() < 0:
-        beta, kappa = -beta, -kappa
-    ev = s[0] ** 2 / total
+        kappa, ev = np.zeros(counts.shape[0]), 0.0
+    else:
+        beta = Vt[0]
+        kappa = s[0] * U[:, 0]
+        if beta[ages >= 80].sum() < 0:
+            beta, kappa = -beta, -kappa
+        ev = s[0] ** 2 / total
     return CodaFit(
         year=year, gender=gender, ages=ages, alpha=alpha, beta=beta,
         kappa=kappa, explained_variance=float(ev),

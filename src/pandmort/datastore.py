@@ -2,7 +2,7 @@
 
 All model objects are frozen dataclasses; validation is a separate pass that
 is re-run whenever an object is loaded from disk.  Model files (`save_model`)
-are line-oriented CSV with a ``#schema:<TypeName> v2`` first line followed by
+are line-oriented CSV with a ``#schema:<TypeName> v3`` first line followed by
 ``key,index1,index2,value`` rows, none for what the other rows give, floats
 printed with 17 significant digits so that save/load round-trips are exact.
 Every other table row is formatted by `format_rows` from its file's row
@@ -356,8 +356,8 @@ class CovidLayer:
 @dataclass(frozen=True)
 class AnnualEffects:
     """Annual pandemic age effect V and period effect X of one country and
-    gender, from its CovidLayer (`annualize`); ``degenerate`` marks an X of 0
-    in every year, for which V is set to the uniform unit vector."""
+    gender, from its CovidLayer (`annualize`); an X of 0 in every year leaves
+    V unidentified, and `annualize` sets it to the uniform unit vector."""
 
     country: str
     gender: str
@@ -365,7 +365,6 @@ class AnnualEffects:
     years: tuple
     V: np.ndarray
     X: np.ndarray
-    degenerate: bool = False
 
     def validate(self):
         if (len(self.V), len(self.X)) != (len(self.ages), len(self.years)):
@@ -388,7 +387,6 @@ class CodaFit:
     beta: np.ndarray
     kappa: np.ndarray
     explained_variance: float
-    degenerate: bool = False
 
     def validate(self):
         nx = len(self.ages)
@@ -422,25 +420,24 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ForecastSet:
-    """Per-scenario projected forces of mortality, death probabilities and
-    life expectancies.  ``mu`` and ``q`` map scenario name to arrays of shape
-    (nages, nyears); life expectancies map scenario name to arrays indexed
-    like (len(le_ages), nyears)."""
+    """Per-scenario projected forces of mortality and life expectancies.
+    ``mu`` maps scenario name to arrays of shape (nages, nyears), whose death
+    probabilities are ``q = 1 - exp(-mu)``; life expectancies map scenario
+    name to arrays indexed like (len(le_ages), nyears)."""
 
     ages: np.ndarray
     years: np.ndarray
     le_ages: tuple
     mu: dict
-    q: dict
     e_period: dict
     e_cohort: dict
 
     def validate(self):
-        for name, qs in self.q.items():
-            mu = self.mu[name]
-            if not np.allclose(qs, 1.0 - np.exp(-mu), rtol=1e-12, atol=1e-15):
-                raise ValidationError(f"ForecastSet: q != 1 - exp(-mu) for {name}")
-            if ((qs <= 0) & (mu > 0)).any() or (qs >= 1).any():
+        for name, mu in self.mu.items():
+            if not np.isfinite(mu).all():
+                raise ValidationError(f"ForecastSet: non-finite mu for {name}")
+            q = 1.0 - np.exp(-mu)
+            if ((q <= 0) & (mu > 0)).any() or (q >= 1).any():
                 raise ValidationError(f"ForecastSet: q outside (0, 1) for {name}")
         return self
 
@@ -458,7 +455,6 @@ def _span(text):
 _REAL = (float, lambda v: "%.17g" % float(v))
 _TEXT = (str, str)
 _INT = (int, str)
-_FLAG = (lambda text: bool(int(text)), lambda v: str(int(v)))
 _SPAN = (_span, lambda v: f"{v[0]};{v[-1]}")
 _AGE = (AgeIndex.from_label, lambda a: a.label)
 
@@ -501,12 +497,12 @@ class _Rows:
         return value if self.rows is None else sum(k in keys for k, _, _ in self.rows)
 
     def indices(self, value, key):
-        """The sorted integer index1 values of the unread ``key`` rows;
-        ``value`` when writing."""
+        """The sorted distinct integer index1 values of the unread ``key``
+        rows; ``value`` when writing."""
         if self.rows is None:
             return value
-        return tuple(sorted(_parsed(int, i1, f"row {key},{i1}")
-                            for k, i1, _ in self.rows if k == key))
+        return tuple(sorted({_parsed(int, i1, f"row {key},{i1}")
+                             for k, i1, _ in self.rows if k == key}))
 
 
 # Each layout below is the one description of its model's file format.  No
@@ -575,30 +571,24 @@ def _age_effect(r, m, key):
 def _covid_layout(r, m):
     owner, B = _age_effect(r, m, "B")
     method = r.row(m and m.method, "method", codec=_INT)
-    years = r.indices(m and m.years, "weeks")
-    weeks = [_parsed(weeks_in_iso_year, t, f"row weeks,{t},") for t in years]
-    for t, n in zip(years, weeks):  # each file row repeats its year's ISO week count
-        if r.row(n, "weeks", t, codec=_INT) != n:
-            raise ParseError(f"row weeks,{t},: ISO year {t} has {n} weeks")
+    years = r.indices(m and m.years, "K")
     K = np.full((len(years), MAX_WEEKS), np.nan)
-    for j, (t, n) in enumerate(zip(years, weeks)):
-        for w in range(1, n + 1):
+    for j, t in enumerate(years):  # K holds each of the year's ISO weeks
+        for w in range(1, _parsed(weeks_in_iso_year, t, f"row K,{t},") + 1):
             K[j, w - 1] = r.row(m and m.K[j, w - 1], "K", t, w)
     return CovidLayer(**owner, years=years, method=method, B=B, K=K)
 
 
 def _annual_layout(r, m):
     owner, V = _age_effect(r, m, "V")
-    degenerate = r.row(m and m.degenerate, "degenerate", codec=_FLAG)
     years = r.indices(m and m.years, "X")
     X = np.array([r.row(m and m.X[j], "X", t) for j, t in enumerate(years)])
-    return AnnualEffects(**owner, years=years, V=V, X=X, degenerate=degenerate)
+    return AnnualEffects(**owner, years=years, V=V, X=X)
 
 
 def _coda_layout(r, m):
     year = r.row(m and m.year, "year", codec=_INT)
     gender = r.row(m and m.gender, "gender", codec=_TEXT)
-    degenerate = r.row(m and m.degenerate, "degenerate", codec=_FLAG)
     explained = r.row(m and m.explained_variance, "explained_variance")
     ages = r.row(m and m.ages, "ages", codec=_SPAN)
     alpha, beta = np.empty(len(ages)), np.empty(len(ages))
@@ -608,9 +598,10 @@ def _coda_layout(r, m):
     n = r.count(m and len(m.kappa), "kappa")
     kappa = np.array([r.row(m and m.kappa[w - 1], "kappa", w) for w in range(1, n + 1)])
     return CodaFit(year=year, gender=gender, ages=ages, alpha=alpha, beta=beta, kappa=kappa,
-                   explained_variance=explained, degenerate=degenerate)
+                   explained_variance=explained)
 
 
+SCHEMA_VERSION = "v3"  # of every model file; a file of another version is refused
 _LAYOUTS = {
     "BaselineModel": _baseline_layout,
     "SeasonalEffect": _seasonal_layout,
@@ -628,7 +619,7 @@ def save_model(model, path):
     model.validate()
     buf = io.StringIO()
     _LAYOUTS[name](_Rows(out=csv.writer(buf, lineterminator="\n")), model)
-    write_table(path, f"#schema:{name} v2\nkey,index1,index2,value", buf.getvalue())
+    write_table(path, f"#schema:{name} {SCHEMA_VERSION}\nkey,index1,index2,value", buf.getvalue())
 
 
 def load_model(path):
@@ -641,7 +632,7 @@ def load_model(path):
         raise ParseError(f"{path}: line 1: missing '#schema:' header")
     schema = lines[0][len("#schema:"):].strip()
     name, _, version = schema.partition(" ")
-    if name not in _LAYOUTS or version != "v2":
+    if name not in _LAYOUTS or version != SCHEMA_VERSION:
         raise ParseError(f"{path}: line 1: unknown schema {schema!r}")
     if len(lines) < 2 or lines[1] != "key,index1,index2,value":
         raise ParseError(f"{path}: line 2: expected header 'key,index1,index2,value'")
@@ -700,7 +691,7 @@ def write_table(path, header, *bodies):
 
 
 _ANNUAL_HEADER = "country,gender,age,year,deaths,exposure"
-_WEEKLY_HEADER = "age,year,week,deaths,exposure"
+_WEEKLY_HEADER = "age,year,week,deaths"
 
 
 def _data_lines(lines, start):
@@ -835,16 +826,16 @@ def read_annual_panel_csv(path):
 
 
 def write_weekly_panel_csv(panel, path):
-    """Write a panel's deaths; exposures are rebuilt from snapshots, so their field stays empty."""
+    """Write a panel's deaths; its exposures, rebuilt from snapshots, are not stored."""
     used = np.broadcast_to(week_mask(panel.years), panel.deaths.shape)
     a, t, w = np.nonzero(used)
     labels, years = np.array([x.label for x in panel.ages]), np.asarray(panel.years)
-    write_table(path, _WEEKLY_HEADER, format_rows("%s,%s,%s,%.17g,\n", labels[a], years[t],
+    write_table(path, _WEEKLY_HEADER, format_rows("%s,%s,%s,%.17g\n", labels[a], years[t],
                                                   w + 1, panel.deaths[used]))
 
 
 def read_weekly_panel_csv(path, country, gender):
-    (a_col, t_col, w_col, d_col, e_col), lineno = _read_columns(path, _WEEKLY_HEADER)
+    (a_col, t_col, w_col, d_col), lineno = _read_columns(path, _WEEKLY_HEADER)
     labels, ai = _levels(path, a_col, lineno)
     ages = []
     for i, label in enumerate(labels):
@@ -856,9 +847,6 @@ def read_weekly_panel_csv(path, country, gender):
     years, ti = _levels(path, t_col, lineno, int)
     week_levels, wi = _levels(path, w_col, lineno, int)
     _check_weeks(path, years[ti], week_levels[wi], lineno)
-    if any(e_col):
-        k = next(k for k, e in enumerate(e_col) if e)
-        raise ParseError(f"{path}: line {lineno(k)}: exposure field {e_col[k]!r} is not empty")
     years = tuple(years.tolist())
     shape = (len(labels), len(years), MAX_WEEKS)
     flat = np.ravel_multi_index((ai, ti, week_levels[wi] - 1), shape)

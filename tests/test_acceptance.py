@@ -187,14 +187,15 @@ def test_criterion_05_scenario_algebra(baseline_model):
     # the 2021 starting level, larger long-run impact means larger q
     V_ext = af.extend_age_effect(V, calib_ages, fs.ages)
     pos = V_ext > 0
+    q = {name: 1.0 - np.exp(-mu) for name, mu in fs.mu.items()}
     order = ["increased_resilience", "decreasing_impact", "new_normal",
              "completely_structural", "growing_impact"]
     for lo, hi in zip(order[:-1], order[1:]):
-        assert np.all(fs.q[lo][pos] <= fs.q[hi][pos])
+        assert np.all(q[lo][pos] <= q[hi][pos])
     # the incidental path (identically zero) sits below every path that
     # stays non-negative
     for name in order[1:]:
-        assert np.all(fs.q["completely_incidental"][pos] <= fs.q[name][pos])
+        assert np.all(q["completely_incidental"][pos] <= q[name][pos])
 
 
 def test_criterion_06_exposure_pipeline(annual_panel, pandemic_truth, phi_truth):

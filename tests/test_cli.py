@@ -125,13 +125,16 @@ def test_runconfig_rejects_bad_values(tmp_path, pipeline):
                 cli.RunConfig(str(p))
 
 
+def _readme():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_readme_lists_the_config_keys():
     """The README's INI example holds exactly the keys of `cli.CONFIG_KEYS`,
     each in its section and with its default where it has one."""
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as fh:
-        readme = fh.read()
-    block = readme.split("### Configuration (INI)\n\n```ini\n", 1)[1].split("```", 1)[0]
+    block = _readme().split("### Configuration (INI)\n\n```ini\n", 1)[1].split("```", 1)[0]
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read_string(block)
     assert parser.sections() == list(cli.CONFIG_KEYS)
@@ -140,6 +143,23 @@ def test_readme_lists_the_config_keys():
         for key, (default, *_) in keys.items():
             if default is not None:
                 assert parser[name][key] == default, key
+
+
+def test_readme_lists_the_output_files():
+    """The README's "Output files" table names each file pattern of
+    `cli.FILES` once, its fields written as <C>, <G>, <T> and <S>, in the row
+    of the stage that writes it."""
+    table = _readme().split("### Output files\n", 1)[1].split("\n### ", 1)[0]
+    listed = [(name, stage.strip(" `"))
+              for files, stage in (line.split("|")[1:3] for line in table.splitlines()
+                                   if line.startswith("| `"))
+              for name in re.findall(r"`([^`]+)`", files)]
+    marks = {"{c}": "<C>", "{g}": "<G>", "{t}": "<T>", "{name}": "<S>"}
+    for kind, (pattern, stage, _) in cli.FILES.items():
+        for field, mark in marks.items():
+            pattern = pattern.replace(field, mark)
+        assert [by for name, by in listed if name == pattern] == [stage], kind
+    assert len(listed) == len(cli.FILES)
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -187,8 +207,8 @@ def test_weekly_panel_files_hold_no_exposures(pipeline):
     for path in paths:
         header, *rows = path.read_text(encoding="utf-8").splitlines()
         rows = [line for line in rows if not line.startswith("#")]
-        assert header == "age,year,week,deaths,exposure" and rows
-        assert all(line.count(",") == 4 and line.endswith(",") for line in rows)
+        assert header == "age,year,week,deaths" and rows
+        assert all(line.count(",") == 3 for line in rows)
 
 
 def test_baseline_model_loadable(pipeline):
@@ -291,17 +311,17 @@ def test_baseline_without_drift_rows_exits_3(pipeline, tmp_path):
 
 
 def test_model_file_of_an_older_format_exits_3(pipeline, tmp_path):
-    out = tmp_path / "v1"
+    out = tmp_path / "v2"
     shutil.copytree(pipeline["out"], out)
     path = out / "baseline_model.csv"
     text = path.read_text(encoding="utf-8")
-    assert text.startswith("#schema:BaselineModel v2\n")
-    path.write_text(text.replace(" v2\n", " v1\n", 1), encoding="utf-8")
+    assert text.startswith("#schema:BaselineModel v3\n")
+    path.write_text(text.replace(" v3\n", " v2\n", 1), encoding="utf-8")
     rc = cli.main(["forecast", "--config", str(pipeline["config"]), "--out", str(out)])
     assert rc == 3
     rec = json.loads((out / "error.json").read_text())
     assert (rec["stage"], rec["error"]) == ("forecast", "ParseError")
-    assert rec["message"] == f"{path}: line 1: unknown schema 'BaselineModel v1'"
+    assert rec["message"] == f"{path}: line 1: unknown schema 'BaselineModel v2'"
 
 
 def test_forecast_after_calibrate_covid_rerun(pipeline, tmp_path):
@@ -541,9 +561,8 @@ OFF_THE_ISO_CALENDAR = {
         "ParseError", "missing cell age 0_4, year 2020, week 53"),
     "covid layer of a 52-week 2020": (
         "annualize", "out/covid_AAA_m.csv",
-        lambda text: re.sub(r"^K,2020,53,.*\n", "", text, flags=re.M).replace(
-            "weeks,2020,,53\n", "weeks,2020,,52\n"),
-        "ParseError", "row weeks,2020,: ISO year 2020 has 53 weeks"),
+        lambda text: re.sub(r"^K,2020,53,.*\n", "", text, flags=re.M),
+        "ParseError", "missing row K,2020,53"),
 }
 
 
@@ -862,6 +881,9 @@ def test_population_of_other_ages_exits_3(pipeline, tmp_path):
 @pytest.mark.parametrize("row, message", [
     ("period,0", "expected 4 fields"),
     ("period,0,2031,abc", "bad number: could not convert string to float: 'abc'"),
+    ("period,0,2031,99.0", "duplicate row period,0,2031"),  # no line: two rows are at fault
+    ("weird,0,2031,1.0", "unknown kind 'weird'"),
+    ("cohort,nan,2031,1.0", "bad number: invalid literal for int() with base 10: 'nan'"),
 ])
 def test_malformed_life_expectancy_file_exits_3(pipeline, tmp_path, row, message):
     out = tmp_path / "out"
@@ -874,7 +896,24 @@ def test_malformed_life_expectancy_file_exits_3(pipeline, tmp_path, row, message
     assert rc == 3
     rec = json.loads((out / "error.json").read_text())
     assert (rec["stage"], rec["error"]) == ("report", "ParseError")
-    assert rec["message"] == f"{path}: line {lineno}: {message}"
+    where = "" if message.startswith("duplicate") else f"line {lineno}: "
+    assert rec["message"] == f"{path}: {where}{message}"
+
+
+def test_non_finite_annual_effect_fails_forecast(pipeline, tmp_path):
+    """A NaN X of the last pandemic year makes the forces of mortality of the
+    scenarios that start from it NaN, which `forecast` refuses."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    path = out / "annual_effects_AAA_m.csv"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r"^X,2021,,.*$", "X,2021,,nan", text, count=1, flags=re.M),
+                    encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
+    assert cli.main(["forecast", "--config", str(pipeline["config"]), "--out", str(out)]) == 4
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"], rec["message"]) == (
+        "forecast", "ValidationError", "ForecastSet: non-finite mu for completely_structural")
 
 
 def test_report_reads_each_life_expectancy_file_once(pipeline, tmp_path, monkeypatch):

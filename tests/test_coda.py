@@ -64,8 +64,7 @@ def test_coda_fit_on_sampled_weekly_deaths(pandemic_truth, phi_truth):
 def test_degenerate_constant_composition():
     d = np.full((10, 52), 7.0)
     fit = cd.coda_fit(d, np.arange(10), 2020, "m", perturb=False)
-    assert fit.degenerate
-    assert fit.explained_variance == 0.0
+    assert fit.explained_variance == 0.0  # the sign of a degenerate fit
     np.testing.assert_array_equal(fit.kappa, 0.0)
     assert_coda_constraints(fit)
 

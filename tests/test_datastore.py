@@ -187,7 +187,7 @@ def test_baseline_model_roundtrip(baseline_model, tmp_path):
         np.testing.assert_array_equal(back.kappa[key], baseline_model.kappa[key])
     np.testing.assert_array_equal(back.sigma, baseline_model.sigma)
     assert back.theta == baseline_model.theta
-    assert first_line(path) == "#schema:BaselineModel v2"
+    assert first_line(path) == "#schema:BaselineModel v3"
 
 
 def first_line(path):
@@ -266,7 +266,7 @@ def test_load_model_tolerates_comment_lines(baseline_model, tmp_path):
 def test_load_model_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#schema:BaselineModel v2\n")
+        fh.write("#schema:BaselineModel v3\n")
         fh.write("garbage line without commas\n")
     with pytest.raises(ParseError) as err:
         load_model(str(path))
@@ -275,7 +275,7 @@ def test_load_model_reports_line_numbers(tmp_path):
 
 def test_load_model_unknown_schema(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("#schema:Mystery v2\n")
+    path.write_text("#schema:Mystery v3\n")
     with pytest.raises(ParseError):
         load_model(str(path))
 
@@ -439,7 +439,8 @@ def test_weekly_panel_csv_contract_roundtrip(tmp_path):
     panel = _small_weekly()
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(panel, str(path))
-    assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",")
+    header, row = path.read_text(encoding="utf-8").splitlines()[:2]
+    assert header == "age,year,week,deaths" and row.count(",") == 3
     _assert_weekly_equal(read_weekly_panel_csv(str(path), "AAA", "f"), panel)
 
 
@@ -452,7 +453,7 @@ def test_weekly_panel_csv_contract_header_and_field_count(tmp_path):
         read_weekly_panel_csv(str(path), "AAA", "f")
     path.write_text(text, encoding="utf-8")
     _rewrite(path, lambda ls: ls[:1] + ["#", ""] + ls[1:4] + [ls[4] + ",1"] + ls[5:])
-    with pytest.raises(ParseError, match="line 7: expected 5 fields"):
+    with pytest.raises(ParseError, match="line 7: expected 4 fields"):
         read_weekly_panel_csv(str(path), "AAA", "f")
 
 
@@ -482,7 +483,7 @@ def test_weekly_panel_csv_contract_malformed_week(tmp_path, week):
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(_small_weekly(), str(path))
     lineno = len(path.read_text(encoding="utf-8").splitlines()) + 1
-    _rewrite(path, lambda ls: ls + [f"10,2021,{week},1,"])
+    _rewrite(path, lambda ls: ls + [f"10,2021,{week},1"])
     message = ("bad number" if week == "x"
                else f"week {week} outside 1..52, the weeks of ISO year 2021")
     with pytest.raises(ParseError, match=re.escape(f"{path}: line {lineno}: {message}")):
@@ -493,17 +494,21 @@ def test_weekly_panel_csv_contract_malformed_week(tmp_path, week):
 def test_weekly_panel_csv_contract_malformed_age_label(tmp_path, label):
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(_small_weekly(), str(path))
-    _rewrite(path, lambda ls: ls[:4] + [f"{label},2021,1,1,"] + ls[4:])
+    _rewrite(path, lambda ls: ls[:4] + [f"{label},2021,1,1"] + ls[4:])
     with pytest.raises(ParseError, match=re.escape(f"{path}: line 5: bad age label '{label}'")):
         read_weekly_panel_csv(str(path), "AAA", "f")
 
 
 def test_weekly_panel_csv_contract_refuses_an_exposure(tmp_path):
+    """A weekly panel stores no exposure field: the pandemic years'
+    exposures are rebuilt from the population snapshots."""
     path = tmp_path / "weekly.csv"
     write_weekly_panel_csv(_small_weekly(), str(path))
-    _rewrite(path, lambda ls: ls[:5] + [ls[5] + "150.5"] + ls[6:])
-    with pytest.raises(ParseError, match=re.escape(
-            f"{path}: line 6: exposure field '150.5' is not empty")):
+    _rewrite(path, lambda ls: ls[:5] + [ls[5] + ",150.5"] + ls[6:])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 6: expected 4 fields")):
+        read_weekly_panel_csv(str(path), "AAA", "f")
+    _rewrite(path, lambda ls: ["age,year,week,deaths,exposure"] + ls[1:])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 1: unexpected header")):
         read_weekly_panel_csv(str(path), "AAA", "f")
 
 
@@ -513,9 +518,10 @@ def test_weekly_panel_csv_contract_refuses_an_exposure(tmp_path):
 
 def _tiny_models():
     """One small model per type and variant.  No format has an optional
-    group: the ``absent`` variant of ``coda`` is the degenerate fit, and that
-    of ``covid`` the method-1 fit, with no seasonal effect applied.  The other
-    types have only the ``present`` variant."""
+    group: the ``absent`` variant of ``coda`` is the degenerate fit, whose
+    explained variance is 0, and that of ``covid`` the method-1 fit, with no
+    seasonal effect applied.  The other types have only the ``present``
+    variant."""
     ages, years = np.arange(60, 62), np.arange(2017, 2020)
     layers = dict(
         countries=("AAA",), ages=ages, years=years,
@@ -551,16 +557,16 @@ def _tiny_models():
         ("covid", "present"): CovidLayer(**owner, method=2, B=np.array([0.6, 0.8]), K=K),
         ("annual", "present"): AnnualEffects(**owner, V=np.array([0.8, 0.6]),
                                              X=np.array([0.3, -0.1])),
-        ("coda", "absent"): CodaFit(**coda, degenerate=True),
+        ("coda", "absent"): CodaFit(**{**coda, "explained_variance": 0.0}),
         ("coda", "present"): CodaFit(**coda),
     }
 
 
 # The text save_model writes for each of _tiny_models(), pinned: these are
-# the bytes of version 2 of the model file format.  A change of them is a
+# the bytes of version 3 of the model file format.  A change of them is a
 # new format version.
 BASELINE_PRESENT = """\
-#schema:BaselineModel v2
+#schema:BaselineModel v3
 key,index1,index2,value
 ages,,,60;61
 years,,,2017;2019
@@ -618,7 +624,7 @@ sigma,3,3,2
 """
 
 SEASONAL_PRESENT = """\
-#schema:SeasonalEffect v2
+#schema:SeasonalEffect v3
 key,index1,index2,value
 country,,,AAA
 gender,,,f
@@ -634,7 +640,7 @@ coef,3,,0.33333333333333331
 """
 
 COVID_PRESENT = """\
-#schema:CovidLayer v2
+#schema:CovidLayer v3
 key,index1,index2,value
 country,,,BBB
 gender,,,m
@@ -643,8 +649,6 @@ B,0,,0.59999999999999998
 age,1,,65
 B,1,,0.80000000000000004
 method,,,2
-weeks,2020,,53
-weeks,2021,,52
 K,2020,1,0.5
 K,2020,2,-0.5
 """ + "".join(f"K,2020,{w},0\n" for w in range(3, 54)) + """\
@@ -656,7 +660,7 @@ K,2021,3,4.9406564584124654e-324
 COVID_ABSENT = COVID_PRESENT.replace("method,,,2", "method,,,1")
 
 ANNUAL_PRESENT = """\
-#schema:AnnualEffects v2
+#schema:AnnualEffects v3
 key,index1,index2,value
 country,,,BBB
 gender,,,m
@@ -664,18 +668,16 @@ age,0,,40_64
 V,0,,0.80000000000000004
 age,1,,65
 V,1,,0.59999999999999998
-degenerate,,,0
 X,2020,,0.29999999999999999
 X,2021,,-0.10000000000000001
 """
 
 CODA_ABSENT = """\
-#schema:CodaFit v2
+#schema:CodaFit v3
 key,index1,index2,value
 year,,,2021
 gender,,,f
-degenerate,,,1
-explained_variance,,,0.875
+explained_variance,,,0
 ages,,,40;41
 alpha,40,,0.5
 beta,40,,0.70710678118654757
@@ -686,7 +688,7 @@ kappa,2,,-1
 kappa,3,,0
 """
 
-CODA_PRESENT = CODA_ABSENT.replace("degenerate,,,1", "degenerate,,,0")
+CODA_PRESENT = CODA_ABSENT.replace("explained_variance,,,0", "explained_variance,,,0.875")
 
 MODEL_TEXT = {
     ("baseline", "present"): BASELINE_PRESENT,
@@ -801,7 +803,7 @@ CORRUPTIONS = {
     "baseline bad age span": (BASELINE_PRESENT, ("ages,,,60;61", "ages,,,60"), "row ages,,"),
     "baseline bad country index": (BASELINE_PRESENT, ("country,0,", "country,x,"),
                                    "missing row country,0,"),
-    "baseline v1 header": (BASELINE_PRESENT, ("BaselineModel v2\n", "BaselineModel v1\n"),
+    "baseline v1 header": (BASELINE_PRESENT, ("BaselineModel v3\n", "BaselineModel v1\n"),
                            "line 1: unknown schema 'BaselineModel v1'"),
     # the series labels are those of `period_series`, so no file stores them
     "baseline series label": (BASELINE_PRESENT, ("sigma,0,0,", "series,0,,K|m\nsigma,0,0,"),
@@ -817,19 +819,22 @@ CORRUPTIONS = {
     "covid inverted age group": (COVID_PRESENT, ("age,0,,40_64", "age,0,,64_40"), "row age,0,"),
     "covid three-part age label": (COVID_PRESENT, ("age,0,,40_64", "age,0,,40_64_70"),
                                    "row age,0,"),
-    "covid too many weeks": (COVID_PRESENT, ("weeks,2021,,52", "weeks,2021,,54"),
-                             "row weeks,2021,: ISO year 2021 has 52 weeks"),
+    # K holds each of a year's ISO weeks, 53 in 2020 and 52 in 2021
+    "covid too many weeks": (COVID_PRESENT, ("K,2021,52,0\n", "K,2021,52,0\nK,2021,53,0\n"),
+                             "unexpected row K,2021,53"),
     # a file that holds 52 weeks of 2020 whole, as the reader once accepted
-    "covid 2020 without week 53": (COVID_PRESENT, ("weeks,2020,,53\n", "weeks,2020,,52\n"),
-                                   "row weeks,2020,: ISO year 2020 has 53 weeks",
-                                   ("K,2020,53,0\n", "")),
-    "covid bad year": (COVID_PRESENT, ("weeks,2020,,53", "weeks,20x0,,53"), "row weeks,20x0"),
-    "covid year datetime lacks": (COVID_PRESENT, ("weeks,2021,,52", "weeks,10000,,52"),
-                                  "row weeks,10000,: bad value 10000",
-                                  *((f"K,2021,{w},", f"K,10000,{w},") for w in range(1, 53))),
+    "covid 2020 without week 53": (COVID_PRESENT, ("K,2020,53,0\n", ""), "missing row K,2020,53"),
+    "covid bad year": (COVID_PRESENT, ("K,2020,1,", "K,20x0,1,"), "row K,20x0"),
+    "covid year datetime lacks": (COVID_PRESENT, ("K,2021,1,", "K,10000,1,"),
+                                  "row K,10000,: bad value 10000",
+                                  *((f"K,2021,{w},", f"K,10000,{w},") for w in range(2, 53))),
+    # the week counts follow from the years, so a version 2 weeks row is refused
+    "covid weeks row": (COVID_PRESENT, ("K,2020,1,", "weeks,2020,,53\nK,2020,1,"),
+                        "unexpected row weeks,2020,"),
     "annual missing V": (ANNUAL_PRESENT, ("V,0,,0.80000000000000004\n", ""), "missing row V,0,"),
-    "annual bad degenerate flag": (ANNUAL_PRESENT, ("degenerate,,,0", "degenerate,,,no"),
-                                   "row degenerate,,"),
+    # a degenerate fit is one whose X is 0 in every year, so no row flags it
+    "annual degenerate row": (ANNUAL_PRESENT, ("X,2020,", "degenerate,,,0\nX,2020,"),
+                              "unexpected row degenerate,,"),
     "seasonal missing coef": (SEASONAL_PRESENT, ("coef,2,,1\n", ""), "missing row coef,2,"),
     "seasonal missing last coef": (SEASONAL_PRESENT, ("coef,3,,0.33333333333333331\n", ""),
                                    "missing row coef,3,"),
@@ -944,7 +949,7 @@ def covid_layers(draw):
 def annual_effects(draw):
     owner = _owner(draw)
     return AnnualEffects(**owner, V=_unit(draw, len(owner["ages"])),
-                         X=_floats(draw, len(owner["years"])), degenerate=draw(st.booleans()))
+                         X=_floats(draw, len(owner["years"])))
 
 
 @st.composite
@@ -958,7 +963,6 @@ def coda_fits(draw):
         ages=np.arange(nx) + draw(st.integers(0, 100)), alpha=_floats(draw, nx),
         beta=beta / np.linalg.norm(beta), kappa=_zero_sum(draw, draw(st.integers(0, 53))),
         explained_variance=draw(st.sampled_from((0.0, -0.0, 5e-324, 1.0)) | st.floats(0, 1)),
-        degenerate=draw(st.booleans()),
     )
 
 

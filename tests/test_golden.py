@@ -12,13 +12,14 @@ other digest has.  The digests bind only under the NumPy build they were
 taken with.
 
 The values test binds under every NumPy build.  ``golden_values/`` holds
-``report.csv`` and the model files (``baseline_model.csv``, ``seasonal_*``,
-``covid_*``, ``annual_effects_*``) of the run-all digest's run, and a fresh
-run must match every number in them, by `util.compare_runs`, within
-``1e-10 * max(|x|, |y|) + 1e-12`` (``VALUES_RTOL``, ``VALUES_ATOL``).  A
-kernel may move last bits within that bound; then only the digests it
-moves are re-recorded.  A change beyond it re-records those files too,
-copied from a fresh run.
+``report.csv``, the model files (``baseline_model.csv``, ``seasonal_*``,
+``covid_*``, ``annual_effects_*``), the ``covid_fit_*`` tables and the
+``life_expectancy_*`` tables (the life-table and forecast kernel) of the
+run-all digest's run, and a fresh run must match every number in them, by
+`util.compare_runs`, within ``1e-10 * max(|x|, |y|) + 1e-12``
+(``VALUES_RTOL``, ``VALUES_ATOL``).  A kernel may move last bits within that
+bound; then only the digests it moves are re-recorded.  A change beyond it
+re-records those files too, copied from a fresh run.
 Changing a digest or a golden file needs a stated reason: an intended
 change of an output format or of a model result.
 """
@@ -42,7 +43,7 @@ from util import compare_runs
 # pipeline imports no SciPy, so SciPy's version does not enter the outputs.
 GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 SYNTH_SHA256 = "892c435e313605970b88153d788366462dffaca7b25a14af127df8309ce5d421"
-GOLDEN_SHA256 = "75e713301397e5cb1c8473e11f336ba4eef311d0d38dca6310aa2b65384c6647"
+GOLDEN_SHA256 = "2006cfe9e012100ef446921d2907a07bddaa6285ca516c7d82277717e642fbb7"
 FIT_SHA256 = "6cf377e640e9774613d390f8cfe1c1782183e1555bc222a5a1c5aa6439eef2ab"
 MASKED_FIT_SHA256 = "ed59dec606bbbd2eebfcb15519cdcc615e056d6730849ec7be9ef21268ade13d"
 GOLDEN_VALUES = os.path.join(os.path.dirname(__file__), "golden_values")

@@ -233,12 +233,12 @@ def loop_project_population(start_pop, cohort_dxw, w_t):
 
 def per_scenario_forecast_rows(fs, name):
     """The rows of the ``forecast`` table of scenario ``name`` of ForecastSet
-    ``fs``: every key, mu and q cell formatted for this scenario alone
+    ``fs``: every key, mu and q = 1 - exp(-mu) cell formatted for this scenario alone
     through the table's row string, as the CLI wrote them before it shared
     the rows that all scenarios have in common."""
     nx, nt = len(fs.ages), len(fs.years)
-    columns = (np.repeat(fs.ages, nt), np.tile(fs.years, nx), fs.mu[name].ravel(),
-               fs.q[name].ravel())
+    mu = fs.mu[name].ravel()
+    columns = (np.repeat(fs.ages, nt), np.tile(fs.years, nx), mu, 1.0 - np.exp(-mu))
     return "".join(["%s,%s,%s,%s\n" % cell for cell in zip(*[c.tolist() for c in columns])])
 
 

@@ -5,9 +5,9 @@ forecasts.
 The annual effects (V, X) are defined by matching the annual survival
 probability to the product of weekly survival probabilities.  X has a closed
 form under a temporary sum-one convention on V; V then solves a convex
-scalar equation per age, with one sign change on the bracket, and both are
-renormalized to ||V|| = 1 at the end, which leaves every product V_x * X_t
-unchanged.
+scalar equation per age, by bisection of [-10, 10], on which the equation
+must change sign.  Both are renormalized to ||V|| = 1 at the end, which
+leaves every product V_x * X_t unchanged.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .datastore import AnnualEffects, ForecastSet, ScenarioSpec, week_mask
 from .errors import NumericalError, ValidationError
 
 BRACKET = 10.0
-ROOT_TOL = 1e-12
-ROOT_MAX_ITER = 100
+HALVINGS = 64  # halvings of the 2 BRACKET-wide bracket: 20 / 2**64 is about 1e-18
 DEGENERATE_TOL = 1e-12
 MAX_AGE = 120  # forecast tables close at this age
 LE_AGES = (0, 65, 85)  # ages of the forecast life expectancies
@@ -37,45 +36,31 @@ def weekly_mean_factor(layer, phi):
 
 def _gap_roots(mu, m, X):
     """Root v_i on [-BRACKET, BRACKET] of g_i(v) = sum_t mu[i, t] (exp(v X_t)
-    - m[i, t]) for every row i at once, by Newton steps inside a bracket on
-    which g_i changes sign.  g_i is convex, so the sign change marks its one
-    root there; a step that would leave the bracket bisects it instead,
-    which keeps an X of mixed signs safe.  Failures raise NumericalError
-    naming the row as the age index."""
+    - m[i, t]) for every row i at once, by bisection of a bracket on which
+    g_i changes sign: g_i is convex, so the sign change marks its one root
+    there, whatever the signs of X.  HALVINGS halvings narrow each bracket
+    to 2 BRACKET / 2**HALVINGS, and its midpoint is the root.  A NaN gap or
+    one without a sign change raises NumericalError naming the row as the
+    age index."""
 
     def gap(v):
-        e = np.exp(v[:, None] * X)
-        g = (mu * (e - m)).sum(axis=1)
+        g = (mu * (np.exp(v[:, None] * X) - m)).sum(axis=1)
         if np.isnan(g).any():
             raise NumericalError(f"annualize: age index {np.argmax(np.isnan(g))}: the gap is NaN")
-        return g, (mu * X * e).sum(axis=1)
+        return g
 
     lo, hi = np.full(len(mu), -BRACKET), np.full(len(mu), BRACKET)
-    g_lo, g_hi = gap(lo)[0], gap(hi)[0]
+    g_lo, g_hi = gap(lo), gap(hi)
     one_sign = np.sign(g_lo) * np.sign(g_hi) > 0
     if one_sign.any():
         raise NumericalError(f"annualize: age index {np.argmax(one_sign)}: the gap does not change "
                              f"sign on [-{BRACKET:g}, {BRACKET:g}]")
-    rising = g_hi > 0
-    v, active = np.zeros(len(mu)), np.ones(len(mu), dtype=bool)
-    last = before = hi - lo  # the lengths of the last two steps
-    for _ in range(ROOT_MAX_ITER):
-        g, dg = gap(v)
-        above = (g > 0) == rising
+    rising = (g_hi > 0) | (g_lo < 0)  # a gap of 0 at one end rises if it is < 0 at the other
+    for _ in range(HALVINGS):
+        v = (lo + hi) / 2
+        above = (gap(v) > 0) == rising  # the root lies below v
         lo, hi = np.where(above, lo, v), np.where(above, v, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = v - g / dg
-        dist = np.abs(newton - v)
-        # Newton unless it leaves the bracket or fails to halve the step before last.
-        take = (dist <= ROOT_TOL) | ((lo < newton) & (newton < hi) & (2 * dist < before))
-        step = np.where(take, newton, (lo + hi) / 2)
-        moving = active & (g != 0)
-        before, last = last, np.abs(step - v)
-        v, active = np.where(moving, step, v), moving & (last > ROOT_TOL)
-        if not active.any():
-            return v
-    raise NumericalError(f"annualize: age index {np.argmax(active)}: no convergence in "
-                         f"{ROOT_MAX_ITER} iterations")
+    return (lo + hi) / 2
 
 
 def annualize(layer, phi, mu):

@@ -4,8 +4,10 @@ Stages (each reads prior-stage outputs from the run directory and writes its
 own): ingest, calibrate-baseline, fit-seasonal, calibrate-covid, coda,
 annualize, forecast, report.  ``synth`` generates the bundled synthetic raw
 dataset.  Exit codes: 0 ok, 2 config error, 3 data error or failed write,
-4 numerical failure.  Every stage appends the configuration hash to its
-outputs, and a machine-readable error record is written on failure.
+4 numerical failure.  A floating-point overflow, invalid operation or
+division by zero in a stage is an error: 3 if it comes from reading a
+run-directory file, else 4.  Every stage appends the configuration hash to
+its outputs, and a machine-readable error record is written on failure.
 
 Every output file is written to the run directory.  Within one ``main``
 call the objects a stage wrote are also kept in memory, so ``run-all``
@@ -37,7 +39,8 @@ from . import ingest as ig
 from . import seasonal as se
 from . import synthetic
 from .datastore import PANDEMIC_YEARS
-from .errors import ConfigError, IngestError, PandmortError, ParseError, ValidationError
+from .errors import (ConfigError, IngestError, NumericalError, PandmortError, ParseError,
+                     ValidationError)
 
 log = logging.getLogger("pandmort")
 
@@ -241,8 +244,9 @@ def _write(cfg, out, kind, obj, writer, **key):
 def _read(cfg, out, kind, reader, *args, **key):
     """The object in the ``kind`` file for ``key``: the one this process
     wrote there, re-validated, or else ``reader(path, *args)``, whose object
-    failing its checks is a ParseError naming the file, as is one that lacks
-    what the file's rule in `FILES` asks of it for ``cfg``."""
+    failing its checks, or meeting a floating-point fault in them, is a
+    ParseError naming the file, as is one that lacks what the file's rule in
+    `FILES` asks of it for ``cfg``."""
     path = _path(out, kind, **key)
     if not os.path.exists(path):
         raise IngestError(f"missing {os.path.basename(path)}: run {FILES[kind][1]} first")
@@ -253,7 +257,7 @@ def _read(cfg, out, kind, reader, *args, **key):
     else:
         try:
             obj = reader(path, *args)
-        except ValidationError as exc:
+        except (ValidationError, FloatingPointError) as exc:
             raise ParseError(f"{path}: {exc}") from None
     _, stage, rule = FILES[kind]
     phrase = rule and rule(cfg, obj)
@@ -551,7 +555,11 @@ def main(argv=None):
             raise ParseError(f"cannot create output directory {args.out}: {exc}") from exc
         for stage in STAGES if args.command == "run-all" else [args.command]:
             log.info("stage %s", stage)
-            STAGES[stage](cfg, args.out)
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    STAGES[stage](cfg, args.out)
+            except FloatingPointError as exc:
+                raise NumericalError(f"{stage}: {exc}") from exc
         return 0
     except PandmortError as exc:
         log.error("%s", exc)

@@ -23,6 +23,7 @@ from pandmort.datastore import (
     MAX_WEEKS, CovidLayer, ScenarioSpec, SeasonalEffect, weeks_in_iso_year,
 )
 from util import (
+    ROOT_TOL,
     annual_survival_gap,
     assert_annual_constraints,
     assert_baseline_constraints,
@@ -158,7 +159,7 @@ def test_criterion_04_annualization_identity():
         for i in range(len(ages)):
             V_raw[i] = brentq(
                 lambda v: float((mu[i] * (np.exp(v * X_raw) - m[i])).sum()),
-                -af.BRACKET, af.BRACKET, xtol=af.ROOT_TOL,
+                -af.BRACKET, af.BRACKET, xtol=ROOT_TOL,
             )
         np.testing.assert_allclose(
             np.outer(V_raw, X_raw), np.outer(out.V, out.X), atol=1e-12

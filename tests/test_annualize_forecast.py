@@ -7,7 +7,7 @@ import pandmort.annualize_forecast as af
 import pandmort.synthetic as sy
 from pandmort.datastore import CovidLayer, ScenarioSpec
 from pandmort.errors import NumericalError, ValidationError
-from util import annual_survival_gap, assert_annual_constraints
+from util import ROOT_TOL, annual_survival_gap, assert_annual_constraints
 
 
 def make_layer(ages, seed=3, amplitude=0.35):
@@ -50,7 +50,7 @@ def test_annualize_renormalization_preserves_products(annualized):
     for i in range(len(layer.ages)):
         V_raw[i] = brentq(
             lambda v: float((mu[i] * (np.exp(v * X_raw) - m[i])).sum()),
-            -af.BRACKET, af.BRACKET, xtol=af.ROOT_TOL,
+            -af.BRACKET, af.BRACKET, xtol=ROOT_TOL,
         )
     np.testing.assert_allclose(
         np.outer(V_raw, X_raw), np.outer(effects.V, effects.X), atol=1e-12
@@ -89,10 +89,10 @@ def test_gap_roots_match_scipy_brentq(seed, mixed):
             if np.sign(gap(i, -af.BRACKET)) * np.sign(gap(i, af.BRACKET)) <= 0]
     assume(rows)
     for i, v in zip(rows, af._gap_roots(mu[rows], m[rows], X)):
-        expected = brentq(lambda x: gap(i, x), -af.BRACKET, af.BRACKET, xtol=af.ROOT_TOL)
+        expected = brentq(lambda x: gap(i, x), -af.BRACKET, af.BRACKET, xtol=ROOT_TOL)
         e = np.exp(expected * X)
         band = 8 * np.finfo(float).eps * (mu[i] * (e + m[i])).sum() / abs((mu[i] * X * e).sum())
-        assert abs(v - expected) <= 2 * af.ROOT_TOL + band
+        assert abs(v - expected) <= 2 * ROOT_TOL + band
 
 
 def test_annualize_names_the_age_with_a_nan_gap(annualized):
@@ -103,11 +103,13 @@ def test_annualize_names_the_age_with_a_nan_gap(annualized):
         af.annualize(layer, phi, mu)
 
 
-def test_annualize_raises_when_root_iterations_run_out(annualized, monkeypatch):
-    layer, _, phi, mu = annualized
-    monkeypatch.setattr(af, "ROOT_MAX_ITER", 2)
-    with pytest.raises(NumericalError, match=r"annualize: age index \d+: no convergence in 2 "):
-        af.annualize(layer, phi, mu)
+@pytest.mark.parametrize("X, root", [(0.1, af.BRACKET), (-0.1, -af.BRACKET)])
+def test_gap_roots_find_a_root_at_an_end_of_the_bracket(X, root):
+    """A gap of exactly 0 at one end of the bracket, and of the other sign
+    at the other end, has its root at that end."""
+    mu, m, X = np.array([[1.0]]), np.array([[np.exp(1.0)]]), np.array([X])
+    assert (mu * (np.exp(root * X) - m)).sum() == 0.0
+    np.testing.assert_allclose(af._gap_roots(mu, m, X), [root], rtol=1e-15)
 
 
 def test_annualize_names_the_age_without_a_sign_change(annualized, monkeypatch):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -542,6 +543,35 @@ def test_damaged_run_directory_file_keeps_the_error_contract(pipeline, data):
         if rc:
             with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
                 assert json.load(fh)["stage"] == command
+
+
+# (a run-directory file, the start of its row whose last field becomes 1e308, the
+# stage run on it, its exit code and error): the value overflows in the file's
+# checks, a ParseError, or in the stage's own arithmetic, a NumericalError.
+OVERFLOWS = [("annual_effects_AAA_m.csv", "V,3,,", "forecast", 3, "ParseError"),
+             ("population_BBB.csv", "2020-01-01,0,f,", "calibrate-covid", 4, "NumericalError")]
+
+
+@pytest.mark.parametrize("name, row, command, code, error", OVERFLOWS)
+@pytest.mark.parametrize("as_errors", [False, True])
+def test_overflow_exits_alike_under_any_warning_filter(pipeline, tmp_path, name, row, command,
+                                                       code, error, as_errors):
+    """A floating-point fault is an exit code with an ``error.json``, whether
+    or not warnings are errors, never a warning or a traceback."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    path = out / name
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(rf"^{re.escape(row)}.*$", f"{row}1e308", text, count=1, flags=re.M),
+                    encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
+    with warnings.catch_warnings():
+        if as_errors:
+            warnings.simplefilter("error")
+        rc = cli.main([command, "--config", str(pipeline["config"]), "--out", str(out)])
+    assert rc == code
+    rec = json.loads((out / "error.json").read_text())
+    assert (rec["stage"], rec["error"]) == (command, error)
 
 
 # (command, the file it fails on, under a copy of the run's data and output,

@@ -43,7 +43,7 @@ from util import compare_runs
 # pipeline imports no SciPy, so SciPy's version does not enter the outputs.
 GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 SYNTH_SHA256 = "892c435e313605970b88153d788366462dffaca7b25a14af127df8309ce5d421"
-GOLDEN_SHA256 = "2006cfe9e012100ef446921d2907a07bddaa6285ca516c7d82277717e642fbb7"
+GOLDEN_SHA256 = "63d34ca2c3cb8baca91ef8e5b3b0237a89d74bbe18506019040119a7ce9fa928"
 FIT_SHA256 = "6cf377e640e9774613d390f8cfe1c1782183e1555bc222a5a1c5aa6439eef2ab"
 MASKED_FIT_SHA256 = "ed59dec606bbbd2eebfcb15519cdcc615e056d6730849ec7be9ef21268ade13d"
 GOLDEN_VALUES = os.path.join(os.path.dirname(__file__), "golden_values")

@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 NORM_TOL = 1e-10
 SUM_TOL = 1e-8
 CODA_SUM_TOL = 1e-9
+ROOT_TOL = 1e-12  # xtol of scipy.optimize.brentq, the oracle of the annualization roots
 
 
 def compare_runs(a, b, rtol, atol):

@@ -150,10 +150,10 @@ def extended_baseline_mu(model, country, gender, years):
     return np.vstack([base, np.exp(lnmu.mean(axis=1) + np.outer(extra, slope))])
 
 
-def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=MAX_AGE):
+def life_expectancy(q, ages, years, x0, t0, kind="period"):
     """Remaining life expectancy under the curtate-plus-half convention:
     e = sum_k (prod_{j<k} (1 - q_j)) * (1 - q_k / 2), truncated at
-    ``max_age`` where q is forced to one.
+    ``MAX_AGE`` where q is forced to one.
 
     ``kind`` 'period' reads the column at t0; 'cohort' reads the diagonal
     q[x0 + k, t0 + k].  `life_expectancy_by_year` is the array form used by
@@ -169,9 +169,9 @@ def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=MAX_AGE):
     j0 = int(np.searchsorted(years, t0))
     if j0 >= len(years) or years[j0] != t0:
         raise ValidationError(f"year {t0} not in table")
-    n = max_age - x0 + 1
+    n = MAX_AGE - x0 + 1
     if i0 + n > len(ages) + 1:
-        raise ValidationError(f"table does not reach max age {max_age}")
+        raise ValidationError(f"table does not reach max age {MAX_AGE}")
     qs = np.empty(n)
     for k in range(n):
         i = i0 + k
@@ -189,10 +189,10 @@ def life_expectancy(q, ages, years, x0, t0, kind="period", max_age=MAX_AGE):
     return float((surv * (1.0 - qs / 2.0)).sum())
 
 
-def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period", max_age=MAX_AGE):
+def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period"):
     """`life_expectancy` at age ``x0`` for every start year in ``t0s`` at once.
 
-    Gathers one C-ordered (len(t0s), max_age - x0 + 1) block of death
+    Gathers one C-ordered (len(t0s), MAX_AGE - x0 + 1) block of death
     probabilities, columns of ``q`` for 'period' and diagonals for 'cohort',
     and runs the cumulative product and the sum along its last axis, so each
     row is summed in the same order as the scalar form and the results agree
@@ -210,9 +210,9 @@ def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period", max_age=MAX_
     missing = (j0 >= len(years)) | (years[np.minimum(j0, len(years) - 1)] != t0s)
     if missing.any():
         raise ValidationError(f"year {t0s[np.argmax(missing)]} not in table")
-    n = max_age - x0 + 1
+    n = MAX_AGE - x0 + 1
     if i0 + n > len(ages) + 1:
-        raise ValidationError(f"table does not reach max age {max_age}")
+        raise ValidationError(f"table does not reach max age {MAX_AGE}")
     k = np.arange(n)
     rows = i0 + k
     cols = j0[:, None] + (k if kind == "cohort" else np.zeros_like(k))

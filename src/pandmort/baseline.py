@@ -6,19 +6,18 @@ Both stages, and the pandemic layer in `covid_layer`, maximize one Poisson
 log-likelihood of the bilinear form
 ``sum(D * (base + a + b*k) - E * exp(base + a + b*k))`` (`loglik`, with its
 analytic gradient `score`) by alternating per-block Newton updates.  The
-a-update is exact; the b- and k-steps are halved until lnL does not fall, so
-lnL never decreases from sweep to sweep.  Each accepted evaluation of lnL
-also gives the fitted deaths ``E * exp(base + a + b*k)`` that the next
-Newton step needs, so a sweep forms the full-grid ``exp`` only once per
-parameter change.  The unusable cells (E == 0, or NaN in D or E) are zeroed
-in D and E once per fit, so an evaluation needs no mask: such a cell adds
-nothing to lnL and has no fitted deaths.  Identification constraints
-(mean-zero period effect, unit-norm age effect) are reapplied after every
-sweep; this gauge step leaves the likelihood unchanged, so the k step's lnL
-and fitted deaths carry over, and it does not rebuild the offset
-``base + a``, which the next sweep's level update rebuilds before anything
-reads it.  The pandemic fits have no level and a zero base, so their
-evaluations form ``eta = b k`` with no offset at all.
+a-update is exact; one function, `_newton_step`, makes both the b and the k
+step, each halved until lnL does not fall, so lnL never decreases from sweep
+to sweep.  Each accepted evaluation of lnL also gives the fitted deaths
+``E * exp(base + a + b*k)`` that the next Newton step needs, so a sweep forms
+the full-grid ``exp`` only once per parameter change.  The unusable cells
+(E == 0, or NaN in D or E) are zeroed in D and E once per fit, so an
+evaluation needs no mask: such a cell adds nothing to lnL and has no fitted
+deaths.  Identification constraints (mean-zero period effect, unit-norm age
+effect) are reapplied after every sweep; this gauge step leaves the
+likelihood unchanged, so the k step's lnL and fitted deaths carry over, and
+it does not rebuild the offset ``base + a``, which the next sweep's level
+update rebuilds before anything reads it.
 """
 
 from __future__ import annotations
@@ -45,11 +44,9 @@ def _usable(D, E):
 
 
 def _fitted(E, off, b, k):
-    """``eta = off + b k`` (``b k`` alone when ``off`` is None) and the fitted
-    deaths ``E * exp(eta)``."""
+    """``eta = off + b k`` and the fitted deaths ``E * exp(eta)``."""
     eta = b[:, None] * k
-    if off is not None:
-        eta += off
+    eta += off
     fitted = np.exp(eta)
     fitted *= E
     return eta, fitted
@@ -98,14 +95,21 @@ def score_country(alpha, beta, kappa, base, D, E):
     return score(D, E, alpha, beta, kappa, base)
 
 
-def _damped_update(Dm, Em, off, b, k, which, delta, lnl_before):
-    """Apply a Newton step to one block, halving until lnL does not drop.
+def _newton_step(Dm, Em, off, b, k, which, dhat, lnl):
+    """Newton step on block ``which`` ("b" or "k") of ``(b, k)``, whose lnL
+    is ``lnl`` and fitted deaths ``dhat``: each component's score over its
+    curvature, the whole step halved until lnL does not drop.
 
     Returns the new block, its lnL and its fitted deaths.  Raises
     NumericalError when 40 halvings do not restore lnL.
     """
-    start = b if which == "b" else k
-    floor = lnl_before - 1e-13 * (abs(lnl_before) + 1.0)
+    resid = Dm - dhat
+    if which == "b":
+        start, num, den = b, resid @ k, dhat @ (k * k)
+    else:
+        start, num, den = k, b @ resid, (b * b) @ dhat
+    delta = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+    floor = lnl - 1e-13 * (abs(lnl) + 1.0)
     step, new = 1.0, start + delta
     for _ in range(40):
         cand, fitted = _evaluate(Dm, Em, off, *((new, k) if which == "b" else (b, new)))
@@ -116,20 +120,20 @@ def _damped_update(Dm, Em, off, b, k, which, delta, lnl_before):
     raise NumericalError(f"step halving failed to restore lnL in the {which} update")
 
 
-def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
+def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, k0=None):
     """Core alternating-Newton fit of ``D ~ Poisson(E * exp(base + a + b k))``.
 
     Cells with ``E == 0`` (or NaN in either array) are excluded from the
     likelihood: they are zeroed in D and E once, before the first sweep, and
-    every evaluation runs on the zeroed arrays.  When ``fit_level`` is False
-    the per-age level ``a`` stays at zero and the period effect is not
-    centered; with the default ``base`` of 0 the offset ``base + a`` is then
-    zero, and ``eta`` is ``b k`` alone.  Every evaluation of lnL that the fit
-    keeps also yields the fitted deaths for the next Newton step.  One sweep
-    computes: the level update and its evaluation (with the level only),
-    which also rebuilds the offset; the b step and the k step, each one
-    evaluation plus one per step halving; and the gauge step, which moves
-    (a, b, k) but not ``a + b k`` and so needs no evaluation and no offset.
+    every evaluation runs on the zeroed arrays.  The start is a flat ``b``
+    and ``k0``, or a zero ``k``.  When ``fit_level`` is False the per-age
+    level ``a`` stays at zero and the period effect is not centered.  Every
+    evaluation of lnL that the fit keeps also yields the fitted deaths for
+    the next Newton step.  One sweep computes: the level update and its
+    evaluation (with the level only), which also rebuilds the offset; the b
+    step and the k step, both by `_newton_step`, each one evaluation plus
+    one per step halving; and the gauge step, which moves (a, b, k) but not
+    ``a + b k`` and so needs no evaluation and no offset.
     Stops when lnL changes by at most ``REL_TOL`` relative, and raises
     NumericalError after ``MAX_ITER`` sweeps.  Returns ``(a, b, k, trace)``
     where ``trace`` is the iteration log of (iteration, lnL, max parameter
@@ -154,12 +158,10 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
             a = np.where(has_deaths, np.log(rows_d / np.maximum(rows_e, 1e-300)), -20.0)
     else:
         a = np.zeros(nx)
-    b = (np.full(nx, 1.0 / np.sqrt(nx)) if b0 is None else np.asarray(b0, dtype=float).copy())
+    b = np.full(nx, 1.0 / np.sqrt(nx))
     k = (np.zeros(nt) if k0 is None else np.asarray(k0, dtype=float).copy())
 
-    # Without the level, a zero base gives a zero offset, and adding it to
-    # eta could only change the sign of a zero, which neither exp nor lnL sees.
-    off = None if not fit_level and base.ndim == 0 and base == 0.0 else base + a[:, None]
+    off = base + a[:, None]
     lnl, dhat = _evaluate(Dm, Em, off, b, k)
     if not np.isfinite(lnl):
         raise NumericalError("non-finite log-likelihood at starting values")
@@ -175,16 +177,8 @@ def fit_bilinear_poisson(D, E, base=0.0, fit_level=True, b0=None, k0=None):
             if not np.isfinite(lnl):
                 raise NumericalError("non-finite log-likelihood during iteration", trace)
 
-        # Newton steps on b, then k: the score component over its curvature.
-        num = (Dm - dhat) @ k
-        den = dhat @ (k * k)
-        delta_b = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        b, lnl, dhat = _damped_update(Dm, Em, off, b, k, "b", delta_b, lnl)
-
-        num = b @ (Dm - dhat)
-        den = (b * b) @ dhat
-        delta_k = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        k, lnl, dhat = _damped_update(Dm, Em, off, b, k, "k", delta_k, lnl)
+        b, lnl, dhat = _newton_step(Dm, Em, off, b, k, "b", dhat, lnl)
+        k, lnl, dhat = _newton_step(Dm, Em, off, b, k, "k", dhat, lnl)
 
         # Reapply identification constraints; likelihood-neutral, so the k
         # step's lnL and fitted deaths carry over, and the offset is rebuilt

@@ -7,8 +7,8 @@ Layouts (documented, no column-reordering tolerance):
   inside the requested range is an error, never a zero.
 * weekly files: comma-separated ``CountryCode,Year,Week,Sex,<groups...>``
   with group columns named ``D<low>_<high>`` and ``D<low>p`` for the open
-  final group; optional trailing ``Split``/``Forecast`` flag columns are
-  ignored with a warning.
+  final group, which ends at 110; optional trailing ``Split``/``Forecast``
+  flag columns are ignored with a warning.
 * population files: ``date(YYYY-MM-DD),age,sex,count``.
 
 Which rows get which checks:
@@ -203,13 +203,13 @@ def _parse_group_columns(names):
     return groups
 
 
-def parse_stmf(path, country, open_group_high=TOP_AGE):
+def parse_stmf(path, country):
     """Parse a weekly grouped-deaths file into one WeeklyPanel per gender;
     `parse_stmf_countries` for a single country."""
-    return parse_stmf_countries(path, (country,), open_group_high)[country]
+    return parse_stmf_countries(path, (country,))[country]
 
 
-def parse_stmf_countries(path, countries, open_group_high=TOP_AGE):
+def parse_stmf_countries(path, countries):
     """Parse a multi-country weekly grouped-deaths file once into
     {country: {gender: WeeklyPanel}} for each of ``countries``.
 
@@ -225,7 +225,7 @@ def parse_stmf_countries(path, countries, open_group_high=TOP_AGE):
     flag_cols = [i for i, n in enumerate(header) if n in ("Split", "Forecast")]
     value_cols = [i for i in range(4, len(header)) if i not in flag_cols]
     try:  # a malformed age-group header names the file, as every other fault does
-        ages = tuple(AgeIndex(s[1], open_group_high if s[0] == "open" else s[2])
+        ages = tuple(AgeIndex(s[1], TOP_AGE if s[0] == "open" else s[2])
                      for s in _parse_group_columns([header[i] for i in value_cols]))
         check_age_partition(ages)
     except (IngestError, ValidationError) as exc:

@@ -192,16 +192,12 @@ def test_extended_baseline_mu_loglinear_tail(baseline_model):
 def test_life_expectancy_flat_rates():
     # constant q: geometric survival, closed form for the truncated table
     q = 0.2
-    max_age = 50
-    ages = np.arange(0, 51)
+    ages = np.arange(0, 121)
     years = np.arange(2000, 2002)
-    table = np.full((51, 2), q)
-    e = af.life_expectancy(table, ages, years, 0, 2000, "period", max_age=max_age)
-    k = np.arange(51)
-    qs = np.full(51, q)
-    qs[-1] = 1.0
-    surv = np.concatenate([[1.0], np.cumprod(1.0 - qs[:-1])])
-    expected = (surv * (1.0 - qs / 2.0)).sum()
+    table = np.full((121, 2), q)
+    e = af.life_expectancy(table, ages, years, 0, 2000, "period")
+    # ages 0..119 each add (1 - q)**x * (1 - q / 2); age 120, where q is one, adds half its survival
+    expected = (1.0 - q / 2.0) * (1.0 - (1.0 - q) ** 120) / q + (1.0 - q) ** 120 / 2.0
     assert e == pytest.approx(expected, rel=1e-12)
 
 
@@ -227,35 +223,34 @@ def test_life_expectancy_cohort_needs_horizon():
 @st.composite
 def life_tables(draw):
     """A random death-probability table on ages 0..top, where ``top`` is
-    ``max_age`` or one below it, with years enough for the cohort diagonals
+    ``MAX_AGE`` or one below it, with years enough for the cohort diagonals
     of ``nrep`` start years from age ``x0`` or up to three years too few."""
-    max_age = draw(st.integers(85, 125))
-    top = max_age - draw(st.integers(0, 1))
+    top = draw(st.sampled_from((af.MAX_AGE - 1, af.MAX_AGE)))
     le_ages = [x for x in (0, 65, 85) if x <= top]
     x0 = draw(st.one_of(st.sampled_from(le_ages), st.integers(0, top)))
     nrep = draw(st.integers(1, 6))
-    nyears = nrep + max_age - x0 + draw(st.integers(-3, 2))
+    nyears = nrep + af.MAX_AGE - x0 + draw(st.integers(-3, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     qmax = draw(st.sampled_from((1e-6, 0.05, 0.5, 1.0)))
     q = rng.uniform(0.0, qmax, (top + 1, max(nyears, nrep)))
     years = 1990 + np.arange(q.shape[1])
-    return q, np.arange(top + 1), years, x0, years[:nrep], max_age
+    return q, np.arange(top + 1), years, x0, years[:nrep]
 
 
 @settings(max_examples=80, deadline=None)
 @given(life_tables())
 def test_life_expectancy_kernel_matches_scalar(table):
-    q, ages, years, x0, t0s, max_age = table
+    q, ages, years, x0, t0s = table
     for kind in ("period", "cohort"):
         try:
-            expected = [af.life_expectancy(q, ages, years, x0, t, kind, max_age) for t in t0s]
+            expected = [af.life_expectancy(q, ages, years, x0, t, kind) for t in t0s]
         except ValidationError as exc:
             with pytest.raises(ValidationError) as err:
-                af.life_expectancy_by_year(q, ages, years, x0, t0s, kind, max_age)
+                af.life_expectancy_by_year(q, ages, years, x0, t0s, kind)
             assert str(err.value) == str(exc)
             assert kind == "cohort"
             continue
-        got = af.life_expectancy_by_year(q, ages, years, x0, t0s, kind, max_age)
+        got = af.life_expectancy_by_year(q, ages, years, x0, t0s, kind)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 

@@ -500,12 +500,12 @@ READ_BY = [("annual_panel.csv", "calibrate-baseline"), ("weekly_AAA_m.csv", "fit
 
 
 @st.composite
-def _damaged(draw, lines):
-    """``lines`` with one of them, not the first (a header or schema line) or
-    the last (the config stamp), deleted, duplicated, swapped with another,
-    cut short, or with one of its fields replaced."""
+def _damaged(draw, lines, first, last, sep=","):
+    """``lines`` with one of ``lines[first:last + 1]`` deleted, duplicated,
+    swapped with another of them, cut short, or with one of its fields, split
+    on ``sep`` (whitespace when None), replaced."""
     lines = list(lines)
-    i, j = draw(st.integers(1, len(lines) - 2)), draw(st.integers(1, len(lines) - 2))
+    i, j = draw(st.integers(first, last)), draw(st.integers(first, last))
     how = draw(st.sampled_from(["delete", "duplicate", "swap", "truncate", "field", "field"]))
     if how == "delete":
         del lines[i]
@@ -516,11 +516,11 @@ def _damaged(draw, lines):
     elif how == "truncate":
         lines[i] = lines[i][:draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
     else:
-        fields = lines[i].split(",")
+        fields = lines[i].split(sep) or [""]
         fields[draw(st.integers(0, len(fields) - 1))] = draw(
             st.sampled_from(["", "x", "nan", "inf", "-1", "0", "1e308", "2020", "AAA", "m"])
             | st.text(max_size=3))
-        lines[i] = ",".join(fields)
+        lines[i] = (sep or " ").join(fields)
     return lines
 
 
@@ -532,7 +532,8 @@ def test_damaged_run_directory_file_keeps_the_error_contract(pipeline, data):
     names the stage; it never ends in a traceback."""
     name, command = data.draw(st.sampled_from(READ_BY))
     lines = (pipeline["out"] / name).read_text(encoding="utf-8").splitlines()
-    damaged = data.draw(_damaged(lines))
+    # not the first line (a header or schema line) or the last (the config stamp)
+    damaged = data.draw(_damaged(lines, 1, len(lines) - 2))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         shutil.copytree(pipeline["out"], out)
@@ -543,6 +544,35 @@ def test_damaged_run_directory_file_keeps_the_error_contract(pipeline, data):
         if rc:
             with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
                 assert json.load(fh)["stage"] == command
+
+
+# One raw file of each layout that `ingest` reads, and the separator of its fields.
+RAW_FILES = [("AAA_deaths.txt", None), ("BBB_exposures.txt", None),
+             ("weekly_deaths.csv", ","), ("AAA_population.csv", ",")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_raw_file_keeps_the_error_contract(pipeline, data):
+    """`ingest` on a data directory with one line of one raw file damaged
+    exits 0, 2, 3 or 4, and a failure leaves an ``error.json`` that names
+    ``ingest``; it never ends in a traceback."""
+    name, sep = data.draw(st.sampled_from(RAW_FILES))
+    lines = (pipeline["data"] / name).read_text(encoding="utf-8").splitlines()
+    damaged = data.draw(_damaged(lines, 0, len(lines) - 1, sep))
+    with tempfile.TemporaryDirectory() as tmp:
+        datadir, out = os.path.join(tmp, "data"), os.path.join(tmp, "out")
+        shutil.copytree(pipeline["data"], datadir)
+        with open(os.path.join(datadir, name), "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in damaged))
+        config = os.path.join(tmp, "run.ini")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(CONFIG.format(datadir=datadir))
+        rc = cli.main(["ingest", "--config", config, "--out", out])
+        assert rc in (0, 2, 3, 4)
+        if rc:
+            with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
+                assert json.load(fh)["stage"] == "ingest"
 
 
 # (a run-directory file, the start of its row whose last field becomes 1e308, the

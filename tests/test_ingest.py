@@ -103,10 +103,10 @@ def test_parse_stmf_skips_other_countries_unchecked(tmp_path):
         lines += [f"XXX,2018,{w},m,10\n", f"XXX,2018,{w},f,10\n"]
     path = tmp_path / "stmf.csv"
     path.write_text("".join(lines))
-    panels = ig.parse_stmf_countries(str(path), ("XXX",), open_group_high=4)
+    panels = ig.parse_stmf_countries(str(path), ("XXX",))
     assert panels["XXX"]["m"].deaths[0, 0, 51] == 10.0
     with pytest.raises(IngestError, match="no usable rows for country ZZZ"):
-        ig.parse_stmf_countries(str(path), ("XXX", "ZZZ"), open_group_high=4)
+        ig.parse_stmf_countries(str(path), ("XXX", "ZZZ"))
 
 
 def test_parse_stmf_flag_columns_warn_once(tmp_path, caplog):
@@ -118,7 +118,7 @@ def test_parse_stmf_flag_columns_warn_once(tmp_path, caplog):
     path = tmp_path / "stmf.csv"
     path.write_text("".join(lines))
     with caplog.at_level("WARNING"):
-        panels = ig.parse_stmf_countries(str(path), ("XXX", "YYY"), open_group_high=4)
+        panels = ig.parse_stmf_countries(str(path), ("XXX", "YYY"))
     assert panels["YYY"]["f"].deaths[0, 0, 51] == 10.0
     warnings = [r.getMessage() for r in caplog.records if "Split/Forecast" in r.getMessage()]
     assert len(warnings) == 1 and ": 8 rows carry" in warnings[0]
@@ -134,7 +134,7 @@ def test_parse_stmf_week_zero_merged(tmp_path):
     lines.append("XXX,2019,0,f,3\n")
     path = tmp_path / "stmf.csv"
     path.write_text("".join(lines))
-    panels = ig.parse_stmf(str(path), "XXX", open_group_high=4)
+    panels = ig.parse_stmf(str(path), "XXX")
     assert panels["m"].deaths[0, 0, 51] == 17.0
     assert panels["f"].deaths[0, 0, 51] == 13.0
 
@@ -220,7 +220,7 @@ def test_parse_stmf_malformed_number(tmp_path, row):
     path = tmp_path / "stmf.csv"
     path.write_text(f"CountryCode,Year,Week,Sex,D0_4\nXXX,2018,2,m,10\n{row}\n")
     with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: bad number")):
-        ig.parse_stmf(str(path), "XXX", open_group_high=4)
+        ig.parse_stmf(str(path), "XXX")
 
 
 def test_parse_stmf_short_row(tmp_path):
@@ -228,7 +228,7 @@ def test_parse_stmf_short_row(tmp_path):
     path.write_text("CountryCode,Year,Week,Sex,D0_4\nXXX,2018,1,m,10\nXXX,2018\n")
     with pytest.raises(IngestError, match=re.escape(
             f"{path}: line 3: expected at least 4 fields, got 2")):
-        ig.parse_stmf(str(path), "XXX", open_group_high=4)
+        ig.parse_stmf(str(path), "XXX")
 
 
 @pytest.mark.parametrize("column", ["D5x_9", "D9xp", "D_4", "D0_4_5", "D9_0p"])
@@ -347,7 +347,8 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
     ("CountryCode,Year,Week,Sex,D0_1,D4_2\nXXX,2018,1,m,1,1\n", "AgeIndex: low 4 > high 2"),
     ("CountryCode,Year,Week,Sex,D0_1,D3_4\nXXX,2018,1,m,1,1\n",
      "age groups 0_1 and 3_4 do not tile contiguously"),
-    ("CountryCode,Year,Week,Sex,D0_4,D5p\nXXX,2018,1,m,1,1\n", "AgeIndex: low 5 > high 4"),
+    ("CountryCode,Year,Week,Sex,D0_110,D111p\nXXX,2018,1,m,1,1\n",
+     "AgeIndex: low 111 > high 110"),
 ], ids=["empty", "wrong-header", "sex", "week-54", "value-count", "negative", "duplicate",
         "bad-value-before-duplicate", "duplicate-before-bad-value", "missing-week",
         "2020-without-week-53", "week-53-of-2021", "year-10000",
@@ -356,14 +357,14 @@ def _stmf_year(country="XXX", year=2018, weeks=52, sexes="mf", skip=()):
 def test_parse_stmf_errors_name_file_and_line(tmp_path, text, message):
     path = tmp_path / "stmf.csv"
     path.write_text(text)
-    _raises_exactly(f"{path}: {message}", ig.parse_stmf, str(path), "XXX", 4)
+    _raises_exactly(f"{path}: {message}", ig.parse_stmf, str(path), "XXX")
 
 
 def test_parse_stmf_drops_both_sexes_rows_unread(tmp_path):
     path = tmp_path / "stmf.csv"
     path.write_text("CountryCode,Year,Week,Sex,D0_4\n" + "".join(_stmf_year())
                     + "XXX,2018,1,b,oops\nXXX,2018,2,b,-5,extra\n")
-    panels = ig.parse_stmf(str(path), "XXX", open_group_high=4)
+    panels = ig.parse_stmf(str(path), "XXX")
     assert np.nansum(panels["m"].deaths) == 520.0
     assert np.nansum(panels["f"].deaths) == 520.0
 
@@ -414,4 +415,4 @@ def test_parse_stmf_rejects_non_finite(tmp_path, text):
     path = tmp_path / "stmf.csv"
     path.write_text(f"CountryCode,Year,Week,Sex,D0_4\nXXX,2018,2,m,10\nXXX,2018,1,m,{text}\n")
     _raises_exactly(f"{path}: line 3: bad number: non-finite value {text!r}",
-                    ig.parse_stmf, str(path), "XXX", 4)
+                    ig.parse_stmf, str(path), "XXX")

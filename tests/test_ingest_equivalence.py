@@ -153,8 +153,8 @@ def test_parse_stmf_countries_matches_rowwise(case):
         path = os.path.join(tmp, "weekly.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        got = _outcome(ig.parse_stmf_countries, path, countries, 110)
-        want = _outcome(ref.parse_stmf_countries, path, countries, 110)
+        got = _outcome(ig.parse_stmf_countries, path, countries)
+        want = _outcome(ref.parse_stmf_countries, path, countries)
     if isinstance(want, tuple):
         assert got == want
         return

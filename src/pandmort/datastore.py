@@ -119,10 +119,10 @@ class AnnualPanel:
         """Sum deaths and exposures over countries -> (D, E) of shape (2, nages, nyears)."""
         return self.deaths.sum(axis=0), self.exposures.sum(axis=0)
 
-    def select(self, ages=None, years=None):
-        """Restrict the panel to sub-ranges of ages and/or years."""
-        ai = slice(None) if ages is None else np.isin(self.ages, ages)
-        yi = slice(None) if years is None else np.isin(self.years, years)
+    def select(self, ages, years):
+        """Restrict the panel to the given ages and years."""
+        ai = np.isin(self.ages, ages)
+        yi = np.isin(self.years, years)
         return replace(
             self,
             ages=self.ages[ai],
@@ -134,14 +134,10 @@ class AnnualPanel:
     @staticmethod
     def merge(panels):
         """Combine single-country panels sharing the same age/year grid."""
-        first = panels[0]
-        for p in panels[1:]:
-            if not (np.array_equal(p.ages, first.ages) and np.array_equal(p.years, first.years)):
-                raise ValidationError("AnnualPanel.merge: mismatching age/year grids")
         return AnnualPanel(
             countries=tuple(c for p in panels for c in p.countries),
-            ages=first.ages,
-            years=first.years,
+            ages=panels[0].ages,
+            years=panels[0].years,
             deaths=np.concatenate([p.deaths for p in panels], axis=0),
             exposures=np.concatenate([p.exposures for p in panels], axis=0),
         )

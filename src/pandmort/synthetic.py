@@ -20,7 +20,8 @@ from .datastore import (
 from .ingest import TOP_AGE, raw_path
 
 
-def _smooth_noise(n, rng, scale, width=7):
+def _smooth_noise(n, rng, scale):
+    width = 7
     raw = rng.standard_normal(n + 2 * width)
     kernel = np.hanning(2 * width + 1)
     kernel /= kernel.sum()
@@ -133,14 +134,13 @@ def seasonal_phi(amplitude=0.2):
     """A mean-one cosine seasonal curve peaking in winter, length 53."""
     w = np.arange(1, 54, dtype=float)
     phi = 1.0 + amplitude * np.cos(2.0 * np.pi * (w - 1) / 52.0)
-    phi[52] = phi[51]
     phi[:52] /= phi[:52].mean()
     phi[52] = phi[51]
     return phi
 
 
 def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure_week=None,
-                        seed=3, pandemic_on=True):
+                        seed=3):
     """Poisson-sample a weekly individual-age panel for the pandemic years.
 
     ``mu_annual`` has shape (nages, 2) for 2020/2021; ``exposure_week`` is
@@ -157,7 +157,7 @@ def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure
     expos = np.full((nx, 2, MAX_WEEKS), np.nan)
     for j, t in enumerate(PANDEMIC_YEARS):
         wt = weeks_in_iso_year(t)
-        bk = np.outer(pandemic["B"], pandemic["K"][j, :wt]) if pandemic_on else 0.0
+        bk = np.outer(pandemic["B"], pandemic["K"][j, :wt])
         lam = exposure_week[:, j : j + 1] * mu_annual[:, j : j + 1] * phi[None, :wt] * np.exp(bk)
         deaths[:, j, :wt] = rng.poisson(lam)
         expos[:, j, :wt] = exposure_week[:, j : j + 1]

@@ -256,7 +256,7 @@ def test_time_series_theta_negative(baseline_model):
 
 
 def test_time_series_needs_three_years(annual_panel):
-    short = annual_panel.select(years=np.arange(2018, 2020))
+    short = annual_panel.select(ages=annual_panel.ages, years=np.arange(2018, 2020))
     with pytest.raises(NumericalError):
         bl.calibrate_baseline(short)
 

@@ -132,18 +132,23 @@ def _readme():
         return fh.read()
 
 
-def test_readme_lists_the_config_keys():
+def test_readme_lists_the_config_keys(tmp_path):
     """The README's INI example holds exactly the keys of `cli.CONFIG_KEYS`,
-    each in its section and with its default where it has one."""
+    each in its section, and `cli.RunConfig` reads it as written, each key
+    at its default where it has one."""
     block = _readme().split("### Configuration (INI)\n\n```ini\n", 1)[1].split("```", 1)[0]
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(block)
     assert parser.sections() == list(cli.CONFIG_KEYS)
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    cfg = cli.RunConfig(str(path))
     for name, keys in cli.CONFIG_KEYS.items():
         assert list(parser[name]) == list(keys)
-        for key, (default, *_) in keys.items():
+        for key, (default, parse, *_) in keys.items():
             if default is not None:
-                assert parser[name][key] == default, key
+                attr = key if name == "run" else f"{name}_{key}"
+                assert getattr(cfg, attr) == parse(default), key
 
 
 def test_readme_lists_the_output_files():
@@ -1142,7 +1147,7 @@ def test_failed_write_leaves_no_memo_entry(tmp_path, monkeypatch):
 
 # Every reader of a file that some stage writes.
 READERS = [(ds, "read_annual_panel_csv"), (ds, "read_weekly_panel_csv"), (ds, "load_model"),
-           (ig, "parse_population")]
+           (ig, "parse_population"), (cli, "_le_at_birth")]
 
 
 @pytest.fixture(scope="module")
@@ -1175,11 +1180,14 @@ def memo_run(pipeline):
 
 
 def test_run_all_parses_no_file_it_wrote(memo_run, pipeline):
-    out = str(memo_run["out"]) + os.sep
-    assert [p for p in memo_run["parsed"] if p.startswith(out)] == []
-    # the counters see the raw population files, so they are in place
-    assert sorted(memo_run["parsed"]) == [
-        os.path.abspath(pipeline["data"] / f"{c}_population.csv") for c in ("AAA", "BBB")]
+    """``run-all`` parses the raw population files, and of the files it
+    wrote only the ``life_expectancy_*`` ones, which ``report`` reads back
+    because ``_write_table`` keeps no object in the memo (ROADMAP item 6)."""
+    names = [s.name for s in af.standard_scenarios(0.0)]
+    assert sorted(memo_run["parsed"]) == sorted(
+        [os.path.abspath(pipeline["data"] / f"{c}_population.csv") for c in ("AAA", "BBB")]
+        + [os.path.abspath(cli._path(memo_run["out"], "life_expectancy", name=n, c=c, g=g))
+           for n in names for c in ("AAA", "BBB") for g in ds.GENDERS])
 
 
 def _reread(path):

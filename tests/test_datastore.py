@@ -69,13 +69,6 @@ def test_annual_panel_select_and_aggregate(annual_panel):
     np.testing.assert_allclose(D, annual_panel.deaths.sum(axis=0))
 
 
-def test_annual_panel_merge_mismatch(annual_panel):
-    a = annual_panel.select(years=np.arange(1970, 2020))
-    b = annual_panel.select(years=np.arange(1980, 2020))
-    with pytest.raises(ValidationError):
-        AnnualPanel.merge([a, b])
-
-
 def test_annual_panel_rejects_negative_deaths(annual_panel):
     bad = annual_panel.deaths.copy()
     bad[0, 0, 0, 0] = -1.0

@@ -23,8 +23,9 @@ def make_fractions(phi, years, noise=0.0, seed=0):
 
 def test_weekly_fractions(pandemic_truth, phi_truth):
     mu = np.tile(np.exp(-5.0 + 0.05 * np.arange(91))[:, None], (1, 2))
-    wp = sy.sample_weekly_panel("AAA", "m", pandemic_truth, mu, phi=phi_truth,
-                                seed=5, pandemic_on=False)
+    # no pandemic: exp(B K) is 1 with K zeroed
+    quiet = dict(pandemic_truth, K=np.zeros_like(pandemic_truth["K"]))
+    wp = sy.sample_weekly_panel("AAA", "m", quiet, mu, phi=phi_truth, seed=5)
     fr = se.weekly_fractions(wp)
     assert set(fr) == {2020, 2021}
     assert len(fr[2020]) == 53 and len(fr[2021]) == 52

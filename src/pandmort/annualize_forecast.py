@@ -100,9 +100,10 @@ def build_scenario(spec, horizon):
     return spec.x_start * w + (1.0 - w) * spec.x_infinity
 
 
-def standard_scenarios(x_final, eta=0.5):
+def standard_scenarios(x_final, eta):
     """The six shipped scenario specifications, parameterized by the fitted
-    annual effect of the last pandemic year."""
+    annual effect of the last pandemic year and the speed ``eta`` of each
+    path's move from it."""
     return (
         ScenarioSpec("completely_incidental", 0.0, 0.0, eta),
         ScenarioSpec("completely_structural", x_final, x_final, eta),
@@ -231,7 +232,7 @@ def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period"):
 
 
 def forecast_scenarios(model, country, gender, V, calib_ages, scenarios, first_year,
-                       report_years=30):
+                       report_years):
     """Build a ForecastSet for a list of ScenarioSpec, reporting the
     ``report_years`` years from ``first_year`` on.
 

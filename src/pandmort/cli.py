@@ -7,7 +7,8 @@ dataset.  Exit codes: 0 ok, 2 config error, 3 data error or failed write,
 4 numerical failure.  A floating-point overflow, invalid operation or
 division by zero in a stage is an error: 3 if it comes from reading a
 run-directory file, else 4.  Every stage appends the configuration hash to
-its outputs, and a machine-readable error record is written on failure.
+its outputs, and a machine-readable error record, ``error.json``, is written
+on failure; each command first removes the one an earlier command left.
 
 Every output file is written to the run directory.  Within one ``main``
 call the objects a stage wrote are also kept in memory, so ``run-all``
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import json
 import logging
@@ -202,8 +204,7 @@ FILES = {
     "coda": ("coda_{t}_{g}.csv", "coda", None),
     "annual_effects": ("annual_effects_{c}_{g}.csv", "annualize", _pandemic_lacks),
     "forecast": ("forecast_{name}_{c}_{g}.csv", "forecast", None),
-    "life_expectancy": ("life_expectancy_{name}_{c}_{g}.csv", "forecast", lambda cfg, le: _has_no(
-        "data", [f"year {t}" for t in [PANDEMIC_YEARS[-1] + cfg.horizon] if t not in le])),
+    "life_expectancy": ("life_expectancy_{name}_{c}_{g}.csv", "forecast", None),
     "report": ("report.csv", "report", None),
 }
 
@@ -443,15 +444,21 @@ def _write_forecasts(cfg, out, fs, c, g):
                     name=name, c=c, g=g)
 
 
+def _forecast(cfg, model, eff, c, g):
+    """The ``cfg`` scenarios of ``c``/``g`` forecast from ``model`` and the
+    annual effects ``eff``, over the ``horizon`` years after the pandemic."""
+    scenarios = af.standard_scenarios(float(eff.X[-1]), eta=cfg.eta)
+    calib_ages = np.array([a.low for a in eff.ages])
+    return af.forecast_scenarios(model, c, g, eff.V, calib_ages, scenarios, eff.years[-1] + 1,
+                                 report_years=cfg.horizon)
+
+
 def stage_forecast(cfg, out):
     model = _read(cfg, out, "baseline", ds.load_model)
     for c in cfg.countries:
         for g in ds.GENDERS:
             eff = _read(cfg, out, "annual_effects", ds.load_model, c=c, g=g)
-            scenarios = af.standard_scenarios(float(eff.X[-1]), eta=cfg.eta)
-            calib_ages = np.array([a.low for a in eff.ages])
-            fs = af.forecast_scenarios(model, c, g, eff.V, calib_ages, scenarios,
-                                       eff.years[-1] + 1, report_years=cfg.horizon)
+            fs = _forecast(cfg, model, eff, c, g)
             _write_forecasts(cfg, out, fs, c, g)
             nt, nle = len(fs.years), len(fs.le_ages)
             for name in fs.mu:
@@ -463,38 +470,18 @@ def stage_forecast(cfg, out):
                              name=name, c=c, g=g)
 
 
-def _le_at_birth(path):
-    """Period life expectancy at birth by year from the ``life_expectancy_*``
-    file at ``path``, whose rows are distinct (kind, age, year) of a known kind."""
-    (kind, age, year, value), lineno = ds._read_columns(path, "kind,age,year,value")
-    kinds, ki = ds._levels(path, kind, lineno)
-    unknown = [k for k in kinds if k not in ("period", "cohort")]
-    if unknown:
-        raise ParseError(f"{path}: line {lineno(kind.index(unknown[0]))}: "
-                         f"unknown kind {unknown[0]!r}")
-    (ages, ai), (years, ti) = (ds._levels(path, col, lineno, int) for col in (age, year))
-    value = ds._numbers(path, value, float, lineno)
-    shape = (len(kinds), len(ages), len(years))
-    ds._check_cells(path, np.ravel_multi_index((ki, ai, ti), shape), np.zeros(shape, bool),
-                    lambda k, x, t: f"row {kinds[k]},{ages[x]},{years[t]}")
-    at_birth = (np.array(kinds)[ki] == "period") & (ages[ai] == 0)
-    return dict(zip(years[ti][at_birth].tolist(), value[at_birth].tolist()))
-
-
 def stage_report(cfg, out):
-    names = [s.name for s in af.standard_scenarios(0.0)]
+    model = _read(cfg, out, "baseline", ds.load_model)
+    at_birth = af.LE_AGES.index(0)
     rows = []
     for c in cfg.countries:
         for g in ds.GENDERS:
             eff = _read(cfg, out, "annual_effects", ds.load_model, c=c, g=g)
-            final_year = eff.years[-1] + cfg.horizon
-            le = {n: _read(cfg, out, "life_expectancy", _le_at_birth, name=n, c=c, g=g)[final_year]
-                  for n in names}
-            rows.append((c, g, *eff.X,
-                         *(le[n] - le["completely_incidental"] for n in names)))
+            le = {n: e[at_birth, -1] for n, e in _forecast(cfg, model, eff, c, g).e_period.items()}
+            rows.append((c, g, *eff.X, *(e - le["completely_incidental"] for e in le.values())))
     _write_table(cfg, out, "report",
                  ",".join(["country,gender", *(f"X_{t}" for t in PANDEMIC_YEARS),
-                           *(f"dLE_{n}" for n in names)]),
+                           *(f"dLE_{n}" for n in le)]),
                  *zip(*rows))
 
 
@@ -510,13 +497,21 @@ STAGES = {
 }
 
 
+def non_negative_int(text):
+    """The argparse type of ``--seed``: NumPy takes no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="pandmort",
                                 description="Mortality calibration and forecasting pipeline")
     sub = p.add_subparsers(dest="command", required=True)
     synth = sub.add_parser("synth", help="generate the bundled synthetic raw dataset")
     synth.add_argument("--out", required=True)
-    synth.add_argument("--seed", type=int, default=1234)
+    synth.add_argument("--seed", type=non_negative_int, default=1234)
     for name in STAGES:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
@@ -542,6 +537,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     stage = args.command
     try:
+        with contextlib.suppress(OSError):  # none there, or --out is no directory
+            os.remove(os.path.join(args.out, "error.json"))
         if args.command == "synth":
             try:
                 synthetic.write_synthetic_dataset(args.out, seed=args.seed)

@@ -175,9 +175,9 @@ def test_criterion_05_scenario_algebra(baseline_model):
     rng = np.random.default_rng(1)
     V = np.abs(rng.normal(0.1, 0.05, len(calib_ages)))
     V /= np.linalg.norm(V)
-    scens = af.standard_scenarios(x2021)
+    scens = af.standard_scenarios(x2021, eta=0.5)
     fs = af.forecast_scenarios(baseline_model, "AAA", "m", V, calib_ages,
-                               scens, first_year=2022)
+                               scens, first_year=2022, report_years=30)
     fs.validate()
 
     years = np.arange(fs.years[0], fs.years[0] + len(fs.years))

@@ -259,7 +259,7 @@ def test_forecast_scenarios_end_to_end(baseline_model):
     rng = np.random.default_rng(1)
     V = np.abs(rng.normal(0.1, 0.05, len(calib_ages)))
     V /= np.linalg.norm(V)
-    scens = af.standard_scenarios(0.8)
+    scens = af.standard_scenarios(0.8, eta=0.5)
     fs = af.forecast_scenarios(baseline_model, "AAA", "m", V, calib_ages,
                                scens, first_year=2022, report_years=5)
     assert set(fs.mu) == {s.name for s in scens}

@@ -427,8 +427,6 @@ READ_FAULTS = {
     "weekly panel": ("fit-seasonal", "out/weekly_AAA_m.csv", b"\xff", 3, "ParseError",
                      UNDECODABLE),
     "model": ("calibrate-covid", "out/baseline_model.csv", b"\xff", 3, "ParseError", UNDECODABLE),
-    "life expectancy": ("report", "out/life_expectancy_completely_incidental_AAA_m.csv",
-                        b"\xff", 3, "ParseError", UNDECODABLE),
     "stmf oversized field": ("ingest", "data/weekly_deaths.csv",
                              b"AAA,2018,1,m," + b"9" * 200_000 + b"\n", 3, "IngestError",
                              "{path}: line {lineno}: field larger than field limit (131072)"),
@@ -500,8 +498,7 @@ def test_invalid_run_directory_file_exits_3_naming_it(pipeline, tmp_path, case):
 READ_BY = [("annual_panel.csv", "calibrate-baseline"), ("weekly_AAA_m.csv", "fit-seasonal"),
            ("population_BBB.csv", "calibrate-covid"), ("baseline_model.csv", "annualize"),
            ("seasonal_AAA_f.csv", "annualize"), ("covid_BBB_m.csv", "annualize"),
-           ("annual_effects_AAA_m.csv", "report"),
-           ("life_expectancy_new_normal_BBB_f.csv", "report")]
+           ("annual_effects_AAA_m.csv", "report")]
 
 
 @st.composite
@@ -720,10 +717,6 @@ SHORT_OF_THE_CONFIG = {
     "annual effects of other covid_ages": (
         "forecast", ("covid_ages = 40:90", "covid_ages = 50:90"), "annual_effects_AAA_m.csv",
         None, PANDEMIC_MISMATCH.format(covid_ages="50:90", rerun="annualize")),
-    "life expectancy short of a raised horizon": (
-        "report", ("horizon = 10", "horizon = 20"),
-        "life_expectancy_completely_incidental_AAA_m.csv", None,
-        "has no data for year 2041: rerun forecast"),
 }
 
 
@@ -741,9 +734,9 @@ def test_input_short_of_the_config_exits_3(pipeline, tmp_path, case):
     """A stage refuses a run-directory file that lacks what its rule in
     `cli.FILES` asks for the config (a configured country, year or an age
     ingest writes, a pandemic year, the 1 January 2020 population snapshot,
-    the pandemic years and covid_ages of a pandemic model file, the final
-    report year), naming the file and the stage to rerun; it never runs on
-    what the file happens to hold."""
+    the pandemic years and covid_ages of a pandemic model file), naming the
+    file and the stage to rerun; it never runs on what the file happens to
+    hold."""
     command, config_edit, name, edit, message = SHORT_OF_THE_CONFIG[case]
     config = tmp_path / "run.ini"
     config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(*(config_edit or ("", ""))))
@@ -850,6 +843,26 @@ def test_synth_out_naming_a_file_exits_3(tmp_path, caplog):
     assert f"cannot write synthetic data to {out}: " in caplog.text
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    """``synth --seed -1`` exits 2 with a usage message and writes nothing."""
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_a_command_removes_the_error_record_of_an_earlier_one(pipeline, tmp_path, command):
+    out = tmp_path / "out"
+    assert cli.main(["forecast", "--config", str(pipeline["config"]), "--out", str(out)]) == 3
+    assert (out / "error.json").exists()
+    config = [] if command == "synth" else ["--config", str(pipeline["config"])]
+    assert cli.main([command, *config, "--out", str(out)]) == 0
+    assert not (out / "error.json").exists()
+
+
 def test_duplicate_population_row_exits_3(pipeline, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -943,28 +956,6 @@ def test_population_of_other_ages_exits_3(pipeline, tmp_path):
         f"{out / 'population_AAA.csv'}: population ages do not match weekly panel ages for AAA/m")
 
 
-@pytest.mark.parametrize("row, message", [
-    ("period,0", "expected 4 fields"),
-    ("period,0,2031,abc", "bad number: could not convert string to float: 'abc'"),
-    ("period,0,2031,99.0", "duplicate row period,0,2031"),  # no line: two rows are at fault
-    ("weird,0,2031,1.0", "unknown kind 'weird'"),
-    ("cohort,nan,2031,1.0", "bad number: invalid literal for int() with base 10: 'nan'"),
-])
-def test_malformed_life_expectancy_file_exits_3(pipeline, tmp_path, row, message):
-    out = tmp_path / "out"
-    shutil.copytree(pipeline["out"], out)
-    path = out / "life_expectancy_new_normal_BBB_f.csv"
-    lineno = len(path.read_text(encoding="utf-8").splitlines()) + 1
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(row + "\n")
-    rc = cli.main(["report", "--config", str(pipeline["config"]), "--out", str(out)])
-    assert rc == 3
-    rec = json.loads((out / "error.json").read_text())
-    assert (rec["stage"], rec["error"]) == ("report", "ParseError")
-    where = "" if message.startswith("duplicate") else f"line {lineno}: "
-    assert rec["message"] == f"{path}: {where}{message}"
-
-
 def test_non_finite_annual_effect_fails_forecast(pipeline, tmp_path):
     """A NaN X of the last pandemic year makes the forces of mortality of the
     scenarios that start from it NaN, which `forecast` refuses."""
@@ -981,23 +972,47 @@ def test_non_finite_annual_effect_fails_forecast(pipeline, tmp_path):
         "forecast", "ValidationError", "ForecastSet: non-finite mu for completely_structural")
 
 
-def test_report_reads_each_life_expectancy_file_once(pipeline, tmp_path, monkeypatch):
+def test_report_reads_no_forecast_file(pipeline, tmp_path):
+    """`report` computes the scenarios' life expectancies from the baseline
+    and the annual effects: on a finished run without the files of
+    `forecast` and `report`, it writes the same ``report.csv``."""
     out = tmp_path / "out"
     shutil.copytree(pipeline["out"], out)
-    read = []
-    real = ds._read_columns
-    monkeypatch.setattr(ds, "_read_columns", lambda path, *a: read.append(path) or real(path, *a))
+    for name in os.listdir(out):
+        if name.startswith(("forecast_", "life_expectancy_", "report.csv")):
+            (out / name).unlink()
     assert cli.main(["report", "--config", str(pipeline["config"]), "--out", str(out)]) == 0
     assert (out / "report.csv").read_bytes() == (pipeline["out"] / "report.csv").read_bytes()
-    expected = sorted(str(out / n) for n in os.listdir(out) if n.startswith("life_expectancy_"))
-    assert sorted(read) == expected
+
+
+@pytest.mark.parametrize("old, new, rerun", [
+    ("eta = 0.5", "eta = 0.9", ()),
+    ("method = 2", "method = 1", ("calibrate-covid", "annualize")),
+])
+def test_report_of_a_changed_config_is_that_of_a_fresh_run(pipeline, tmp_path, old, new, rerun):
+    """After a config change and the rerun of the stages before `forecast`
+    that it moves, `report` writes the ``report.csv`` of a fresh run of the
+    new config, although the `forecast` files of the old one are still
+    there."""
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(datadir=pipeline["data"]).replace(old, new))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    for stage in (*rerun, "report"):
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    assert cli.main(["run-all", "--config", str(config), "--out", str(fresh)]) == 0
+    report = (fresh / "report.csv").read_text().splitlines()
+    assert (out / "report.csv").read_text().splitlines() == report
+    # the change moves the values, not only the config stamp
+    assert (pipeline["out"] / "report.csv").read_text().splitlines()[:-1] != report[:-1]
 
 
 def _expand(pattern, cfg):
     """The file names of ``pattern`` for every country, gender, pandemic year
     and scenario of the run."""
     values = {"c": cfg.countries, "g": ds.GENDERS, "t": cli.PANDEMIC_YEARS,
-              "name": [s.name for s in af.standard_scenarios(0.0)]}
+              "name": [s.name for s in af.standard_scenarios(0.0, cfg.eta)]}
     used = [f for f in values if "{" + f + "}" in pattern]
     return {pattern.format(**dict(zip(used, combo)))
             for combo in itertools.product(*(values[f] for f in used))}
@@ -1147,7 +1162,7 @@ def test_failed_write_leaves_no_memo_entry(tmp_path, monkeypatch):
 
 # Every reader of a file that some stage writes.
 READERS = [(ds, "read_annual_panel_csv"), (ds, "read_weekly_panel_csv"), (ds, "load_model"),
-           (ig, "parse_population"), (cli, "_le_at_birth")]
+           (ig, "parse_population")]
 
 
 @pytest.fixture(scope="module")
@@ -1180,14 +1195,10 @@ def memo_run(pipeline):
 
 
 def test_run_all_parses_no_file_it_wrote(memo_run, pipeline):
-    """``run-all`` parses the raw population files, and of the files it
-    wrote only the ``life_expectancy_*`` ones, which ``report`` reads back
-    because ``_write_table`` keeps no object in the memo (ROADMAP item 6)."""
-    names = [s.name for s in af.standard_scenarios(0.0)]
+    """``run-all`` parses the two raw population files and none of the files
+    it wrote."""
     assert sorted(memo_run["parsed"]) == sorted(
-        [os.path.abspath(pipeline["data"] / f"{c}_population.csv") for c in ("AAA", "BBB")]
-        + [os.path.abspath(cli._path(memo_run["out"], "life_expectancy", name=n, c=c, g=g))
-           for n in names for c in ("AAA", "BBB") for g in ds.GENDERS])
+        os.path.abspath(pipeline["data"] / f"{c}_population.csv") for c in ("AAA", "BBB"))
 
 
 def _reread(path):

@@ -190,7 +190,7 @@ def life_expectancy(q, ages, years, x0, t0, kind="period"):
     return float((surv * (1.0 - qs / 2.0)).sum())
 
 
-def life_expectancy_by_year(q, ages, years, x0, t0s, kind="period"):
+def life_expectancy_by_year(q, ages, years, x0, t0s, kind):
     """`life_expectancy` at age ``x0`` for every start year in ``t0s`` at once.
 
     Gathers one C-ordered (len(t0s), MAX_AGE - x0 + 1) block of death

@@ -98,7 +98,7 @@ CONFIG_KEYS = {
                             "enter the seasonal curve")),
         "hist_years": ("2015:2019", _range, _ORDERED),
         "method": ("2", int, (lambda v: v in (1, 2), "method must be 1 or 2, got {v}")),
-        "knots": (str(se.DEFAULT_KNOTS), int,  # spline coefficients fitted to the weekly averages
+        "knots": ("12", int,  # spline coefficients fitted to the weekly averages
                   (lambda v: v >= 4, "knots must be at least 4, got {v}"),
                   (lambda v: v <= se.PERIOD, f"knots must be at most {se.PERIOD:g}, got {{v}}")),
         "eta": ("0.5", float, (lambda v: 0.0 <= v <= 1.0, "eta must lie in [0, 1], got {v}")),

@@ -41,12 +41,12 @@ def group_baseline_mu(model, country, gender, ages, years):
                      for m, end in zip(members, ends)])
 
 
-def predicted_deaths(panel, mu, seasonal=None, method=2):
+def predicted_deaths(panel, mu, seasonal, method):
     """Expected weekly deaths from the pre-pandemic model: E * mu * phi.
 
-    ``mu`` has shape (nages, nyears) on the panel's age indices; under
-    Method 1 phi is identically one, under Method 2 the fitted SeasonalEffect
-    is required.  Returns an array shaped like ``panel.deaths`` (NaN-padded).
+    ``mu`` has shape (nages, nyears) on the panel's age indices; ``seasonal``
+    is the fitted SeasonalEffect, unused under Method 1, where phi is one.
+    Returns an array shaped like ``panel.deaths`` (NaN-padded).
     """
     if method not in (1, 2):
         raise ValidationError("method must be 1 or 2")

@@ -292,15 +292,15 @@ class SeasonalEffect:
     """Multiplicative weekly seasonal factor for one country and gender.
 
     ``phi`` has length 53 (week 53 repeats week 52); ``coeffs`` are the
-    ``knots`` periodic-spline coefficients ``phi`` comes from, which a saved
-    effect needs and an unsaved one may leave None.
+    ``knots`` periodic-spline coefficients ``phi`` comes from, or None for a
+    ``phi`` given without a fit, which cannot be saved.
     """
 
     country: str
     gender: str
     phi: np.ndarray
     knots: int
-    coeffs: np.ndarray = None
+    coeffs: np.ndarray
 
     def validate(self):
         if len(self.phi) != MAX_WEEKS:

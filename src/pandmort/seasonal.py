@@ -14,7 +14,6 @@ from .datastore import MAX_WEEKS, SeasonalEffect, week_mask
 from .errors import NumericalError, ValidationError
 
 PERIOD = 52.0
-DEFAULT_KNOTS = 12
 
 
 def weekly_fractions(panel):
@@ -54,7 +53,7 @@ def cyclic_design_matrix(x, k):
     return out
 
 
-def fit_seasonal_spline(fractions, country="", gender="", knots=DEFAULT_KNOTS):
+def fit_seasonal_spline(fractions, country, gender, knots):
     """Least-squares periodic-spline fit to the across-year average fraction.
 
     ``fractions`` is the output of :func:`weekly_fractions`.  Weeks beyond 52

@@ -28,7 +28,7 @@ def _smooth_noise(n, rng, scale):
     return scale * np.convolve(raw, kernel, mode="same")[width:-width]
 
 
-def make_baseline_truth(countries, ages, years, seed=0):
+def make_baseline_truth(countries, ages, years, seed):
     """Known two-layer parameters satisfying all identification constraints.
 
     Returns a dict with per-gender A, B, K and per-(country, gender) alpha,
@@ -84,7 +84,7 @@ def true_ln_mu(truth, country, gender):
     )
 
 
-def sample_annual_panel(truth, exposure=1e7, seed=1, cohort_bump=None):
+def sample_annual_panel(truth, exposure, seed, cohort_bump=None):
     """Poisson-sample an AnnualPanel from the truth at constant exposures.
 
     ``cohort_bump`` = (birth_year, factor) scales the exposures of the
@@ -109,7 +109,7 @@ def sample_annual_panel(truth, exposure=1e7, seed=1, cohort_bump=None):
     ).validate()
 
 
-def make_pandemic_truth(ages, seed=2, amplitude=0.35):
+def make_pandemic_truth(ages, seed, amplitude=0.35):
     """Known pandemic age effect (unit norm, increasing with age) and week
     effect (two waves in 2020, one in 2021), on individual ages."""
     rng = np.random.default_rng(seed)
@@ -130,7 +130,7 @@ def make_pandemic_truth(ages, seed=2, amplitude=0.35):
     return {"ages": ages, "B": b, "K": K}
 
 
-def seasonal_phi(amplitude=0.2):
+def seasonal_phi(amplitude):
     """A mean-one cosine seasonal curve peaking in winter, length 53."""
     w = np.arange(1, 54, dtype=float)
     phi = 1.0 + amplitude * np.cos(2.0 * np.pi * (w - 1) / 52.0)
@@ -139,8 +139,7 @@ def seasonal_phi(amplitude=0.2):
     return phi
 
 
-def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure_week=None,
-                        seed=3):
+def sample_weekly_panel(country, gender, pandemic, mu_annual, phi, seed, exposure_week=None):
     """Poisson-sample a weekly individual-age panel for the pandemic years.
 
     ``mu_annual`` has shape (nages, 2) for 2020/2021; ``exposure_week`` is
@@ -152,7 +151,6 @@ def sample_weekly_panel(country, gender, pandemic, mu_annual, phi=None, exposure
     nx = len(ages)
     exposure_week = np.broadcast_to(1e6 * 7.0 / 365.0 if exposure_week is None
                                     else exposure_week, (nx, 2))
-    phi = np.ones(MAX_WEEKS) if phi is None else phi
     deaths = np.full((nx, 2, MAX_WEEKS), np.nan)
     expos = np.full((nx, 2, MAX_WEEKS), np.nan)
     for j, t in enumerate(PANDEMIC_YEARS):
@@ -185,7 +183,7 @@ def _write_hmd_file(path, years, ages, female, male):
 STMF_LOWER = np.arange(0, 91, 5)
 
 
-def write_synthetic_dataset(outdir, seed=1234, countries=("AAA", "BBB")):
+def write_synthetic_dataset(outdir, seed, countries=("AAA", "BBB")):
     """Write a complete raw dataset: annual 1x1 files, a weekly grouped
     deaths file and population snapshot files, all sampled from known
     parameters.  Deterministic for a fixed seed, byte for byte."""

@@ -1142,7 +1142,8 @@ print(*seen[0])
 def test_memo_hit_is_validated(tmp_path, monkeypatch):
     path = str(tmp_path / "seasonal_AAA_m.csv")
     open(path, "w").close()
-    bad = ds.SeasonalEffect(country="AAA", gender="m", phi=np.zeros(ds.MAX_WEEKS), knots=12)
+    bad = ds.SeasonalEffect(country="AAA", gender="m", phi=np.zeros(ds.MAX_WEEKS), knots=12,
+                             coeffs=None)
     monkeypatch.setitem(cli._memo, path, bad)
     with pytest.raises(ValidationError, match="strictly positive"):
         cli._read(None, str(tmp_path), "seasonal", ds.load_model, c="AAA", g="m")

@@ -110,7 +110,7 @@ def test_group_baseline_mu_names_the_index_outside_the_range(baseline_model, age
 
 def test_predicted_deaths_methods(weekly_setup):
     panel, mu, eff = weekly_setup["panel"], weekly_setup["mu"], weekly_setup["seasonal"]
-    p1 = cv.predicted_deaths(panel, mu, method=1)
+    p1 = cv.predicted_deaths(panel, mu, seasonal=None, method=1)
     p2 = cv.predicted_deaths(panel, mu, seasonal=eff, method=2)
     w = 0  # first week, phi > 1 in winter
     assert (p2[:, 0, w] > p1[:, 0, w]).all()
@@ -118,13 +118,13 @@ def test_predicted_deaths_methods(weekly_setup):
         p1[:, 0, 0], panel.exposures[:, 0, 0] * mu[:, 0], rtol=1e-12
     )
     with pytest.raises(ValidationError):
-        cv.predicted_deaths(panel, mu, method=2)  # seasonal missing
+        cv.predicted_deaths(panel, mu, seasonal=None, method=2)  # seasonal missing
     with pytest.raises(ValidationError):
-        cv.predicted_deaths(panel, mu, method=3)
+        cv.predicted_deaths(panel, mu, seasonal=None, method=3)
     # a mu for one year is not spread over both, and one an age short is no bare ValueError
     for part in (np.s_[:, :1], np.s_[:-1]):
         with pytest.raises(ValidationError) as err:
-            cv.predicted_deaths(panel, mu[part], method=1)
+            cv.predicted_deaths(panel, mu[part], seasonal=None, method=1)
         assert str(err.value) == "predicted_deaths: mu shape does not match the panel"
 
 
@@ -144,14 +144,14 @@ def test_calibrate_covid_all_zero_deaths(weekly_setup):
 
     panel = weekly_setup["panel"]
     zero = replace(panel, deaths=np.where(np.isnan(panel.deaths), np.nan, 0.0))
-    pred = cv.predicted_deaths(zero, weekly_setup["mu"], method=1)
+    pred = cv.predicted_deaths(zero, weekly_setup["mu"], seasonal=None, method=1)
     with pytest.raises(NumericalError):
         cv.calibrate_covid(zero, pred, method=1)
 
 
 def test_calibrate_covid_rejects_nonpositive_pred(weekly_setup):
     panel = weekly_setup["panel"]
-    pred = cv.predicted_deaths(panel, weekly_setup["mu"], method=1)
+    pred = cv.predicted_deaths(panel, weekly_setup["mu"], seasonal=None, method=1)
     pred[3, 0, 3] = 0.0
     with pytest.raises(ValidationError):
         cv.calibrate_covid(panel, pred, method=1)

@@ -196,7 +196,7 @@ def test_seasonal_roundtrip(tmp_path):
         wt = 52 if t != 2015 else 53
         f = phi[:wt] / phi[:wt].sum() * (1.0 + rng.normal(0, 0.01, wt))
         fractions[t] = f / f.sum()
-    eff = se.fit_seasonal_spline(fractions, country="AAA", gender="m")
+    eff = se.fit_seasonal_spline(fractions, country="AAA", gender="m", knots=12)
     path = tmp_path / "seasonal.csv"
     save_model(eff, str(path))
     back = load_model(str(path))
@@ -222,7 +222,7 @@ def test_covid_layer_roundtrip(pandemic_truth, phi_truth, tmp_path):
 
     wp = _weekly(pandemic_truth, phi_truth)
     mu = np.tile(np.exp(-5.0 + 0.05 * np.arange(91))[:, None], (1, 2))
-    pred = cv.predicted_deaths(wp, mu, method=1)
+    pred = cv.predicted_deaths(wp, mu, seasonal=None, method=1)
     layer = cv.calibrate_covid(wp, pred, method=1)
     path = tmp_path / "covid.csv"
     save_model(layer, str(path))

@@ -154,6 +154,13 @@ def test_synth_golden_digest(tmp_path):
     assert tree_digest(tmp_path) == SYNTH_SHA256
 
 
+def test_synth_without_a_seed_is_seed_1234(tmp_path):
+    """The default ``--seed`` of ``synth`` is that of the golden data."""
+    assert cli.main(["synth", "--out", str(tmp_path / "default")]) == 0
+    assert cli.main(["synth", "--out", str(tmp_path / "1234"), "--seed", "1234"]) == 0
+    assert tree_digest(tmp_path / "default") == tree_digest(tmp_path / "1234")
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
     """The output directory of ``run-all`` under CONFIG on ``synth --seed

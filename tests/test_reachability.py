@@ -12,9 +12,13 @@ statements excluded).  Mentioning a name is enough, so the graph
 over-approximates the calls; a definition it finds unreached has no caller
 at all.
 
-Likewise every optional parameter of a ``pandmort`` function is passed by
-some call in ``pandmort`` or in the benchmark's modules, or is named in
-``UNPASSED`` with the reason it stays (see `unpassed_parameters`).
+Likewise every optional parameter of a ``pandmort`` function, and every
+field with a default of a ``pandmort`` dataclass, is passed by some call in
+``pandmort`` or in the benchmark's modules, or is named in ``UNPASSED`` with
+the reason it stays (see `unpassed_parameters`).  And its default is left in
+place by some such call too, or the parameter is in ``UNPASSED``: a default
+that every call overrides is a value only tests reach (see
+`overridden_defaults`).
 """
 
 import ast
@@ -152,17 +156,28 @@ def _callee(node):
     return None
 
 
-def unpassed_parameters():
+def _fields(node):
+    """The optional parameters of the call of ``@dataclass`` class ``node``
+    (its fields with a default), and its parameters in order (all fields)."""
+    fields = [s for s in node.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return [s.target.id for s in fields if s.value is not None], [s.target.id for s in fields]
+
+
+def _calls():
     """The "module.name(parameter)" of every optional parameter of a
-    ``pandmort`` function or method that no call in ``pandmort`` or in the
-    benchmark's modules passes.
+    ``pandmort`` function or method, or field with a default of a
+    ``@dataclass`` class, "module.Class(field)"; and, for each call in
+    ``pandmort`` or in the benchmark's modules and each definition it
+    resolves to, the definition's key, the optional parameters the call
+    passes and those it leaves to their defaults.
 
     Calls are resolved by name alone, as in `unreached_definitions`: a call
     of ``name`` passes a parameter of every definition of that name, by
-    keyword or by position; calling a class calls its ``__init__``; a
-    definition handed as an argument to a call (a runner such as
-    ``speed.Clock.time``) gets that call's keywords; and a ``*`` or ``**``
-    argument passes every parameter."""
+    keyword or by position; calling a class calls its ``__init__``, or its
+    fields if it is a dataclass; a definition handed as an argument to a
+    call (a runner such as ``speed.Clock.time``) gets that call's keywords;
+    and a ``*`` or ``**`` argument passes every parameter."""
     package = Path(pandmort.__file__).parent
     by_name = {}  # callee name -> [(key, optional, positional)]
     for path in sorted(package.glob("*.py")):
@@ -171,6 +186,9 @@ def unpassed_parameters():
                 by_name.setdefault(node.name, []).append(
                     (f"{path.stem}.{node.name}", *_optional(node, 0)))
             elif isinstance(node, ast.ClassDef):
+                if any(_callee(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list):
+                    by_name.setdefault(node.name, []).append(
+                        (f"{path.stem}.{node.name}", *_fields(node)))
                 for method in node.body:
                     if not isinstance(method, FUNCTIONS):
                         continue
@@ -180,8 +198,9 @@ def unpassed_parameters():
                     by_name.setdefault(method.name, []).append(entry)
                     if method.name == "__init__":
                         by_name.setdefault(node.name, []).append(entry)
-    unpassed = {f"{key}({p})" for defs in by_name.values() for key, optional, _ in defs
-                for p in optional}
+    parameters = {f"{key}({p})" for defs in by_name.values() for key, optional, _ in defs
+                  for p in optional}
+    calls = []  # (key, passed, left to their defaults)
     benchmark = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
     assert benchmark, "no benchmark modules beside the tests"
     for path in sorted(package.glob("*.py")) + benchmark:
@@ -191,13 +210,31 @@ def unpassed_parameters():
             splat = (any(isinstance(a, ast.Starred) for a in call.args)
                      or any(k.arg is None for k in call.keywords))
             keywords = {k.arg for k in call.keywords}
-            for key, optional, positional in by_name.get(_callee(call.func), ()):
-                passed = positional[:len(call.args)] + list(keywords)
-                unpassed -= {f"{key}({p})" for p in optional if splat or p in passed}
-            for arg in call.args:
-                for key, optional, _ in by_name.get(_callee(arg), ()):
-                    unpassed -= {f"{key}({p})" for p in optional if splat or p in keywords}
-    return unpassed
+            resolved = [(key, optional, positional[:len(call.args)] + list(keywords))
+                        for key, optional, positional in by_name.get(_callee(call.func), ())]
+            resolved += [(key, optional, keywords)
+                         for arg in call.args for key, optional, _ in by_name.get(_callee(arg), ())]
+            for key, optional, named in resolved:
+                passed = {p for p in optional if splat or p in named}
+                calls.append((key, passed, set(optional) - passed))
+    return parameters, calls
+
+
+def unpassed_parameters():
+    """The "module.name(parameter)" (see `_calls`) of every optional
+    parameter that no call in ``pandmort`` or in the benchmark's modules
+    passes."""
+    parameters, calls = _calls()
+    return parameters - {f"{key}({p})" for key, passed, _ in calls for p in passed}
+
+
+def overridden_defaults():
+    """The "module.name(parameter)" (see `_calls`) of every optional
+    parameter whose default no call in ``pandmort`` or in the benchmark's
+    modules leaves in place: every call passes it, so only tests use the
+    default."""
+    parameters, calls = _calls()
+    return parameters - {f"{key}({p})" for key, _, left in calls for p in left}
 
 
 def test_every_optional_parameter_is_passed_or_listed_with_a_reason():
@@ -206,3 +243,8 @@ def test_every_optional_parameter_is_passed_or_listed_with_a_reason():
     # An entry whose parameter is now passed, or gone, leaves the list.
     assert sorted(set(UNPASSED) - unpassed) == [], "in UNPASSED but passed or removed"
     assert all(reason.strip() for reason in UNPASSED.values())
+
+
+def test_every_default_is_left_in_place_by_some_call():
+    # A parameter in UNPASSED keeps its default for the reason given there.
+    assert sorted(overridden_defaults() - set(UNPASSED)) == [], "only tests use the default"

@@ -87,7 +87,7 @@ def test_cyclic_spline_periodic_to_second_derivative():
 
 def test_fit_recovers_smooth_curve(phi_truth):
     fr = make_fractions(phi_truth, range(2010, 2020), noise=0.01, seed=1)
-    eff = se.fit_seasonal_spline(fr, country="AAA", gender="m")
+    eff = se.fit_seasonal_spline(fr, country="AAA", gender="m", knots=12)
     assert_seasonal_constraints(eff)
     # cosine is smooth, so a 12-knot cyclic spline should track it closely
     assert np.abs(eff.phi[:52] - phi_truth[:52]).max() < 0.02
@@ -97,21 +97,21 @@ def test_fit_recovers_smooth_curve(phi_truth):
 def test_fit_folds_week_53(phi_truth):
     fr = make_fractions(phi_truth, [2014, 2015, 2016], seed=2)  # 2015 has 53 weeks
     assert len(fr[2015]) == 53
-    eff = se.fit_seasonal_spline(fr)
+    eff = se.fit_seasonal_spline(fr, country="AAA", gender="m", knots=12)
     assert_seasonal_constraints(eff)
 
 
 def test_fit_rejects_few_knots(phi_truth):
     fr = make_fractions(phi_truth, range(2010, 2014))
     with pytest.raises(ValidationError):
-        se.fit_seasonal_spline(fr, knots=3)
+        se.fit_seasonal_spline(fr, country="AAA", gender="m", knots=3)
 
 
 def test_fit_rejects_more_knots_than_weekly_averages(phi_truth):
     fr = make_fractions(phi_truth, range(2010, 2014))
-    assert len(se.fit_seasonal_spline(fr, knots=52).coeffs) == 52
+    assert len(se.fit_seasonal_spline(fr, country="AAA", gender="m", knots=52).coeffs) == 52
     with pytest.raises(ValidationError, match="needs 4 to 52 knots, got 60"):
-        se.fit_seasonal_spline(fr, knots=60)
+        se.fit_seasonal_spline(fr, country="AAA", gender="m", knots=60)
 
 
 def test_fit_rejects_nonpositive_curve():
@@ -120,17 +120,17 @@ def test_fit_rejects_nonpositive_curve():
     f[0] = 1.0
     fr = {2010: f / f.sum() * 52, 2011: f / f.sum() * 52}
     with pytest.raises(NumericalError):
-        se.fit_seasonal_spline(fr)
+        se.fit_seasonal_spline(fr, country="AAA", gender="m", knots=12)
 
 
 def test_mean_one_normalization(phi_truth):
     fr = make_fractions(phi_truth, range(2010, 2020), noise=0.05, seed=3)
-    eff = se.fit_seasonal_spline(fr)
+    eff = se.fit_seasonal_spline(fr, country="AAA", gender="m", knots=12)
     assert abs(eff.phi[:52].mean() - 1.0) < 1e-12
 
 
 def test_curve_evaluates_between_weeks(phi_truth):
     fr = make_fractions(phi_truth, range(2010, 2020))
-    eff = se.fit_seasonal_spline(fr)
+    eff = se.fit_seasonal_spline(fr, country="AAA", gender="m", knots=12)
     lo, mid, hi = se.cyclic_design_matrix([10.0, 10.5, 11.0], eff.knots) @ eff.coeffs
     assert min(lo, hi) - 1e-9 <= mid <= max(lo, hi) + 1e-9

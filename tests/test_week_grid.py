@@ -97,7 +97,7 @@ def test_predicted_deaths_matches_loop(grid, method):
     rng, nages, years = grid
     panel = _panel(rng, nages, years)
     mu = 10.0 ** rng.uniform(-5, 0, (nages, len(years)))
-    seasonal = SeasonalEffect(country="AAA", gender="f", phi=_phi(rng), knots=12)
+    seasonal = SeasonalEffect(country="AAA", gender="f", phi=_phi(rng), knots=12, coeffs=None)
     want = util.loop_predicted_deaths(panel, mu, seasonal=seasonal, method=method)
     assert _same_bits(cv.predicted_deaths(panel, mu, seasonal=seasonal, method=method), want)
 
